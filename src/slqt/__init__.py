@@ -24,12 +24,12 @@ from .errors import (Blowup, ConfigError, DivergedAlpha, InitConditionViolated,
 from .learner import (FeedforwardFit, LearnedSolution, ShadowConfig,
                       learn_feedback, learn_feedforward, learn_shadow,
                       shadow_regressors)
-from .model import (BpiHyperParams, CostWeights, ParameterizedSystem,
-                    ReferenceGenerator, StabilityCertificate,
-                    StochasticSystem, TrackingProblem, is_stabilizing,
-                    lyap_matrix, spectral_abscissa, zero_gain_threshold)
+from .model import (BpiHyperParams, CostWeights, ReferenceGenerator,
+                    StabilityCertificate, StochasticSystem, TrackingProblem,
+                    is_stabilizing, lyap_matrix, spectral_abscissa,
+                    zero_gain_threshold)
 from .regressors import (MomentTable, RankReport, accumulate_raw_moments,
-                         assemble_phi, assemble_psi, assemble_xi,
+                         assemble_psi, assemble_xi,
                          feedback_required_rank, feedforward_required_rank,
                          phi_rhs, psi_rhs, rank_report,
                          xi_rhs_for_output_map)
@@ -37,7 +37,7 @@ from .sim import (CostEstimate, EnsembleDataset, MomentTrajectory, PathRecord,
                   ProbingSignal, SimConfig, TrackingRun, discounted_input,
                   estimate_average_cost, load_dataset, probing_signal,
                   propagate_moments_exact, reference_trajectory, run_ensemble,
-                  save_dataset, simulate_ode, simulate_sde_path,
+                  save_dataset, simulate_sde_path,
                   simulate_tracking)
 from .solvers import (LyapunovSolution, TrackingSolution, alpha_update,
                       ff_from_pi, gain_update, sare_residual, solve_gen_lyap,

@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 from .errors import (ConfigError, DivergedAlpha, MaxIterExceeded, NonInvertible,
                      RankDeficient, ShadowUncontrollable)
 from .model import BpiHyperParams, CostWeights, StabilityCertificate, is_stabilizing
-from .regressors import (MomentTable, RankReport, assemble_phi, assemble_psi,
+from .regressors import (MomentTable, RankReport, assemble_psi,
                          assemble_xi, feedback_required_rank,
                          feedforward_required_rank, phi_rhs, psi_rhs,
                          rank_report, xi_rhs_for_output_map)
@@ -243,7 +243,7 @@ def learn_feedback(moments: MomentTable, cost: CostWeights,
             A_mat = assemble_psi(moments, stage_alpha, K_prev)
             b = psi_rhs(moments, K_prev.T @ cost.R @ K_prev + theta_mat)
         else:
-            A_mat = assemble_phi(moments, hyper.gamma, K_prev)
+            A_mat = assemble_psi(moments, hyper.gamma, K_prev)
             b = phi_rhs(moments, K_prev, cost)
         return A_mat, b
 
@@ -463,7 +463,7 @@ def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
             full = assemble_psi(moments, stage_alpha, K_prev)
             b = psi_rhs(moments, K_prev.T @ cost.R @ K_prev + theta_mat)
         else:
-            full = assemble_phi(moments, hyper.gamma, K_prev)
+            full = assemble_psi(moments, hyper.gamma, K_prev)
             b = phi_rhs(moments, K_prev, cost)
         A_mat = np.hstack([full[:, :nn2], full[:, nn2:nn2 + n * m] @ lift])
         return A_mat + omega_K, b

@@ -23,7 +23,7 @@ from .symquad import duplication, vech_indices
 
 __all__ = [
     "StochasticSystem", "ReferenceGenerator", "CostWeights", "BpiHyperParams",
-    "ParameterizedSystem", "TrackingProblem", "StabilityCertificate",
+    "TrackingProblem", "StabilityCertificate",
     "lyap_matrix", "spectral_abscissa", "is_stabilizing", "zero_gain_threshold",
 ]
 
@@ -220,27 +220,6 @@ class BpiHyperParams:
     def alpha_tilde(self) -> float:
         """Discount rate of the transform chi = exp(-alpha_tilde t) x."""
         return 0.5 * (self.gamma - self.alpha0)
-
-
-@dataclass(frozen=True)
-class ParameterizedSystem:
-    """Plant with drift A(alpha) = A - (gamma - alpha)/2 * I."""
-
-    base: StochasticSystem
-    gamma: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ConfigError("gamma must be positive")
-
-    @property
-    def shift(self) -> float:
-        return 0.5 * (self.gamma - self.alpha)
-
-    def as_system(self) -> StochasticSystem:
-        b = self.base
-        return StochasticSystem(b.A - self.shift * np.eye(b.n), b.B, b.C, b.D, b.H)
 
 
 @dataclass(frozen=True)

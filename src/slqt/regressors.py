@@ -19,13 +19,12 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError, WindowOutOfRange
 from .model import BpiHyperParams
-from .symquad import h_form_rows, vech, vech_indices
+from .symquad import h_form_rows, unvech_rows, vec, vech
 
 __all__ = [
-    "MomentTable", "RegressorBundle", "RankReport", "accumulate_raw_moments",
-    "assemble_psi", "assemble_phi", "assemble_xi", "psi_rhs", "phi_rhs",
-    "rank_report", "feedback_required_rank", "feedforward_required_rank",
-    "save_regressor_bundle",
+    "MomentTable", "RankReport", "accumulate_raw_moments", "assemble_psi",
+    "assemble_xi", "psi_rhs", "phi_rhs", "rank_report",
+    "feedback_required_rank", "feedforward_required_rank",
 ]
 
 
@@ -112,19 +111,6 @@ class RankReport:
         return self.passed
 
 
-@dataclass(frozen=True)
-class RegressorBundle:
-    """Assembled data matrices and right-hand sides for one iteration."""
-
-    Psi: np.ndarray
-    Phi: np.ndarray | None
-    Xi: np.ndarray | None
-    psi_rhs: np.ndarray | None
-    phi_rhs: np.ndarray | None
-    xi_rhs: np.ndarray | None
-    rank: RankReport | None
-
-
 def feedback_required_rank(n: int, m: int, with_lambda: bool = True) -> int:
     base = n * (n + 1) // 2 + n * m
     return base + m * (m + 1) // 2 if with_lambda else base
@@ -187,18 +173,10 @@ def accumulate_raw_moments(source, hyper: BpiHyperParams | None = None,
 
     mx, mxx, u = source.mean_x, source.mean_xx, source.u
     n, m = mx.shape[1], u.shape[1]
-    r_idx, c_idx = vech_indices(n)
     l = idx.size
-
-    def unvech_rows(V2):
-        out = np.empty((V2.shape[0], n, n))
-        out[:, r_idx, c_idx] = V2
-        out[:, c_idx, r_idx] = V2
-        return out
-
-    G0 = unvech_rows(mxx[idx])
-    GT = unvech_rows(mxx[idx + w])
-    S = unvech_rows(_windowed_integrals(mxx, idx, w, h))
+    G0 = unvech_rows(mxx[idx], n)
+    GT = unvech_rows(mxx[idx + w], n)
+    S = unvech_rows(_windowed_integrals(mxx, idx, w, h), n)
     xu = (mx[:, :, None] * u[:, None, :]).reshape(t.size, n * m)
     W = _windowed_integrals(xu, idx, w, h).reshape(l, n, m)
     riu, ciu = np.triu_indices(m)
@@ -265,11 +243,6 @@ def assemble_psi(moments: MomentTable, alpha_prev: float, K_prev) -> np.ndarray:
     return np.hstack([blk_P, blk_M, blk_L])
 
 
-def assemble_phi(moments: MomentTable, gamma: float, K_prev) -> np.ndarray:
-    """Boundary-stage rows: identical structure with alpha = gamma."""
-    return assemble_psi(moments, gamma, K_prev)
-
-
 def psi_rhs(moments: MomentTable, forcing) -> np.ndarray:
     """-trace(forcing * S_i) per row; forcing is K'RK + theta."""
     return -h_form_rows(moments.S) @ vech(np.asarray(forcing, dtype=float))
@@ -305,12 +278,8 @@ def assemble_xi(moments: MomentTable, K_star, Lambda_star, cost,
     Xi = np.hstack([blk_Pi, blk_F])
     if moments.I_ydzeta is None:
         raise ConfigError("moment table has no output reference moments")
-    rhs = moments.I_ydzeta @ vec_q(cost.Q)
+    rhs = moments.I_ydzeta @ vec(cost.Q)
     return Xi, rhs
-
-
-def vec_q(Q) -> np.ndarray:
-    return np.asarray(Q, dtype=float).ravel(order="F")
 
 
 def xi_rhs_for_output_map(moments: MomentTable, H_d_case, cost) -> np.ndarray:
@@ -323,7 +292,7 @@ def xi_rhs_for_output_map(moments: MomentTable, H_d_case, cost) -> np.ndarray:
         raise ConfigError("moment table lacks H or reference moments")
     H_d_case = np.asarray(H_d_case, dtype=float).reshape(-1, moments.n_d)
     lift = np.kron(H_d_case, moments.H)
-    return (moments.I_xdchi @ lift.T) @ vec_q(cost.Q)
+    return (moments.I_xdchi @ lift.T) @ vec(cost.Q)
 
 
 def rank_report(matrix, required_rank: int, tol: float = 1e-8) -> RankReport:
@@ -339,27 +308,3 @@ def rank_report(matrix, required_rank: int, tol: float = 1e-8) -> RankReport:
     return RankReport(rank=rank, required_rank=required_rank,
                       singular_values=sv, margin=float(margin), tol=tol)
 
-
-def save_regressor_bundle(bundle: RegressorBundle, dirpath: str) -> None:
-    """Persist assembled matrices next to a dataset (same binary format)."""
-    import json
-    import os
-
-    from .sim import _write_array
-
-    os.makedirs(dirpath, exist_ok=True)
-    arrays = {}
-    for name in ("Psi", "Phi", "Xi", "psi_rhs", "phi_rhs", "xi_rhs"):
-        M = getattr(bundle, name)
-        if M is None:
-            continue
-        sha, rows, cols = _write_array(os.path.join(dirpath, name + ".bin"), M)
-        arrays[name] = {"rows": rows, "cols": cols, "sha256": sha}
-    meta = {"schema": "slqt-bundle/1", "arrays": arrays}
-    if bundle.rank is not None:
-        meta["rank"] = {"rank": bundle.rank.rank,
-                        "required_rank": bundle.rank.required_rank,
-                        "margin": bundle.rank.margin, "tol": bundle.rank.tol}
-    with open(os.path.join(dirpath, "bundle.json"), "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")

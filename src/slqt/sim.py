@@ -1,11 +1,13 @@
 """Trajectory generation and moment estimation.
 
 Euler-Maruyama integration of the plant SDE (scalar Brownian motion),
-classical fourth-order integration for deterministic systems, seeded
-probing signals, streamed trajectory ensembles with persistence, exact
-moment propagation (the oracle the data pipeline is tested against),
-and Monte Carlo average-cost estimation.
+seeded probing signals, streamed trajectory ensembles with persistence,
+exact moment propagation (the oracle the data pipeline is tested
+against), and Monte Carlo average-cost estimation.
 
+Every simulated path, single or in an ensemble, comes from one
+Euler-Maruyama kernel: path i draws its increments from Philox(seed_i)
+alone, so any member of an ensemble can be reproduced by itself.
 Ensemble reductions are centered on path 0 and run in a fixed order so
 that repeated runs with the same configuration are bit-identical, and
 so that a zero-diffusion ensemble reduces exactly to its single path.
@@ -23,20 +25,20 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import Blowup, ConfigError
-from .model import ParameterizedSystem, ReferenceGenerator, StochasticSystem, is_stabilizing
+from .model import ReferenceGenerator, StochasticSystem, is_stabilizing
 from .symquad import unvech, vech_indices
 
 __all__ = [
     "SimConfig", "PathRecord", "ProbingSignal", "EnsembleDataset",
     "MomentTrajectory", "TrackingRun", "probing_signal", "discounted_input",
-    "simulate_sde_path",
-    "simulate_ode", "run_ensemble", "propagate_moments_exact",
+    "simulate_sde_path", "run_ensemble", "propagate_moments_exact",
     "reference_trajectory", "estimate_average_cost", "CostEstimate",
     "simulate_tracking", "save_dataset", "load_dataset", "export_dataset_csv",
 ]
 
 _BLOWUP_NORM = 1e8
 _CHUNK_STEPS = 2048
+_PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
 _MAGIC = b"SLQT"
 _DATASET_SCHEMA = "slqt-dataset/1"
 
@@ -148,9 +150,16 @@ class ProbingSignal:
         return abs(self.amplitude) * self.count
 
     def __call__(self, t):
+        # the (samples x frequencies) sine matrix is built one block of
+        # samples at a time so long grids stay small in memory; each
+        # sample's sum is the same as in one piece
         t = np.asarray(t, dtype=float)
-        vals = self.amplitude * np.sin(t[..., None] * self.omegas).sum(axis=-1)
-        return float(vals) if vals.ndim == 0 else vals
+        flat = t.ravel()
+        vals = np.empty(flat.size)
+        for a in range(0, flat.size, _PROBE_ROWS):
+            blk = flat[a:a + _PROBE_ROWS]
+            vals[a:a + blk.size] = self.amplitude * np.sin(blk[:, None] * self.omegas).sum(axis=-1)
+        return float(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
 
 
 def probing_signal(amplitude: float, count: int, freq_range, seed: int) -> ProbingSignal:
@@ -171,46 +180,18 @@ def discounted_input(fn, rate: float):
     return weighted
 
 
-def _coerce_system(sys) -> StochasticSystem:
-    if isinstance(sys, ParameterizedSystem):
-        return sys.as_system()
-    return sys
-
-
 def _sample_input(fn, t: np.ndarray, m: int) -> np.ndarray:
-    """Evaluate a time-function on the grid as an (N, m) array."""
+    """Evaluate a vectorized time-function on the grid as an (N, m) array."""
     if fn is None:
         return np.zeros((t.size, m))
-    try:
-        v = np.asarray(fn(t), dtype=float)
-    except Exception:
-        v = None
-    if v is not None and v.shape == t.shape and m == 1:
-        return v[:, None]
-    if v is not None and v.shape == (t.size, m):
+    v = np.asarray(fn(t), dtype=float)
+    if v.shape == (t.size, m):
         return v
-    rows = np.empty((t.size, m))
-    for k, tk in enumerate(t):
-        rows[k] = np.atleast_1d(np.asarray(fn(tk), dtype=float))
-    return rows
-
-
-def _em_chunk(X, u, dW, k0, mats, sqrt_h, h, out=None):
-    """Advance all paths through one chunk of Euler-Maruyama steps.
-
-    X is (p, n) and is updated in place step by step; ``out`` receives
-    the post-step states when the caller wants the full trajectory.
-    """
-    At, Bt, Ct, Dt = mats
-    L = dW.shape[1]
-    for j in range(L):
-        uk = u[k0 + j]
-        drift = X @ At + uk @ Bt
-        diff = X @ Ct + uk @ Dt
-        X += h * drift + (sqrt_h * dW[:, j])[:, None] * diff
-        if out is not None:
-            out[k0 + j + 1] = X[0]
-    return X
+    if m == 1 and v.shape == t.shape:
+        return v[:, None]
+    expected = f"({t.size},) or ({t.size}, 1)" if m == 1 else f"({t.size}, {m})"
+    raise ConfigError(f"input function returned shape {v.shape} on a grid of "
+                      f"{t.size} times; expected {expected}")
 
 
 def _check_finite(X, k, sys_name="state"):
@@ -222,72 +203,75 @@ def _check_finite(X, k, sys_name="state"):
                      path_index=p, time=k)
 
 
+def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
+              h: float, observe, sys_name: str = "state") -> None:
+    """Euler-Maruyama paths of dx = (Ax+Bu)dt + (Cx+Du)dw from a common x0.
+
+    forcing is (B, D, u) with u the (n_steps+1, m) input on the grid, or
+    None for an unforced system. Path i draws its increments from
+    Philox(first_seed + i), one chunk of _CHUNK_STEPS steps at a time.
+    observe(k, X) receives the (n_paths, n) states at step k, starting
+    with k = 0; X is updated in place afterwards, so copy what you keep.
+    """
+    X = np.tile(np.asarray(x0, dtype=float).ravel(), (n_paths, 1))
+    gens = [np.random.Generator(np.random.Philox(first_seed + i)) for i in range(n_paths)]
+    At, Ct = A.T.copy(), C.T.copy()
+    u = None
+    if forcing is not None:
+        B, D, u = forcing
+        Bt, Dt = B.T.copy(), D.T.copy()
+    sqrt_h = np.sqrt(h)
+    observe(0, X)
+    k = 0
+    while k < n_steps:
+        L = min(_CHUNK_STEPS, n_steps - k)
+        dW = np.empty((n_paths, L))
+        for i, g in enumerate(gens):
+            dW[i] = g.standard_normal(L)
+        for j in range(L):
+            if u is None:
+                X += h * (X @ At) + (sqrt_h * dW[:, j])[:, None] * (X @ Ct)
+            else:
+                uk = u[k + j]
+                X += h * (X @ At + uk @ Bt) + (sqrt_h * dW[:, j])[:, None] * (X @ Ct + uk @ Dt)
+            observe(k + j + 1, X)
+        k += L
+        _check_finite(X, k, sys_name)
+
+
 def simulate_sde_path(sys, input, x0, config: SimConfig, seed: int) -> PathRecord:
     """One Euler-Maruyama path of dx = (Ax+Bu)dt + (Cx+Du)dw.
 
     Bit-identical to path ``seed - base_seed`` of a run_ensemble call
     with the same configuration and input.
     """
-    sys = _coerce_system(sys)
     t = config.grid()
     u = _sample_input(input, t, sys.m)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    N = config.n_steps
-    xs = np.empty((N + 1, sys.n))
-    xs[0] = x0
-    X = x0[None, :].copy()
-    rng = np.random.Generator(np.random.Philox(seed))
-    mats = (sys.A.T.copy(), sys.B.T.copy(), sys.C.T.copy(), sys.D.T.copy())
-    sqrt_h = np.sqrt(config.h)
-    k = 0
-    while k < N:
-        L = min(_CHUNK_STEPS, N - k)
-        dW = rng.standard_normal((1, L))
-        X = _em_chunk(X, u, dW, k, mats, sqrt_h, config.h, out=xs)
-        k += L
-        _check_finite(X, k)
-    y = xs @ sys.H.T
-    return PathRecord(t, xs, u, y, seed)
+    xs = np.empty((config.n_steps + 1, sys.n))
+
+    def store(k, X):
+        xs[k] = X[0]
+
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, seed, 1, config.n_steps,
+              config.h, store)
+    return PathRecord(t, xs, u, xs @ sys.H.T, seed)
 
 
-def simulate_ode(A_sys, input, x0, config: SimConfig) -> PathRecord:
-    """Classical fourth-order integration of x' = A x + g(t)."""
-    A = np.asarray(A_sys, dtype=float)
-    n = A.shape[0]
-    N = config.n_steps
-    h = config.h
-    t_half = np.arange(2 * N + 1) * (h / 2.0)
-    g = _sample_input(input, t_half, n)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    xs = np.empty((N + 1, n))
-    xs[0] = x0
-    x = x0.copy()
-    for k in range(N):
-        g0, gm, g1 = g[2 * k], g[2 * k + 1], g[2 * k + 2]
-        k1 = A @ x + g0
-        k2 = A @ (x + 0.5 * h * k1) + gm
-        k3 = A @ (x + 0.5 * h * k2) + gm
-        k4 = A @ (x + h * k3) + g1
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs[k + 1] = x
-        if k % 4096 == 0 and (not np.isfinite(x).all() or np.linalg.norm(x) > _BLOWUP_NORM):
-            raise Blowup("deterministic state exceeded bound", time=(k + 1) * h)
-    if not np.isfinite(xs).all():
-        raise Blowup("deterministic state exceeded bound")
-    return PathRecord(np.arange(N + 1) * h, xs, g[::2], None, None)
+def _reference_states(A_d, x_d0, t: np.ndarray) -> np.ndarray:
+    lam, V = np.linalg.eig(A_d)
+    c = np.linalg.solve(V, np.asarray(x_d0, dtype=complex).ravel())
+    E = np.exp(np.outer(t, lam))
+    return np.real(E * c[None, :] @ V.T)
 
 
 def reference_trajectory(reference: ReferenceGenerator, t: np.ndarray):
     """Exact (x_d, y_d) on the grid via the eigendecomposition of A_d.
 
     Valid because reference generators are semisimple with imaginary
-    spectrum; accuracy is checked against the fourth-order integrator
-    in the test suite.
+    spectrum; accuracy is checked against the matrix exponential in the
+    test suite.
     """
-    lam, V = np.linalg.eig(reference.A_d)
-    c = np.linalg.solve(V, reference.x_d0.astype(complex))
-    E = np.exp(np.outer(t, lam))
-    x_d = np.real(E * c[None, :] @ V.T)
+    x_d = _reference_states(reference.A_d, reference.x_d0, t)
     return x_d, x_d @ reference.H_d.T
 
 
@@ -333,15 +317,11 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
     are centered on path 0 in fixed path order, so a diffusion-free
     plant reproduces its single path bit-exactly.
     """
-    sys = _coerce_system(plant)
-    n, m = sys.n, sys.m
+    n = plant.n
     t = config.grid()
     N = config.n_steps
-    u = _sample_input(input, t, m)
-    x0 = np.asarray(x0, dtype=float).ravel()
+    u = _sample_input(input, t, plant.m)
     p = config.n_paths
-    X = np.tile(x0, (p, 1))
-    gens = [np.random.Generator(np.random.Philox(config.base_seed + i)) for i in range(p)]
     r_idx, c_idx = vech_indices(n)
     nn2 = r_idx.size
     mean_x = np.empty((N + 1, n))
@@ -360,24 +340,8 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
             var = np.maximum((dP * dP).mean(axis=0) - dmean * dmean, 0.0)
             se_xx[k] = np.sqrt(var / p)
 
-    record(0, X)
-    mats = (sys.A.T.copy(), sys.B.T.copy(), sys.C.T.copy(), sys.D.T.copy())
-    sqrt_h = np.sqrt(config.h)
-    At, Bt, Ct, Dt = mats
-    k = 0
-    while k < N:
-        L = min(_CHUNK_STEPS, N - k)
-        dW = np.empty((p, L))
-        for i, g in enumerate(gens):
-            dW[i] = g.standard_normal(L)
-        for j in range(L):
-            uk = u[k + j]
-            drift = X @ At + uk @ Bt
-            diff = X @ Ct + uk @ Dt
-            X += config.h * drift + (sqrt_h * dW[:, j])[:, None] * diff
-            record(k + j + 1, X)
-        k += L
-        _check_finite(X, k)
+    _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, config.base_seed, p, N,
+              config.h, record)
 
     x_d = y_d = None
     if reference is not None:
@@ -389,7 +353,7 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
         mean_xx = mean_xx * (scale * scale)[:, None]
         if se_xx is not None:
             se_xx = se_xx * (scale * scale)[:, None]
-    return EnsembleDataset(config=config, plant_digest=sys.digest(),
+    return EnsembleDataset(config=config, plant_digest=plant.digest(),
                            mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
                            x_d=x_d, y_d=y_d, discount=discount,
                            created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
@@ -448,8 +412,7 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     ``refine`` (step h/refine), which is what tight quadrature
     tolerances downstream need.
     """
-    sys = _coerce_system(plant)
-    n, m = sys.n, sys.m
+    n, m = plant.n, plant.m
     x0 = np.asarray(x0, dtype=float).ravel()
     r_idx, c_idx = vech_indices(n)
     if method == "rk4":
@@ -468,10 +431,10 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
         mean_xx[0] = G[r_idx, c_idx]
         for k in range(N):
             u0, um, u1 = u_half[2 * k], u_half[2 * k + 1], u_half[2 * k + 2]
-            dm1, dG1 = _moment_rhs(sys, mv, G, u0)
-            dm2, dG2 = _moment_rhs(sys, mv + 0.5 * h * dm1, G + 0.5 * h * dG1, um)
-            dm3, dG3 = _moment_rhs(sys, mv + 0.5 * h * dm2, G + 0.5 * h * dG2, um)
-            dm4, dG4 = _moment_rhs(sys, mv + h * dm3, G + h * dG3, u1)
+            dm1, dG1 = _moment_rhs(plant, mv, G, u0)
+            dm2, dG2 = _moment_rhs(plant, mv + 0.5 * h * dm1, G + 0.5 * h * dG1, um)
+            dm3, dG3 = _moment_rhs(plant, mv + 0.5 * h * dm2, G + 0.5 * h * dG2, um)
+            dm4, dG4 = _moment_rhs(plant, mv + h * dm3, G + h * dG3, u1)
             mv = mv + (h / 6.0) * (dm1 + 2 * dm2 + 2 * dm3 + dm4)
             G = G + (h / 6.0) * (dG1 + 2 * dG2 + 2 * dG3 + dG4)
             mean_x[k + 1] = mv
@@ -492,7 +455,7 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
             G = unvech(z[n:], n)
             uk = np.atleast_1d(np.asarray(input(tt), dtype=float)) if input is not None \
                 else np.zeros(m)
-            dm, dG = _moment_rhs(sys, mv, G, uk)
+            dm, dG = _moment_rhs(plant, mv, G, uk)
             return np.concatenate([dm, dG[r_idx, c_idx]])
 
         z0 = pack(x0, np.outer(x0, x0))
@@ -544,23 +507,22 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, gains, cost,
     closed loop is simulated jointly with the reference by
     Euler-Maruyama; per-path cost integrals use trapezoidal quadrature.
     """
-    sys = _coerce_system(plant)
-    K = np.asarray(gains[0], dtype=float).reshape(sys.m, sys.n)
-    F = np.asarray(gains[1], dtype=float).reshape(sys.m, reference.n_d)
-    if check_stability and not is_stabilizing(sys, K):
+    K = np.asarray(gains[0], dtype=float).reshape(plant.m, plant.n)
+    F = np.asarray(gains[1], dtype=float).reshape(plant.m, reference.n_d)
+    if check_stability and not is_stabilizing(plant, K):
         raise Blowup("feedback gain is not mean-square stabilizing; "
                      "pass check_stability=False to override")
-    n, n_d, m = sys.n, reference.n_d, sys.m
+    n, n_d, m = plant.n, reference.n_d, plant.m
     nz = n + n_d
     A_aug = np.zeros((nz, nz))
-    A_aug[:n, :n] = sys.A - sys.B @ K
-    A_aug[:n, n:] = -sys.B @ F
+    A_aug[:n, :n] = plant.A - plant.B @ K
+    A_aug[:n, n:] = -plant.B @ F
     A_aug[n:, n:] = reference.A_d
     C_aug = np.zeros((nz, nz))
-    C_aug[:n, :n] = sys.C - sys.D @ K
-    C_aug[:n, n:] = -sys.D @ F
-    H_err = np.zeros((sys.q, nz))
-    H_err[:, :n] = sys.H
+    C_aug[:n, :n] = plant.C - plant.D @ K
+    C_aug[:n, n:] = -plant.D @ F
+    H_err = np.zeros((plant.q, nz))
+    H_err[:, :n] = plant.H
     H_err[:, n:] = -reference.H_d
     K_aug = np.hstack([K, F])
     # cost rate z' M z with M = H_err' Q H_err + K_aug' R K_aug
@@ -572,25 +534,18 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, gains, cost,
     if x0 is not None:
         z0[:n] = np.asarray(x0, dtype=float).ravel()
     z0[n:] = reference.x_d0
-    Z = np.tile(z0, (n_paths, 1))
-    gens = [np.random.Generator(np.random.Philox(seed + i)) for i in range(n_paths)]
-    At, Ct, Mt = A_aug.T.copy(), C_aug.T.copy(), M
-    sqrt_h = np.sqrt(h)
     acc = np.zeros(n_paths)
-    rate = np.einsum("pi,ij,pj->p", Z, Mt, Z)
-    k = 0
-    while k < N:
-        L = min(_CHUNK_STEPS, N - k)
-        dW = np.empty((n_paths, L))
-        for i, g in enumerate(gens):
-            dW[i] = g.standard_normal(L)
-        for j in range(L):
-            Z += h * (Z @ At) + (sqrt_h * dW[:, j])[:, None] * (Z @ Ct)
-            rate_next = np.einsum("pi,ij,pj->p", Z, Mt, Z)
+    rate = None
+
+    def integrate(k, Z):
+        nonlocal acc, rate
+        rate_next = np.einsum("pi,ij,pj->p", Z, M, Z)
+        if k:
             acc += 0.5 * h * (rate + rate_next)
-            rate = rate_next
-        k += L
-        _check_finite(Z, k, "closed-loop state")
+        rate = rate_next
+
+    _em_paths(A_aug, C_aug, None, z0, seed, n_paths, N, h, integrate,
+              "closed-loop state")
     per_path = acc / horizon
     ref0 = per_path[0]
     d = per_path - ref0
@@ -624,18 +579,15 @@ def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
     state x_d evolves continuously under the shared A_d while the
     output map and the feedforward gain switch at segment boundaries.
     """
-    sys = _coerce_system(plant)
     A_d = np.asarray(A_d, dtype=float)
-    n, m, n_d = sys.n, sys.m, A_d.shape[0]
+    n, m, n_d = plant.n, plant.m, A_d.shape[0]
     K = np.asarray(K, dtype=float).reshape(m, n)
     durations = [seg[2] for seg in schedule]
     steps = [round(d / h) for d in durations]
     N = sum(steps)
     t = np.arange(N + 1) * h
     # reference state, shared across paths, continuous at switches
-    lam, V = np.linalg.eig(A_d)
-    c = np.linalg.solve(V, np.asarray(x_d0, dtype=complex).ravel())
-    x_d = np.real(np.exp(np.outer(t, lam)) * c[None, :] @ V.T)
+    x_d = _reference_states(A_d, x_d0, t)
     y_d = np.empty((N + 1, np.asarray(schedule[0][0]).reshape(-1, n_d).shape[0]))
     u_ff = np.empty((N + 1, m))
     k0 = 0
@@ -648,31 +600,16 @@ def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
         u_ff[sl] = -x_d[sl] @ F_seg.T
         bounds.append(k0 * h)
         k0 += ns
-    X = np.tile(np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel(),
-                (n_paths, 1))
-    gens = [np.random.Generator(np.random.Philox(base_seed + i)) for i in range(n_paths)]
     x_mean = np.empty((N + 1, n))
-    x_mean[0] = X[0] + (X - X[0]).mean(axis=0)
-    Acl_t = (sys.A - sys.B @ K).T.copy()
-    Ccl_t = (sys.C - sys.D @ K).T.copy()
-    Bt, Dt = sys.B.T.copy(), sys.D.T.copy()
-    sqrt_h = np.sqrt(h)
-    k = 0
-    while k < N:
-        L = min(_CHUNK_STEPS, N - k)
-        dW = np.empty((n_paths, L))
-        for i, g in enumerate(gens):
-            dW[i] = g.standard_normal(L)
-        for j in range(L):
-            uf = u_ff[k + j]
-            drift = X @ Acl_t + uf @ Bt
-            diff = X @ Ccl_t + uf @ Dt
-            X += h * drift + (sqrt_h * dW[:, j])[:, None] * diff
-            x_mean[k + j + 1] = X[0] + (X - X[0]).mean(axis=0)
-        k += L
-        _check_finite(X, k, "tracking state")
+
+    def record(k, X):
+        x_mean[k] = X[0] + (X - X[0]).mean(axis=0)
+
+    _em_paths(plant.A - plant.B @ K, plant.C - plant.D @ K, (plant.B, plant.D, u_ff),
+              np.zeros(n) if x0 is None else x0, base_seed, n_paths, N, h, record,
+              "tracking state")
     u_mean = u_ff - x_mean @ K.T
-    y_mean = x_mean @ sys.H.T
+    y_mean = x_mean @ plant.H.T
     return TrackingRun(t, y_mean, y_d, u_mean, x_mean, x_d, tuple(bounds[1:]))
 
 

@@ -11,8 +11,8 @@ from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
 from slqt.sim import (SimConfig, discounted_input, estimate_average_cost,
                       export_dataset_csv, load_dataset, probing_signal,
                       propagate_moments_exact, reference_trajectory,
-                      run_ensemble, save_dataset, simulate_ode,
-                      simulate_sde_path, simulate_tracking)
+                      run_ensemble, save_dataset, simulate_sde_path,
+                      simulate_tracking)
 from slqt.symquad import unvech
 
 
@@ -38,6 +38,12 @@ def test_probing_signal_bound_and_determinism():
     # scalar evaluation agrees with the vectorized one
     for k in (0, 117, 4999):
         assert float(sig(t[k])) == pytest.approx(float(u[k]), abs=0.0)
+    # a grid longer than one evaluation block gives, bit for bit, the
+    # values of per-sample evaluation, also across block edges
+    long_t = np.linspace(0.0, 9.0, 10_007)
+    per_sample = np.array([sig(tk) for tk in long_t])
+    np.testing.assert_array_equal(sig(long_t), per_sample)
+    np.testing.assert_array_equal(sig(long_t.reshape(-1, 1)), per_sample[:, None])
 
 
 def test_probing_signal_different_seed_differs():
@@ -139,14 +145,31 @@ def test_single_path_matches_ensemble_member():
     np.testing.assert_array_equal(solo.mean_x, path.x)
 
 
-def test_simulate_ode_matches_matrix_exponential():
-    A = np.array([[-0.5, 2.0], [-2.0, -0.1]])
-    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=100)
-    x0 = np.array([1.0, -1.0])
-    rec = simulate_ode(A, None, x0, cfg)
-    for k in (0, 500, len(rec.t) - 1):
-        np.testing.assert_allclose(rec.x[k], expm(A * rec.t[k]) @ x0,
-                                   rtol=1e-9, atol=1e-11)
+def test_input_of_wrong_shape_is_a_config_error():
+    sys = small_plant()
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=5, n_paths=2)
+
+    def two_columns(t):
+        return np.stack([np.sin(t), np.cos(t)], axis=-1)
+
+    with pytest.raises(ConfigError, match=r"shape \(\d+, 2\)"):
+        run_ensemble(sys, two_columns, np.zeros(2), cfg)
+
+
+def test_input_function_errors_propagate_unchanged():
+    class ProbeFault(RuntimeError):
+        pass
+
+    fault = ProbeFault("probe failed")
+
+    def faulty(t):
+        raise fault
+
+    sys = small_plant()
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=5, n_paths=2)
+    with pytest.raises(ProbeFault) as info:
+        simulate_sde_path(sys, faulty, np.zeros(2), cfg, seed=0)
+    assert info.value is fault
 
 
 def test_exact_moment_methods_agree():
@@ -295,6 +318,31 @@ def test_simulate_tracking_switches_and_shapes():
                                rtol=1e-8, atol=1e-10)
     # but the displayed reference output jumps with the new output map
     assert float(run.y_d[k, 0]) == pytest.approx(float(H2[0] @ run.x_d[k]))
+
+
+def test_tracking_mean_is_the_closed_loop_ensemble_mean():
+    # one segment of simulate_tracking is run_ensemble on the closed-loop
+    # plant (A-BK, B, C-DK, D) driven by -F x_d with the same seeds
+    sys = small_plant()
+    A_d = np.array([[0.0, 1.0], [-4.0, 0.0]])
+    x_d0 = np.array([1.0, 0.0])
+    H_d = np.array([[1.0, 0.0]])
+    F = np.array([[0.2, -0.1]])
+    K = np.array([[1.0, 1.5]])
+    x0 = np.array([0.3, -0.2])
+    h, n_steps = 1e-3, 300
+    run = simulate_tracking(sys, A_d, x_d0, [(H_d, F, n_steps * h)], K, x0,
+                            h=h, n_paths=6, base_seed=40)
+    closed = StochasticSystem(sys.A - sys.B @ K, sys.B, sys.C - sys.D @ K,
+                              sys.D, sys.H)
+    ref = ReferenceGenerator(A_d, H_d, x_d0)
+    cfg = SimConfig(h=h, sample_period=h, window=h, l=n_steps, n_paths=6,
+                    base_seed=40)
+    assert cfg.n_steps == n_steps
+    ds = run_ensemble(closed, lambda t: -reference_trajectory(ref, t)[0] @ F.T,
+                      x0, cfg)
+    np.testing.assert_array_equal(run.x_mean, ds.mean_x)
+    np.testing.assert_array_equal(run.x_d, reference_trajectory(ref, run.t)[0])
 
 
 def test_reference_trajectory_matches_exponential():
