@@ -142,10 +142,25 @@ def reference_at_offset(reference: ReferenceGenerator,
     return ReferenceGenerator(reference.A_d, reference.H_d, x_shift)
 
 
+def _segment_ensemble(source, x0, t_offset: float, seg_seed: int,
+                      n_paths: int | None):
+    """Seeded Monte Carlo ensemble of one data segment.
+
+    The segment runs the source's sim layout under its own base seed
+    (and path count, when overridden) on the experiment-wide clock:
+    the reference restarts from its state ``t_offset`` time units in.
+    """
+    cfg_d = source.sim.to_dict()
+    cfg_d["base_seed"] = int(seg_seed)
+    if n_paths is not None:
+        cfg_d["n_paths"] = int(n_paths)
+    return run_ensemble(source.plant, source.probing, x0, SimConfig(**cfg_d),
+                        discount=source.hyper.alpha_tilde,
+                        reference=reference_at_offset(source.reference, t_offset))
+
+
 def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
-                   n_paths: int | None = None, refine: int = 1,
-                   with_reference: bool = True,
-                   method: str | None = None) -> MomentTable:
+                   n_paths: int | None = None, refine: int = 1) -> MomentTable:
     """Collect the bundle's data segments and reduce them to one table.
 
     mode='ensemble' runs seeded Monte Carlo; mode='exact' propagates
@@ -158,16 +173,8 @@ def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
     alpha_tilde = hyper.alpha_tilde
     tables = []
     for x0, t_offset, seg_seed in bundle.segments:
-        reference = reference_at_offset(bundle.reference, t_offset) \
-            if with_reference else None
         if mode == "ensemble":
-            cfg_d = bundle.sim.to_dict()
-            cfg_d["base_seed"] = seg_seed
-            if n_paths is not None:
-                cfg_d["n_paths"] = n_paths
-            cfg = SimConfig(**cfg_d)
-            ds = run_ensemble(bundle.plant, bundle.probing, x0, cfg,
-                              discount=alpha_tilde, reference=reference)
+            ds = _segment_ensemble(bundle, x0, t_offset, seg_seed, n_paths)
             tables.append(accumulate_raw_moments(
                 ds, hyper=hyper, output_map=bundle.plant.H, t_offset=t_offset))
         elif mode == "exact":
@@ -175,10 +182,10 @@ def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
                 bundle.plant.A - alpha_tilde * np.eye(bundle.plant.n),
                 bundle.plant.B, bundle.plant.C, bundle.plant.D, bundle.plant.H)
             u = discounted_input(bundle.probing, alpha_tilde)
-            step = method or ("adaptive" if refine > 1 else "rk4")
-            traj = propagate_moments_exact(shifted, u, x0, bundle.sim,
-                                           method=step, refine=refine,
-                                           reference=reference)
+            traj = propagate_moments_exact(
+                shifted, u, x0, bundle.sim,
+                method="adaptive" if refine > 1 else "rk4", refine=refine,
+                reference=reference_at_offset(bundle.reference, t_offset))
             tables.append(accumulate_raw_moments(
                 traj, hyper=hyper, config=bundle.sim,
                 output_map=bundle.plant.H, t_offset=t_offset))

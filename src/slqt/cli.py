@@ -2,7 +2,9 @@
 
 Subcommands cover each pipeline stage (model-based solve, ensemble
 collection, feedback/feedforward learning, shadow learning, tracking
-demos) plus the two bundled benchmark reproductions. Reports are
+demos) plus the two bundled benchmark reproductions. Every stage runs
+through ``run_experiment``; an example is a fixed list of experiment
+configs built from its bundle, one report per run. Reports are
 canonical JSON with sorted keys and 17-significant-digit numbers, so
 identical configs and seeds produce byte-identical payloads; wall-clock
 fields live outside the payload.
@@ -16,13 +18,13 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_continuous_are
 
-from .benchmarks import (coupled_oscillators, damped_oscillator,
-                         gather_moments, reference_at_offset)
+from .benchmarks import (_segment_ensemble, coupled_oscillators,
+                         damped_oscillator, gather_moments)
 from .bpi import feedforward_gains, solve_tracking
 from .errors import ConfigError, MaxIterExceeded, RankDeficient, SlqtError
 from .learner import (LearnedSolution, ShadowConfig, learn_feedback,
@@ -31,14 +33,13 @@ from .model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                     StochasticSystem, TrackingProblem, spectral_abscissa)
 from .regressors import feedback_required_rank, rank_report
 from .sim import (SimConfig, estimate_average_cost, probing_signal,
-                  run_ensemble, save_dataset, simulate_tracking)
+                  save_dataset, simulate_tracking)
 from .solvers import sare_residual
 from .symquad import h_form_rows
 
 __all__ = ["EXIT_CODES", "ExperimentConfig", "RunReport", "canonical_json",
            "emit_report", "exit_code_for", "load_config", "load_report",
-           "main", "parse_experiment_config", "reproduce_example",
-           "run_experiment"]
+           "main", "parse_experiment_config", "run_experiment"]
 
 REPORT_SCHEMA = "slqt-report/1"
 
@@ -636,72 +637,62 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         report.payload["n_paths_override"] = int(n_paths)
 
     def work():
-        sol = ff_model = None
-        learned = fits = None
+        # tracking uses the model gains in model_based mode and the
+        # learned gains otherwise
+        sol = None
         if config.mode == "model_based" or validate:
             with _timed(report, "model_based"):
-                sol, ff_model, ffmp, mb = _payload_model(
+                sol, ff_by_case, ffmp, mb = _payload_model(
                     config.plant, config.cost, config.hyper, config.reference,
                     config.h_d_cases)
+            K = sol.K
             report.payload["model_based"] = mb
             if config.mode == "model_based":
                 report.payload["feedforward_cases"] = ffmp
-        if config.mode == "data_driven":
+        if config.mode != "model_based":
             with _timed(report, "collect"):
                 moments = gather_moments(config, mode=config.data_source["kind"],
                                          n_paths=n_paths,
                                          refine=config.data_source["refine"])
-            with _timed(report, "learn_feedback"):
-                learned = learn_feedback(
-                    moments, config.cost, config.hyper,
-                    validate_with=config.plant if validate else None)
-            dd = _payload_learned(learned)
+            validate_with = config.plant if validate else None
+            extra, flags = {}, {}
+            if config.mode == "shadow":
+                with _timed(report, "shadow_rows"):
+                    omegas = shadow_regressors(config.shadow, config.plant.B,
+                                               config.cost.R, moments.t_global,
+                                               moments.window)
+                with _timed(report, "learn_shadow"):
+                    learned = learn_shadow(
+                        moments, config.shadow, config.plant.B, config.cost,
+                        config.hyper, validate_with=validate_with,
+                        omegas=omegas)
+                flags = _shadow_flags(moments)
+                nn_d = moments.n * moments.n_d
+                extra = {"extra_rows": omegas[1],
+                         "extra_rank_matrix": np.hstack(
+                             [np.zeros((len(moments), nn_d)),
+                              omegas[1][:, nn_d:]])}
+            else:
+                with _timed(report, "learn_feedback"):
+                    learned = learn_feedback(moments, config.cost, config.hyper,
+                                             validate_with=validate_with)
+            block = _payload_learned(learned)
             if sol is not None:
-                dd["vs_model"] = _vs_model(learned, sol)
-            report.payload["data_driven"] = dd
+                block["vs_model"] = _vs_model(learned, sol)
+            block.update(flags)
+            report.payload[config.mode] = block
             with _timed(report, "learn_feedforward"):
-                fits, ffp = _ff_case_fits(moments, learned, config.cost,
-                                          config.hyper, config.h_d_cases)
-            report.payload["feedforward_cases"] = ffp
-        elif config.mode == "shadow":
-            with _timed(report, "collect"):
-                moments = gather_moments(config, mode=config.data_source["kind"],
-                                         n_paths=n_paths,
-                                         refine=config.data_source["refine"])
-            with _timed(report, "shadow_rows"):
-                omegas = shadow_regressors(config.shadow, config.plant.B,
-                                           config.cost.R, moments.t_global,
-                                           moments.window)
-            with _timed(report, "learn_shadow"):
-                learned = learn_shadow(
-                    moments, config.shadow, config.plant.B, config.cost,
-                    config.hyper,
-                    validate_with=config.plant if validate else None,
-                    omegas=omegas)
-            sh = _payload_learned(learned)
-            if sol is not None:
-                sh["vs_model"] = _vs_model(learned, sol)
-            sh.update(_shadow_flags(moments))
-            report.payload["shadow"] = sh
-            n, m, n_d = moments.n, moments.m, moments.n_d
-            aug = np.hstack([np.zeros((len(moments), n * n_d)),
-                             omegas[1][:, n * n_d:]])
-            with _timed(report, "learn_feedforward"):
-                fits, ffp = _ff_case_fits(moments, learned, config.cost,
-                                          config.hyper, config.h_d_cases,
-                                          extra_rows=omegas[1],
-                                          extra_rank_matrix=aug)
+                ff_by_case, ffp = _ff_case_fits(moments, learned, config.cost,
+                                                config.hyper, config.h_d_cases,
+                                                **extra)
+            K = learned.K_star
             report.payload["feedforward_cases"] = ffp
         if config.tracking is not None:
-            if config.mode == "model_based":
-                pair = (sol.K, ff_model)
-            else:
-                pair = (learned.K_star, fits)
             tr = config.tracking
             with _timed(report, "tracking"):
                 report.payload["tracking"] = _run_tracking(
-                    config.plant, config.reference, config.h_d_cases, pair[0],
-                    pair[1], tr["schedule"], tr["h"], tr["n_paths"],
+                    config.plant, config.reference, config.h_d_cases, K,
+                    ff_by_case, tr["schedule"], tr["h"], tr["n_paths"],
                     tr["base_seed"], out_dir, "tracking.csv")
         if config.cost_comparison is not None:
             if sol is None:
@@ -727,110 +718,69 @@ def _shadow_flags(moments) -> dict:
             "unaugmented_rank": _rank_payload(unaug)}
 
 
-def _shift_segment_seeds(segments, offset: int) -> tuple:
-    return tuple((x0, t_off, seed + offset) for x0, t_off, seed in segments)
+def _shift_seeds(cfg: ExperimentConfig, offset) -> ExperimentConfig:
+    """Add ``offset`` (the --seed flag) to every segment base seed."""
+    if offset:
+        cfg.segments = tuple((x0, t_off, seed + offset)
+                             for x0, t_off, seed in cfg.segments)
+    return cfg
 
 
-def reproduce_example(which: str, out_dir: str | None = None,
-                      n_paths: int | None = None, validate: bool = True,
-                      data_mode: str | None = None, refine: int | None = None,
-                      tracking_paths: int = 200, cost_paths: int = 2000,
-                      seed_offset: int = 0,
-                      formats=("json", "csv")) -> RunReport:
-    """Run one bundled benchmark end to end and return its report.
+def _probing_block(sig) -> dict:
+    return {"amplitude": sig.amplitude, "count": sig.count,
+            "freq_range": list(sig.freq_range), "seed": sig.seed}
 
-    Example one: model-based solve, Monte Carlo data-driven learning,
-    all eight feedforward cases, both tracking scenarios, and the
-    noise-aware versus noise-blind cost comparison. Example two: the
-    shadow pipeline on exact moments with zero plant input, per-case
-    feedforward, and the scenario-2 tracking demo.
+
+def _example_configs(which: str) -> list:
+    """(name, config) of each run that reproduces one bundled example.
+
+    Example one: Monte Carlo data-driven learning checked against the
+    model, the noise-aware versus noise-blind cost study, and both
+    tracking scenarios under the model gains. Example two: shadow
+    learning on exact moments with zero plant input, tracking scenario 2
+    under the learned gains, and the model-based feedforward table.
     """
-    if which not in ("one", "two"):
-        raise ConfigError(f"unknown example {which!r}")
-    report = RunReport()
+    b = damped_oscillator() if which == "one" else coupled_oscillators()
+    ref, hy, sim = b.reference, b.hyper, b.sim
+    base = {
+        "plant": {k: _matrix(getattr(b.plant, k)) for k in "ABCDH"},
+        "reference": {"A_d": _matrix(ref.A_d), "H_d": _matrix(ref.H_d),
+                      "x_d0": _matrix(ref.x_d0),
+                      "cases": [_matrix(row) for row in b.h_d_cases]},
+        "cost": {"Q": _matrix(b.cost.Q), "R": _matrix(b.cost.R)},
+        "hyper": {"gamma": hy.gamma, "alpha0": hy.alpha0, "eta": hy.eta,
+                  "epsilon": hy.epsilon, "max_iter": hy.max_iter,
+                  "stop_rule": hy.stop_rule},
+        "sim": {"h": sim.h, "T_s": sim.sample_period, "T": sim.window,
+                "t1": sim.t1, "l": sim.l, "n_paths": sim.n_paths,
+                "base_seed": sim.base_seed},
+        "segments": [{"x0": _matrix(x0), "t_offset": t_off, "base_seed": seed}
+                     for x0, t_off, seed in b.segments]}
+
+    def tracking(scenario):
+        return {"schedule": [list(step) for step in b.scenarios[scenario]],
+                "h": 1e-3, "n_paths": 200, "base_seed": 97}
+
     if which == "one":
-        bundle = damped_oscillator()
-        mode = data_mode or "ensemble"
+        base["probing"] = _probing_block(b.probing)
+        runs = {"learn": {"mode": "data_driven",
+                          "data_source": {"kind": "ensemble"},
+                          "cost_comparison": {"case": 8, "horizon": 50.0,
+                                              "n_paths": 2000, "h": 1e-3}},
+                "scenario1": {"mode": "model_based",
+                              "tracking": tracking("scenario1")},
+                "scenario2": {"mode": "model_based",
+                              "tracking": tracking("scenario2")}}
     else:
-        bundle = coupled_oscillators()
-        mode = data_mode or "exact"
-    refine = refine or 1
-    if seed_offset:
-        bundle = replace(bundle, segments=_shift_segment_seeds(bundle.segments,
-                                                               seed_offset))
-    cases = bundle.h_d_cases
-    report.payload["example"] = which
-    report.payload["config"] = {
-        "bundle": bundle.name, "data_mode": mode, "refine": refine,
-        "n_paths": n_paths if n_paths is not None else bundle.sim.n_paths,
-        "tracking_paths": tracking_paths, "cost_paths": cost_paths,
-        "seed_offset": seed_offset}
-
-    def work():
-        with _timed(report, "model_based"):
-            sol, ff_model, ffmp, mb = _payload_model(
-                bundle.plant, bundle.cost, bundle.hyper, bundle.reference, cases)
-        mb["feedforward_cases"] = ffmp
-        report.payload["model_based"] = mb
-        with _timed(report, "collect"):
-            moments = gather_moments(bundle, mode=mode, n_paths=n_paths,
-                                     refine=refine)
-        if which == "one":
-            with _timed(report, "learn_feedback"):
-                learned = learn_feedback(
-                    moments, bundle.cost, bundle.hyper,
-                    validate_with=bundle.plant if validate else None)
-            dd = _payload_learned(learned)
-            dd["vs_model"] = _vs_model(learned, sol)
-            report.payload["data_driven"] = dd
-            with _timed(report, "learn_feedforward"):
-                fits, ffp = _ff_case_fits(moments, learned, bundle.cost,
-                                          bundle.hyper, cases)
-            report.payload["feedforward_cases"] = ffp
-            with _timed(report, "tracking"):
-                report.payload["tracking"] = {
-                    name: _run_tracking(bundle.plant, bundle.reference, cases,
-                                        sol.K, ff_model, schedule, 1e-3,
-                                        tracking_paths, 97, out_dir,
-                                        f"tracking_{name}.csv")
-                    for name, schedule in sorted(bundle.scenarios.items())}
-            with _timed(report, "cost_comparison"):
-                report.payload["cost_comparison"] = _cost_comparison(
-                    bundle.plant, bundle.cost, bundle.reference, cases, sol,
-                    {"case": 8, "horizon": 50.0, "n_paths": cost_paths,
-                     "h": 1e-3})
-        else:
-            with _timed(report, "shadow_rows"):
-                omegas = shadow_regressors(bundle.shadow, bundle.plant.B,
-                                           bundle.cost.R, moments.t_global,
-                                           moments.window)
-            with _timed(report, "learn_shadow"):
-                learned = learn_shadow(
-                    moments, bundle.shadow, bundle.plant.B, bundle.cost,
-                    bundle.hyper,
-                    validate_with=bundle.plant if validate else None,
-                    omegas=omegas)
-            sh = _payload_learned(learned)
-            sh["vs_model"] = _vs_model(learned, sol)
-            sh.update(_shadow_flags(moments))
-            report.payload["shadow"] = sh
-            n, n_d = moments.n, moments.n_d
-            aug = np.hstack([np.zeros((len(moments), n * n_d)),
-                             omegas[1][:, n * n_d:]])
-            with _timed(report, "learn_feedforward"):
-                fits, ffp = _ff_case_fits(moments, learned, bundle.cost,
-                                          bundle.hyper, cases,
-                                          extra_rows=omegas[1],
-                                          extra_rank_matrix=aug)
-            report.payload["feedforward_cases"] = ffp
-            with _timed(report, "tracking"):
-                report.payload["tracking"] = {
-                    "scenario2": _run_tracking(
-                        bundle.plant, bundle.reference, cases, learned.K_star,
-                        fits, bundle.scenarios["scenario2"], 1e-3,
-                        tracking_paths, 97, out_dir, "tracking_scenario2.csv")}
-
-    return _guarded(report, out_dir, formats, work)
+        sh = b.shadow
+        base["shadow"] = {"A_a": _matrix(sh.A_a), "F_a": _matrix(sh.F_a),
+                          "x_a0": _matrix(sh.x_a0), "y_a0": _matrix(sh.y_a0),
+                          "probing": _probing_block(sh.u_a), "h": sh.h}
+        runs = {"learn": {"mode": "shadow", "data_source": {"kind": "exact"},
+                          "tracking": tracking("scenario2")},
+                "model": {"mode": "model_based"}}
+    return [(name, parse_experiment_config({**base, **run}))
+            for name, run in runs.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +788,7 @@ def reproduce_example(which: str, out_dir: str | None = None,
 
 
 def _prep(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    seed = getattr(args, "seed", None)
-    if seed:
-        cfg.segments = _shift_segment_seeds(cfg.segments, seed)
-    return cfg
+    return _shift_seeds(load_config(args.config), args.seed)
 
 
 def _cmd_solve(args) -> int:
@@ -868,20 +814,13 @@ def _cmd_collect(args) -> int:
         with _timed(report, "collect"):
             os.makedirs(out, exist_ok=True)
             for j, (x0, t_offset, seg_seed) in enumerate(cfg.segments, start=1):
-                d = cfg.sim.to_dict()
-                d["base_seed"] = int(seg_seed)
-                if args.paths:
-                    d["n_paths"] = int(args.paths)
-                sub = SimConfig(**d)
-                ref = reference_at_offset(cfg.reference, t_offset)
-                ds = run_ensemble(cfg.plant, cfg.probing, x0, sub,
-                                  discount=cfg.hyper.alpha_tilde, reference=ref)
+                ds = _segment_ensemble(cfg, x0, t_offset, seg_seed, args.paths)
                 name = f"segment_{j:02d}"
                 save_dataset(ds, os.path.join(out, name))
                 entries.append({"segment": j, "dir": name,
                                 "t_offset": float(t_offset),
                                 "base_seed": int(seg_seed),
-                                "n_paths": sub.n_paths,
+                                "n_paths": ds.config.n_paths,
                                 "plant_digest": ds.plant_digest})
         report.payload["datasets"] = entries
 
@@ -890,33 +829,12 @@ def _cmd_collect(args) -> int:
     return 0
 
 
-def _cmd_learn_fb(args) -> int:
-    cfg = _prep(args)
-    cfg.mode = "data_driven"
-    report = RunReport()
-    report.payload.update({"config": _pyify(cfg.raw), "mode": "data_driven"})
-
-    def work():
-        with _timed(report, "collect"):
-            moments = gather_moments(cfg, mode=cfg.data_source["kind"],
-                                     n_paths=args.paths,
-                                     refine=cfg.data_source["refine"])
-        with _timed(report, "learn_feedback"):
-            learned = learn_feedback(
-                moments, cfg.cost, cfg.hyper,
-                validate_with=cfg.plant if args.validate else None)
-        report.payload["data_driven"] = _payload_learned(learned)
-
-    _guarded(report, args.out or cfg.output, ("json", "csv"), work)
-    print(f"learned feedback gain: {report.payload['data_driven']['K_hat']}")
-    return 0
-
-
-def _cmd_learn_ff(args) -> int:
+def _cmd_learn(args) -> int:
     cfg = _prep(args)
     cfg.mode = "data_driven"
     report = run_experiment(cfg, out_dir=args.out, validate=args.validate,
                             n_paths=args.paths)
+    print(f"learned feedback gain: {report.payload['data_driven']['K_hat']}")
     rows = report.payload["feedforward_cases"]
     print(f"fit feedforward gains for {len(rows)} case(s)")
     return 0
@@ -947,19 +865,23 @@ def _cmd_track(args) -> int:
 
 def _cmd_example(which):
     def handler(args) -> int:
-        report = reproduce_example(which, out_dir=args.out,
-                                   n_paths=args.paths,
-                                   seed_offset=args.seed or 0)
+        payloads = {}
+        for name, cfg in _example_configs(which):
+            out = os.path.join(args.out, name) if args.out else None
+            payloads[name] = run_experiment(
+                _shift_seeds(cfg, args.seed), out_dir=out, validate=True,
+                n_paths=args.paths).payload
+        learn = payloads["learn"]
         if which == "one":
-            dd = report.payload["data_driven"]
-            print(f"model K* = {report.payload['model_based']['K_star']}")
+            dd = learn["data_driven"]
+            print(f"model K* = {learn['model_based']['K_star']}")
             print(f"learned K^ = {dd['K_hat']} "
                   f"(crossing at iteration {dd['crossing_iteration']})")
-            cc = report.payload["cost_comparison"]
+            cc = learn["cost_comparison"]
             print(f"average cost {cc['noise_aware']['mean']:.6g} (noise aware) "
                   f"vs {cc['deterministic_design']['mean']:.6g} (noise blind)")
         else:
-            sh = report.payload["shadow"]
+            sh = learn["shadow"]
             print(f"shadow K^ = {sh['K_hat']} "
                   f"(crossing at iteration {sh['crossing_iteration']}, "
                   f"plant input zero: {sh['plant_input_zero']})")
@@ -1006,8 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("solve", _cmd_solve, "model-based solve of the tracking problem")
     add("collect", _cmd_collect, "simulate and store ensemble datasets")
-    add("learn-fb", _cmd_learn_fb, "data-driven feedback learning")
-    add("learn-ff", _cmd_learn_ff, "feedback plus feedforward learning")
+    add("learn-fb", _cmd_learn, "data-driven learning (same run as learn-ff)")
+    add("learn-ff", _cmd_learn, "feedback plus feedforward learning")
     add("shadow", _cmd_shadow, "learning without plant excitation")
     add("track", _cmd_track, "closed-loop tracking demo")
     add("example1", _cmd_example("one"),

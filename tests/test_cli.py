@@ -244,3 +244,99 @@ def test_report_rejects_other_schemas(tmp_path):
     p.write_text(json.dumps({"schema": "slqt-report/999", "payload": {}}))
     with pytest.raises(ConfigError):
         load_report(str(p))
+
+
+def test_learn_fb_and_learn_ff_run_the_same_pipeline(tmp_path):
+    cfg = write_config(tmp_path)
+    out_fb, out_ff = tmp_path / "fb", tmp_path / "ff"
+    assert main(["learn-fb", "--config", cfg, "--out", str(out_fb)]) == 0
+    assert main(["learn-ff", "--config", cfg, "--out", str(out_ff)]) == 0
+    fb = load_report(str(out_fb / "report.json"))
+    ff = load_report(str(out_ff / "report.json"))
+    assert fb.payload_text() == ff.payload_text()
+    assert [c["case"] for c in fb.payload["feedforward_cases"]] == [1, 2]
+    assert (out_fb / "ff_cases.csv").read_text() == \
+        (out_ff / "ff_cases.csv").read_text()
+
+
+def _same_problem(cfg, bundle):
+    for key in "ABCDH":
+        np.testing.assert_array_equal(getattr(cfg.plant, key),
+                                      getattr(bundle.plant, key))
+    np.testing.assert_array_equal(cfg.reference.x_d0, bundle.reference.x_d0)
+    assert len(cfg.h_d_cases) == len(bundle.h_d_cases)
+    for got, want in zip(cfg.h_d_cases, bundle.h_d_cases):
+        np.testing.assert_array_equal(got, want)
+    assert cfg.sim == bundle.sim
+    assert [(x0.tolist(), t, s) for x0, t, s in cfg.segments] == \
+        [(x0.tolist(), t, s) for x0, t, s in bundle.segments]
+    # the descriptor written into each report parses back to the run
+    again = parse_experiment_config(json.loads(canonical_json(cfg.raw)))
+    assert again.mode == cfg.mode and again.tracking == cfg.tracking
+
+
+def test_example_run_lists_follow_the_bundles():
+    from slqt.benchmarks import coupled_oscillators, damped_oscillator
+    from slqt.cli import _example_configs
+
+    def tracking(bundle, scenario):
+        return {"schedule": list(bundle.scenarios[scenario]), "h": 1e-3,
+                "n_paths": 200, "base_seed": 97}
+
+    one, ex1 = dict(_example_configs("one")), damped_oscillator()
+    assert list(one) == ["learn", "scenario1", "scenario2"]
+    assert one["learn"].mode == "data_driven"
+    assert one["learn"].data_source["kind"] == "ensemble"
+    assert one["learn"].cost_comparison == {"case": 8, "horizon": 50.0,
+                                            "n_paths": 2000, "h": 1e-3}
+    assert one["learn"].tracking is None
+    np.testing.assert_array_equal(one["learn"].probing.omegas,
+                                  ex1.probing.omegas)
+    for name in ("scenario1", "scenario2"):
+        assert one[name].mode == "model_based"
+        assert one[name].tracking == tracking(ex1, name)
+        assert one[name].cost_comparison is None
+    for cfg in one.values():
+        _same_problem(cfg, ex1)
+
+    two, ex2 = dict(_example_configs("two")), coupled_oscillators()
+    assert list(two) == ["learn", "model"]
+    assert two["learn"].mode == "shadow"
+    assert two["learn"].data_source["kind"] == "exact"
+    assert two["learn"].tracking == tracking(ex2, "scenario2")
+    assert two["learn"].cost_comparison is None
+    np.testing.assert_array_equal(two["learn"].shadow.A_a, ex2.shadow.A_a)
+    np.testing.assert_array_equal(two["learn"].shadow.u_a.omegas,
+                                  ex2.shadow.u_a.omegas)
+    assert two["learn"].shadow.h == ex2.shadow.h
+    assert two["model"].mode == "model_based"
+    assert two["model"].tracking is None
+    assert two["model"].cost_comparison is None
+    for cfg in two.values():
+        assert cfg.probing is None
+        _same_problem(cfg, ex2)
+
+
+def test_example1_scenario_runs_track_end_to_end(tmp_path):
+    from slqt.benchmarks import damped_oscillator
+    from slqt.cli import _example_configs, run_experiment
+
+    scenarios = damped_oscillator().scenarios
+    for name, cfg in _example_configs("one"):
+        if name == "learn":
+            continue
+        out = tmp_path / name
+        run_experiment(cfg, out_dir=str(out), validate=True)
+        report = load_report(str(out / "report.json"))
+        assert not report.failed
+        assert json.loads(report.payload_text()) == report.payload
+        assert parse_experiment_config(report.payload["config"]).mode == \
+            "model_based"
+        assert len(report.payload["feedforward_cases"]) == 8
+        tr = report.payload["tracking"]
+        assert tr["file"] == "tracking.csv"
+        assert [s["case"] for s in tr["segments"]] == \
+            [c for c, _ in scenarios[name]]
+        assert tr["max_settled_rms"] < 0.5
+    lines = (tmp_path / "scenario1" / "tracking.csv").read_text().splitlines()
+    assert len(lines) == 2 + round(25.0 / 1e-3)
