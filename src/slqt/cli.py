@@ -909,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "solves, data-driven learning, and benchmark runs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, needs_config=True):
+    def add(name, fn, help_text, needs_config=True, takes_validate=False):
         q = sub.add_parser(name, help=help_text)
         if needs_config:
             q.add_argument("--config", required=True,
@@ -919,18 +919,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="offset added to every segment base seed")
         q.add_argument("--paths", type=int, default=None,
                        help="override the ensemble path count")
-        q.add_argument("--validate-with-model", action="store_true",
-                       dest="validate",
-                       help="compute stability certificates from the "
-                            "configured plant matrices")
+        if takes_validate:
+            # the other subcommands always validate (or, collect, never do)
+            q.add_argument("--validate-with-model", action="store_true",
+                           dest="validate",
+                           help="compute stability certificates from the "
+                                "configured plant matrices")
         q.set_defaults(func=fn)
         return q
 
     add("solve", _cmd_solve, "model-based solve of the tracking problem")
     add("collect", _cmd_collect, "simulate and store ensemble datasets")
-    add("learn-fb", _cmd_learn, "data-driven learning (same run as learn-ff)")
-    add("learn-ff", _cmd_learn, "feedback plus feedforward learning")
-    add("shadow", _cmd_shadow, "learning without plant excitation")
+    add("learn-fb", _cmd_learn, "data-driven learning (same run as learn-ff)",
+        takes_validate=True)
+    add("learn-ff", _cmd_learn, "feedback plus feedforward learning",
+        takes_validate=True)
+    add("shadow", _cmd_shadow, "learning without plant excitation",
+        takes_validate=True)
     add("track", _cmd_track, "closed-loop tracking demo")
     add("example1", _cmd_example("one"),
         "reproduce the damped-oscillator benchmark", needs_config=False)

@@ -26,7 +26,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import Blowup, ConfigError
 from .model import ReferenceGenerator, StochasticSystem, is_stabilizing
-from .symquad import unvech, vech_indices
+from .symquad import unvech, unvech_rows, vech_indices, vech_rows
 
 __all__ = [
     "SimConfig", "PathRecord", "ProbingSignal", "EnsembleDataset",
@@ -397,6 +397,34 @@ def _moment_rhs(sys: StochasticSystem, mvec, G, uk):
     return dm, dG
 
 
+def _rk4_step(Lt, h, y, fs):
+    """One RK4 step of z' = L z + f(t) on every row of y.
+
+    Lt is L transposed (rows act on the right) and fs the forcing rows at
+    the four stages. Returns the four stage values and the stepped rows.
+    """
+    ys, ks = [], []
+    for a, f in zip((0.0, 0.5 * h, 0.5 * h, h), fs):
+        ys.append(y + a * ks[-1] if ks else y)
+        ks.append(ys[-1] @ Lt + f)
+    return ys, y + (h / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+
+
+def _affine_recursion(z0, Lt, h, fs):
+    """RK4 trajectory z_{k+1} = Phi z_k + w_k of z' = L z + f from z0.
+
+    Phi (the RK4 polynomial in hL) and every w_k are built at once; fs
+    holds the (N, d) stage forcings of the N steps.
+    """
+    phi_t = _rk4_step(Lt, h, np.eye(z0.size), (0.0,) * 4)[1]
+    w = _rk4_step(Lt, h, np.zeros_like(fs[0]), fs)[1]
+    Z = np.empty((w.shape[0] + 1, z0.size))
+    Z[0] = z = z0
+    for k in range(w.shape[0]):
+        Z[k + 1] = z = z @ phi_t + w[k]
+    return Z
+
+
 def propagate_moments_exact(plant, input, x0, config: SimConfig,
                             method: str = "rk4", refine: int = 1,
                             reference: ReferenceGenerator | None = None,
@@ -410,7 +438,8 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     method='adaptive' integrates with a high-order adaptive scheme and
     evaluates the dense solution on the config grid refined by
     ``refine`` (step h/refine), which is what tight quadrature
-    tolerances downstream need.
+    tolerances downstream need. Either way, moments that are not finite
+    raise Blowup at the first grid time where they occur.
     """
     n, m = plant.n, plant.m
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -418,29 +447,26 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     if method == "rk4":
         if refine != 1:
             raise ConfigError("refine applies to the adaptive method only")
-        N = config.n_steps
-        h = config.h
-        t = config.grid()
-        t_half = np.arange(2 * N + 1) * (h / 2.0)
-        u_half = _sample_input(input, t_half, m)
-        mean_x = np.empty((N + 1, n))
-        mean_xx = np.empty((N + 1, r_idx.size))
-        mv = x0.copy()
-        G = np.outer(x0, x0)
-        mean_x[0] = mv
-        mean_xx[0] = G[r_idx, c_idx]
-        for k in range(N):
-            u0, um, u1 = u_half[2 * k], u_half[2 * k + 1], u_half[2 * k + 2]
-            dm1, dG1 = _moment_rhs(plant, mv, G, u0)
-            dm2, dG2 = _moment_rhs(plant, mv + 0.5 * h * dm1, G + 0.5 * h * dG1, um)
-            dm3, dG3 = _moment_rhs(plant, mv + 0.5 * h * dm2, G + 0.5 * h * dG2, um)
-            dm4, dG4 = _moment_rhs(plant, mv + h * dm3, G + h * dG3, u1)
-            mv = mv + (h / 6.0) * (dm1 + 2 * dm2 + 2 * dm3 + dm4)
-            G = G + (h / 6.0) * (dG1 + 2 * dG2 + 2 * dG3 + dG4)
-            mean_x[k + 1] = mv
-            mean_xx[k + 1] = G[r_idx, c_idx]
-            if not np.isfinite(mv).all():
-                raise Blowup("moment propagation diverged", time=(k + 1) * h)
+        # Both ODEs are linear once u is known, so one RK4 step is a fixed
+        # map z -> Phi z + w_k; w_k for every step comes from the stage
+        # forcings at once, leaving only the affine recursions sequential.
+        h, t = config.h, config.grid()
+        u_half = _sample_input(input, np.arange(2 * config.n_steps + 1) * (h / 2.0), m)
+        us = (u_half[:-1:2], u_half[1::2], u_half[1::2], u_half[2::2])
+        A, C = plant.A, plant.C
+        E = unvech_rows(np.eye(r_idx.size), n)
+        AE = A @ E
+        LtG = vech_rows(AE + AE.transpose(0, 2, 1) + C @ E @ C.T)  # row j: vech L(E_j)
+        bs = [u @ plant.B.T for u in us]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_x = _affine_recursion(x0, A.T, h, bs)
+            fs = []  # vech(B u y' + y u' B' + C y u' D' + D u y' C' + D u u' D') per stage
+            for y, p, u in zip(_rk4_step(A.T, h, mean_x[:-1], bs)[0], bs, us):
+                q, c = u @ plant.D.T, y @ C.T
+                fs.append(p[:, r_idx] * y[:, c_idx] + y[:, r_idx] * p[:, c_idx]
+                          + c[:, r_idx] * q[:, c_idx] + q[:, r_idx] * c[:, c_idx]
+                          + q[:, r_idx] * q[:, c_idx])
+            mean_xx = _affine_recursion(np.outer(x0, x0)[r_idx, c_idx], LtG, h, fs)
         u = u_half[::2]
     elif method == "adaptive":
         if refine < 1:
@@ -477,6 +503,9 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
         u = _sample_input(input, t, m)
     else:
         raise ConfigError(f"unknown method {method!r}")
+    bad = ~(np.isfinite(mean_x).all(axis=1) & np.isfinite(mean_xx).all(axis=1))
+    if bad.any():
+        raise Blowup("moment propagation diverged", time=float(t[np.argmax(bad)]))
     x_d = y_d = None
     if reference is not None:
         x_d, y_d = reference_trajectory(reference, t)

@@ -8,8 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from slqt.cli import (EXIT_CODES, canonical_json, exit_code_for, load_report,
-                      main, parse_experiment_config)
+from slqt.cli import (EXIT_CODES, build_parser, canonical_json, exit_code_for,
+                      load_report, main, parse_experiment_config)
 from slqt.errors import (ConfigError, MaxIterExceeded, NonPositiveP,
                          RankDeficient, SlqtError)
 
@@ -118,6 +118,23 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["solve", "--config", str(bad)])
     assert rc == EXIT_CODES["config"]
+
+
+def test_validate_flag_only_where_a_handler_reads_it(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    parser = build_parser()
+    for command in ("learn-fb", "learn-ff", "shadow"):
+        assert parser.parse_args([command, "--config", cfg]).validate is False
+        args = parser.parse_args([command, "--config", cfg, "--validate-with-model"])
+        assert args.validate is True
+    # these always validate, or (collect) never do: the flag is a usage error
+    for argv in (["solve", "--config", cfg], ["track", "--config", cfg],
+                 ["collect", "--config", cfg], ["example1"], ["example2"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(tmp_path / "never"), "--validate-with-model"])
+        assert info.value.code == 2
+        assert "--validate-with-model" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
 
 
 def test_solve_writes_report_and_prints_gain(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Simulation layer: paths, ensembles, exact moments, persistence."""
 
+import math
 import os
 
 import numpy as np
@@ -8,11 +9,11 @@ from scipy.linalg import expm
 
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
-from slqt.sim import (SimConfig, discounted_input, estimate_average_cost,
-                      export_dataset_csv, load_dataset, probing_signal,
-                      propagate_moments_exact, reference_trajectory,
-                      run_ensemble, save_dataset, simulate_sde_path,
-                      simulate_tracking)
+from slqt.sim import (SimConfig, _moment_rhs, _sample_input, discounted_input,
+                      estimate_average_cost, export_dataset_csv, load_dataset,
+                      probing_signal, propagate_moments_exact,
+                      reference_trajectory, run_ensemble, save_dataset,
+                      simulate_sde_path, simulate_tracking)
 from slqt.symquad import unvech
 
 
@@ -185,6 +186,71 @@ def test_exact_moment_methods_agree():
         # refine=2 halves the step; compare on the shared instants
         np.testing.assert_allclose(a.t, b.t[::2], atol=1e-12)
         np.testing.assert_allclose(a.mean_xx, b.mean_xx[::2], rtol=1e-6, atol=1e-9)
+
+
+def rk4_moments_per_step(plant, input, x0, cfg):
+    """The exact moments by one classical RK4 step after another."""
+    h, N = cfg.h, cfg.n_steps
+    u = _sample_input(input, np.arange(2 * N + 1) * (h / 2.0), plant.m)
+    r, c = np.triu_indices(plant.n)
+    mv, G = np.array(x0, dtype=float), np.outer(x0, x0)
+    mean_x, mean_xx = [mv], [G[r, c]]
+    for k in range(N):
+        dm1, dG1 = _moment_rhs(plant, mv, G, u[2 * k])
+        dm2, dG2 = _moment_rhs(plant, mv + 0.5 * h * dm1, G + 0.5 * h * dG1, u[2 * k + 1])
+        dm3, dG3 = _moment_rhs(plant, mv + 0.5 * h * dm2, G + 0.5 * h * dG2, u[2 * k + 1])
+        dm4, dG4 = _moment_rhs(plant, mv + h * dm3, G + h * dG3, u[2 * k + 2])
+        mv = mv + (h / 6.0) * (dm1 + 2 * dm2 + 2 * dm3 + dm4)
+        G = G + (h / 6.0) * (dG1 + 2 * dG2 + 2 * dG3 + dG4)
+        mean_x.append(mv)
+        mean_xx.append(G[r, c])
+    return np.array(mean_x), np.array(mean_xx)
+
+
+@pytest.mark.parametrize("forced", [True, False])
+def test_rk4_step_map_equals_per_step_rk4(forced):
+    # n = 3, m = 2 with C and D full, so every term of the forcing
+    # B u m' + m u' B' + C m u' D' + D u m' C' + D u u' D' is exercised
+    sys = StochasticSystem(
+        A=np.array([[-0.6, 1.0, 0.2], [-1.0, -0.4, 0.3], [0.1, -0.5, -0.8]]),
+        B=np.array([[0.0, 1.0], [1.0, 0.2], [0.5, -0.3]]),
+        C=np.array([[0.3, 0.1, 0.0], [-0.2, 0.25, 0.1], [0.05, 0.0, 0.35]]),
+        D=np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.15]]),
+        H=np.eye(3)[:1],
+    )
+    sig = None
+    if forced:
+        omegas = np.array([[3.0, 7.5], [-4.0, 11.0]])
+
+        def sig(t):
+            return np.sin(np.multiply.outer(t, omegas[0])) + np.cos(np.multiply.outer(t, omegas[1]))
+
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=150)
+    x0 = np.array([0.8, -0.5, 0.3])
+    got = propagate_moments_exact(sys, sig, x0, cfg, method="rk4")
+    mean_x, mean_xx = rk4_moments_per_step(sys, sig, x0, cfg)
+    for a, b in ((got.mean_x, mean_x), (got.mean_xx, mean_xx)):
+        assert np.abs(b).max() > 0.1
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    np.testing.assert_array_equal(got.t, cfg.grid())
+
+
+@pytest.mark.parametrize("method", ["rk4", "adaptive"])
+def test_diverging_exact_moments_raise_blowup(method):
+    sys = StochasticSystem(A=np.array([[200.0]]), B=np.array([[1.0]]),
+                           C=np.array([[0.0]]), D=np.array([[0.0]]),
+                           H=np.array([[1.0]]))
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.1, l=190)
+    with np.errstate(all="ignore"), pytest.raises(Blowup) as info:
+        propagate_moments_exact(sys, None, np.array([1.0]), cfg, method=method)
+    if method == "rk4":
+        # unforced, the RK4 second moment is phi^k with phi the degree-4
+        # Taylor polynomial of exp(2 A h); it overflows first (the mean
+        # would stay finite to t = 3.5)
+        phi = sum(0.4 ** j / math.factorial(j) for j in range(5))
+        steps = np.log(np.finfo(float).max) / np.log(phi)
+        assert 0.1 < steps % 1.0 < 0.9
+        assert info.value.time == cfg.grid()[int(steps) + 1]
 
 
 def test_sim_config_validation():
