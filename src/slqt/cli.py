@@ -606,11 +606,14 @@ def _cost_comparison(plant, cost, reference, cases, sol, options: dict) -> dict:
                                  plant.H.T @ cost.Q @ plant.H, cost.R)
     K_det = np.linalg.solve(cost.R, plant.B.T @ P_det)
     _, F_det = feedforward_gains(naive, cost, ref_k, P_det, K_det)
+    # both designs run on the same noise paths (common random numbers), so
+    # the separation is the mean per-path difference over its own SE
     c_opt = estimate_average_cost(plant, ref_k, (sol.K, F_opt), cost, horizon,
                                   n_paths, seed, h=h)
     c_det = estimate_average_cost(plant, ref_k, (K_det, F_det), cost, horizon,
-                                  n_paths, seed + 1, h=h)
-    sep = (c_det.mean - c_opt.mean) / float(np.hypot(c_opt.se, c_det.se))
+                                  n_paths, seed, h=h)
+    d = c_det.per_path - c_opt.per_path
+    sep = d.mean() / (d.std() / np.sqrt(n_paths - 1)) if n_paths > 1 else float("nan")
     return {"case": case, "horizon": horizon, "n_paths": n_paths, "h": h,
             "seed": seed,
             "noise_aware": {"K": _matrix(sol.K), "F": _matrix(F_opt),

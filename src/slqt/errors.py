@@ -63,7 +63,11 @@ class DivergedAlpha(SlqtError):
 
 
 class Blowup(SlqtError):
-    """Simulated state norm exceeded 1e8 (instability or step too large)."""
+    """Simulated state norm exceeded 1e8 (instability or step too large).
+
+    time, when known, is the first time in seconds at which it did, and
+    path_index the lowest-index Monte Carlo path over the bound then.
+    """
 
     def __init__(self, msg, path_index=None, time=None):
         super().__init__(msg)

@@ -38,6 +38,7 @@ __all__ = [
 
 _BLOWUP_NORM = 1e8
 _CHUNK_STEPS = 2048
+_BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
 _MAGIC = b"SLQT"
 _DATASET_SCHEMA = "slqt-dataset/1"
@@ -194,13 +195,20 @@ def _sample_input(fn, t: np.ndarray, m: int) -> np.ndarray:
                       f"{t.size} times; expected {expected}")
 
 
-def _check_finite(X, k, sys_name="state"):
-    norms = np.linalg.norm(X, axis=1)
-    bad = ~np.isfinite(norms) | (norms > _BLOWUP_NORM)
+def _check_block(S, k0, h, sys_name):
+    """Raise Blowup at the first state of S (steps k0, k0 + 1, ...) where
+    a path's norm is over _BLOWUP_NORM or not finite, naming the
+    lowest-index such path and the time in seconds."""
+    lim = _BLOWUP_NORM / np.sqrt(S.shape[1])
+    if S.max() <= lim and S.min() >= -lim:  # false on NaN too
+        return
+    norms = np.sqrt(np.einsum("kip,kip->kp", S, S))
+    bad = ~(norms <= _BLOWUP_NORM)
     if bad.any():
-        p = int(np.argmax(bad))
-        raise Blowup(f"{sys_name} norm exceeded {_BLOWUP_NORM:.0e}",
-                     path_index=p, time=k)
+        j, p = np.unravel_index(np.argmax(bad), bad.shape)
+        t = (k0 + int(j)) * h
+        raise Blowup(f"{sys_name} norm exceeded {_BLOWUP_NORM:.0e} on path {p} "
+                     f"at t = {t:.6g}", path_index=int(p), time=t)
 
 
 def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
@@ -210,33 +218,61 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
     forcing is (B, D, u) with u the (n_steps+1, m) input on the grid, or
     None for an unforced system. Path i draws its increments from
     Philox(first_seed + i), one chunk of _CHUNK_STEPS steps at a time.
-    observe(k, X) receives the (n_paths, n) states at step k, starting
-    with k = 0; X is updated in place afterwards, so copy what you keep.
+    The state is X of shape (n, n_paths), paths on the last axis; one
+    step is X + (hAX + hBu) + dW (CX + Du), with both brackets from one
+    stacked product [hA hBu; C Du] [X; 1]. States are buffered
+    _BLOCK_STEPS at a time:
+    observe(k0, S) receives the states at steps k0, k0 + 1, ... as S of
+    shape (len(S), n, n_paths), first S = x0 alone with k0 = 0. S is a
+    view of a reused buffer, so copy what you keep. Each block is
+    checked for divergence before it is observed.
     """
-    X = np.tile(np.asarray(x0, dtype=float).ravel(), (n_paths, 1))
-    gens = [np.random.Generator(np.random.Philox(first_seed + i)) for i in range(n_paths)]
-    At, Ct = A.T.copy(), C.T.copy()
-    u = None
+    n, P = A.shape[0], n_paths
+    # a single path gets a noise-free second column, so that its product
+    # runs through the same BLAS kernel as an ensemble's and stays
+    # bit-identical to its ensemble member
+    width = max(P, 2)
+    G = np.zeros((2 * n, n + 1))
+    G[:n, :n] = h * A
+    G[n:, :n] = C
+    G = np.broadcast_to(G, (n_steps, 2 * n, n + 1))  # step k uses G[k]
     if forcing is not None:
         B, D, u = forcing
-        Bt, Dt = B.T.copy(), D.T.copy()
+        G = G.copy()
+        G[:, :n, n] = h * (u[:-1] @ B.T)
+        G[:, n:, n] = u[:-1] @ D.T
+    gens = [np.random.Generator(np.random.Philox(first_seed + i)) for i in range(P)]
+    noise = np.empty((P, _CHUNK_STEPS))
+    rows = np.empty((P, _BLOCK_STEPS))  # one block of noise rows, compact
+    dW = np.zeros((_BLOCK_STEPS, width))
+    S = np.empty((_BLOCK_STEPS + 1, n + 1, width))  # row n holds the 1 of [X; 1]
+    S[:, n] = 1.0
+    S[0, :n] = np.asarray(x0, dtype=float).reshape(n, 1)
+    Y = np.empty((2 * n, width))
+    drift, diffusion = Y[:n], Y[n:]
+    states = [s[:n] for s in S]  # views made once; the step loop is hot
     sqrt_h = np.sqrt(h)
-    observe(0, X)
+    observe(0, S[:1, :n, :P])
     k = 0
     while k < n_steps:
         L = min(_CHUNK_STEPS, n_steps - k)
-        dW = np.empty((n_paths, L))
-        for i, g in enumerate(gens):
-            dW[i] = g.standard_normal(L)
-        for j in range(L):
-            if u is None:
-                X += h * (X @ At) + (sqrt_h * dW[:, j])[:, None] * (X @ Ct)
-            else:
-                uk = u[k + j]
-                X += h * (X @ At + uk @ Bt) + (sqrt_h * dW[:, j])[:, None] * (X @ Ct + uk @ Dt)
-            observe(k + j + 1, X)
-        k += L
-        _check_finite(X, k, sys_name)
+        for i, gen in enumerate(gens):
+            gen.standard_normal(L, out=noise[i, :L])
+        for c in range(0, L, _BLOCK_STEPS):
+            b = min(_BLOCK_STEPS, L - c)
+            # transposing from a compact copy avoids a page per path and step
+            np.copyto(rows[:, :b], noise[:, c:c + b])
+            np.multiply(rows[:, :b].T, sqrt_h, out=dW[:b, :P])
+            for j in range(b):
+                np.matmul(G[k + j], S[j], out=Y)
+                np.multiply(diffusion, dW[j], out=diffusion)
+                np.add(drift, diffusion, out=drift)
+                np.add(states[j], drift, out=states[j + 1])
+            blk = S[1:b + 1, :n, :P]
+            _check_block(blk, k + 1, h, sys_name)
+            observe(k + 1, blk)
+            S[0] = S[b]
+            k += b
 
 
 def simulate_sde_path(sys, input, x0, config: SimConfig, seed: int) -> PathRecord:
@@ -249,12 +285,19 @@ def simulate_sde_path(sys, input, x0, config: SimConfig, seed: int) -> PathRecor
     u = _sample_input(input, t, sys.m)
     xs = np.empty((config.n_steps + 1, sys.n))
 
-    def store(k, X):
-        xs[k] = X[0]
+    def store(k0, S):
+        xs[k0:k0 + len(S)] = S[:, :, 0]
 
     _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, seed, 1, config.n_steps,
               config.h, store)
     return PathRecord(t, xs, u, xs @ sys.H.T, seed)
+
+
+def _centred_mean(S) -> np.ndarray:
+    """Mean over the paths (last axis) of S, centred on path 0, so that
+    identical paths give path 0 exactly."""
+    ref = S[..., :1]
+    return ref[..., 0] + (S - ref).mean(axis=-1)
 
 
 def _reference_states(A_d, x_d0, t: np.ndarray) -> np.ndarray:
@@ -328,17 +371,21 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
     mean_xx = np.empty((N + 1, nn2))
     se_xx = np.empty((N + 1, nn2)) if with_se and p > 1 else None
 
-    def record(k, X):
-        x_ref = X[0]
-        mean_x[k] = x_ref + (X - x_ref).mean(axis=0)
-        Pr = X[:, r_idx] * X[:, c_idx]
-        p_ref = Pr[0]
-        dP = Pr - p_ref
-        dmean = dP.mean(axis=0)
-        mean_xx[k] = p_ref + dmean
+    prods = np.empty((_BLOCK_STEPS, nn2, p))
+
+    def record(k0, S):
+        blk = slice(k0, k0 + len(S))
+        mean_x[blk] = _centred_mean(S)
+        dP = prods[:len(S)]
+        for q, (r, c) in enumerate(zip(r_idx, c_idx)):
+            np.multiply(S[:, r], S[:, c], out=dP[:, q])
+        p_ref = dP[..., 0].copy()
+        dP -= p_ref[..., None]
+        dmean = dP.mean(axis=-1)
+        mean_xx[blk] = p_ref + dmean
         if se_xx is not None:
-            var = np.maximum((dP * dP).mean(axis=0) - dmean * dmean, 0.0)
-            se_xx[k] = np.sqrt(var / p)
+            var = np.maximum(np.einsum("kip,kip->ki", dP, dP) / p - dmean * dmean, 0.0)
+            se_xx[blk] = np.sqrt(var / p)
 
     _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, config.base_seed, p, N,
               config.h, record)
@@ -484,9 +531,17 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
             dm, dG = _moment_rhs(plant, mv, G, uk)
             return np.concatenate([dm, dG[r_idx, c_idx]])
 
+        def diverged(tt, z):
+            return np.linalg.norm(z) - _BLOWUP_NORM
+
+        diverged.terminal = True
+        diverged.direction = 1.0
         z0 = pack(x0, np.outer(x0, x0))
         sol = solve_ivp(rhs, (0.0, config.duration), z0, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True)
+                        rtol=rtol, atol=atol, dense_output=True, events=diverged)
+        if sol.status == 1:
+            raise Blowup(f"moment norm exceeded {_BLOWUP_NORM:.0e}",
+                         time=float(sol.t_events[0][0]))
         if not sol.success:
             raise Blowup(f"adaptive moment propagation failed: {sol.message}")
         h_f = config.h / refine
@@ -515,12 +570,18 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Monte Carlo estimate of the long-run average tracking cost."""
+    """Monte Carlo estimate of the long-run average tracking cost.
+
+    per_path holds each path's average cost; path i is drawn from
+    Philox(seed + i), so estimates made with the same seed can be
+    compared path by path (common random numbers).
+    """
 
     mean: float
     se: float
     n_paths: int
     horizon: float
+    per_path: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __float__(self) -> float:
         return self.mean
@@ -564,14 +625,15 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, gains, cost,
         z0[:n] = np.asarray(x0, dtype=float).ravel()
     z0[n:] = reference.x_d0
     acc = np.zeros(n_paths)
-    rate = None
+    last = None
 
-    def integrate(k, Z):
-        nonlocal acc, rate
-        rate_next = np.einsum("pi,ij,pj->p", Z, M, Z)
-        if k:
-            acc += 0.5 * h * (rate + rate_next)
-        rate = rate_next
+    def integrate(k0, Z):
+        # rates z' M z of the block, joined to the last rate of the one before
+        nonlocal acc, last
+        rates = np.einsum("kip,kip->kp", Z, np.matmul(M, Z))
+        if last is not None:
+            acc += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
+        last = rates[-1]
 
     _em_paths(A_aug, C_aug, None, z0, seed, n_paths, N, h, integrate,
               "closed-loop state")
@@ -584,7 +646,7 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, gains, cost,
         se = float(np.sqrt(var / (n_paths - 1)))
     else:
         se = float("nan")
-    return CostEstimate(mean, se, n_paths, horizon)
+    return CostEstimate(mean, se, n_paths, horizon, per_path)
 
 
 @dataclass(frozen=True)
@@ -631,8 +693,8 @@ def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
         k0 += ns
     x_mean = np.empty((N + 1, n))
 
-    def record(k, X):
-        x_mean[k] = X[0] + (X - X[0]).mean(axis=0)
+    def record(k0, S):
+        x_mean[k0:k0 + len(S)] = _centred_mean(S)
 
     _em_paths(plant.A - plant.B @ K, plant.C - plant.D @ K, (plant.B, plant.D, u_ff),
               np.zeros(n) if x0 is None else x0, base_seed, n_paths, N, h, record,

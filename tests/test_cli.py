@@ -357,3 +357,30 @@ def test_example1_scenario_runs_track_end_to_end(tmp_path):
         assert tr["max_settled_rms"] < 0.5
     lines = (tmp_path / "scenario1" / "tracking.csv").read_text().splitlines()
     assert len(lines) == 2 + round(25.0 / 1e-3)
+
+
+def test_cost_comparison_pairs_the_designs_on_common_noise():
+    from slqt.cli import run_experiment
+    from slqt.sim import estimate_average_cost
+
+    raw = copy.deepcopy(SCALAR_CONFIG)
+    raw["mode"] = "model_based"
+    raw["plant"]["C"] = [[0.5]]
+    raw["cost_comparison"] = {"case": 2, "horizon": 1.0, "n_paths": 40,
+                              "h": 1e-3, "seed": 11}
+    config = parse_experiment_config(raw)
+    cc = run_experiment(config).payload["cost_comparison"]
+    ref = config.reference.with_output_map(config.h_d_cases[1])
+    aware, blind = (estimate_average_cost(config.plant, ref, (cc[key]["K"], cc[key]["F"]),
+                                          config.cost, 1.0, 40, 11, h=1e-3)
+                    for key in ("noise_aware", "deterministic_design"))
+    # both designs ran with the one seed, and the per-path costs stay out
+    # of the payload
+    for est, key in ((aware, "noise_aware"), (blind, "deterministic_design")):
+        assert set(cc[key]) == {"K", "F", "mean", "se"}
+        assert (cc[key]["mean"], cc[key]["se"]) == (est.mean, est.se)
+    d = blind.per_path - aware.per_path
+    paired = d.mean() / (d.std() / np.sqrt(39))
+    assert cc["separation_se"] == pytest.approx(paired, rel=1e-12)
+    # common noise cancels in the differences, so the paired SE is the smaller
+    assert paired > (blind.mean - aware.mean) / np.hypot(aware.se, blind.se) > 0

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy.linalg import expm
 
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
-from slqt.sim import (SimConfig, _moment_rhs, _sample_input, discounted_input,
+from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, SimConfig, _em_paths,
+                      _moment_rhs, _sample_input, discounted_input,
                       estimate_average_cost, export_dataset_csv, load_dataset,
                       probing_signal, propagate_moments_exact,
                       reference_trajectory, run_ensemble, save_dataset,
@@ -25,6 +27,22 @@ def small_plant(c_scale=0.2):
         D=np.array([[0.0], [0.1]]),
         H=np.array([[1.0, 0.0]]),
     )
+
+
+def three_state_plant():
+    # n = 3, m = 2 with C and D full, so every noise and input term acts
+    return StochasticSystem(
+        A=np.array([[-0.6, 1.0, 0.2], [-1.0, -0.4, 0.3], [0.1, -0.5, -0.8]]),
+        B=np.array([[0.0, 1.0], [1.0, 0.2], [0.5, -0.3]]),
+        C=np.array([[0.3, 0.1, 0.0], [-0.2, 0.25, 0.1], [0.05, 0.0, 0.35]]),
+        D=np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.15]]),
+        H=np.eye(3)[:1],
+    )
+
+
+def two_input_signal(t):
+    return (np.sin(np.multiply.outer(t, [3.0, 7.5]))
+            + np.cos(np.multiply.outer(t, [-4.0, 11.0])))
 
 
 def test_probing_signal_bound_and_determinism():
@@ -146,6 +164,107 @@ def test_single_path_matches_ensemble_member():
     np.testing.assert_array_equal(solo.mean_x, path.x)
 
 
+def test_every_ensemble_member_is_its_single_path():
+    sys = three_state_plant()
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=20,
+                    n_paths=5, base_seed=50)
+    x0 = np.array([0.8, -0.5, 0.3])
+    members = np.empty((cfg.n_steps + 1, 3, 5))
+
+    def keep(k0, S):
+        members[k0:k0 + len(S)] = S
+
+    u = _sample_input(two_input_signal, cfg.grid(), 2)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, 5, cfg.n_steps, cfg.h, keep)
+    for p in range(5):
+        path = simulate_sde_path(sys, two_input_signal, x0, cfg, seed=50 + p)
+        np.testing.assert_array_equal(members[:, :, p], path.x)
+
+
+def em_per_step(A, C, forcing, x0, first_seed, n_paths, n_steps, h, observe):
+    """Euler-Maruyama one step at a time with paths first, and one
+    observer call per step: the layout the block kernel replaced."""
+    X = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    dW = np.sqrt(h) * np.array([
+        np.random.Generator(np.random.Philox(first_seed + i)).standard_normal(n_steps)
+        for i in range(n_paths)])
+    observe(0, X)
+    for k in range(n_steps):
+        drift, diffusion = X @ A.T, X @ C.T
+        if forcing is not None:
+            B, D, u = forcing
+            drift = drift + u[k] @ B.T
+            diffusion = diffusion + u[k] @ D.T
+        X = X + h * drift + dW[:, k:k + 1] * diffusion
+        observe(k + 1, X)
+
+
+def test_block_kernel_equals_per_step_reference():
+    plant = three_state_plant()
+    h, P, seed = 1e-3, 24, 60
+    n_steps = 2 * _CHUNK_STEPS + 37
+    assert n_steps % _BLOCK_STEPS and n_steps % _CHUNK_STEPS
+    cfg = SimConfig(h=h, sample_period=h, window=h, l=n_steps, n_paths=P,
+                    base_seed=seed)
+    assert cfg.n_steps == n_steps
+    t = cfg.grid()
+    x0 = np.array([0.8, -0.5, 0.3])
+
+    def paths(A, C, forcing, z0):
+        zs = np.empty((n_steps + 1, P, A.shape[0]))
+
+        def keep(k, Z):
+            zs[k] = Z
+
+        em_per_step(A, C, forcing, z0, seed, P, n_steps, h, keep)
+        return zs
+
+    def close(got, want):
+        assert np.abs(want).max() > 1e-3
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    # ensemble moments and the single path
+    xs = paths(plant.A, plant.C, (plant.B, plant.D, two_input_signal(t)), x0)
+    ds = run_ensemble(plant, two_input_signal, x0, cfg)
+    r, c = np.triu_indices(3)
+    prods = xs[:, :, r] * xs[:, :, c]
+    close(ds.mean_x, xs.mean(axis=1))
+    close(ds.mean_xx, prods.mean(axis=1))
+    close(ds.se_xx, prods.std(axis=1) / np.sqrt(P))
+    close(simulate_sde_path(plant, two_input_signal, x0, cfg, seed).x, xs[:, 0])
+
+    # tracking: the closed loop driven by -F x_d
+    A_d = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    H_d = np.array([[1.0, 0.5]])
+    x_d0 = np.array([1.0, 0.0])
+    K = np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.2]])
+    F = np.array([[0.2, -0.1], [0.0, 0.3]])
+    ref = ReferenceGenerator(A_d, H_d, x_d0)
+    u_ff = -reference_trajectory(ref, t)[0] @ F.T
+    xs = paths(plant.A - plant.B @ K, plant.C - plant.D @ K,
+               (plant.B, plant.D, u_ff), x0)
+    run = simulate_tracking(plant, A_d, x_d0, [(H_d, F, n_steps * h)], K, x0,
+                            h=h, n_paths=P, base_seed=seed)
+    close(run.x_mean, xs.mean(axis=1))
+
+    # average cost: the unforced closed loop joined with the reference
+    cost = CostWeights(Q=np.array([[2.0]]), R=np.diag([0.5, 1.0]))
+    A_aug = np.block([[plant.A - plant.B @ K, -plant.B @ F], [np.zeros((2, 3)), A_d]])
+    C_aug = np.block([[plant.C - plant.D @ K, -plant.D @ F], [np.zeros((2, 5))]])
+    E, K_aug = np.hstack([plant.H, -H_d]), np.hstack([K, F])
+    M = E.T @ cost.Q @ E + K_aug.T @ cost.R @ K_aug
+    zs = paths(A_aug, C_aug, None, np.concatenate([x0, x_d0]))
+    rates = np.einsum("kpi,ij,kpj->kp", zs, M, zs)
+    horizon = n_steps * h
+    per_path = h * (rates.sum(axis=0) - 0.5 * (rates[0] + rates[-1])) / horizon
+    est = estimate_average_cost(plant, ref, (K, F), cost, horizon, P, seed,
+                                h=h, x0=x0)
+    close(est.per_path, per_path)
+    close(est.mean, per_path.mean())
+    close(est.se, per_path.std() / np.sqrt(P - 1))
+
+
 def test_input_of_wrong_shape_is_a_config_error():
     sys = small_plant()
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=5, n_paths=2)
@@ -211,20 +330,8 @@ def rk4_moments_per_step(plant, input, x0, cfg):
 def test_rk4_step_map_equals_per_step_rk4(forced):
     # n = 3, m = 2 with C and D full, so every term of the forcing
     # B u m' + m u' B' + C m u' D' + D u m' C' + D u u' D' is exercised
-    sys = StochasticSystem(
-        A=np.array([[-0.6, 1.0, 0.2], [-1.0, -0.4, 0.3], [0.1, -0.5, -0.8]]),
-        B=np.array([[0.0, 1.0], [1.0, 0.2], [0.5, -0.3]]),
-        C=np.array([[0.3, 0.1, 0.0], [-0.2, 0.25, 0.1], [0.05, 0.0, 0.35]]),
-        D=np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.15]]),
-        H=np.eye(3)[:1],
-    )
-    sig = None
-    if forced:
-        omegas = np.array([[3.0, 7.5], [-4.0, 11.0]])
-
-        def sig(t):
-            return np.sin(np.multiply.outer(t, omegas[0])) + np.cos(np.multiply.outer(t, omegas[1]))
-
+    sys = three_state_plant()
+    sig = two_input_signal if forced else None
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=150)
     x0 = np.array([0.8, -0.5, 0.3])
     got = propagate_moments_exact(sys, sig, x0, cfg, method="rk4")
@@ -253,6 +360,21 @@ def test_diverging_exact_moments_raise_blowup(method):
         assert info.value.time == cfg.grid()[int(steps) + 1]
 
 
+def test_adaptive_moments_stop_at_the_divergence_event():
+    # no overflow, no warning: the solve ends where the moment norm
+    # crosses 1e8, and E[x^2] = exp(400 t) dominates that norm
+    sys = StochasticSystem(A=np.array([[200.0]]), B=np.array([[1.0]]),
+                           C=np.array([[0.0]]), D=np.array([[0.0]]),
+                           H=np.array([[1.0]]))
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.1, l=190)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(Blowup) as info:
+            propagate_moments_exact(sys, None, np.array([1.0]), cfg,
+                                    method="adaptive")
+    assert abs(info.value.time - np.log(1e8) / 400.0) < 1e-3
+
+
 def test_sim_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(h=0.0)
@@ -278,6 +400,39 @@ def test_unstable_dynamics_raise_blowup():
     cfg = SimConfig(h=1e-4, sample_period=1e-3, window=0.05, l=51, n_paths=2)
     with pytest.raises(Blowup):
         run_ensemble(sys, None, np.array([1.0]), cfg)
+
+
+def test_em_blowup_names_the_first_path_over_the_bound_and_its_time():
+    # dx = 20 x dt + 5 x dw on a coarse grid: large multiplicative noise
+    # sends the paths past 1e8 at different steps
+    a, c, h, seed, P, N = 20.0, 5.0, 1e-2, 0, 8, 600
+    sys = StochasticSystem(A=np.array([[a]]), B=np.array([[1.0]]),
+                           C=np.array([[c]]), D=np.array([[0.0]]),
+                           H=np.array([[1.0]]))
+    cfg = SimConfig(h=h, sample_period=h, window=h, l=N, n_paths=P,
+                    base_seed=seed)
+    z = np.array([np.random.Generator(np.random.Philox(seed + p)).standard_normal(N)
+                  for p in range(P)])
+    x = np.ones((N + 1, P))
+    for k in range(N):
+        x[k + 1] = x[k] + h * a * x[k] + np.sqrt(h) * z[:, k] * c * x[k]
+    over = np.abs(x) > 1e8
+    assert over.any(axis=0).all()
+    assert len(set(over.argmax(axis=0))) > 1
+    with pytest.raises(Blowup) as info:
+        run_ensemble(sys, None, np.array([1.0]), cfg)
+    p, k = info.value.path_index, round(info.value.time / h)
+    assert info.value.time == pytest.approx(k * h, rel=1e-12)
+    assert over[k, p]
+    assert not over[:k].any() and not over[k, :p].any()
+    assert p > 0 and k % _BLOCK_STEPS  # inside a block, not on path 0
+    # without noise every path crosses at once, at the first k with
+    # 1.2^k > 1e8, and the lowest index is named
+    quiet = StochasticSystem(sys.A, sys.B, np.zeros((1, 1)), sys.D, sys.H)
+    with pytest.raises(Blowup) as info:
+        run_ensemble(quiet, None, np.array([1.0]), cfg)
+    assert info.value.path_index == 0
+    assert info.value.time == pytest.approx(h * math.ceil(np.log(1e8) / np.log(1.2)))
 
 
 def test_dataset_roundtrip_and_corruption(tmp_path):
