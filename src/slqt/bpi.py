@@ -43,11 +43,14 @@ def run_phase1(problem: TrackingProblem):
     gamma is not large enough for the zero gain to be admissible at
     alpha0, and MaxIterExceeded if alpha fails to cross within budget.
     """
+    return _run_phase1(problem, zero_gain_threshold(problem.system))
+
+
+def _run_phase1(problem: TrackingProblem, sigma_bar: float):
     sys = problem.system
     hyper = problem.hyper
     R = problem.cost.R
     theta = problem.theta
-    sigma_bar = zero_gain_threshold(sys)
     if hyper.gamma <= sigma_bar + hyper.alpha0:
         raise InitConditionViolated(
             f"need gamma > {sigma_bar + hyper.alpha0:.6g} "
@@ -114,9 +117,10 @@ def feedforward_gains(sys: StochasticSystem, cost, reference, P_star, K_star):
 
 def solve_tracking(problem: TrackingProblem) -> TrackingSolution:
     """Full model-based solve: phase I, phase II, then the feedforward."""
-    K_I, count, trace1 = run_phase1(problem)
-    P, K, trace2 = run_phase2(problem, K_I, start_index=count + 1)
     sys = problem.system
+    sigma_bar = zero_gain_threshold(sys)
+    K_I, count, trace1 = _run_phase1(problem, sigma_bar)
+    P, K, trace2 = run_phase2(problem, K_I, start_index=count + 1)
     Lambda = sys.D.T @ P @ sys.D
     Pi, F = feedforward_gains(sys, problem.cost, problem.reference, P, K)
     if not np.isfinite(F).all():
@@ -126,6 +130,6 @@ def solve_tracking(problem: TrackingProblem) -> TrackingSolution:
         "phase2": trace2,
         "crossing_iteration": count,
         "alpha_trace": [st.alpha for st in trace1],
-        "zero_gain_threshold": zero_gain_threshold(sys),
+        "zero_gain_threshold": sigma_bar,
     }
     return TrackingSolution(P=P, K=K, Pi=Pi, F=F, Lambda=Lambda, history=history)

@@ -35,6 +35,7 @@ __all__ = ["LearnedSolution", "ShadowConfig", "FeedforwardFit",
            "learn_shadow"]
 
 _COND_LIMIT = 1e12
+_ODE_RTOL, _ODE_ATOL = 1e-12, 1e-14  # DOP853 tolerances of the shadow systems
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,6 @@ class ShadowConfig:
     F_a: np.ndarray
     y_a0: np.ndarray
     h: float = 5e-6
-    rtol: float = 1e-12
-    atol: float = 1e-14
 
     def __post_init__(self):
         A_a = np.asarray(self.A_a, dtype=float)
@@ -313,7 +312,7 @@ def _shadow_series(shadow: ShadowConfig, B: np.ndarray, t_end: float,
 
     z0 = np.concatenate([shadow.x_a0, shadow.y_a0])
     sol = solve_ivp(rhs, (0.0, t_end), z0, method="DOP853",
-                    rtol=shadow.rtol, atol=shadow.atol, dense_output=True)
+                    rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True)
     if not sol.success:
         raise ConfigError(f"shadow integration failed: {sol.message}")
     h = shadow.h
@@ -382,15 +381,12 @@ def _shadow_series(shadow: ShadowConfig, B: np.ndarray, t_end: float,
 
 
 def shadow_regressors(shadow: ShadowConfig, b_matrix, r_matrix,
-                      t_global: np.ndarray, window: float,
-                      printed_variant: bool = False):
+                      t_global: np.ndarray, window: float):
     """Omega rows of the two auxiliary systems on the global clock.
 
     Omega_K pairs with [vech(P); vec(K)] and Omega_F with
     [vec(Pi); vec(F)]; both vanish at the true iterates, which is what
-    makes adding them to the plant rows legitimate. printed_variant
-    selects an alternative coefficient pattern kept for comparison; it
-    does not satisfy the cancellation identity.
+    makes adding them to the plant rows legitimate.
     """
     B = np.asarray(b_matrix, dtype=float)
     if B.ndim == 1:
@@ -406,10 +402,7 @@ def shadow_regressors(shadow: ShadowConfig, b_matrix, r_matrix,
     d_xa = point["hxx"][atw] - point["hxx"][at]
     I_ax = integ["hax"][atw] - integ["hax"][at]
     I_xu = integ["xu"][atw] - integ["xu"][at]
-    if printed_variant:
-        omega_K = np.hstack([d_xa - 2.0 * I_ax, -I_xu @ np.kron(np.eye(n), R).T])
-    else:
-        omega_K = np.hstack([d_xa - I_ax, -2.0 * I_xu @ np.kron(np.eye(n), R).T])
+    omega_K = np.hstack([d_xa - I_ax, -2.0 * I_xu @ np.kron(np.eye(n), R).T])
     d_yx = point["yx"][atw] - point["yx"][at]
     I_yx = integ["yx"][atw] - integ["yx"][at]
     I_yu = integ["yu"][atw] - integ["yu"][at]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .symquad import duplication, vech_indices
+from .symquad import unvech_rows, vech_rows
 
 __all__ = [
     "StochasticSystem", "ReferenceGenerator", "CostWeights", "BpiHyperParams",
@@ -179,9 +179,10 @@ class BpiHyperParams:
     """Bootstrap policy-iteration hyperparameters.
 
     theta=None resolves to 10 * I_n once the plant dimension is known.
-    stop_rule 'gain' stops phase II on ||K_i - K_{i-1}||_2 <= epsilon,
-    'value' on ||P_i - P_{i-1}||_F <= epsilon; the data-driven learner
-    defaults to 'value'.
+    stop_rule 'gain' stops phase II of the model-based iteration on
+    ||K_i - K_{i-1}||_2 <= epsilon, 'value' on ||P_i - P_{i-1}||_F <=
+    epsilon. The data-driven learner always stops on the value step and
+    ignores stop_rule.
     """
 
     gamma: float = 1.0
@@ -260,12 +261,26 @@ class StabilityCertificate:
         return self.stabilizing
 
 
-def _vech_pinv(n: int) -> np.ndarray:
-    # (D'D)^{-1} D' with D'D diagonal (1 on diagonal entries, 2 off).
-    D = duplication(n)
-    r, c = vech_indices(n)
-    w = np.where(r == c, 1.0, 0.5)
-    return w[:, None] * D.T
+def _lyap_operator(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Matrix of X -> A'X + XA + C'XC on vech coordinates.
+
+    Column j is vech of the map applied to E_j = unvech(e_j), the
+    symmetric basis that vech coordinates expand in.
+    """
+    d = A.shape[0] * (A.shape[0] + 1) // 2
+    E = unvech_rows(np.eye(d), A.shape[0])
+    AE = A.T @ E
+    return vech_rows(AE + AE.transpose(0, 2, 1) + C.T @ E @ C).T
+
+
+def _abscissa(L: np.ndarray) -> float:
+    return float(np.linalg.eigvals(L).real.max())
+
+
+def _certificate(L: np.ndarray, alpha: float | None, margin: float = 0.0,
+                 guard: float = 1e-9) -> StabilityCertificate:
+    a = _abscissa(L)
+    return StabilityCertificate(a < -(margin + guard), a, alpha, margin)
 
 
 def lyap_matrix(sys: StochasticSystem, K, alpha: float | None = None,
@@ -276,19 +291,13 @@ def lyap_matrix(sys: StochasticSystem, K, alpha: float | None = None,
     unshifted plant (equivalently alpha = gamma).
     """
     shift = 0.0 if alpha is None else 0.5 * (gamma - alpha)
-    A_cl, C_cl = sys.closed_loop(K, shift)
-    n = sys.n
-    eye = np.eye(n)
-    big = (np.kron(eye, A_cl.T) + np.kron(A_cl.T, eye)
-           + np.kron(C_cl.T, C_cl.T))
-    return _vech_pinv(n) @ big @ duplication(n)
+    return _lyap_operator(*sys.closed_loop(K, shift))
 
 
 def spectral_abscissa(sys: StochasticSystem, K, alpha: float | None = None,
                       gamma: float = 1.0) -> float:
     """Maximum real part over the generalized Lyapunov operator's spectrum."""
-    L = lyap_matrix(sys, K, alpha, gamma)
-    return float(np.linalg.eigvals(L).real.max())
+    return _abscissa(lyap_matrix(sys, K, alpha, gamma))
 
 
 def is_stabilizing(sys: StochasticSystem, K, alpha: float | None = None,
@@ -301,8 +310,7 @@ def is_stabilizing(sys: StochasticSystem, K, alpha: float | None = None,
     """
     if margin < 0.0:
         raise ConfigError("margin must be nonnegative")
-    a = spectral_abscissa(sys, K, alpha, gamma)
-    return StabilityCertificate(a < -(margin + guard), a, alpha, margin)
+    return _certificate(lyap_matrix(sys, K, alpha, gamma), alpha, margin, guard)
 
 
 def zero_gain_threshold(sys: StochasticSystem) -> float:

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import Blowup, ConfigError
-from .model import ReferenceGenerator, StochasticSystem, is_stabilizing
-from .symquad import unvech, unvech_rows, vech_indices, vech_rows
+from .model import ReferenceGenerator, _lyap_operator, is_stabilizing
+from .symquad import vech_indices
 
 __all__ = [
     "SimConfig", "PathRecord", "ProbingSignal", "EnsembleDataset",
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e8
+_ODE_RTOL, _ODE_ATOL = 1e-12, 1e-14  # DOP853 tolerances of the exact moments
 _CHUNK_STEPS = 2048
 _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
@@ -427,21 +428,14 @@ class MomentTrajectory:
     def n(self) -> int:
         return self.mean_x.shape[1]
 
-    def second_moment(self, k: int) -> np.ndarray:
-        return unvech(self.mean_xx[k], self.n)
 
-
-def _moment_rhs(sys: StochasticSystem, mvec, G, uk):
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    Bu = B @ uk
-    Du = D @ uk
-    dm = A @ mvec + Bu
-    AG = A @ G
-    outer_bm = np.outer(Bu, mvec)
-    CmD = C @ np.outer(mvec, Du)
-    dG = (AG + AG.T + outer_bm + outer_bm.T + C @ G @ C.T
-          + CmD + CmD.T + np.outer(Du, Du))
-    return dm, dG
+def _xx_forcing(y, p, q, C, r_idx, c_idx):
+    """Rows vech(B u y' + y u' B' + C y u' D' + D u y' C' + D u u' D') of
+    the second-moment ODE, from rows y (mean), p = B u and q = D u."""
+    c = y @ C.T
+    return (p[:, r_idx] * y[:, c_idx] + y[:, r_idx] * p[:, c_idx]
+            + c[:, r_idx] * q[:, c_idx] + q[:, r_idx] * c[:, c_idx]
+            + q[:, r_idx] * q[:, c_idx])
 
 
 def _rk4_step(Lt, h, y, fs):
@@ -474,8 +468,7 @@ def _affine_recursion(z0, Lt, h, fs):
 
 def propagate_moments_exact(plant, input, x0, config: SimConfig,
                             method: str = "rk4", refine: int = 1,
-                            reference: ReferenceGenerator | None = None,
-                            rtol: float = 1e-12, atol: float = 1e-14) -> MomentTrajectory:
+                            reference: ReferenceGenerator | None = None) -> MomentTrajectory:
     """Integrate the closed mean/second-moment ODEs of the plant SDE.
 
     m' = A m + B u and
@@ -485,12 +478,15 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     method='adaptive' integrates with a high-order adaptive scheme and
     evaluates the dense solution on the config grid refined by
     ``refine`` (step h/refine), which is what tight quadrature
-    tolerances downstream need. Either way, moments that are not finite
-    raise Blowup at the first grid time where they occur.
+    tolerances downstream need. Either way Blowup is raised at the first
+    time where the norm of [m; vech G] exceeds 1e8 or is not finite.
     """
     n, m = plant.n, plant.m
     x0 = np.asarray(x0, dtype=float).ravel()
     r_idx, c_idx = vech_indices(n)
+    A, B, C, D = plant.A, plant.B, plant.C, plant.D
+    # the G flow is X -> A X + X A' + C X C', the operator at (A', C')
+    LG = _lyap_operator(A.T, C.T)
     if method == "rk4":
         if refine != 1:
             raise ConfigError("refine applies to the adaptive method only")
@@ -500,45 +496,34 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
         h, t = config.h, config.grid()
         u_half = _sample_input(input, np.arange(2 * config.n_steps + 1) * (h / 2.0), m)
         us = (u_half[:-1:2], u_half[1::2], u_half[1::2], u_half[2::2])
-        A, C = plant.A, plant.C
-        E = unvech_rows(np.eye(r_idx.size), n)
-        AE = A @ E
-        LtG = vech_rows(AE + AE.transpose(0, 2, 1) + C @ E @ C.T)  # row j: vech L(E_j)
-        bs = [u @ plant.B.T for u in us]
+        bs = [u @ B.T for u in us]
         with np.errstate(over="ignore", invalid="ignore"):
             mean_x = _affine_recursion(x0, A.T, h, bs)
-            fs = []  # vech(B u y' + y u' B' + C y u' D' + D u y' C' + D u u' D') per stage
-            for y, p, u in zip(_rk4_step(A.T, h, mean_x[:-1], bs)[0], bs, us):
-                q, c = u @ plant.D.T, y @ C.T
-                fs.append(p[:, r_idx] * y[:, c_idx] + y[:, r_idx] * p[:, c_idx]
-                          + c[:, r_idx] * q[:, c_idx] + q[:, r_idx] * c[:, c_idx]
-                          + q[:, r_idx] * q[:, c_idx])
-            mean_xx = _affine_recursion(np.outer(x0, x0)[r_idx, c_idx], LtG, h, fs)
+            fs = [_xx_forcing(y, p, u @ D.T, C, r_idx, c_idx)
+                  for y, p, u in zip(_rk4_step(A.T, h, mean_x[:-1], bs)[0], bs, us)]
+            mean_xx = _affine_recursion(np.outer(x0, x0)[r_idx, c_idx], LG.T, h, fs)
         u = u_half[::2]
     elif method == "adaptive":
         if refine < 1:
             raise ConfigError("refine must be at least 1")
-        nn2 = r_idx.size
-
-        def pack(mv, G):
-            return np.concatenate([mv, G[r_idx, c_idx]])
 
         def rhs(tt, z):
             mv = z[:n]
-            G = unvech(z[n:], n)
             uk = np.atleast_1d(np.asarray(input(tt), dtype=float)) if input is not None \
                 else np.zeros(m)
-            dm, dG = _moment_rhs(plant, mv, G, uk)
-            return np.concatenate([dm, dG[r_idx, c_idx]])
+            p, q = B @ uk, D @ uk
+            f = _xx_forcing(mv[None], p[None], q[None], C, r_idx, c_idx)[0]
+            return np.concatenate([A @ mv + p, LG @ z[n:] + f])
 
         def diverged(tt, z):
             return np.linalg.norm(z) - _BLOWUP_NORM
 
         diverged.terminal = True
         diverged.direction = 1.0
-        z0 = pack(x0, np.outer(x0, x0))
+        z0 = np.concatenate([x0, np.outer(x0, x0)[r_idx, c_idx]])
         sol = solve_ivp(rhs, (0.0, config.duration), z0, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True, events=diverged)
+                        rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True,
+                        events=diverged)
         if sol.status == 1:
             raise Blowup(f"moment norm exceeded {_BLOWUP_NORM:.0e}",
                          time=float(sol.t_events[0][0]))
@@ -548,7 +533,7 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
         N_f = config.n_steps * refine
         t = np.arange(N_f + 1) * h_f
         mean_x = np.empty((N_f + 1, n))
-        mean_xx = np.empty((N_f + 1, nn2))
+        mean_xx = np.empty((N_f + 1, r_idx.size))
         chunk = 200_000
         for a in range(0, N_f + 1, chunk):
             b = min(a + chunk, N_f + 1)
@@ -558,9 +543,11 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
         u = _sample_input(input, t, m)
     else:
         raise ConfigError(f"unknown method {method!r}")
-    bad = ~(np.isfinite(mean_x).all(axis=1) & np.isfinite(mean_xx).all(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt((mean_x * mean_x).sum(axis=1) + (mean_xx * mean_xx).sum(axis=1))
+    bad = ~(norms <= _BLOWUP_NORM)
     if bad.any():
-        raise Blowup("moment propagation diverged", time=float(t[np.argmax(bad)]))
+        raise Blowup(f"moment norm exceeded {_BLOWUP_NORM:.0e}", time=float(t[np.argmax(bad)]))
     x_d = y_d = None
     if reference is not None:
         x_d, y_d = reference_trajectory(reference, t)
@@ -589,8 +576,7 @@ class CostEstimate:
 
 def estimate_average_cost(plant, reference: ReferenceGenerator, gains, cost,
                           horizon: float, n_paths: int, seed: int,
-                          h: float = 1e-3, x0=None,
-                          check_stability: bool = True) -> CostEstimate:
+                          h: float = 1e-3, x0=None) -> CostEstimate:
     """Average of (1/T)*integral(|y - y_d|_Q^2 + |u|_R^2) over an ensemble.
 
     gains is the pair (K, F) of the control law u = -K x - F x_d. The
@@ -599,9 +585,8 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, gains, cost,
     """
     K = np.asarray(gains[0], dtype=float).reshape(plant.m, plant.n)
     F = np.asarray(gains[1], dtype=float).reshape(plant.m, reference.n_d)
-    if check_stability and not is_stabilizing(plant, K):
-        raise Blowup("feedback gain is not mean-square stabilizing; "
-                     "pass check_stability=False to override")
+    if not is_stabilizing(plant, K):
+        raise Blowup("feedback gain is not mean-square stabilizing")
     n, n_d, m = plant.n, reference.n_d, plant.m
     nz = n + n_d
     A_aug = np.zeros((nz, nz))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonInvertible, NonPositiveP, NotStabilizing, ResonantSpectra, SingularOperator
-from .model import CostWeights, StabilityCertificate, StochasticSystem, is_stabilizing, lyap_matrix
+from .model import CostWeights, StabilityCertificate, StochasticSystem, _certificate, lyap_matrix
 from .symquad import unvech, vech
 
 __all__ = [
@@ -49,13 +49,13 @@ def solve_gen_lyap(sys: StochasticSystem, K, Qmat, alpha: float | None = None,
     Refuses to solve when K is not mean-square stabilizing there, since
     the solution would not be the value matrix of any admissible policy.
     """
-    cert = is_stabilizing(sys, K, alpha, gamma=gamma)
+    L = lyap_matrix(sys, K, alpha, gamma)
+    cert = _certificate(L, alpha)
     if not cert:
         raise NotStabilizing(
             f"gain is not mean-square stabilizing (abscissa {cert.abscissa:.6g})",
             abscissa=cert.abscissa)
     Qmat = np.asarray(Qmat, dtype=float)
-    L = lyap_matrix(sys, K, alpha, gamma)
     q = vech(Qmat)
     cond = np.linalg.cond(L)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -103,21 +103,15 @@ def alpha_update(alpha: float, P, K, eta: float, Q_hat, R) -> float:
     return alpha + eta * lam_min / lam_max
 
 
-def sare_residual(sys: StochasticSystem, cost: CostWeights, P,
-                  as_printed: bool = False) -> float:
-    """Frobenius norm of the stochastic algebraic Riccati equation at P.
-
-    The default form carries + C'PC; as_printed=True flips that term's
-    sign (a variant that circulates in some write-ups) for comparison.
-    """
+def sare_residual(sys: StochasticSystem, cost: CostWeights, P) -> float:
+    """Frobenius norm of the stochastic algebraic Riccati equation at P."""
     P = np.asarray(P, dtype=float)
     A, B, C, D, H = sys.A, sys.B, sys.C, sys.D, sys.H
     G = cost.R + D.T @ P @ D
     S = P @ B + C.T @ P @ D
     core = A.T @ P + P @ A + H.T @ cost.Q @ H
     quad = S @ np.linalg.solve(G, S.T)
-    sign = -1.0 if as_printed else 1.0
-    res = core + sign * (C.T @ P @ C) - quad
+    res = core + C.T @ P @ C - quad
     return float(np.linalg.norm(res, "fro"))
 
 

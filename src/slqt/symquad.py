@@ -1,4 +1,4 @@
-"""Half-vectorization of symmetric matrices and Kronecker/vec utilities.
+"""Half-vectorization of symmetric matrices and column-major vectorization.
 
 Conventions (load-bearing for every downstream dimension count):
 
@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "vech", "unvech", "h_form", "quad_basis", "kron_vec", "vec", "unvec",
-    "duplication", "vech_indices", "h_form_rows", "vech_rows", "unvech_rows",
+    "vech", "unvech", "h_form", "vec", "vech_indices", "h_form_rows",
+    "vech_rows", "unvech_rows",
 ]
 
 _SYM_TOL = 1e-10
@@ -65,43 +65,9 @@ def h_form(M) -> np.ndarray:
     return vech(2.0 * M - np.diag(np.diag(M)))
 
 
-def quad_basis(x) -> np.ndarray:
-    """h_form(x x'); pairs with vech(P) to give x'Px."""
-    x = np.asarray(x, dtype=float).ravel()
-    return h_form(np.outer(x, x))
-
-
-def kron_vec(a, b) -> np.ndarray:
-    """Kronecker product of two vectors, a (x) b."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    return np.kron(a, b)
-
-
 def vec(M) -> np.ndarray:
     """Column-major vectorization; vec(a b') = b (x) a."""
     return np.asarray(M, dtype=float).ravel(order="F")
-
-
-def unvec(v, shape) -> np.ndarray:
-    """Inverse of vec for a given (rows, cols) shape."""
-    v = np.asarray(v, dtype=float).ravel()
-    rows, cols = shape
-    if v.size != rows * cols:
-        raise ValueError(f"length {v.size} does not match shape {shape}")
-    return v.reshape((rows, cols), order="F")
-
-
-def duplication(n: int) -> np.ndarray:
-    """D with vec(S) = D vech(S) for every symmetric S (n^2 x n(n+1)/2)."""
-    r, c = vech_indices(n)
-    D = np.zeros((n * n, r.size))
-    for k in range(r.size):
-        E = np.zeros((n, n))
-        E[r[k], c[k]] = 1.0
-        E[c[k], r[k]] = 1.0
-        D[:, k] = vec(E)
-    return D
 
 
 # Vectorized forms over stacks of symmetric matrices, used by the regressor

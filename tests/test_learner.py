@@ -134,23 +134,6 @@ def test_shadow_rows_annihilate_consistent_pairs():
         assert np.abs(omega_F @ theta_f).max() < 1e-6 * max(1.0, scale_F)
 
 
-def test_printed_variant_breaks_the_cancellation():
-    plant, cost, shadow = shadow_pair()
-    t_global = np.array([0.0, 0.3, 0.6])
-    omega_K, _ = shadow_regressors(shadow, plant.B, cost.R, t_global,
-                                   window=0.1, printed_variant=True)
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for trial in range(10):
-        P = rng.normal(size=(2, 2))
-        P = P + P.T
-        K = np.linalg.solve(cost.R, plant.B.T @ P)
-        theta_k = np.concatenate([vech(P), K.ravel(order="F")])
-        worst = max(worst, np.abs(omega_K @ theta_k).max())
-    print("printed-variant residual:", worst)
-    assert worst > 1e-3
-
-
 def unforced_moments(plant, hyper, l=40):
     from scipy.linalg import expm
 

@@ -2,12 +2,104 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from slqt.errors import ConfigError
+from slqt.errors import ConfigError, NotStabilizing, SingularOperator
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem, is_stabilizing,
                         lyap_matrix, spectral_abscissa, zero_gain_threshold)
+from slqt.solvers import solve_gen_lyap
 from slqt.symquad import vech, unvech
+
+properties = settings(derandomize=True, database=None, max_examples=100,
+                      deadline=None)
+entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def plant_gain_level(draw):
+    """A random plant (n = 1..6, m = 1..2), a gain K and a level (alpha, gamma).
+
+    Unless alpha is None, the level puts the closed-loop abscissa at
+    -offset with 1e-3 <= |offset| <= 1, so that about half the cases are
+    stabilizing; shifting A by -s I moves the abscissa by -2 s, and the
+    unshifted abscissa comes from the Kronecker moment flow.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 2))
+
+    def mat(rows, cols):
+        return draw(arrays(float, (rows, cols), elements=entries))
+
+    sys = StochasticSystem(A=mat(n, n), B=mat(n, m), C=mat(n, n), D=mat(n, m),
+                           H=np.eye(n)[:1])
+    K = mat(m, n)
+    if draw(st.booleans()):
+        return sys, K, None, 1.0
+    A_cl, C_cl = sys.A - sys.B @ K, sys.C - sys.D @ K
+    eye = np.eye(n)
+    flow = np.kron(eye, A_cl) + np.kron(A_cl, eye) + np.kron(C_cl, C_cl)
+    beta = np.linalg.eigvals(flow).real.max()
+    offset = draw(st.floats(1e-3, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
+    gamma = draw(st.floats(0.5, 20.0))
+    return sys, K, gamma - (beta + offset), gamma
+
+
+def closed_loop_at(sys, K, alpha, gamma):
+    shift = 0.0 if alpha is None else 0.5 * (gamma - alpha)
+    return sys.A - shift * np.eye(sys.n) - sys.B @ K, sys.C - sys.D @ K
+
+
+@properties
+@given(plant_gain_level())
+def test_lyap_matrix_equals_projected_kronecker_build(case):
+    # vec(A'X + XA + C'XC) = (I kron A' + A' kron I + C' kron C') vec(X) on
+    # column-major vec, where entry (i, j) sits at i + j n; vech coordinate
+    # q expands in E_q, which has ones at (r_q, c_q) and (c_q, r_q)
+    sys, K, alpha, gamma = case
+    A_cl, C_cl = closed_loop_at(sys, K, alpha, gamma)
+    n = sys.n
+    eye = np.eye(n)
+    big = np.kron(eye, A_cl.T) + np.kron(A_cl.T, eye) + np.kron(C_cl.T, C_cl.T)
+    r, c = np.triu_indices(n)
+    rows = big[r + c * n]
+    want = rows[:, r + c * n] + np.where(r != c, 1.0, 0.0) * rows[:, c + r * n]
+    got = lyap_matrix(sys, K, alpha, gamma)
+    assert got.shape == (r.size, r.size)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@properties
+@given(plant_gain_level(), st.integers(0, 2**32 - 1))
+def test_lyap_matrix_applies_the_operator(case, seed):
+    sys, K, alpha, gamma = case
+    A_cl, C_cl = closed_loop_at(sys, K, alpha, gamma)
+    M = np.random.default_rng(seed).standard_normal((sys.n, sys.n))
+    P = M + M.T
+    direct = A_cl.T @ P + P @ A_cl + C_cl.T @ P @ C_cl
+    via_matrix = unvech(lyap_matrix(sys, K, alpha, gamma) @ vech(P), sys.n)
+    assert np.abs(via_matrix - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+
+
+@properties
+@given(plant_gain_level())
+def test_solve_certificate_is_the_is_stabilizing_certificate(case):
+    sys, K, alpha, gamma = case
+    want = is_stabilizing(sys, K, alpha, gamma=gamma)
+    try:
+        got = solve_gen_lyap(sys, K, np.eye(sys.n), alpha, gamma).certificate
+    except NotStabilizing as exc:
+        assert exc.abscissa == want.abscissa
+        if not want:
+            return
+        raise
+    except SingularOperator:
+        # an ill-conditioned or inaccurate solve is refused only after
+        # the certificate has passed
+        assert want.stabilizing
+        return
+    assert got == want and got.stabilizing
 
 
 def example_one_plant():
@@ -40,11 +132,11 @@ def test_example_one_zero_gain_threshold():
 
 
 def test_operator_matches_quadratic_derivative():
-    """The vech-space matrix must reproduce d/dt E[x'Px] pathwise in mean.
+    """lyap_matrix applied to vech(P) must give vech of the operator at P.
 
-    For L(P) = Acl'P + P Acl + Ccl'P Ccl the pairing
-    vech(L(P)) = lyap_matrix(...)' applied appropriately; checked by
-    evaluating both sides entrywise on random symmetric P.
+    L(P) = Acl'P + P Acl + Ccl'P Ccl is the derivative of E[x'Px] along
+    the closed loop: d/dt E[x'Px] = E[x' L(P) x]. Both sides are
+    compared entrywise on random symmetric P.
     """
     rng = np.random.default_rng(2)
     sys = example_one_plant()

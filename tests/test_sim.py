@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
 from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, SimConfig, _em_paths,
-                      _moment_rhs, _sample_input, discounted_input,
+                      _sample_input, discounted_input,
                       estimate_average_cost, export_dataset_csv, load_dataset,
                       probing_signal, propagate_moments_exact,
                       reference_trajectory, run_ensemble, save_dataset,
@@ -307,6 +307,20 @@ def test_exact_moment_methods_agree():
         np.testing.assert_allclose(a.mean_xx, b.mean_xx[::2], rtol=1e-6, atol=1e-9)
 
 
+def moment_rhs(sys, mvec, G, uk):
+    """Right-hand side of the mean and second-moment ODEs in matrix form."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    Bu = B @ uk
+    Du = D @ uk
+    dm = A @ mvec + Bu
+    AG = A @ G
+    outer_bm = np.outer(Bu, mvec)
+    CmD = C @ np.outer(mvec, Du)
+    dG = (AG + AG.T + outer_bm + outer_bm.T + C @ G @ C.T
+          + CmD + CmD.T + np.outer(Du, Du))
+    return dm, dG
+
+
 def rk4_moments_per_step(plant, input, x0, cfg):
     """The exact moments by one classical RK4 step after another."""
     h, N = cfg.h, cfg.n_steps
@@ -315,10 +329,10 @@ def rk4_moments_per_step(plant, input, x0, cfg):
     mv, G = np.array(x0, dtype=float), np.outer(x0, x0)
     mean_x, mean_xx = [mv], [G[r, c]]
     for k in range(N):
-        dm1, dG1 = _moment_rhs(plant, mv, G, u[2 * k])
-        dm2, dG2 = _moment_rhs(plant, mv + 0.5 * h * dm1, G + 0.5 * h * dG1, u[2 * k + 1])
-        dm3, dG3 = _moment_rhs(plant, mv + 0.5 * h * dm2, G + 0.5 * h * dG2, u[2 * k + 1])
-        dm4, dG4 = _moment_rhs(plant, mv + h * dm3, G + h * dG3, u[2 * k + 2])
+        dm1, dG1 = moment_rhs(plant, mv, G, u[2 * k])
+        dm2, dG2 = moment_rhs(plant, mv + 0.5 * h * dm1, G + 0.5 * h * dG1, u[2 * k + 1])
+        dm3, dG3 = moment_rhs(plant, mv + 0.5 * h * dm2, G + 0.5 * h * dG2, u[2 * k + 1])
+        dm4, dG4 = moment_rhs(plant, mv + h * dm3, G + h * dG3, u[2 * k + 2])
         mv = mv + (h / 6.0) * (dm1 + 2 * dm2 + 2 * dm3 + dm4)
         G = G + (h / 6.0) * (dG1 + 2 * dG2 + 2 * dG3 + dG4)
         mean_x.append(mv)
@@ -351,13 +365,17 @@ def test_diverging_exact_moments_raise_blowup(method):
     with np.errstate(all="ignore"), pytest.raises(Blowup) as info:
         propagate_moments_exact(sys, None, np.array([1.0]), cfg, method=method)
     if method == "rk4":
-        # unforced, the RK4 second moment is phi^k with phi the degree-4
-        # Taylor polynomial of exp(2 A h); it overflows first (the mean
-        # would stay finite to t = 3.5)
-        phi = sum(0.4 ** j / math.factorial(j) for j in range(5))
-        steps = np.log(np.finfo(float).max) / np.log(phi)
-        assert 0.1 < steps % 1.0 < 0.9
-        assert info.value.time == cfg.grid()[int(steps) + 1]
+        # unforced, the RK4 mean is psi^k and the second moment phi^k, with
+        # psi and phi the degree-4 Taylor polynomials of A h and 2 A h; the
+        # norm rule fires at the first k with hypot(psi^k, phi^k) > 1e8
+        psi, phi = (sum(a ** j / math.factorial(j) for j in range(5)) for a in (0.2, 0.4))
+        k = next(k for k in range(1, 1000) if math.hypot(psi ** k, phi ** k) > 1e8)
+        assert k == 47
+        assert info.value.time == cfg.grid()[k]
+        # the adaptive solve's event time is within one step of it
+        with pytest.raises(Blowup) as event:
+            propagate_moments_exact(sys, None, np.array([1.0]), cfg, method="adaptive")
+        assert abs(info.value.time - event.value.time) <= cfg.h
 
 
 def test_adaptive_moments_stop_at_the_divergence_event():

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from slqt.symquad import (duplication, h_form, h_form_rows, kron_vec,
-                          quad_basis, unvec, unvech, vec, vech, vech_indices,
+from slqt.symquad import (h_form, h_form_rows, unvech, vec, vech, vech_indices,
                           vech_rows)
 
 
@@ -32,7 +31,6 @@ def test_vech_ordering_is_row_major_upper_triangle():
 def test_vec_is_column_major():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(vec(M), [1, 3, 2, 4])
-    np.testing.assert_array_equal(unvec(vec(M), (2, 2)), M)
 
 
 def test_vech_rejects_nonsymmetric():
@@ -69,28 +67,14 @@ def test_h_form_trace_pairing():
         np.testing.assert_allclose(got, np.trace(P @ S), rtol=1e-12, atol=1e-13)
 
 
-def test_duplication_matrix():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 4):
-        Dn = duplication(n)
-        P = random_sym(rng, n)
-        np.testing.assert_allclose(Dn @ vech(P), vec(P), rtol=0, atol=1e-14)
-
-
 def test_kron_vec_contraction():
+    # a'Mb = (b kron a)' vec(M), the contraction the regressor rows use
     rng = np.random.default_rng(11)
     a = rng.standard_normal(3)
     b = rng.standard_normal(4)
     M = rng.standard_normal((3, 4))
-    np.testing.assert_allclose(kron_vec(b, a) @ vec(M), a @ M @ b,
+    np.testing.assert_allclose(np.kron(b, a) @ vec(M), a @ M @ b,
                                rtol=1e-13, atol=1e-14)
-
-
-def test_quad_basis_matches_h_form():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(4)
-    np.testing.assert_allclose(quad_basis(x), h_form(np.outer(x, x)),
-                               rtol=0, atol=1e-13)
 
 
 def test_vectorized_rows_match_loop():
