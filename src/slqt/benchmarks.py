@@ -9,7 +9,7 @@ of the same marginally stable three-state reference generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -142,23 +142,6 @@ def reference_at_offset(reference: ReferenceGenerator,
     return ReferenceGenerator(reference.A_d, reference.H_d, x_shift)
 
 
-def _segment_ensemble(source, x0, t_offset: float, seg_seed: int,
-                      n_paths: int | None):
-    """Seeded Monte Carlo ensemble of one data segment.
-
-    The segment runs the source's sim layout under its own base seed
-    (and path count, when overridden) on the experiment-wide clock:
-    the reference restarts from its state ``t_offset`` time units in.
-    """
-    cfg_d = source.sim.to_dict()
-    cfg_d["base_seed"] = int(seg_seed)
-    if n_paths is not None:
-        cfg_d["n_paths"] = int(n_paths)
-    return run_ensemble(source.plant, source.probing, x0, SimConfig(**cfg_d),
-                        discount=source.hyper.alpha_tilde,
-                        reference=reference_at_offset(source.reference, t_offset))
-
-
 def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
                    n_paths: int | None = None, refine: int = 1) -> MomentTable:
     """Collect the bundle's data segments and reduce them to one table.
@@ -173,10 +156,14 @@ def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
     alpha_tilde = hyper.alpha_tilde
     tables = []
     for x0, t_offset, seg_seed in bundle.segments:
+        reference = reference_at_offset(bundle.reference, t_offset)
         if mode == "ensemble":
-            ds = _segment_ensemble(bundle, x0, t_offset, seg_seed, n_paths)
-            tables.append(accumulate_raw_moments(
-                ds, hyper=hyper, output_map=bundle.plant.H, t_offset=t_offset))
+            # each segment runs the sim layout under its own base seed (and
+            # path count, when overridden)
+            sim = replace(bundle.sim, base_seed=int(seg_seed),
+                          n_paths=bundle.sim.n_paths if n_paths is None else int(n_paths))
+            traj = run_ensemble(bundle.plant, bundle.probing, x0, sim,
+                                discount=alpha_tilde, reference=reference)
         elif mode == "exact":
             shifted = StochasticSystem(
                 bundle.plant.A - alpha_tilde * np.eye(bundle.plant.n),
@@ -185,10 +172,10 @@ def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
             traj = propagate_moments_exact(
                 shifted, u, x0, bundle.sim,
                 method="adaptive" if refine > 1 else "rk4", refine=refine,
-                reference=reference_at_offset(bundle.reference, t_offset))
-            tables.append(accumulate_raw_moments(
-                traj, hyper=hyper, config=bundle.sim,
-                output_map=bundle.plant.H, t_offset=t_offset))
+                reference=reference)
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        tables.append(accumulate_raw_moments(
+            traj, config=bundle.sim, hyper=hyper, output_map=bundle.plant.H,
+            t_offset=t_offset))
     return MomentTable.concat(tables) if len(tables) > 1 else tables[0]

@@ -1,10 +1,11 @@
 """Experiment runner turning JSON configs into reports and trace files.
 
-Subcommands cover each pipeline stage (model-based solve, ensemble
-collection, feedback/feedforward learning, shadow learning, tracking
-demos) plus the two bundled benchmark reproductions. Every stage runs
-through ``run_experiment``; an example is a fixed list of experiment
-configs built from its bundle, one report per run. Reports are
+Subcommands cover each pipeline stage (model-based solve,
+feedback/feedforward learning, shadow learning, tracking demos) plus
+the two bundled benchmark reproductions and the canonical re-emit of a
+report. Every stage runs through ``run_experiment``; an example is a
+fixed list of experiment configs built from its bundle, one report per
+run. Reports are
 canonical JSON with sorted keys and 17-significant-digit numbers, so
 identical configs and seeds produce byte-identical payloads; wall-clock
 fields live outside the payload.
@@ -23,17 +24,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_continuous_are
 
-from .benchmarks import (_segment_ensemble, coupled_oscillators,
-                         damped_oscillator, gather_moments)
+from .benchmarks import coupled_oscillators, damped_oscillator, gather_moments
 from .bpi import feedforward_gains, solve_tracking
-from .errors import ConfigError, MaxIterExceeded, RankDeficient, SlqtError
+from .errors import (Blowup, ConfigError, MaxIterExceeded, NotStabilizing,
+                     RankDeficient, SingularOperator, SlqtError)
 from .learner import (LearnedSolution, ShadowConfig, learn_feedback,
                       learn_feedforward, learn_shadow, shadow_regressors)
 from .model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                     StochasticSystem, TrackingProblem, spectral_abscissa)
 from .regressors import feedback_required_rank, rank_report
 from .sim import (SimConfig, estimate_average_cost, probing_signal,
-                  save_dataset, simulate_tracking)
+                  simulate_tracking)
 from .solvers import sare_residual
 from .symquad import h_form_rows
 
@@ -157,28 +158,25 @@ class RunReport:
         return canonical_json(self.payload)
 
 
-def emit_report(report: RunReport, out_dir: str, formats=("json", "csv")) -> list:
+def emit_report(report: RunReport, out_dir: str) -> list:
     """Write report.json and the CSV traces derivable from the payload."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(canonical_json(report.document()))
-            f.write("\n")
-        written.append(path)
-    if "csv" in formats:
-        for key in ("model_based", "data_driven", "shadow"):
-            block = report.payload.get(key)
-            if isinstance(block, dict) and block.get("trace"):
-                path = os.path.join(out_dir, f"{key}_trace.csv")
-                _write_trace_csv(path, block["trace"])
-                written.append(path)
-        cases = report.payload.get("feedforward_cases")
-        if cases:
-            path = os.path.join(out_dir, "ff_cases.csv")
-            _write_ff_csv(path, cases)
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(canonical_json(report.document()))
+        f.write("\n")
+    written = [path]
+    for key in ("model_based", "data_driven", "shadow"):
+        block = report.payload.get(key)
+        if isinstance(block, dict) and block.get("trace"):
+            path = os.path.join(out_dir, f"{key}_trace.csv")
+            _write_trace_csv(path, block["trace"])
             written.append(path)
+    cases = report.payload.get("feedforward_cases")
+    if cases:
+        path = os.path.join(out_dir, "ff_cases.csv")
+        _write_ff_csv(path, cases)
+        written.append(path)
     return written
 
 
@@ -194,27 +192,44 @@ def load_report(path: str) -> RunReport:
                      error=doc.get("error"))
 
 
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _finalize(report: RunReport, out_dir: str | None, formats) -> RunReport:
-    report.created = _utc_now()
+def _finalize(report: RunReport, out_dir: str | None) -> RunReport:
+    report.created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if out_dir:
-        emit_report(report, out_dir, formats)
+        emit_report(report, out_dir)
     return report
 
 
-def _guarded(report: RunReport, out_dir: str | None, formats, work) -> RunReport:
+def _error_block(exc: SlqtError) -> dict:
+    """The error's type and message plus the figures it carries."""
+    detail = {}
+    if isinstance(exc, RankDeficient) and exc.report is not None:
+        detail["rank"] = _rank_payload(exc.report)
+    elif isinstance(exc, MaxIterExceeded) and exc.trace is not None:
+        detail["trace"] = _iterate_rows(exc.trace)
+    elif isinstance(exc, Blowup):
+        detail = {k: v for k, v in (("time", exc.time), ("path_index", exc.path_index))
+                  if v is not None}
+    elif isinstance(exc, NotStabilizing) and exc.abscissa is not None:
+        detail["abscissa"] = float(exc.abscissa)
+    elif isinstance(exc, SingularOperator) and exc.certificate is not None:
+        detail["certificate"] = _cert_payload(exc.certificate)
+    try:
+        canonical_json(detail)
+    except ConfigError:  # a non-finite figure must not keep the report unwritten
+        detail = {}
+    return {"type": type(exc).__name__, "message": str(exc), **detail}
+
+
+def _guarded(report: RunReport, out_dir: str | None, work) -> RunReport:
     """Run ``work``; on pipeline failure flush what exists, marked failed."""
     try:
         work()
     except SlqtError as e:
         report.failed = True
-        report.error = {"type": type(e).__name__, "message": str(e)}
-        _finalize(report, out_dir, formats)
+        report.error = _error_block(e)
+        _finalize(report, out_dir)
         raise
-    return _finalize(report, out_dir, formats)
+    return _finalize(report, out_dir)
 
 
 @contextmanager
@@ -306,6 +321,47 @@ class ExperimentConfig:
     raw: dict
 
 
+_PROBING_KEYS = {"amplitude", "count", "freq_range", "seed"}
+# the keys each config block may hold; any other key is a ConfigError
+_CONFIG_KEYS = {
+    "": {"mode", "plant", "reference", "cost", "hyper", "sim", "probing",
+         "segments", "data_source", "shadow", "tracking", "cost_comparison",
+         "output"},
+    "plant": {"A", "B", "C", "D", "H"},
+    "reference": {"A_d", "H_d", "x_d0", "cases"},
+    "cost": {"Q", "R"},
+    "hyper": {"gamma", "alpha0", "eta", "theta", "epsilon", "max_iter", "stop_rule"},
+    "sim": {"h", "T_s", "T", "t1", "l", "n_paths", "base_seed"},
+    "probing": _PROBING_KEYS,
+    "segments": {"x0", "t_offset", "base_seed"},
+    "data_source": {"kind", "refine"},
+    "shadow": {"A_a", "x_a0", "F_a", "y_a0", "probing", "h"},
+    "shadow.probing": _PROBING_KEYS,
+    "tracking": {"schedule", "h", "n_paths", "base_seed"},
+    "cost_comparison": {"case", "horizon", "n_paths", "h", "seed"},
+}
+
+
+def _known(block, name: str) -> dict:
+    """``block`` if it is a JSON object holding only keys of ``name``."""
+    where = f"config block {name!r}" if name else "the config"
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - _CONFIG_KEYS[name])
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    return block
+
+
+def _block(parent: dict, key: str, prefix: str = "",
+           required: bool = False) -> dict | None:
+    """The checked sub-block ``parent[key]``, or None when absent or null."""
+    block = parent.get(key)
+    if block is None and required:
+        raise ConfigError(f"config needs a {key} block")
+    return None if block is None else _known(block, prefix + key)
+
+
 def _arr(block: dict, key: str) -> np.ndarray:
     try:
         return np.asarray(block[key], dtype=float)
@@ -324,27 +380,31 @@ def _probing_from(block: dict):
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    """Check and build an experiment config.
+
+    An unknown key anywhere, a block that is not a JSON object, and a
+    value of the wrong type all raise ConfigError.
+    """
+    try:
+        return _parse(_known(raw, ""))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad config value: {e!r}") from e
+
+
+def _parse(raw: dict) -> ExperimentConfig:
     mode = raw.get("mode", "model_based")
     if mode not in ("model_based", "data_driven", "shadow"):
         raise ConfigError(f"unknown mode {mode!r}")
-    pb = raw.get("plant")
-    if not isinstance(pb, dict):
-        raise ConfigError("config needs a plant block")
+    pb = _block(raw, "plant", required=True)
     plant = StochasticSystem(A=_arr(pb, "A"), B=_arr(pb, "B"), C=_arr(pb, "C"),
                              D=_arr(pb, "D"), H=_arr(pb, "H"))
-    rb = raw.get("reference")
-    if not isinstance(rb, dict):
-        raise ConfigError("config needs a reference block")
+    rb = _block(raw, "reference", required=True)
     reference = ReferenceGenerator(_arr(rb, "A_d"), _arr(rb, "H_d"),
                                    _arr(rb, "x_d0"))
-    cb = raw.get("cost")
-    if not isinstance(cb, dict):
-        raise ConfigError("config needs a cost block")
+    cb = _block(raw, "cost", required=True)
     cost = CostWeights(Q=np.atleast_2d(_arr(cb, "Q")),
                        R=np.atleast_2d(_arr(cb, "R")))
-    hb = raw.get("hyper", {})
+    hb = _block(raw, "hyper") or {}
     theta = hb.get("theta")
     hyper = BpiHyperParams(
         gamma=float(hb.get("gamma", 1.0)), alpha0=float(hb.get("alpha0", 0.1)),
@@ -356,27 +416,31 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     # construct-and-discard: raises ConfigError on any dimension mismatch
     TrackingProblem(system=plant, reference=reference, cost=cost, hyper=hyper)
 
-    sb = raw.get("sim", {})
+    sb = _block(raw, "sim") or {}
     sim = SimConfig(h=float(sb.get("h", 1e-4)),
                     sample_period=float(sb.get("T_s", 1e-3)),
                     window=float(sb.get("T", 0.1)),
                     t1=float(sb.get("t1", 0.0)), l=int(sb.get("l", 5001)),
                     n_paths=int(sb.get("n_paths", 2000)),
                     base_seed=int(sb.get("base_seed", 0)))
-    probing = _probing_from(raw["probing"]) if raw.get("probing") else None
+    prb = _block(raw, "probing")
+    probing = _probing_from(prb) if prb else None
 
     segs = raw.get("segments")
     if segs is None:
         segments = ((np.zeros(plant.n), 0.0, sim.base_seed),)
     else:
-        segments = tuple(
-            (np.asarray(s["x0"], dtype=float).ravel(),
-             float(s.get("t_offset", 0.0)),
-             int(s.get("base_seed", sim.base_seed))) for s in segs)
-        for x0, _, _ in segments:
+        if not isinstance(segs, list) or not segs:
+            raise ConfigError("segments must be a non-empty list of JSON objects")
+        segments = []
+        for s in segs:
+            x0 = _arr(_known(s, "segments"), "x0").ravel()
             if x0.size != plant.n:
                 raise ConfigError(
                     f"segment x0 has {x0.size} entries, plant has {plant.n} states")
+            segments.append((x0, float(s.get("t_offset", 0.0)),
+                             int(s.get("base_seed", sim.base_seed))))
+        segments = tuple(segments)
 
     case_rows = rb.get("cases")
     if case_rows is None:
@@ -390,19 +454,19 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
                     f"case output map has {r.shape[1]} columns, "
                     f"reference has {reference.n_d} states")
 
-    dsb = raw.get("data_source", {})
+    dsb = _block(raw, "data_source") or {}
     kind = dsb.get("kind", "ensemble")
     if kind not in ("ensemble", "exact"):
         raise ConfigError(f"unknown data_source kind {kind!r}")
     data_source = {"kind": kind, "refine": int(dsb.get("refine", 1))}
 
-    shb = raw.get("shadow")
+    shb = _block(raw, "shadow")
     shadow = None
     if shb is not None:
-        if not shb.get("probing"):
+        spb = _block(shb, "probing", "shadow.")
+        if not spb:
             raise ConfigError("shadow block needs a probing signal")
-        shadow = ShadowConfig(A_a=_arr(shb, "A_a"),
-                              u_a=_probing_from(shb["probing"]),
+        shadow = ShadowConfig(A_a=_arr(shb, "A_a"), u_a=_probing_from(spb),
                               x_a0=_arr(shb, "x_a0"), F_a=_arr(shb, "F_a"),
                               y_a0=_arr(shb, "y_a0"),
                               h=float(shb.get("h", 5e-6)))
@@ -414,7 +478,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         if probing is not None:
             raise ConfigError("the shadow route forbids plant probing input")
 
-    tb = raw.get("tracking")
+    tb = _block(raw, "tracking")
     tracking = None
     if tb is not None:
         try:
@@ -428,15 +492,12 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
                     "n_paths": int(tb.get("n_paths", 200)),
                     "base_seed": int(tb.get("base_seed", 97))}
 
-    ccb = raw.get("cost_comparison")
-    if ccb is not None and not isinstance(ccb, dict):
-        raise ConfigError("cost_comparison must be an object")
-
     return ExperimentConfig(
         mode=mode, plant=plant, reference=reference, cost=cost, hyper=hyper,
         sim=sim, probing=probing, segments=segments, h_d_cases=h_d_cases,
         data_source=data_source, shadow=shadow, tracking=tracking,
-        cost_comparison=ccb, output=raw.get("output"), raw=raw)
+        cost_comparison=_block(raw, "cost_comparison"),
+        output=raw.get("output"), raw=raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -466,17 +527,15 @@ def _cert_payload(cert) -> dict | None:
     if cert is None:
         return None
     return {"stabilizing": bool(cert.stabilizing),
-            "abscissa": float(cert.abscissa), "alpha": float(cert.alpha),
+            "abscissa": float(cert.abscissa),
+            "alpha": None if cert.alpha is None else float(cert.alpha),
             "margin": float(cert.margin)}
 
 
-def _model_trace_rows(history: dict) -> list:
-    rows = []
-    for st in list(history["phase1"]) + list(history["phase2"]):
-        rows.append({"iteration": int(st.index), "phase": int(st.phase),
-                     "alpha": float(st.alpha), "K": _matrix(st.K),
-                     "P": _matrix(st.P)})
-    return rows
+def _iterate_rows(states) -> list:
+    return [{"iteration": int(st.index), "phase": int(st.phase),
+             "alpha": float(st.alpha), "K": _matrix(st.K), "P": _matrix(st.P)}
+            for st in states]
 
 
 def _payload_model(plant, cost, hyper, reference, cases):
@@ -485,7 +544,7 @@ def _payload_model(plant, cost, hyper, reference, cases):
                               hyper=hyper)
     sol = solve_tracking(problem)
     hist = sol.history
-    trace = _model_trace_rows(hist)
+    trace = _iterate_rows(list(hist["phase1"]) + list(hist["phase2"]))
     ff_by_case = {}
     ff_payload = []
     for k, row in enumerate(cases, start=1):
@@ -629,8 +688,7 @@ def _cost_comparison(plant, cost, reference, cases, sol, options: dict) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
-                   validate: bool = False, n_paths: int | None = None,
-                   formats=("json", "csv")) -> RunReport:
+                   validate: bool = False, n_paths: int | None = None) -> RunReport:
     """Run the configured mode end to end, writing report and traces."""
     report = RunReport()
     out_dir = out_dir or config.output
@@ -707,7 +765,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                     config.plant, config.cost, config.reference,
                     config.h_d_cases, sol, config.cost_comparison)
 
-    return _guarded(report, out_dir, formats, work)
+    return _guarded(report, out_dir, work)
 
 
 def _shadow_flags(moments) -> dict:
@@ -790,80 +848,39 @@ def _example_configs(which: str) -> list:
 # Command handlers
 
 
-def _prep(args) -> ExperimentConfig:
-    return _shift_seeds(load_config(args.config), args.seed)
+def _cmd_run(mode: str, summary, needs_tracking: bool = False):
+    """Handler running the --config experiment in ``mode``, then printing
+    ``summary(payload)``."""
+    def handler(args) -> int:
+        cfg = _shift_seeds(load_config(args.config), args.seed)
+        if needs_tracking and cfg.tracking is None:
+            raise ConfigError("config has no tracking block")
+        cfg.mode = mode
+        report = run_experiment(cfg, out_dir=args.out, validate=args.validate,
+                                n_paths=args.paths)
+        print(summary(report.payload))
+        return 0
+
+    return handler
 
 
-def _cmd_solve(args) -> int:
-    cfg = _prep(args)
-    cfg.mode = "model_based"
-    report = run_experiment(cfg, out_dir=args.out, validate=True,
-                            n_paths=args.paths)
-    K = np.asarray(report.payload["model_based"]["K_star"])
-    print(f"K* = {K.ravel().tolist()}")
-    return 0
+def _solve_summary(p) -> str:
+    return f"K* = {np.asarray(p['model_based']['K_star']).ravel().tolist()}"
 
 
-def _cmd_collect(args) -> int:
-    cfg = _prep(args)
-    out = args.out or cfg.output
-    if not out:
-        raise ConfigError("collect needs an output directory (--out)")
-    report = RunReport()
-    report.payload.update({"config": _pyify(cfg.raw), "mode": "collect"})
-    entries = []
-
-    def work():
-        with _timed(report, "collect"):
-            os.makedirs(out, exist_ok=True)
-            for j, (x0, t_offset, seg_seed) in enumerate(cfg.segments, start=1):
-                ds = _segment_ensemble(cfg, x0, t_offset, seg_seed, args.paths)
-                name = f"segment_{j:02d}"
-                save_dataset(ds, os.path.join(out, name))
-                entries.append({"segment": j, "dir": name,
-                                "t_offset": float(t_offset),
-                                "base_seed": int(seg_seed),
-                                "n_paths": ds.config.n_paths,
-                                "plant_digest": ds.plant_digest})
-        report.payload["datasets"] = entries
-
-    _guarded(report, out, ("json",), work)
-    print(f"wrote {len(entries)} dataset segment(s) under {out}")
-    return 0
+def _learn_summary(p) -> str:
+    return (f"learned feedback gain: {p['data_driven']['K_hat']}\n"
+            f"fit feedforward gains for {len(p['feedforward_cases'])} case(s)")
 
 
-def _cmd_learn(args) -> int:
-    cfg = _prep(args)
-    cfg.mode = "data_driven"
-    report = run_experiment(cfg, out_dir=args.out, validate=args.validate,
-                            n_paths=args.paths)
-    print(f"learned feedback gain: {report.payload['data_driven']['K_hat']}")
-    rows = report.payload["feedforward_cases"]
-    print(f"fit feedforward gains for {len(rows)} case(s)")
-    return 0
+def _shadow_summary(p) -> str:
+    sh = p["shadow"]
+    return (f"shadow-learned gain: {sh['K_hat']} "
+            f"(plant input zero: {sh['plant_input_zero']})")
 
 
-def _cmd_shadow(args) -> int:
-    cfg = _prep(args)
-    cfg.mode = "shadow"
-    report = run_experiment(cfg, out_dir=args.out, validate=args.validate,
-                            n_paths=args.paths)
-    sh = report.payload["shadow"]
-    print(f"shadow-learned gain: {sh['K_hat']} "
-          f"(plant input zero: {sh['plant_input_zero']})")
-    return 0
-
-
-def _cmd_track(args) -> int:
-    cfg = _prep(args)
-    if cfg.tracking is None:
-        raise ConfigError("config has no tracking block")
-    cfg.mode = "model_based"
-    report = run_experiment(cfg, out_dir=args.out, validate=True,
-                            n_paths=args.paths)
-    tr = report.payload["tracking"]
-    print(f"tracking settled RMS error: {tr['max_settled_rms']:.6g}")
-    return 0
+def _track_summary(p) -> str:
+    return f"tracking settled RMS error: {p['tracking']['max_settled_rms']:.6g}"
 
 
 def _cmd_example(which):
@@ -923,23 +940,26 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--paths", type=int, default=None,
                        help="override the ensemble path count")
         if takes_validate:
-            # the other subcommands always validate (or, collect, never do)
             q.add_argument("--validate-with-model", action="store_true",
                            dest="validate",
                            help="compute stability certificates from the "
                                 "configured plant matrices")
+        else:
+            q.set_defaults(validate=True)  # the other subcommands always do
         q.set_defaults(func=fn)
         return q
 
-    add("solve", _cmd_solve, "model-based solve of the tracking problem")
-    add("collect", _cmd_collect, "simulate and store ensemble datasets")
-    add("learn-fb", _cmd_learn, "data-driven learning (same run as learn-ff)",
+    learn = _cmd_run("data_driven", _learn_summary)
+    add("solve", _cmd_run("model_based", _solve_summary),
+        "model-based solve of the tracking problem")
+    add("learn-fb", learn, "data-driven learning (same run as learn-ff)",
         takes_validate=True)
-    add("learn-ff", _cmd_learn, "feedback plus feedforward learning",
+    add("learn-ff", learn, "feedback plus feedforward learning",
         takes_validate=True)
-    add("shadow", _cmd_shadow, "learning without plant excitation",
-        takes_validate=True)
-    add("track", _cmd_track, "closed-loop tracking demo")
+    add("shadow", _cmd_run("shadow", _shadow_summary),
+        "learning without plant excitation", takes_validate=True)
+    add("track", _cmd_run("model_based", _track_summary, needs_tracking=True),
+        "closed-loop tracking demo")
     add("example1", _cmd_example("one"),
         "reproduce the damped-oscillator benchmark", needs_config=False)
     add("example2", _cmd_example("two"),

@@ -27,7 +27,15 @@ class NotStabilizing(SlqtError):
 
 
 class SingularOperator(SlqtError):
-    """Lyapunov operator matrix condition number above the 1e12 cutoff."""
+    """Lyapunov operator matrix condition number above the 1e12 cutoff.
+
+    certificate, when the refused solve is a generalized Lyapunov one,
+    is the stability certificate it had already computed.
+    """
+
+    def __init__(self, msg, certificate=None):
+        super().__init__(msg)
+        self.certificate = certificate
 
 
 class NonInvertible(SlqtError):

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .bpi import IterateState
 from .errors import (ConfigError, DivergedAlpha, MaxIterExceeded, NonInvertible,
                      RankDeficient, ShadowUncontrollable)
 from .model import BpiHyperParams, CostWeights, StabilityCertificate, is_stabilizing
@@ -125,10 +126,6 @@ def _lstsq(A: np.ndarray, b: np.ndarray):
     return theta, float(np.linalg.norm(A @ theta - b))
 
 
-def _alpha_step(alpha, P, K, hyper, Q_hat, R):
-    return alpha_update(alpha, P, K, hyper.eta, Q_hat, R)
-
-
 def _gain_from(M: np.ndarray, Lambda: np.ndarray, R: np.ndarray) -> np.ndarray:
     G = R + Lambda
     if np.linalg.cond(G) > _COND_LIMIT:
@@ -156,6 +153,12 @@ def _run_two_phase(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParam
     K = np.zeros((m, n))
     alpha = hyper.alpha0
     P_trace, K_trace, L_trace, a_trace, residuals, certs = [], [], [], [], [], []
+
+    def iterates():
+        # the partial trace a MaxIterExceeded carries
+        return [IterateState(1 if crossing is None or j <= crossing else 2, j, a, P, K)
+                for j, (P, K, a) in enumerate(zip(P_trace, K_trace, a_trace), start=1)]
+
     stalled = 0
     crossing = None
     P_prev = None
@@ -175,7 +178,7 @@ def _run_two_phase(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParam
         L_trace.append(Lam)
         total = i
         if phase == 1:
-            alpha_new = _alpha_step(alpha, P, K_new, hyper, theta_mat, R)
+            alpha_new = alpha_update(alpha, P, K_new, hyper.eta, theta_mat, R)
             a_trace.append(alpha_new)
             certs.append(_certify(validate_with, K_new, alpha_new, hyper.gamma))
             if alpha_new <= alpha:
@@ -192,7 +195,8 @@ def _run_two_phase(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParam
                 crossing = i
             if i >= hyper.max_iter and crossing is None:
                 raise MaxIterExceeded(
-                    f"alpha reached {alpha:.6g} < gamma after {i} iterations")
+                    f"alpha reached {alpha:.6g} < gamma after {i} iterations",
+                    trace=iterates())
         else:
             a_trace.append(hyper.gamma)
             certs.append(_certify(validate_with, K_new, hyper.gamma, hyper.gamma))
@@ -204,9 +208,9 @@ def _run_two_phase(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParam
             if i - crossing >= hyper.max_iter:
                 raise MaxIterExceeded(
                     f"value iteration did not settle within {hyper.max_iter} "
-                    f"iterations past the crossing")
+                    f"iterations past the crossing", trace=iterates())
     else:
-        raise MaxIterExceeded("iteration budget exhausted")
+        raise MaxIterExceeded("iteration budget exhausted", trace=iterates())
     return {
         "P_trace": P_trace, "K_trace": K_trace, "Lambda_trace": L_trace,
         "alpha_trace": a_trace, "residuals": residuals,

@@ -13,7 +13,6 @@ original plant.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,13 +97,6 @@ class StochasticSystem:
         A_cl = self.A - shift * np.eye(self.n) - self.B @ K
         C_cl = self.C - self.D @ K
         return A_cl, C_cl
-
-    def digest(self) -> str:
-        """Stable hash of the plant matrices (dataset metadata)."""
-        h = hashlib.sha256()
-        for M in (self.A, self.B, self.C, self.D, self.H):
-            h.update(np.ascontiguousarray(M, dtype="<f8").tobytes())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)

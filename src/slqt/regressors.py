@@ -134,27 +134,22 @@ def _check_psd(name: str, rows_of_mats: np.ndarray) -> None:
                           f"(min eigenvalue {evals.min():.3e})")
 
 
-def accumulate_raw_moments(source, hyper: BpiHyperParams | None = None,
-                           config=None, output_map=None,
-                           t_offset: float = 0.0) -> MomentTable:
-    """Windowed trapezoidal moments of a dataset or exact-moment trajectory.
+def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
+                           output_map=None, t_offset: float = 0.0) -> MomentTable:
+    """Windowed trapezoidal moments of a moment trajectory.
 
-    ``source`` needs grid arrays t, mean_x, mean_xx, u (and optionally
-    x_d, y_d); both EnsembleDataset and MomentTrajectory qualify. The
-    sampling layout (t1, sample_period, l, window) comes from ``config``
-    or, for datasets, from the stored one. ``output_map`` supplies H so
-    the output moments Z and the feedforward right-hand sides can be
-    formed. t_offset shifts the stored global clock.
+    ``source`` is a MomentTrajectory (grid arrays t, mean_x, mean_xx, u,
+    optionally x_d and y_d, and the discount it carries) from either
+    data route. The sampling layout (t1, sample_period, l, window) comes
+    from the SimConfig ``config``. ``output_map`` supplies H so the
+    output moments Z and the feedforward right-hand sides can be formed.
+    t_offset shifts the stored global clock.
     """
-    if config is None:
-        config = getattr(source, "config", None)
-        if config is None:
-            raise ConfigError("config is required for sources that do not carry one")
-    discount = getattr(source, "discount", None)
+    discount = source.discount
     if hyper is not None and discount is not None:
         if abs(discount - hyper.alpha_tilde) > 1e-12:
             raise ConfigError(
-                f"dataset discount {discount} does not match (gamma-alpha0)/2 "
+                f"trajectory discount {discount} does not match (gamma-alpha0)/2 "
                 f"= {hyper.alpha_tilde}")
     t = source.t
     h = float(t[1] - t[0])
@@ -196,7 +191,7 @@ def accumulate_raw_moments(source, hyper: BpiHyperParams | None = None,
 
     d_xdchi = I_xdchi = I_xdu = I_ydzeta = None
     n_d = None
-    x_d = getattr(source, "x_d", None)
+    x_d, y_d = source.x_d, source.y_d
     if x_d is not None:
         n_d = x_d.shape[1]
         xdchi = np.einsum("td,tn->tdn", x_d, mx).reshape(t.size, n_d * n)
@@ -204,7 +199,6 @@ def accumulate_raw_moments(source, hyper: BpiHyperParams | None = None,
         I_xdchi = _windowed_integrals(xdchi, idx, w, h)
         xdu = np.einsum("td,tm->tdm", x_d, u).reshape(t.size, n_d * m)
         I_xdu = _windowed_integrals(xdu, idx, w, h)
-        y_d = getattr(source, "y_d", None)
         if y_d is not None and H is not None:
             q = H.shape[0]
             zeta = mx @ H.T

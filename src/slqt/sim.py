@@ -1,7 +1,7 @@
 """Trajectory generation and moment estimation.
 
 Euler-Maruyama integration of the plant SDE (scalar Brownian motion),
-seeded probing signals, streamed trajectory ensembles with persistence,
+seeded probing signals, streamed trajectory ensembles reduced to moments,
 exact moment propagation (the oracle the data pipeline is tested
 against), and Monte Carlo average-cost estimation.
 
@@ -15,10 +15,6 @@ so that a zero-diffusion ensemble reduces exactly to its single path.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,11 +25,10 @@ from .model import ReferenceGenerator, _lyap_operator, is_stabilizing
 from .symquad import vech_indices
 
 __all__ = [
-    "SimConfig", "PathRecord", "ProbingSignal", "EnsembleDataset",
-    "MomentTrajectory", "TrackingRun", "probing_signal", "discounted_input",
-    "simulate_sde_path", "run_ensemble", "propagate_moments_exact",
-    "reference_trajectory", "estimate_average_cost", "CostEstimate",
-    "simulate_tracking", "save_dataset", "load_dataset", "export_dataset_csv",
+    "SimConfig", "PathRecord", "ProbingSignal", "MomentTrajectory",
+    "TrackingRun", "probing_signal", "discounted_input", "simulate_sde_path",
+    "run_ensemble", "propagate_moments_exact", "reference_trajectory",
+    "estimate_average_cost", "CostEstimate", "simulate_tracking",
 ]
 
 _BLOWUP_NORM = 1e8
@@ -41,8 +36,6 @@ _ODE_RTOL, _ODE_ATOL = 1e-12, 1e-14  # DOP853 tolerances of the exact moments
 _CHUNK_STEPS = 2048
 _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
-_MAGIC = b"SLQT"
-_DATASET_SCHEMA = "slqt-dataset/1"
 
 
 def _is_multiple(x: float, h: float) -> bool:
@@ -97,16 +90,6 @@ class SimConfig:
 
     def sample_times(self) -> np.ndarray:
         return self.t1 + np.arange(self.l) * self.sample_period
-
-    def to_dict(self) -> dict:
-        return {"h": self.h, "sample_period": self.sample_period,
-                "window": self.window, "t1": self.t1, "l": self.l,
-                "n_paths": self.n_paths, "base_seed": self.base_seed}
-
-    @staticmethod
-    def from_dict(d: dict) -> "SimConfig":
-        return SimConfig(**{k: d[k] for k in ("h", "sample_period", "window",
-                                              "t1", "l", "n_paths", "base_seed")})
 
 
 @dataclass(frozen=True)
@@ -320,19 +303,18 @@ def reference_trajectory(reference: ReferenceGenerator, t: np.ndarray):
 
 
 @dataclass(frozen=True)
-class EnsembleDataset:
-    """Streamed ensemble reductions on the simulation grid.
+class MomentTrajectory:
+    """Mean and second-moment trajectories on a uniform grid t.
 
-    mean_x / mean_xx / u are the sufficient statistics the learning
-    pipeline needs (mean_xx holds the upper triangle of E[x x'] row by
-    row); se_xx carries per-entry standard errors for diagnostics. When
-    ``discount`` is set the stored trajectories are the transformed
-    ones: x and u scaled by exp(-discount * t) and second moments by
-    the square of that factor.
+    Both data routes return this: run_ensemble's Monte Carlo reductions
+    and propagate_moments_exact's exact moments. mean_xx rows hold the
+    upper triangle of E[x x'] row by row; se_xx, filled by run_ensemble
+    only, the per-entry standard errors of mean_xx. When ``discount`` is
+    set the trajectories are the transformed ones: x and u scaled by
+    exp(-discount * t) and second moments by the square of that factor.
     """
 
-    config: SimConfig
-    plant_digest: str
+    t: np.ndarray
     mean_x: np.ndarray
     mean_xx: np.ndarray
     u: np.ndarray
@@ -340,20 +322,11 @@ class EnsembleDataset:
     x_d: np.ndarray | None = None
     y_d: np.ndarray | None = None
     discount: float | None = None
-    created: str = ""
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.config.grid()
-
-    @property
-    def n(self) -> int:
-        return self.mean_x.shape[1]
 
 
 def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = None,
                  reference: ReferenceGenerator | None = None,
-                 with_se: bool = True) -> EnsembleDataset:
+                 with_se: bool = True) -> MomentTrajectory:
     """Simulate config.n_paths Euler-Maruyama paths and stream reductions.
 
     Path p uses seed base_seed + p with an independent counter-based
@@ -401,32 +374,8 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
         mean_xx = mean_xx * (scale * scale)[:, None]
         if se_xx is not None:
             se_xx = se_xx * (scale * scale)[:, None]
-    return EnsembleDataset(config=config, plant_digest=plant.digest(),
-                           mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
-                           x_d=x_d, y_d=y_d, discount=discount,
-                           created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
-
-
-@dataclass(frozen=True)
-class MomentTrajectory:
-    """Exact mean and second-moment trajectories on a uniform grid.
-
-    Shape-compatible with EnsembleDataset where the learning pipeline
-    is concerned (t, mean_x, mean_xx, u, x_d, y_d); mean_xx rows hold
-    the upper triangle of E[x x'].
-    """
-
-    t: np.ndarray
-    mean_x: np.ndarray
-    mean_xx: np.ndarray
-    u: np.ndarray
-    x_d: np.ndarray | None = None
-    y_d: np.ndarray | None = None
-    discount: float | None = None
-
-    @property
-    def n(self) -> int:
-        return self.mean_x.shape[1]
+    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
+                            x_d=x_d, y_d=y_d, discount=discount)
 
 
 def _xx_forcing(y, p, q, C, r_idx, c_idx):
@@ -687,95 +636,3 @@ def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
     u_mean = u_ff - x_mean @ K.T
     y_mean = x_mean @ plant.H.T
     return TrackingRun(t, y_mean, y_d, u_mean, x_mean, x_d, tuple(bounds[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Dataset persistence: meta.json plus one binary file per array. Binary
-# layout: 16-byte header (magic, uint32 rows, uint32 cols, 4 zero bytes)
-# followed by column-major little-endian float64 data.
-
-def _write_array(path: str, M: np.ndarray):
-    M = np.asarray(M, dtype="<f8")
-    if M.ndim == 1:
-        M = M[:, None]
-    rows, cols = M.shape
-    header = _MAGIC + np.array([rows, cols], dtype="<u4").tobytes() + b"\x00" * 4
-    body = np.asfortranarray(M).tobytes(order="F")
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(body)
-    return hashlib.sha256(header + body).hexdigest(), rows, cols
-
-
-def _read_array(path: str, expect_sha: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if hashlib.sha256(raw).hexdigest() != expect_sha:
-        raise ConfigError(f"checksum mismatch for {os.path.basename(path)}")
-    if raw[:4] != _MAGIC:
-        raise ConfigError(f"bad magic in {os.path.basename(path)}")
-    rows, cols = np.frombuffer(raw[4:12], dtype="<u4")
-    data = np.frombuffer(raw[16:], dtype="<f8")
-    if data.size != rows * cols:
-        raise ConfigError(f"truncated array file {os.path.basename(path)}")
-    return data.reshape((rows, cols), order="F").copy()
-
-
-_DATASET_ARRAYS = ("mean_x", "mean_xx", "u", "se_xx", "x_d", "y_d")
-
-
-def save_dataset(ds: EnsembleDataset, dirpath: str) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    arrays = {}
-    for name in _DATASET_ARRAYS:
-        M = getattr(ds, name)
-        if M is None:
-            continue
-        sha, rows, cols = _write_array(os.path.join(dirpath, name + ".bin"), M)
-        arrays[name] = {"rows": rows, "cols": cols, "sha256": sha}
-    meta = {
-        "schema": _DATASET_SCHEMA,
-        "created": ds.created,
-        "plant_digest": ds.plant_digest,
-        "discount": ds.discount,
-        "config": ds.config.to_dict(),
-        "arrays": arrays,
-    }
-    with open(os.path.join(dirpath, "meta.json"), "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_dataset(dirpath: str) -> EnsembleDataset:
-    with open(os.path.join(dirpath, "meta.json"), "r", encoding="utf-8") as f:
-        meta = json.load(f)
-    if meta.get("schema") != _DATASET_SCHEMA:
-        raise ConfigError(f"unsupported dataset schema {meta.get('schema')!r}")
-    loaded = {}
-    for name, info in meta["arrays"].items():
-        loaded[name] = _read_array(os.path.join(dirpath, name + ".bin"), info["sha256"])
-    return EnsembleDataset(config=SimConfig.from_dict(meta["config"]),
-                           plant_digest=meta["plant_digest"],
-                           mean_x=loaded["mean_x"], mean_xx=loaded["mean_xx"],
-                           u=loaded["u"], se_xx=loaded.get("se_xx"),
-                           x_d=loaded.get("x_d"), y_d=loaded.get("y_d"),
-                           discount=meta["discount"], created=meta["created"])
-
-
-def export_dataset_csv(ds: EnsembleDataset, path: str) -> None:
-    """Human-inspectable CSV of the stored grid arrays (17 significant digits)."""
-    cols = [("t", ds.t[:, None])]
-    for name in _DATASET_ARRAYS:
-        M = getattr(ds, name)
-        if M is None:
-            continue
-        cols.append((name, M))
-    header = []
-    for name, M in cols:
-        w = M.shape[1] if M.ndim > 1 else 1
-        header.extend([name] if w == 1 else [f"{name}_{j}" for j in range(w)])
-    body = np.hstack([np.atleast_2d(M.T).T for _, M in cols])
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for row in body:
-            f.write(",".join(format(v, ".17g") for v in row) + "\n")

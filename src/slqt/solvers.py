@@ -59,13 +59,15 @@ def solve_gen_lyap(sys: StochasticSystem, K, Qmat, alpha: float | None = None,
     q = vech(Qmat)
     cond = np.linalg.cond(L)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularOperator(f"Lyapunov operator condition number {cond:.3e}")
+        raise SingularOperator(f"Lyapunov operator condition number {cond:.3e}",
+                               certificate=cert)
     p = np.linalg.solve(L, -q)
     residual = float(np.linalg.norm(L @ p + q))
     scale = 1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(L, "fro"))
     if residual > 1e-10 * scale:
         raise SingularOperator(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance at scale {scale:.3e}")
+            f"Lyapunov residual {residual:.3e} exceeds tolerance at scale {scale:.3e}",
+            certificate=cert)
     P = unvech(p, sys.n)
     P = 0.5 * (P + P.T)
     if np.linalg.eigvalsh(Qmat).min() > 0.0 and np.linalg.eigvalsh(P).min() < -1e-10:

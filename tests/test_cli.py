@@ -1,17 +1,23 @@
 """Command line interface: configs, reports, exit codes, determinism."""
 
 import copy
+import glob
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from slqt.cli import (EXIT_CODES, build_parser, canonical_json, exit_code_for,
-                      load_report, main, parse_experiment_config)
-from slqt.errors import (ConfigError, MaxIterExceeded, NonPositiveP,
-                         RankDeficient, SlqtError)
+                      load_config, load_report, main, parse_experiment_config)
+from slqt.errors import (Blowup, ConfigError, MaxIterExceeded, NonPositiveP,
+                         NotStabilizing, RankDeficient, SingularOperator,
+                         SlqtError)
+from slqt.model import StabilityCertificate
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCALAR_CONFIG = {
     "mode": "data_driven",
@@ -87,6 +93,77 @@ def test_parse_config_validation_matrix():
             parse_experiment_config(cfg)
 
 
+SHADOW_BLOCK = {"A_a": [[-1.0]], "x_a0": [0.0], "F_a": [[0.0]], "y_a0": [1.0],
+                "probing": {"amplitude": 1.0, "count": 5,
+                            "freq_range": [-10.0, 10.0], "seed": 2}}
+
+# (path to a block, a misspelt key for it); () is the top level
+CONFIG_TYPOS = [
+    ((), "segment"), (("plant",), "E"), (("reference",), "case"),
+    (("cost",), "q"), (("hyper",), "max_iters"), (("sim",), "n_path"),
+    (("probing",), "freq"), (("segments", 0), "seed"),
+    (("data_source",), "refines"), (("shadow",), "probe"),
+    (("shadow", "probing"), "amplitudes"), (("tracking",), "paths"),
+    (("cost_comparison",), "paths"),
+]
+
+
+def every_block_config():
+    """SCALAR_CONFIG with every optional block present."""
+    cfg = copy.deepcopy(SCALAR_CONFIG)
+    cfg.update({"hyper": {"gamma": 1.0, "max_iter": 50},
+                "segments": [{"x0": [0.0], "t_offset": 0.0, "base_seed": 3}],
+                "data_source": {"kind": "ensemble"},
+                "shadow": copy.deepcopy(SHADOW_BLOCK),
+                "tracking": {"schedule": [[1, 1.0]]},
+                "cost_comparison": {"case": 1}})
+    return cfg
+
+
+@pytest.mark.parametrize("path,typo", CONFIG_TYPOS,
+                         ids=[".".join(map(str, p)) or "top" for p, _ in CONFIG_TYPOS])
+def test_unknown_keys_and_non_object_blocks_are_config_errors(path, typo):
+    parse_experiment_config(every_block_config())
+    cfg = every_block_config()
+    block = cfg
+    for key in path:
+        block = block[key]
+    block[typo] = 10
+    with pytest.raises(ConfigError, match=re.escape(repr([typo]))):
+        parse_experiment_config(cfg)
+    cfg = every_block_config()
+    if path:
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = [1]
+    else:
+        cfg = [1]
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        parse_experiment_config(cfg)
+
+
+def test_config_typos_and_bad_values_exit_2(tmp_path, capsys):
+    for name, override in (("typo", {"sim": {"h": 1e-3, "n_path": 10}}),
+                           ("list", {"hyper": [1]}),
+                           ("string", {"hyper": {"gamma": "one"}}),
+                           ("no_segments", {"segments": []})):
+        cfg = write_config(tmp_path, overrides=override, name=name + ".json")
+        assert main(["learn-fb", "--config", cfg]) == EXIT_CODES["config"]
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_shipped_configs_parse():
+    paths = sorted(glob.glob(os.path.join(ROOT, "perfbench", "configs", "*.json")))
+    assert len(paths) == 8
+    for path in paths:
+        load_config(path)
+    from slqt.cli import _example_configs
+    for which in ("one", "two"):
+        for _, cfg in _example_configs(which):
+            parse_experiment_config(copy.deepcopy(cfg.raw))
+
+
 def test_parse_config_shadow_constraints():
     cfg = copy.deepcopy(SCALAR_CONFIG)
     cfg["mode"] = "shadow"
@@ -127,9 +204,9 @@ def test_validate_flag_only_where_a_handler_reads_it(tmp_path, capsys):
         assert parser.parse_args([command, "--config", cfg]).validate is False
         args = parser.parse_args([command, "--config", cfg, "--validate-with-model"])
         assert args.validate is True
-    # these always validate, or (collect) never do: the flag is a usage error
+    # these always validate: the flag is a usage error
     for argv in (["solve", "--config", cfg], ["track", "--config", cfg],
-                 ["collect", "--config", cfg], ["example1"], ["example2"]):
+                 ["example1"], ["example2"]):
         with pytest.raises(SystemExit) as info:
             main(argv + ["--out", str(tmp_path / "never"), "--validate-with-model"])
         assert info.value.code == 2
@@ -204,27 +281,92 @@ def test_rank_deficient_run_exits_3_and_leaves_marker(tmp_path, capsys):
     report = load_report(str(out / "report.json"))
     assert report.failed
     assert "rank" in report.error["type"].lower() or "Rank" in report.error["type"]
+    # the error block carries the rank report, and the payload holds no trace of it
+    rank = report.error["rank"]
+    assert rank["rank"] < rank["required_rank"] == 3
+    assert len(rank["singular_values"]) == 3
+    assert rank["singular_values"] == sorted(rank["singular_values"], reverse=True)
+    assert rank["tol"] > 0.0
+    assert "rank" not in report.payload
 
 
 def test_iteration_cap_exits_5(tmp_path):
     cfg = write_config(tmp_path, overrides={"hyper": {"max_iter": 1}})
     rc = main(["learn-fb", "--config", cfg, "--out", str(tmp_path / "cap")])
     assert rc == EXIT_CODES["contract"]
+    report = load_report(str(tmp_path / "cap" / "report.json"))
+    assert report.failed and report.error["type"] == "MaxIterExceeded"
+    # the partial trace: alpha crosses gamma = 1 at iteration 1, and the
+    # one phase-II step allowed after it does not settle
+    trace = report.error["trace"]
+    assert [(r["iteration"], r["phase"]) for r in trace] == [(1, 1), (2, 2)]
+    assert trace[0]["alpha"] >= 1.0 and trace[1]["alpha"] == 1.0
+    for r in trace:
+        assert np.asarray(r["K"]).shape == np.asarray(r["P"]).shape == (1, 1)
+    assert "data_driven" not in report.payload
 
 
-def test_collect_writes_loadable_datasets(tmp_path):
-    from slqt.sim import load_dataset
+def test_error_block_carries_the_exception_figures():
+    from slqt.cli import _error_block
 
-    cfg = write_config(tmp_path)
-    out = tmp_path / "data"
-    assert main(["collect", "--config", cfg, "--out", str(out)]) == 0
+    assert _error_block(Blowup("b", path_index=3, time=0.25)) == \
+        {"type": "Blowup", "message": "b", "time": 0.25, "path_index": 3}
+    assert _error_block(NotStabilizing("n", abscissa=0.5))["abscissa"] == 0.5
+    cert = StabilityCertificate(True, -0.004, None, 0.0)
+    assert _error_block(SingularOperator("s", certificate=cert))["certificate"] == \
+        {"stabilizing": True, "abscissa": -0.004, "alpha": None, "margin": 0.0}
+    # a figure the report cannot hold leaves the type and the message
+    assert _error_block(NotStabilizing("n", abscissa=math.nan)) == \
+        {"type": "NotStabilizing", "message": "n"}
+
+
+def test_shadow_subcommand_runs_end_to_end(tmp_path, capsys):
+    # two unforced segments of a noisy two-state plant (D = 0, no probing)
+    # on exact moments, with one auxiliary pair restoring the rank
+    raw = {
+        "mode": "shadow",
+        "plant": {"A": [[0.0, 1.0], [-1.5, -0.1]], "B": [[0.0], [1.0]],
+                  "C": [[0.05, 0.0], [0.0, 0.05]], "D": [[0.0], [0.0]],
+                  "H": [[1.0, 0.0]]},
+        "reference": {"A_d": [[0.0, 1.3], [-1.3, 0.0]], "H_d": [[1.0, 0.0]],
+                      "x_d0": [1.0, -0.5]},
+        "cost": {"Q": [[4.0]], "R": [[2.0]]},
+        "sim": {"h": 1e-4, "T_s": 2e-3, "T": 0.05, "l": 40, "n_paths": 1},
+        "segments": [{"x0": [1.0, 0.6], "t_offset": 0.0},
+                     {"x0": [-0.7, 1.0], "t_offset": 0.1281}],
+        "data_source": {"kind": "exact"},
+        "shadow": {"A_a": [[-0.5, 1.2], [-0.8, -1.0]],
+                   "F_a": [[0.0, 1.3], [-1.3, 0.0]], "x_a0": [0.0, 0.0],
+                   "y_a0": [1.0, -0.5], "h": 1e-5,
+                   "probing": {"amplitude": 2.0, "count": 20,
+                               "freq_range": [-40.0, 40.0], "seed": 13}},
+    }
+    cfg = tmp_path / "shadow.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "shadow"
+    assert main(["shadow", "--config", str(cfg), "--out", str(out),
+                 "--validate-with-model"]) == 0
+    line = capsys.readouterr().out.strip()
     report = load_report(str(out / "report.json"))
-    entries = report.payload["datasets"]
-    assert len(entries) == 1
-    ds = load_dataset(os.path.join(str(out), entries[0]["dir"]))
-    assert ds.config.n_paths == 60
-    assert ds.discount == pytest.approx(0.45)
-    assert ds.x_d is not None
+    assert not report.failed
+    sh = report.payload["shadow"]
+    assert line == f"shadow-learned gain: {sh['K_hat']} (plant input zero: True)"
+    assert sh["plant_input_zero"] is True
+    assert np.asarray(sh["K_hat"]).shape == (1, 2)
+    np.testing.assert_allclose(sh["K_hat"], report.payload["model_based"]["K_star"],
+                               atol=1e-5)
+    assert (out / "shadow_trace.csv").exists()
+
+
+def test_readme_lists_the_parser_subcommands():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    listed = {line.split()[1] for block in blocks for line in block.splitlines()
+              if line.startswith("slqt ")}
+    choices = next(a.choices for a in build_parser()._actions
+                   if a.dest == "command")
+    assert listed == set(choices)
 
 
 def test_track_produces_tracking_csv(tmp_path):

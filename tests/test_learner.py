@@ -69,7 +69,7 @@ def test_unforced_data_with_input_noise_is_rank_deficient():
                     base_seed=2)
     ds = run_ensemble(sys, None, np.array([1.0]), cfg,
                       discount=hyper.alpha_tilde)
-    tab = accumulate_raw_moments(ds, hyper=hyper, output_map=sys.H)
+    tab = accumulate_raw_moments(ds, config=cfg, hyper=hyper, output_map=sys.H)
     cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
     with pytest.raises(RankDeficient) as exc:
         learn_feedback(tab, cost, hyper)
@@ -187,7 +187,7 @@ def test_shadow_requires_unforced_plant_data():
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=10, n_paths=4)
     ds = run_ensemble(plant, sig, np.array([1.0, 0.0]), cfg,
                       discount=hyper.alpha_tilde)
-    tab = accumulate_raw_moments(ds, hyper=hyper, output_map=plant.H)
+    tab = accumulate_raw_moments(ds, config=cfg, hyper=hyper, output_map=plant.H)
     with pytest.raises(ConfigError):
         learn_shadow(tab, shadow, plant.B, cost, hyper,
                      omegas=(np.zeros((10, 5)), np.zeros((10, 6))))

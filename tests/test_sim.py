@@ -1,8 +1,8 @@
-"""Simulation layer: paths, ensembles, exact moments, persistence."""
+"""Simulation layer: paths, ensembles, exact moments, cost and tracking."""
 
 import math
-import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +12,9 @@ from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
 from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, SimConfig, _em_paths,
                       _sample_input, discounted_input,
-                      estimate_average_cost, export_dataset_csv, load_dataset,
-                      probing_signal, propagate_moments_exact,
-                      reference_trajectory, run_ensemble, save_dataset,
-                      simulate_sde_path, simulate_tracking)
+                      estimate_average_cost, probing_signal,
+                      propagate_moments_exact, reference_trajectory,
+                      run_ensemble, simulate_sde_path, simulate_tracking)
 from slqt.symquad import unvech
 
 
@@ -90,7 +89,7 @@ def test_ensemble_mean_is_unbiased_for_euler():
     x0 = np.array([1.0, -0.5])
     ds = run_ensemble(sys, sig, x0, cfg)
     quiet = StochasticSystem(sys.A, sys.B, np.zeros((2, 2)), np.zeros((2, 1)), sys.H)
-    ref = run_ensemble(quiet, sig, x0, SimConfig(**{**cfg.to_dict(), "n_paths": 1}))
+    ref = run_ensemble(quiet, sig, x0, replace(cfg, n_paths=1))
     err = np.abs(ds.mean_x - ref.mean_x).max()
     print("ensemble mean deviation:", err)
     assert err < 0.05
@@ -158,9 +157,7 @@ def test_single_path_matches_ensemble_member():
                     n_paths=3, base_seed=50)
     x0 = np.array([1.0, 1.0])
     path = simulate_sde_path(sys, sig, x0, cfg, seed=51)
-    solo = run_ensemble(sys, sig, x0, SimConfig(**{**cfg.to_dict(),
-                                                   "n_paths": 1,
-                                                   "base_seed": 51}))
+    solo = run_ensemble(sys, sig, x0, replace(cfg, n_paths=1, base_seed=51))
     np.testing.assert_array_equal(solo.mean_x, path.x)
 
 
@@ -408,7 +405,6 @@ def test_sim_config_validation():
         SimConfig(n_paths=0)
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.1, t1=0.5, l=11)
     assert cfg.duration == pytest.approx(0.5 + 0.1 + 0.1)
-    assert SimConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_unstable_dynamics_raise_blowup():
@@ -451,47 +447,6 @@ def test_em_blowup_names_the_first_path_over_the_bound_and_its_time():
         run_ensemble(quiet, None, np.array([1.0]), cfg)
     assert info.value.path_index == 0
     assert info.value.time == pytest.approx(h * math.ceil(np.log(1e8) / np.log(1.2)))
-
-
-def test_dataset_roundtrip_and_corruption(tmp_path):
-    sys = small_plant()
-    sig = probing_signal(1.0, 3, (-5.0, 5.0), seed=6)
-    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.02, l=15,
-                    n_paths=8, base_seed=21)
-    ref = ReferenceGenerator(np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                             np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
-    ds = run_ensemble(sys, sig, np.array([0.2, 0.0]), cfg,
-                      discount=0.45, reference=ref)
-    d = str(tmp_path / "ds")
-    save_dataset(ds, d)
-    back = load_dataset(d)
-    np.testing.assert_array_equal(back.mean_x, ds.mean_x)
-    np.testing.assert_array_equal(back.mean_xx, ds.mean_xx)
-    np.testing.assert_array_equal(back.se_xx, ds.se_xx)
-    np.testing.assert_array_equal(back.x_d, ds.x_d)
-    assert back.config == ds.config
-    assert back.plant_digest == ds.plant_digest
-    assert back.discount == ds.discount
-    # flip one byte of a stored array: the checksum must catch it
-    target = os.path.join(d, "mean_xx.bin")
-    raw = bytearray(open(target, "rb").read())
-    raw[len(raw) // 2] ^= 0xFF
-    open(target, "wb").write(bytes(raw))
-    with pytest.raises(ConfigError):
-        load_dataset(d)
-
-
-def test_dataset_csv_export(tmp_path):
-    sys = small_plant()
-    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.02, l=10, n_paths=4)
-    ds = run_ensemble(sys, None, np.array([1.0, 0.0]), cfg)
-    out = str(tmp_path / "ds.csv")
-    export_dataset_csv(ds, out)
-    rows = open(out).read().strip().splitlines()
-    header = rows[0].split(",")
-    assert header[0] == "t"
-    assert len(rows) == 1 + len(ds.t)
-    assert len(rows[1].split(",")) == len(header)
 
 
 def test_average_cost_zero_at_origin():
