@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InitConditionViolated, MaxIterExceeded, NotStabilizing
 from .model import StochasticSystem, TrackingProblem, zero_gain_threshold
-from .solvers import (TrackingSolution, alpha_update, ff_from_pi, gain_update,
-                      solve_gen_lyap, solve_sylvester)
+from .solvers import (LyapunovSolution, TrackingSolution, alpha_update, ff_from_pi,
+                      gain_update, solve_gen_lyap, solve_sylvester)
 
 __all__ = ["IterateState", "run_phase1", "run_phase2", "solve_tracking",
            "feedforward_gains"]
@@ -25,7 +25,11 @@ __all__ = ["IterateState", "run_phase1", "run_phase2", "solve_tracking",
 
 @dataclass(frozen=True)
 class IterateState:
-    """One policy-iteration step: the value solved and the gain it yields."""
+    """One policy-iteration step: the value solved and the gain it yields.
+
+    residual, condition and abscissa come from the model-based solve of
+    the step (its LyapunovSolution); data-driven iterates leave them None.
+    """
 
     phase: int
     index: int
@@ -33,6 +37,14 @@ class IterateState:
     P: np.ndarray
     K: np.ndarray
     delta: float | None = None
+    residual: float | None = None
+    condition: float | None = None
+    abscissa: float | None = None
+
+
+def _diagnostics(sol: LyapunovSolution) -> dict:
+    return {"residual": sol.residual_norm, "condition": sol.condition,
+            "abscissa": sol.certificate.abscissa}
 
 
 def run_phase1(problem: TrackingProblem):
@@ -63,7 +75,7 @@ def _run_phase1(problem: TrackingProblem, sigma_bar: float):
         sol = solve_gen_lyap(sys, K, forcing, alpha=alpha, gamma=hyper.gamma)
         K = gain_update(sys, sol.P, R)
         alpha = alpha_update(alpha, sol.P, K, hyper.eta, theta, R)
-        trace.append(IterateState(1, i, alpha, sol.P, K))
+        trace.append(IterateState(1, i, alpha, sol.P, K, **_diagnostics(sol)))
         if alpha >= hyper.gamma:
             return K, i, trace
     raise MaxIterExceeded(
@@ -93,7 +105,8 @@ def run_phase2(problem: TrackingProblem, K_init, start_index: int = 1):
         else:
             delta = (float(np.linalg.norm(sol.P - P_prev, "fro"))
                      if P_prev is not None else np.inf)
-        trace.append(IterateState(2, i, hyper.gamma, sol.P, K_next, delta))
+        trace.append(IterateState(2, i, hyper.gamma, sol.P, K_next, delta,
+                                  **_diagnostics(sol)))
         if delta <= hyper.epsilon:
             return sol.P, K_next, trace
         K = K_next

@@ -26,8 +26,8 @@ from scipy.linalg import solve_continuous_are
 
 from .benchmarks import coupled_oscillators, damped_oscillator, gather_moments
 from .bpi import feedforward_gains, solve_tracking
-from .errors import (Blowup, ConfigError, MaxIterExceeded, NotStabilizing,
-                     RankDeficient, SingularOperator, SlqtError)
+from .errors import (Blowup, ConfigError, DivergedAlpha, MaxIterExceeded,
+                     NotStabilizing, RankDeficient, SingularOperator, SlqtError)
 from .learner import (LearnedSolution, ShadowConfig, learn_feedback,
                       learn_feedforward, learn_shadow, shadow_regressors)
 from .model import (BpiHyperParams, CostWeights, ReferenceGenerator,
@@ -204,7 +204,7 @@ def _error_block(exc: SlqtError) -> dict:
     detail = {}
     if isinstance(exc, RankDeficient) and exc.report is not None:
         detail["rank"] = _rank_payload(exc.report)
-    elif isinstance(exc, MaxIterExceeded) and exc.trace is not None:
+    elif isinstance(exc, (MaxIterExceeded, DivergedAlpha)) and exc.trace is not None:
         detail["trace"] = _iterate_rows(exc.trace)
     elif isinstance(exc, Blowup):
         detail = {k: v for k, v in (("time", exc.time), ("path_index", exc.path_index))
@@ -532,9 +532,14 @@ def _cert_payload(cert) -> dict | None:
             "margin": float(cert.margin)}
 
 
+_DIAGNOSTICS = ("residual", "condition", "abscissa")
+
+
 def _iterate_rows(states) -> list:
     return [{"iteration": int(st.index), "phase": int(st.phase),
-             "alpha": float(st.alpha), "K": _matrix(st.K), "P": _matrix(st.P)}
+             "alpha": float(st.alpha), "K": _matrix(st.K), "P": _matrix(st.P),
+             **{k: float(getattr(st, k)) for k in _DIAGNOSTICS
+                if getattr(st, k) is not None}}
             for st in states]
 
 

@@ -67,7 +67,14 @@ class RankDeficient(SlqtError):
 
 
 class DivergedAlpha(SlqtError):
-    """alpha estimate failed to increase for 3 consecutive iterations."""
+    """alpha estimate failed to increase for 3 consecutive iterations.
+
+    trace, when known, is the partial iterate trace up to the failure.
+    """
+
+    def __init__(self, msg, trace=None):
+        super().__init__(msg)
+        self.trace = trace
 
 
 class Blowup(SlqtError):

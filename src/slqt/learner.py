@@ -155,7 +155,7 @@ def _run_two_phase(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParam
     P_trace, K_trace, L_trace, a_trace, residuals, certs = [], [], [], [], [], []
 
     def iterates():
-        # the partial trace a MaxIterExceeded carries
+        # the partial trace a MaxIterExceeded or DivergedAlpha carries
         return [IterateState(1 if crossing is None or j <= crossing else 2, j, a, P, K)
                 for j, (P, K, a) in enumerate(zip(P_trace, K_trace, a_trace), start=1)]
 
@@ -186,7 +186,7 @@ def _run_two_phase(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParam
                 if stalled >= 3:
                     raise DivergedAlpha(
                         f"alpha failed to increase for {stalled} consecutive "
-                        f"iterations (moment noise too large)")
+                        f"iterations (moment noise too large)", trace=iterates())
             else:
                 stalled = 0
             alpha = alpha_new

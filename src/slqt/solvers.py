@@ -8,9 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgetri, dgetrs
 
 from .errors import NonInvertible, NonPositiveP, NotStabilizing, ResonantSpectra, SingularOperator
-from .model import CostWeights, StabilityCertificate, StochasticSystem, _certificate, lyap_matrix
+from .model import (CostWeights, StabilityCertificate, StochasticSystem, _certificate,
+                    _factor, lyap_matrix)
 from .symquad import unvech, vech
 
 __all__ = [
@@ -23,10 +25,15 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class LyapunovSolution:
-    """Solution of L_[K; S(alpha)](P) + forcing = 0."""
+    """Solution of L_[K; S(alpha)](P) + forcing = 0.
+
+    condition is sqrt(kappa_1 kappa_inf) of the operator matrix, an upper
+    bound on its 2-norm condition number.
+    """
 
     P: np.ndarray
     residual_norm: float
+    condition: float
     certificate: StabilityCertificate
 
 
@@ -48,20 +55,23 @@ def solve_gen_lyap(sys: StochasticSystem, K, Qmat, alpha: float | None = None,
 
     Refuses to solve when K is not mean-square stabilizing there, since
     the solution would not be the value matrix of any admissible policy.
+    One LU factorization of the operator serves the certificate, the
+    solve and the condition refusal.
     """
     L = lyap_matrix(sys, K, alpha, gamma)
-    cert = _certificate(L, alpha)
+    lu, piv = _factor(L)
+    cert = _certificate(L, alpha, factors=(lu, piv))
     if not cert:
         raise NotStabilizing(
             f"gain is not mean-square stabilizing (abscissa {cert.abscissa:.6g})",
             abscissa=cert.abscissa)
     Qmat = np.asarray(Qmat, dtype=float)
     q = vech(Qmat)
-    cond = np.linalg.cond(L)
+    p, _ = dgetrs(lu, piv, -q)
+    cond = _cond_bound(L, lu, piv)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularOperator(f"Lyapunov operator condition number {cond:.3e}",
                                certificate=cert)
-    p = np.linalg.solve(L, -q)
     residual = float(np.linalg.norm(L @ p + q))
     scale = 1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(L, "fro"))
     if residual > 1e-10 * scale:
@@ -74,7 +84,21 @@ def solve_gen_lyap(sys: StochasticSystem, K, Qmat, alpha: float | None = None,
         raise NotStabilizing(
             "positive definite forcing produced an indefinite value matrix",
             abscissa=cert.abscissa)
-    return LyapunovSolution(P, residual, cert)
+    return LyapunovSolution(P, residual, cond, cert)
+
+
+def _cond_bound(L: np.ndarray, lu, piv) -> float:
+    """sqrt(kappa_1 kappa_inf) of L from its LU factors, an upper bound on kappa_2.
+
+    ||M||_2 <= sqrt(||M||_1 ||M||_inf), applied to L and to its inverse,
+    which getri forms in place of the factors (they are spent after it).
+    """
+    inv, info = dgetri(lu, piv, overwrite_lu=True)
+    if info != 0 or not np.isfinite(inv).all():
+        return np.inf
+    k1 = np.linalg.norm(L, 1) * np.linalg.norm(inv, 1)
+    kinf = np.linalg.norm(L, np.inf) * np.linalg.norm(inv, np.inf)
+    return float(np.sqrt(k1) * np.sqrt(kinf))
 
 
 def gain_update(sys: StochasticSystem, P, R) -> np.ndarray:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slqt.errors import (ConfigError, MaxIterExceeded, NonPositiveP,
+from slqt.errors import (ConfigError, DivergedAlpha, MaxIterExceeded, NonPositiveP,
                          RankDeficient, ShadowUncontrollable)
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem)
@@ -94,6 +94,30 @@ def test_iteration_budget_is_enforced():
     cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
     with pytest.raises(MaxIterExceeded):
         learn_feedback(tab, cost, hyper)
+
+
+def test_diverged_alpha_carries_the_partial_trace(monkeypatch):
+    # an alpha update that never advances stalls phase I three times over
+    import slqt.learner
+    from slqt.cli import _error_block
+
+    monkeypatch.setattr(slqt.learner, "alpha_update", lambda alpha, *args: alpha)
+    hyper = BpiHyperParams()
+    tab = scalar_moments(hyper)
+    cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
+    with pytest.raises(DivergedAlpha) as exc:
+        learn_feedback(tab, cost, hyper)
+    trace = exc.value.trace
+    assert [(st.index, st.phase, st.alpha) for st in trace] == \
+        [(1, 1, hyper.alpha0), (2, 1, hyper.alpha0), (3, 1, hyper.alpha0)]
+    block = _error_block(exc.value)
+    assert block["type"] == "DivergedAlpha"
+    assert [(r["iteration"], r["phase"], r["alpha"]) for r in block["trace"]] == \
+        [(1, 1, 0.1), (2, 1, 0.1), (3, 1, 0.1)]
+    for r, st in zip(block["trace"], trace):
+        assert set(r) == {"iteration", "phase", "alpha", "K", "P"}
+        np.testing.assert_array_equal(r["K"], st.K)
+        np.testing.assert_array_equal(r["P"], st.P)
 
 
 def shadow_pair(r_val=2.0):

@@ -6,11 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slqt.errors import ConfigError, NotStabilizing, SingularOperator
-from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
-                        StochasticSystem, TrackingProblem, is_stabilizing,
-                        lyap_matrix, spectral_abscissa, zero_gain_threshold)
-from slqt.solvers import solve_gen_lyap
-from slqt.symquad import vech, unvech
+from slqt.model import (_ARNOLDI_MIN_DIM, BpiHyperParams, CostWeights,
+                        ReferenceGenerator, StochasticSystem, TrackingProblem,
+                        _abscissa, _factor, _lu_abscissa, _lu_certificate,
+                        _lyap_operator, is_stabilizing, lyap_matrix,
+                        spectral_abscissa, zero_gain_threshold)
+from slqt.solvers import _cond_bound, solve_gen_lyap
+from slqt.symquad import unvech_rows, vech, vech_rows, unvech
 
 properties = settings(derandomize=True, database=None, max_examples=100,
                       deadline=None)
@@ -110,6 +112,84 @@ def test_solve_certificate_is_the_is_stabilizing_certificate(case):
         assert exc.certificate == want and want.stabilizing
         return
     assert got == want and got.stabilizing
+
+
+# the zero operator (A = B = C = 0): singular, so the LU solve of
+# L(X) = -I is not finite and the certificate must fail to the dense route
+ZERO = (StochasticSystem(A=np.zeros((3, 3)), B=np.zeros((3, 1)),
+                         C=np.zeros((3, 3)), D=np.zeros((3, 1)),
+                         H=np.eye(3)[:1]),
+        np.zeros((1, 3)), None, 1.0)
+
+
+def check_lu_route(L):
+    """The LU route on L against the dense eigensolve and np.linalg.cond."""
+    dense = float(np.linalg.eigvals(L).real.max())
+    x = _lu_certificate(*_factor(L))
+    assert (x is not None) == (dense < 0.0)
+    cond = _cond_bound(L, *_factor(L))
+    assert cond >= (1.0 - 1e-12) * np.linalg.cond(L)  # equal when d = 1
+    if L.shape[0] < 3:  # ARPACK needs d >= 3
+        return
+    if x is None:
+        assert _lu_abscissa(*_factor(L)) is None
+        return
+    beta = _lu_abscissa(*_factor(L))
+    assert beta is not None and beta < 0.0
+    if cond <= 1e12:
+        # beyond the solve's 1e12 refusal (DEFECTIVE, a Jordan block)
+        # neither eigensolver resolves the abscissa to roundoff
+        assert abs(beta - dense) <= 1e-12 * max(1.0, abs(dense))
+    assert _lu_abscissa(*_factor(L)) == beta  # bit-identical on rerun
+
+
+@properties
+@given(plant_gain_level())
+@example(DEFECTIVE)
+@example(ZERO)
+def test_lu_route_agrees_with_the_dense_abscissa(case):
+    check_lu_route(lyap_matrix(*case))
+
+
+def seeded_plant(seed):
+    """An n = 12..20 plant and a level on either side of the boundary."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 21))
+    sys = StochasticSystem(A=rng.standard_normal((n, n)) / np.sqrt(n),
+                           B=rng.standard_normal((n, 2)),
+                           C=0.3 * rng.standard_normal((n, n)) / np.sqrt(n),
+                           D=np.zeros((n, 2)), H=np.eye(n)[:1])
+    K = np.zeros((2, n))
+    beta = float(np.linalg.eigvals(lyap_matrix(sys, K)).real.max())
+    offset = (0.05 + 0.5 * rng.random()) * (1.0 if seed % 3 else -1.0)
+    return sys, K, 1.0 - (beta + offset), 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lu_route_on_seeded_plants_above_the_size_switch(seed):
+    case = seeded_plant(seed)
+    L = lyap_matrix(*case)
+    assert L.shape[0] >= _ARNOLDI_MIN_DIM
+    check_lu_route(L)
+    dense = float(np.linalg.eigvals(L).real.max())
+    assert abs(_abscissa(L) - dense) <= 1e-12 * max(1.0, abs(dense))
+    want = dense < -1e-9
+    assert is_stabilizing(*case[:3], gamma=case[3]).stabilizing == want
+    if want:
+        sol = solve_gen_lyap(*case[:2], np.eye(case[0].n), *case[2:])
+        assert sol.condition >= (1.0 - 1e-12) * np.linalg.cond(L)
+        assert sol.certificate.abscissa == _abscissa(L)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 32])
+def test_chunked_operator_build_is_the_stacked_build(n):
+    rng = np.random.default_rng(n)
+    A, C = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    d = n * (n + 1) // 2
+    E = unvech_rows(np.eye(d), n)
+    AE = A.T @ E
+    stacked = vech_rows(AE + AE.transpose(0, 2, 1) + C.T @ E @ C).T
+    assert np.array_equal(_lyap_operator(A, C), stacked)
 
 
 def example_one_plant():

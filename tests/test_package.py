@@ -15,3 +15,21 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"slqt.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_model_based_demo_runs():
+    # the demo calls solve_tracking and spectral_abscissa the way a user
+    # would; it must run to the end in a fresh interpreter
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slqt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "demos", "01_model_based_solution.py")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
