@@ -26,8 +26,8 @@ moments = gather_moments(bundle, mode="exact", refine=20)
 learned = learn_feedback(moments, bundle.cost, bundle.hyper,
                          validate_with=bundle.plant)
 states = list(model.history["phase1"]) + list(model.history["phase2"])
-worst = max(float(np.abs(st.P - P).max())
-            for st, P in zip(states, learned.P_trace))
+worst = max(float(np.abs(st.P - got.P).max())
+            for st, got in zip(states, learned.trace))
 print(f"\nexact route: {learned.total_iterations} iterations, "
       f"crossing {learned.crossing_iteration}, certification "
       f"'{learned.certification}'")

@@ -34,7 +34,7 @@ learned = learn_shadow(moments, bundle.shadow, bundle.plant.B, bundle.cost,
                        omegas=omegas)
 
 cross = learned.crossing_iteration
-K_cross = learned.K_trace[cross - 1]
+K_cross = learned.trace[cross - 1].K
 print(f"\nshadow pipeline: crossing at iteration {cross}, "
       f"total {learned.total_iterations}")
 print(f"gain at crossing {K_cross.ravel()} "

@@ -1,11 +1,16 @@
 """Bootstrap policy iteration.
 
 Phase I walks alpha from alpha0 up to gamma while keeping the zero-gain
-start admissible: each step solves a generalized Lyapunov equation with
-forcing K'RK + theta on the shifted plant S(alpha), improves the gain,
-then advances alpha by a certified increment. Once alpha crosses gamma
-the iterate stabilizes the original plant and phase II refines it there
-with the true cost forcing K'RK + H'QH until it reaches the optimum.
+start admissible: each step evaluates the gain on the shifted plant
+S(alpha) with forcing K'RK + theta, improves the gain, then advances
+alpha by a certified increment. Once alpha crosses gamma the iterate
+stabilizes the original plant and phase II refines it there with the
+true cost forcing K'RK + H'QH until it reaches the optimum.
+
+One loop, ``_bootstrap``, runs both phases for the model-based solve
+here and for the data-driven learners; they differ only in how a
+policy is evaluated (a generalized Lyapunov solve, or least squares on
+moment data).
 """
 
 from __future__ import annotations
@@ -14,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InitConditionViolated, MaxIterExceeded, NotStabilizing
-from .model import StochasticSystem, TrackingProblem, zero_gain_threshold
-from .solvers import (LyapunovSolution, TrackingSolution, alpha_update, ff_from_pi,
-                      gain_update, solve_gen_lyap, solve_sylvester)
+from .errors import DivergedAlpha, InitConditionViolated, MaxIterExceeded, NotStabilizing
+from .model import BpiHyperParams, StochasticSystem, TrackingProblem, zero_gain_threshold
+from .solvers import (TrackingSolution, alpha_update, ff_from_pi, gain_update,
+                      solve_gen_lyap, solve_sylvester)
 
-__all__ = ["IterateState", "run_phase1", "run_phase2", "solve_tracking",
-           "feedforward_gains"]
+__all__ = ["IterateState", "solve_tracking", "feedforward_gains"]
 
 
 @dataclass(frozen=True)
@@ -42,78 +46,55 @@ class IterateState:
     abscissa: float | None = None
 
 
-def _diagnostics(sol: LyapunovSolution) -> dict:
-    return {"residual": sol.residual_norm, "condition": sol.condition,
-            "abscissa": sol.certificate.abscissa}
+def _bootstrap(hyper: BpiHyperParams, theta, R, evaluate, stop_rule: str):
+    """Both phases of the iteration around a policy evaluation.
 
-
-def run_phase1(problem: TrackingProblem):
-    """Drive alpha from alpha0 past gamma starting from the zero gain.
-
-    Returns (K, count, trace) where K stabilizes the original plant and
-    count is the crossing iteration. Raises InitConditionViolated when
-    gamma is not large enough for the zero gain to be admissible at
-    alpha0, and MaxIterExceeded if alpha fails to cross within budget.
+    ``evaluate(level, K, phase)`` evaluates the gain K at the shift level
+    (alpha in phase I, gamma in phase II) and returns (P, K_next,
+    diagnostics), the diagnostics being IterateState fields. Phase I
+    starts from the zero gain and stops once alpha reaches gamma; phase
+    II stops when the gain step (stop_rule 'gain') or the value step
+    ('value') drops to epsilon. Each phase has max_iter steps. Returns
+    (trace, crossing); MaxIterExceeded and DivergedAlpha (alpha failing
+    to increase three times running) carry the trace so far.
     """
-    return _run_phase1(problem, zero_gain_threshold(problem.system))
-
-
-def _run_phase1(problem: TrackingProblem, sigma_bar: float):
-    sys = problem.system
-    hyper = problem.hyper
-    R = problem.cost.R
-    theta = problem.theta
-    if hyper.gamma <= sigma_bar + hyper.alpha0:
-        raise InitConditionViolated(
-            f"need gamma > {sigma_bar + hyper.alpha0:.6g} "
-            f"(zero-gain threshold {sigma_bar:.6g} plus alpha0), got {hyper.gamma}")
-    K = np.zeros((sys.m, sys.n))
+    gamma = hyper.gamma
+    K = np.zeros((R.shape[0], theta.shape[0]))
     alpha = hyper.alpha0
     trace: list[IterateState] = []
+    stalled = 0
     for i in range(1, hyper.max_iter + 1):
-        forcing = K.T @ R @ K + theta
-        sol = solve_gen_lyap(sys, K, forcing, alpha=alpha, gamma=hyper.gamma)
-        K = gain_update(sys, sol.P, R)
-        alpha = alpha_update(alpha, sol.P, K, hyper.eta, theta, R)
-        trace.append(IterateState(1, i, alpha, sol.P, K, **_diagnostics(sol)))
-        if alpha >= hyper.gamma:
-            return K, i, trace
-    raise MaxIterExceeded(
-        f"alpha reached {alpha:.6g} < gamma={hyper.gamma} after {hyper.max_iter} iterations",
-        trace=trace)
-
-
-def run_phase2(problem: TrackingProblem, K_init, start_index: int = 1):
-    """Policy iteration on the original plant from a stabilizing gain.
-
-    Stops when the gain step (stop_rule='gain') or the value step
-    (stop_rule='value') drops to epsilon. Returns (P, K, trace).
-    """
-    sys = problem.system
-    hyper = problem.hyper
-    Q, R = problem.cost.Q, problem.cost.R
-    HQH = sys.H.T @ Q @ sys.H
-    K = np.asarray(K_init, dtype=float).reshape(sys.m, sys.n)
+        P, K, diagnostics = evaluate(alpha, K, 1)
+        alpha_next = alpha_update(alpha, P, K, hyper.eta, theta, R)
+        trace.append(IterateState(1, i, alpha_next, P, K, **diagnostics))
+        stalled = stalled + 1 if alpha_next <= alpha else 0
+        if stalled >= 3:
+            raise DivergedAlpha(
+                f"alpha failed to increase for {stalled} consecutive iterations",
+                trace=trace)
+        alpha = alpha_next
+        if alpha >= gamma:
+            break
+    else:
+        raise MaxIterExceeded(
+            f"alpha reached {alpha:.6g} < gamma={gamma} after {hyper.max_iter} "
+            f"iterations", trace=trace)
+    crossing = len(trace)
     P_prev = None
-    trace: list[IterateState] = []
-    for i in range(start_index, start_index + hyper.max_iter):
-        forcing = K.T @ R @ K + HQH
-        sol = solve_gen_lyap(sys, K, forcing, alpha=hyper.gamma, gamma=hyper.gamma)
-        K_next = gain_update(sys, sol.P, R)
-        if hyper.stop_rule == "gain":
+    for i in range(crossing + 1, crossing + hyper.max_iter + 1):
+        P, K_next, diagnostics = evaluate(gamma, K, 2)
+        if stop_rule == "gain":
             delta = float(np.linalg.norm(K_next - K, 2))
         else:
-            delta = (float(np.linalg.norm(sol.P - P_prev, "fro"))
+            delta = (float(np.linalg.norm(P - P_prev, "fro"))
                      if P_prev is not None else np.inf)
-        trace.append(IterateState(2, i, hyper.gamma, sol.P, K_next, delta,
-                                  **_diagnostics(sol)))
+        trace.append(IterateState(2, i, gamma, P, K_next, delta, **diagnostics))
         if delta <= hyper.epsilon:
-            return sol.P, K_next, trace
-        K = K_next
-        P_prev = sol.P
+            return trace, crossing
+        K, P_prev = K_next, P
     raise MaxIterExceeded(
-        f"policy iteration did not converge within {hyper.max_iter} iterations",
-        trace=trace)
+        f"policy iteration did not converge within {hyper.max_iter} iterations "
+        f"past the crossing", trace=trace)
 
 
 def feedforward_gains(sys: StochasticSystem, cost, reference, P_star, K_star):
@@ -129,20 +110,39 @@ def feedforward_gains(sys: StochasticSystem, cost, reference, P_star, K_star):
 
 
 def solve_tracking(problem: TrackingProblem) -> TrackingSolution:
-    """Full model-based solve: phase I, phase II, then the feedforward."""
-    sys = problem.system
+    """Full model-based solve: phase I, phase II, then the feedforward.
+
+    Each step solves a generalized Lyapunov equation for the value of
+    the current gain. Raises InitConditionViolated when gamma is not
+    large enough for the zero gain to be admissible at alpha0.
+    """
+    sys, hyper = problem.system, problem.hyper
+    R, theta = problem.cost.R, problem.theta
+    HQH = sys.H.T @ problem.cost.Q @ sys.H
     sigma_bar = zero_gain_threshold(sys)
-    K_I, count, trace1 = _run_phase1(problem, sigma_bar)
-    P, K, trace2 = run_phase2(problem, K_I, start_index=count + 1)
+    if hyper.gamma <= sigma_bar + hyper.alpha0:
+        raise InitConditionViolated(
+            f"need gamma > {sigma_bar + hyper.alpha0:.6g} "
+            f"(zero-gain threshold {sigma_bar:.6g} plus alpha0), got {hyper.gamma}")
+
+    def evaluate(level, K, phase):
+        forcing = K.T @ R @ K + (theta if phase == 1 else HQH)
+        sol = solve_gen_lyap(sys, K, forcing, alpha=level, gamma=hyper.gamma)
+        return sol.P, gain_update(sys, sol.P, R), {
+            "residual": sol.residual_norm, "condition": sol.condition,
+            "abscissa": sol.certificate.abscissa}
+
+    trace, crossing = _bootstrap(hyper, theta, R, evaluate, hyper.stop_rule)
+    P, K = trace[-1].P, trace[-1].K
     Lambda = sys.D.T @ P @ sys.D
     Pi, F = feedforward_gains(sys, problem.cost, problem.reference, P, K)
     if not np.isfinite(F).all():
         raise NotStabilizing("feedforward gain is not finite")
     history = {
-        "phase1": trace1,
-        "phase2": trace2,
-        "crossing_iteration": count,
-        "alpha_trace": [st.alpha for st in trace1],
+        "phase1": trace[:crossing],
+        "phase2": trace[crossing:],
+        "crossing_iteration": crossing,
+        "alpha_trace": [st.alpha for st in trace[:crossing]],
         "zero_gain_threshold": sigma_bar,
     }
     return TrackingSolution(P=P, K=K, Pi=Pi, F=F, Lambda=Lambda, history=history)

@@ -575,22 +575,16 @@ def _payload_model(plant, cost, hyper, reference, cases):
 
 
 def _payload_learned(learned: LearnedSolution) -> dict:
-    trace = []
-    for i, (P, K, a) in enumerate(zip(learned.P_trace, learned.K_trace,
-                                      learned.alpha_trace), start=1):
-        phase = 1 if i <= learned.crossing_iteration else 2
-        trace.append({"iteration": i, "phase": phase, "alpha": float(a),
-                      "K": _matrix(K), "P": _matrix(P)})
     payload = {
         "K_hat": _matrix(learned.K_star), "P_hat": _matrix(learned.P_star),
         "Lambda_hat": _matrix(learned.Lambda_star),
-        "alpha_trace": [float(a) for a in learned.alpha_trace],
+        "alpha_trace": [float(st.alpha) for st in learned.trace],
         "crossing_iteration": int(learned.crossing_iteration),
         "total_iterations": int(learned.total_iterations),
         "residuals": [float(r) for r in learned.residuals],
         "certification": learned.certification,
         "rank": {k: _rank_payload(v) for k, v in learned.rank_reports.items()},
-        "trace": trace,
+        "trace": _iterate_rows(learned.trace),
     }
     if learned.certificates is not None:
         payload["certificates"] = [_cert_payload(c) for c in learned.certificates]

@@ -67,7 +67,7 @@ class RankDeficient(SlqtError):
 
 
 class DivergedAlpha(SlqtError):
-    """alpha estimate failed to increase for 3 consecutive iterations.
+    """Phase-I alpha failed to increase for 3 consecutive iterations.
 
     trace, when known, is the partial iterate trace up to the failure.
     """

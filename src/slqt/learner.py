@@ -1,9 +1,11 @@
 """Data-driven learning from moment tables.
 
-learn_feedback runs the two-phase policy iteration entirely on sampled
-moment data: each step solves a least-squares system whose unknowns are
-[vech(P); vec(M); vech(Lambda)], recovers the gain K = (R+Lambda)^{-1}M,
-and advances alpha exactly as the model-based iteration would.
+learn_feedback runs the bootstrap policy iteration of the model-based
+solve (the one loop ``bpi._bootstrap``) entirely on sampled moment
+data: in place of a generalized Lyapunov solve, each policy evaluation
+solves a least-squares system whose unknowns are
+[vech(P); vec(M); vech(Lambda)] and recovers the gain
+K = (R+Lambda)^{-1}M.
 
 learn_shadow handles the no-probing case (u = 0, D = 0): two auxiliary
 deterministic systems are simulated on the side and their regressor
@@ -20,15 +22,13 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bpi import IterateState
-from .errors import (ConfigError, DivergedAlpha, MaxIterExceeded, NonInvertible,
-                     RankDeficient, ShadowUncontrollable)
-from .model import BpiHyperParams, CostWeights, StabilityCertificate, is_stabilizing
+from .bpi import _bootstrap
+from .errors import ConfigError, NonInvertible, RankDeficient, ShadowUncontrollable
+from .model import BpiHyperParams, CostWeights, is_stabilizing
 from .regressors import (MomentTable, RankReport, assemble_psi,
                          assemble_xi, feedback_required_rank,
                          feedforward_required_rank, phi_rhs, psi_rhs,
                          rank_report, xi_rhs_for_output_map)
-from .solvers import alpha_update
 from .symquad import h_form_rows, unvech, vech_indices
 
 __all__ = ["LearnedSolution", "ShadowConfig", "FeedforwardFit",
@@ -43,15 +43,13 @@ _ODE_RTOL, _ODE_ATOL = 1e-12, 1e-14  # DOP853 tolerances of the shadow systems
 class LearnedSolution:
     """Everything the data-driven iteration produced.
 
-    Traces are per-iteration lists; certificates are only present when
+    trace holds one IterateState per iteration, residuals the
+    least-squares residual of each. Certificates are only present when
     a validation model was supplied, otherwise the solution is tagged
     uncertified (model-free).
     """
 
-    P_trace: list
-    K_trace: list
-    Lambda_trace: list
-    alpha_trace: list
+    trace: list
     residuals: list
     rank_reports: dict
     P_star: np.ndarray
@@ -133,98 +131,47 @@ def _gain_from(M: np.ndarray, Lambda: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, M)
 
 
-def _certify(validate_with, K, alpha, gamma) -> StabilityCertificate | None:
-    if validate_with is None:
-        return None
-    return is_stabilizing(validate_with, K, alpha=min(alpha, gamma), gamma=gamma)
+def _learn(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
+           columns, split, report: RankReport, validate_with) -> LearnedSolution:
+    """Bootstrap policy iteration with least squares as the evaluation.
 
-
-def _run_two_phase(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
-                   build, split, validate_with):
-    """Shared driver: phase I until alpha crosses gamma, then refine.
-
-    ``build(stage_alpha, K_prev, phase)`` returns the (matrix, rhs)
-    least-squares pair for one iteration; ``split(theta)`` unpacks the
-    estimate into (P, M, Lambda).
+    ``columns(psi)`` maps the assembled plant rows to the least-squares
+    matrix; ``split(theta)`` unpacks the estimate into (P, M, Lambda).
+    Phase II stops on the value step |P_i - P_{i-1}| <= epsilon.
     """
-    n, m = moments.n, moments.m
     R = cost.R
-    theta_mat = hyper.theta_for(n)
-    K = np.zeros((m, n))
-    alpha = hyper.alpha0
-    P_trace, K_trace, L_trace, a_trace, residuals, certs = [], [], [], [], [], []
+    theta_mat = hyper.theta_for(moments.n)
+    residuals = []
+    Lambda = None
 
-    def iterates():
-        # the partial trace a MaxIterExceeded or DivergedAlpha carries
-        return [IterateState(1 if crossing is None or j <= crossing else 2, j, a, P, K)
-                for j, (P, K, a) in enumerate(zip(P_trace, K_trace, a_trace), start=1)]
-
-    stalled = 0
-    crossing = None
-    P_prev = None
-    total = 0
-    for i in range(1, 2 * hyper.max_iter + 1):
-        phase = 1 if crossing is None else 2
-        stage_alpha = alpha if phase == 1 else hyper.gamma
-        A_mat, b = build(stage_alpha, K, phase)
-        theta, resid = _lstsq(A_mat, b)
+    def evaluate(level, K, phase):
+        nonlocal Lambda
+        b = (psi_rhs(moments, K.T @ R @ K + theta_mat) if phase == 1
+             else phi_rhs(moments, K, cost))
+        theta, resid = _lstsq(columns(assemble_psi(moments, level, K)), b)
         if not np.isfinite(resid):
             raise ConfigError("least-squares residual is not finite")
-        P, M, Lam = split(theta)
-        K_new = _gain_from(M, Lam, R)
+        P, M, Lambda = split(theta)
         residuals.append(resid)
-        P_trace.append(P)
-        K_trace.append(K_new)
-        L_trace.append(Lam)
-        total = i
-        if phase == 1:
-            alpha_new = alpha_update(alpha, P, K_new, hyper.eta, theta_mat, R)
-            a_trace.append(alpha_new)
-            certs.append(_certify(validate_with, K_new, alpha_new, hyper.gamma))
-            if alpha_new <= alpha:
-                stalled += 1
-                if stalled >= 3:
-                    raise DivergedAlpha(
-                        f"alpha failed to increase for {stalled} consecutive "
-                        f"iterations (moment noise too large)", trace=iterates())
-            else:
-                stalled = 0
-            alpha = alpha_new
-            K = K_new
-            if alpha >= hyper.gamma:
-                crossing = i
-            if i >= hyper.max_iter and crossing is None:
-                raise MaxIterExceeded(
-                    f"alpha reached {alpha:.6g} < gamma after {i} iterations",
-                    trace=iterates())
-        else:
-            a_trace.append(hyper.gamma)
-            certs.append(_certify(validate_with, K_new, hyper.gamma, hyper.gamma))
-            delta = np.inf if P_prev is None else float(np.linalg.norm(P - P_prev, "fro"))
-            P_prev = P
-            K = K_new
-            if delta <= hyper.epsilon:
-                break
-            if i - crossing >= hyper.max_iter:
-                raise MaxIterExceeded(
-                    f"value iteration did not settle within {hyper.max_iter} "
-                    f"iterations past the crossing", trace=iterates())
-    else:
-        raise MaxIterExceeded("iteration budget exhausted", trace=iterates())
-    return {
-        "P_trace": P_trace, "K_trace": K_trace, "Lambda_trace": L_trace,
-        "alpha_trace": a_trace, "residuals": residuals,
-        "crossing_iteration": crossing, "total_iterations": total,
-        "P_star": P_trace[-1], "K_star": K_trace[-1], "Lambda_star": L_trace[-1],
-        "certificates": certs if validate_with is not None else None,
-        "certification": "validated" if validate_with is not None
-                         else "uncertified (model-free)",
-    }
+        return P, _gain_from(M, Lambda, R), {}
+
+    trace, crossing = _bootstrap(hyper, theta_mat, R, evaluate, "value")
+    certificates = None
+    if validate_with is not None:
+        certificates = [is_stabilizing(validate_with, st.K,
+                                       alpha=min(st.alpha, hyper.gamma),
+                                       gamma=hyper.gamma) for st in trace]
+    return LearnedSolution(
+        trace=trace, residuals=residuals, rank_reports={"feedback": report},
+        P_star=trace[-1].P, K_star=trace[-1].K, Lambda_star=Lambda,
+        crossing_iteration=crossing, total_iterations=len(trace),
+        certification="uncertified (model-free)" if validate_with is None else "validated",
+        certificates=certificates)
 
 
 def learn_feedback(moments: MomentTable, cost: CostWeights,
                    hyper: BpiHyperParams, validate_with=None) -> LearnedSolution:
-    """Two-phase least-squares policy iteration on sampled moments.
+    """Bootstrap policy iteration by least squares on sampled moments.
 
     Stops the second phase on the value step |P_i - P_{i-1}| <= epsilon.
     Requires the excitation rank condition on the raw moment columns;
@@ -238,17 +185,7 @@ def learn_feedback(moments: MomentTable, cost: CostWeights,
         raise RankDeficient(
             f"moment data spans rank {report.rank} < required "
             f"{report.required_rank}", report=report)
-    theta_mat = hyper.theta_for(n)
     nn2 = n * (n + 1) // 2
-
-    def build(stage_alpha, K_prev, phase):
-        if phase == 1:
-            A_mat = assemble_psi(moments, stage_alpha, K_prev)
-            b = psi_rhs(moments, K_prev.T @ cost.R @ K_prev + theta_mat)
-        else:
-            A_mat = assemble_psi(moments, hyper.gamma, K_prev)
-            b = phi_rhs(moments, K_prev, cost)
-        return A_mat, b
 
     def split(theta):
         P = unvech(theta[:nn2], n)
@@ -257,9 +194,7 @@ def learn_feedback(moments: MomentTable, cost: CostWeights,
         Lam = unvech(theta[nn2 + n * m:], m)
         return P, M, 0.5 * (Lam + Lam.T)
 
-    state = _run_two_phase(moments, cost, hyper, build, split, validate_with)
-    state["rank_reports"] = {"feedback": report}
-    return LearnedSolution(**state)
+    return _learn(moments, cost, hyper, lambda psi: psi, split, report, validate_with)
 
 
 def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
@@ -453,17 +388,9 @@ def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
             f"augmented moment data spans rank {report.rank} < required "
             f"{report.required_rank}", report=report)
     lift = np.kron(np.eye(n), cost.R)
-    theta_mat = hyper.theta_for(n)
 
-    def build(stage_alpha, K_prev, phase):
-        if phase == 1:
-            full = assemble_psi(moments, stage_alpha, K_prev)
-            b = psi_rhs(moments, K_prev.T @ cost.R @ K_prev + theta_mat)
-        else:
-            full = assemble_psi(moments, hyper.gamma, K_prev)
-            b = phi_rhs(moments, K_prev, cost)
-        A_mat = np.hstack([full[:, :nn2], full[:, nn2:nn2 + n * m] @ lift])
-        return A_mat + omega_K, b
+    def columns(psi):
+        return np.hstack([psi[:, :nn2], psi[:, nn2:nn2 + n * m] @ lift]) + omega_K
 
     def split(theta):
         P = unvech(theta[:nn2], n)
@@ -471,9 +398,7 @@ def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
         K = theta[nn2:].reshape((m, n), order="F")
         return P, cost.R @ K, np.zeros((m, m))
 
-    state = _run_two_phase(moments, cost, hyper, build, split, validate_with)
-    state["rank_reports"] = {"feedback": report}
-    sol = LearnedSolution(**state)
+    sol = _learn(moments, cost, hyper, columns, split, report, validate_with)
     if moments.I_xdchi is not None:
         n_d = moments.n_d
         aug_rank = np.hstack([np.zeros((len(moments), n * n_d)),

@@ -175,8 +175,8 @@ class BpiHyperParams:
     theta=None resolves to 10 * I_n once the plant dimension is known.
     stop_rule 'gain' stops phase II of the model-based iteration on
     ||K_i - K_{i-1}||_2 <= epsilon, 'value' on ||P_i - P_{i-1}||_F <=
-    epsilon. The data-driven learner always stops on the value step and
-    ignores stop_rule.
+    epsilon. Both routes run the same loop, but the data-driven
+    learners always pass the value step and ignore stop_rule.
     """
 
     gamma: float = 1.0

@@ -133,7 +133,7 @@ def test_criterion_02_phase_structure(ex1_model, ex1_exact_learn,
     alphas = sol.history["alpha_trace"]
     increasing = all(b > a for a, b in zip(alphas, alphas[1:]))
     for learned in (exact, mc):
-        head = learned.alpha_trace[:learned.crossing_iteration]
+        head = [st.alpha for st in learned.trace[:learned.crossing_iteration]]
         increasing = increasing and all(b > a for a, b in zip(head, head[1:]))
     ok = (abs(mc.crossing_iteration - 2) <= 1
           and exact.crossing_iteration == model_cross
@@ -179,10 +179,9 @@ def test_criterion_05_exact_moment_equivalence(ex1_model, ex1_exact_learn):
     learned = ex1_exact_learn
     states = list(sol.history["phase1"]) + list(sol.history["phase2"])
     worst = 0.0
-    for st, P, K, a in zip(states, learned.P_trace, learned.K_trace,
-                           learned.alpha_trace):
-        worst = max(worst, float(np.abs(st.P - P).max()),
-                    float(np.abs(st.K - K).max()), abs(st.alpha - a))
+    for st, got in zip(states, learned.trace):
+        worst = max(worst, float(np.abs(st.P - got.P).max()),
+                    float(np.abs(st.K - got.K).max()), abs(st.alpha - got.alpha))
     ok = len(states) == learned.total_iterations and worst <= 1e-6
     gate(5, ok, f"{learned.total_iterations} iterations, worst iterate "
                 f"diff {worst:.2e}")
@@ -292,7 +291,7 @@ def test_criterion_08_shadow_coupled_oscillators(ex2, ex2_model, ex2_shadow):
                float(np.abs(moments.V).max(initial=0.0)))
     assert peak == 0.0, "plant input moments must vanish identically"
     cross = sol.crossing_iteration
-    K_cross = sol.K_trace[cross - 1]
+    K_cross = sol.trace[cross - 1].K
     cross_rel = rel_err(K_cross, K_CROSS_REF_EX2)
     cross_absc = spectral_abscissa(ex2.plant, K_cross)
     final_rel = rel_err(sol.K_star, ex2_model.K)

@@ -5,11 +5,13 @@ Lyapunov/Riccati solves at tight tolerances before this module was
 wired up, and are frozen here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from slqt.benchmarks import damped_oscillator
-from slqt.bpi import feedforward_gains, run_phase1, solve_tracking
+from slqt.bpi import feedforward_gains, solve_tracking
 from slqt.errors import InitConditionViolated, MaxIterExceeded
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem, is_stabilizing,
@@ -119,8 +121,24 @@ def test_max_iter_exceeded_in_phase1(bundle):
     prob = TrackingProblem(system=bundle.plant, reference=bundle.reference,
                            cost=bundle.cost,
                            hyper=BpiHyperParams(max_iter=2))
-    with pytest.raises(MaxIterExceeded):
-        run_phase1(prob)
+    with pytest.raises(MaxIterExceeded) as exc:
+        solve_tracking(prob)
+    # alpha crosses at iteration 3, so the two steps allowed stay in phase I
+    assert [(st.index, st.phase) for st in exc.value.trace] == [(1, 1), (2, 1)]
+
+
+def test_max_iter_exceeded_in_phase2_carries_both_phases(bundle):
+    # phase I crosses at iteration 3; phase II needs six steps, four allowed
+    prob = TrackingProblem(system=bundle.plant, reference=bundle.reference,
+                           cost=bundle.cost,
+                           hyper=dataclasses.replace(bundle.hyper, max_iter=4))
+    with pytest.raises(MaxIterExceeded) as exc:
+        solve_tracking(prob)
+    trace = exc.value.trace
+    assert [st.index for st in trace] == [1, 2, 3, 4, 5, 6, 7]
+    assert [st.phase for st in trace] == [1, 1, 1, 2, 2, 2, 2]
+    np.testing.assert_allclose([st.alpha for st in trace[:3]], ALPHA_TRACE,
+                               rtol=0, atol=1e-6)
 
 
 def test_stop_rules_agree(bundle):

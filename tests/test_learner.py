@@ -45,7 +45,7 @@ def test_scalar_learner_hits_closed_form():
     assert learned.K_star[0, 0] == pytest.approx(p_true, abs=1e-5)
     assert learned.certification.startswith("uncertified")
     assert learned.crossing_iteration >= 1
-    assert learned.total_iterations == len(learned.K_trace)
+    assert learned.total_iterations == len(learned.trace)
 
 
 def test_learner_validation_attaches_certificates():
@@ -96,17 +96,31 @@ def test_iteration_budget_is_enforced():
         learn_feedback(tab, cost, hyper)
 
 
-def test_diverged_alpha_carries_the_partial_trace(monkeypatch):
+def _diverge_learner(hyper, cost):
+    learn_feedback(scalar_moments(hyper), cost, hyper)
+
+
+def _diverge_model(hyper, cost):
+    solve_tracking(TrackingProblem(
+        system=scalar_plant(),
+        reference=ReferenceGenerator(A_d=[[0.0]], H_d=[[1.0]], x_d0=[0.0]),
+        cost=cost, hyper=hyper))
+
+
+@pytest.mark.parametrize("run, diagnostics", [
+    (_diverge_learner, set()),
+    (_diverge_model, {"residual", "condition", "abscissa"}),
+], ids=["learner", "model"])
+def test_diverged_alpha_carries_the_partial_trace(monkeypatch, run, diagnostics):
     # an alpha update that never advances stalls phase I three times over
-    import slqt.learner
+    import slqt.bpi
     from slqt.cli import _error_block
 
-    monkeypatch.setattr(slqt.learner, "alpha_update", lambda alpha, *args: alpha)
+    monkeypatch.setattr(slqt.bpi, "alpha_update", lambda alpha, *args: alpha)
     hyper = BpiHyperParams()
-    tab = scalar_moments(hyper)
     cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
     with pytest.raises(DivergedAlpha) as exc:
-        learn_feedback(tab, cost, hyper)
+        run(hyper, cost)
     trace = exc.value.trace
     assert [(st.index, st.phase, st.alpha) for st in trace] == \
         [(1, 1, hyper.alpha0), (2, 1, hyper.alpha0), (3, 1, hyper.alpha0)]
@@ -115,9 +129,11 @@ def test_diverged_alpha_carries_the_partial_trace(monkeypatch):
     assert [(r["iteration"], r["phase"], r["alpha"]) for r in block["trace"]] == \
         [(1, 1, 0.1), (2, 1, 0.1), (3, 1, 0.1)]
     for r, st in zip(block["trace"], trace):
-        assert set(r) == {"iteration", "phase", "alpha", "K", "P"}
+        assert set(r) == {"iteration", "phase", "alpha", "K", "P"} | diagnostics
         np.testing.assert_array_equal(r["K"], st.K)
         np.testing.assert_array_equal(r["P"], st.P)
+        for k in diagnostics:
+            assert r[k] == getattr(st, k)
 
 
 def shadow_pair(r_val=2.0):

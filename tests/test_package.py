@@ -17,9 +17,12 @@ def test_every_name_in_all_resolves(name):
     assert missing == []
 
 
-def test_model_based_demo_runs():
-    # the demo calls solve_tracking and spectral_abscissa the way a user
-    # would; it must run to the end in a fresh interpreter
+@pytest.mark.parametrize("demo", ["01_model_based_solution.py",
+                                  "02_data_driven_learning.py"])
+def test_model_based_demo_runs(demo):
+    # demo 01 calls solve_tracking and spectral_abscissa the way a user
+    # would, demo 02 reads the learner's iterate trace; each must run to
+    # the end in a fresh interpreter
     import os
     import subprocess
     import sys
@@ -30,6 +33,6 @@ def test_model_based_demo_runs():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, os.path.join(root, "demos", "01_model_based_solution.py")],
+        [sys.executable, os.path.join(root, "demos", demo)],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
