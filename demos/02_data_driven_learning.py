@@ -43,11 +43,11 @@ rel = np.linalg.norm(learned_mc.K_star - model.K) / np.linalg.norm(model.K)
 print(f"\nensemble route (300 paths, {time.perf_counter() - t0:.1f} s): "
       f"K = {learned_mc.K_star.ravel()}")
 print(f"relative gain error {rel:.2%}")
-rank = learned_mc.rank_reports["feedback"]
+rank = learned_mc.rank
 print(f"excitation rank {rank.rank} of required {rank.required_rank}, "
       f"margin {rank.margin:.1e}")
 
-fit = learn_feedforward(mc, learned_mc.K_star, learned_mc.Lambda_star,
-                        bundle.cost, bundle.hyper, h_d=bundle.h_d_cases[0])
+fit, = learn_feedforward(mc, learned_mc.K_star, learned_mc.Lambda_star,
+                         bundle.cost, bundle.hyper, bundle.h_d_cases[:1])
 print(f"feedforward for case 1: F = {fit.F.ravel()} "
       f"(residual {fit.residual:.2e})")

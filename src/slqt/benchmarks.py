@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
+from .errors import ConfigError
 from .learner import ShadowConfig
 from .model import BpiHyperParams, CostWeights, ReferenceGenerator, StochasticSystem
 from .regressors import MomentTable, accumulate_raw_moments
@@ -29,7 +30,6 @@ __all__ = ["ExampleBundle", "damped_oscillator", "coupled_oscillators",
 class ExampleBundle:
     """One ready-to-run benchmark: plant, cost, reference, data layout."""
 
-    name: str
     plant: StochasticSystem
     cost: CostWeights
     reference: ReferenceGenerator
@@ -86,7 +86,7 @@ def damped_oscillator() -> ExampleBundle:
     probing = probing_signal(10.0, 50, (-100.0, 100.0), seed=7)
     segments = ((np.zeros(2), 0.0, 0),)
     return ExampleBundle(
-        name="damped_oscillator", plant=plant, cost=cost, reference=reference,
+        plant=plant, cost=cost, reference=reference,
         h_d_cases=_H_D_CASES, hyper=hyper, sim=sim, probing=probing,
         segments=segments, shadow=None, scenarios=dict(_SCENARIOS))
 
@@ -128,7 +128,7 @@ def coupled_oscillators() -> ExampleBundle:
         y_a0=np.array([0.5, 0.85, 0.25]),
     )
     return ExampleBundle(
-        name="coupled_oscillators", plant=plant, cost=cost, reference=reference,
+        plant=plant, cost=cost, reference=reference,
         h_d_cases=_H_D_CASES, hyper=hyper, sim=sim, probing=None,
         segments=segments, shadow=shadow, scenarios=dict(_SCENARIOS))
 
@@ -148,10 +148,14 @@ def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
 
     mode='ensemble' runs seeded Monte Carlo; mode='exact' propagates
     the closed moment ODEs instead (the noise-free oracle route).
-    ``refine`` tightens the quadrature grid of the exact route. The
-    reference trajectory is evaluated on the experiment-wide clock, so
-    later segments see it advanced by their time offset.
+    ``refine`` >= 1 tightens the quadrature grid of the exact route;
+    the ensemble route takes only refine = 1. The reference trajectory
+    is evaluated on the experiment-wide clock, so later segments see it
+    advanced by their time offset.
     """
+    if refine < 1 or (mode == "ensemble" and refine != 1):
+        raise ConfigError(f"refine must be >= 1 on the exact route and 1 on the "
+                          f"ensemble route, got refine={refine} with mode {mode!r}")
     hyper = bundle.hyper
     alpha_tilde = hyper.alpha_tilde
     tables = []

@@ -583,15 +583,11 @@ def _payload_learned(learned: LearnedSolution) -> dict:
         "total_iterations": int(learned.total_iterations),
         "residuals": [float(r) for r in learned.residuals],
         "certification": learned.certification,
-        "rank": {k: _rank_payload(v) for k, v in learned.rank_reports.items()},
+        "rank": {"feedback": _rank_payload(learned.rank)},
         "trace": _iterate_rows(learned.trace),
     }
     if learned.certificates is not None:
         payload["certificates"] = [_cert_payload(c) for c in learned.certificates]
-    if learned.F_star is not None:
-        payload["F_hat"] = _matrix(learned.F_star)
-        payload["Pi_hat"] = _matrix(learned.Pi_star)
-        payload["ff_residual"] = float(learned.ff_residual)
     return payload
 
 
@@ -604,20 +600,14 @@ def _vs_model(learned: LearnedSolution, sol) -> dict:
             "K_rel_err_2norm": float(np.linalg.norm(dK) / np.linalg.norm(sol.K))}
 
 
-def _ff_case_fits(moments, learned, cost, hyper, cases, extra_rows=None,
-                  extra_rank_matrix=None):
-    fits = {}
-    payload = []
-    for k, row in enumerate(cases, start=1):
-        fit = learn_feedforward(moments, learned.K_star, learned.Lambda_star,
-                                cost, hyper, h_d=row, extra_rows=extra_rows,
-                                extra_rank_matrix=extra_rank_matrix)
-        fits[k] = fit.F
-        payload.append({"case": k, "H_d": _matrix(row), "F": _matrix(fit.F),
-                        "Pi": _matrix(fit.Pi),
-                        "residual": float(fit.residual),
-                        "rank": _rank_payload(fit.rank)})
-    return fits, payload
+def _ff_case_fits(moments, learned, cost, hyper, cases, omega_F):
+    fits = learn_feedforward(moments, learned.K_star, learned.Lambda_star,
+                             cost, hyper, cases, omega_F=omega_F)
+    payload = [{"case": k, "H_d": _matrix(row), "F": _matrix(fit.F),
+                "Pi": _matrix(fit.Pi), "residual": float(fit.residual),
+                "rank": _rank_payload(fit.rank)}
+               for k, (row, fit) in enumerate(zip(cases, fits), start=1)]
+    return {k: fit.F for k, fit in enumerate(fits, start=1)}, payload
 
 
 def _run_tracking(plant, reference, cases, K, ff_by_case, schedule, h,
@@ -715,7 +705,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                                          n_paths=n_paths,
                                          refine=config.data_source["refine"])
             validate_with = config.plant if validate else None
-            extra, flags = {}, {}
+            omega_F, flags = None, {}
             if config.mode == "shadow":
                 with _timed(report, "shadow_rows"):
                     omegas = shadow_regressors(config.shadow, config.plant.B,
@@ -727,11 +717,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                         config.hyper, validate_with=validate_with,
                         omegas=omegas)
                 flags = _shadow_flags(moments)
-                nn_d = moments.n * moments.n_d
-                extra = {"extra_rows": omegas[1],
-                         "extra_rank_matrix": np.hstack(
-                             [np.zeros((len(moments), nn_d)),
-                              omegas[1][:, nn_d:]])}
+                omega_F = omegas[1]
             else:
                 with _timed(report, "learn_feedback"):
                     learned = learn_feedback(moments, config.cost, config.hyper,
@@ -744,7 +730,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
             with _timed(report, "learn_feedforward"):
                 ff_by_case, ffp = _ff_case_fits(moments, learned, config.cost,
                                                 config.hyper, config.h_d_cases,
-                                                **extra)
+                                                omega_F)
             K = learned.K_star
             report.payload["feedforward_cases"] = ffp
         if config.tracking is not None:

@@ -11,12 +11,13 @@ learn_shadow handles the no-probing case (u = 0, D = 0): two auxiliary
 deterministic systems are simulated on the side and their regressor
 rows, which vanish identically at the true iterates, are added to the
 plant rows to restore full column rank. The plant itself is never
-excited.
+excited. Both routes get their feedforward from learn_feedforward, the
+shadow route adding its auxiliary rows as omega_F.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,14 +45,15 @@ class LearnedSolution:
     """Everything the data-driven iteration produced.
 
     trace holds one IterateState per iteration, residuals the
-    least-squares residual of each. Certificates are only present when
-    a validation model was supplied, otherwise the solution is tagged
-    uncertified (model-free).
+    least-squares residual of each, rank the excitation rank test of
+    the feedback rows. Certificates are only present when a validation
+    model was supplied, otherwise the solution is tagged uncertified
+    (model-free).
     """
 
     trace: list
     residuals: list
-    rank_reports: dict
+    rank: RankReport
     P_star: np.ndarray
     K_star: np.ndarray
     Lambda_star: np.ndarray
@@ -59,15 +61,6 @@ class LearnedSolution:
     total_iterations: int
     certification: str = "uncertified (model-free)"
     certificates: list | None = None
-    Pi_star: np.ndarray | None = None
-    F_star: np.ndarray | None = None
-    ff_residual: float | None = None
-
-    def with_feedforward(self, fit: "FeedforwardFit") -> "LearnedSolution":
-        reports = dict(self.rank_reports)
-        reports["feedforward"] = fit.rank
-        return replace(self, Pi_star=fit.Pi, F_star=fit.F,
-                       ff_residual=fit.residual, rank_reports=reports)
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,7 @@ def _learn(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
                                        alpha=min(st.alpha, hyper.gamma),
                                        gamma=hyper.gamma) for st in trace]
     return LearnedSolution(
-        trace=trace, residuals=residuals, rank_reports={"feedback": report},
+        trace=trace, residuals=residuals, rank=report,
         P_star=trace[-1].P, K_star=trace[-1].K, Lambda_star=Lambda,
         crossing_iteration=crossing, total_iterations=len(trace),
         certification="uncertified (model-free)" if validate_with is None else "validated",
@@ -198,36 +191,37 @@ def learn_feedback(moments: MomentTable, cost: CostWeights,
 
 
 def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
-                      cost: CostWeights, hyper: BpiHyperParams,
-                      h_d=None, extra_rows: np.ndarray | None = None,
-                      extra_rank_matrix: np.ndarray | None = None) -> FeedforwardFit:
-    """Least-squares solve of the feedforward rows for (Pi, F).
+                      cost: CostWeights, hyper: BpiHyperParams, h_d_cases,
+                      omega_F: np.ndarray | None = None) -> list[FeedforwardFit]:
+    """Least-squares (Pi, F) for each reference output map in h_d_cases.
 
-    h_d switches the right-hand side to an alternative reference output
-    map reusing the same assembled matrix. extra_rows / extra_rank_matrix
-    support shadow augmentation.
+    The feedforward rows and their rank test do not depend on the output
+    map, so both are built once; each case then solves its own
+    right-hand side. omega_F adds the shadow route's feedforward rows
+    (from shadow_regressors), whose F block also enters the rank test.
+    Returns one FeedforwardFit per case, in order.
     """
     n, m, n_d = moments.n, moments.m, moments.n_d
     if n_d is None:
         raise ConfigError("moment table has no reference moments")
     raw = np.hstack([moments.I_xdchi, moments.I_xdu])
-    if extra_rank_matrix is not None:
-        raw = raw + extra_rank_matrix
+    Xi = assemble_xi(moments, K_star, Lambda_star, cost, hyper.gamma, hyper.alpha0)
+    if omega_F is not None:
+        raw = raw + np.hstack([np.zeros((len(moments), n * n_d)),
+                               omega_F[:, n * n_d:]])
+        Xi = Xi + omega_F
     report = rank_report(raw, feedforward_required_rank(n, m, n_d))
     if not report.passed:
         raise RankDeficient(
             f"reference moment data spans rank {report.rank} < required "
             f"{report.required_rank}", report=report)
-    Xi, rhs = assemble_xi(moments, K_star, Lambda_star, cost,
-                          hyper.gamma, hyper.alpha0)
-    if h_d is not None:
-        rhs = xi_rhs_for_output_map(moments, h_d, cost)
-    if extra_rows is not None:
-        Xi = Xi + extra_rows
-    theta, resid = _lstsq(Xi, rhs)
-    Pi = theta[:n * n_d].reshape((n, n_d), order="F")
-    F = theta[n * n_d:].reshape((m, n_d), order="F")
-    return FeedforwardFit(Pi=Pi, F=F, residual=resid, rank=report)
+    fits = []
+    for h_d in h_d_cases:
+        theta, resid = _lstsq(Xi, xi_rhs_for_output_map(moments, h_d, cost))
+        fits.append(FeedforwardFit(Pi=theta[:n * n_d].reshape((n, n_d), order="F"),
+                                   F=theta[n * n_d:].reshape((m, n_d), order="F"),
+                                   residual=resid, rank=report))
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +346,17 @@ def shadow_regressors(shadow: ShadowConfig, b_matrix, r_matrix,
 
 
 def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
-                 cost: CostWeights, hyper: BpiHyperParams,
-                 validate_with=None, omegas=None) -> LearnedSolution:
-    """Feedback and feedforward learning with zero plant excitation.
+                 cost: CostWeights, hyper: BpiHyperParams, omegas,
+                 validate_with=None) -> LearnedSolution:
+    """Feedback learning with zero plant excitation.
 
     The plant data must come from unforced trajectories of a plant with
     no input noise channel (D = 0); the parameterization then drops the
     Lambda block and estimates [vech(P); vec(K)] directly. Rank is
     restored by adding the auxiliary-system rows to the plant rows at
-    matching global sample times. ``omegas`` takes a precomputed
-    shadow_regressors pair so callers reusing the rows for several
-    reference output maps integrate the auxiliary systems only once.
+    matching global sample times. ``omegas`` is the shadow_regressors
+    pair (omega_K, omega_F); this uses omega_K, and omega_F goes to
+    learn_feedforward for the feedforward fits.
     """
     B = np.asarray(b_matrix, dtype=float)
     if B.ndim == 1:
@@ -377,8 +371,7 @@ def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
     if np.abs(moments.W).max(initial=0.0) != 0.0 or np.abs(moments.V).max(initial=0.0) != 0.0:
         raise ConfigError("plant data carries nonzero input; the shadow route "
                           "requires an unforced plant")
-    omega_K, omega_F = omegas if omegas is not None else shadow_regressors(
-        shadow, B, cost.R, moments.t_global, moments.window)
+    omega_K, _ = omegas
     nn2 = n * (n + 1) // 2
     # excitation rank on [windowed plant second moments | shadow input coupling]
     raw_aug = np.hstack([h_form_rows(moments.S), omega_K[:, nn2:]])
@@ -398,13 +391,4 @@ def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
         K = theta[nn2:].reshape((m, n), order="F")
         return P, cost.R @ K, np.zeros((m, m))
 
-    sol = _learn(moments, cost, hyper, columns, split, report, validate_with)
-    if moments.I_xdchi is not None:
-        n_d = moments.n_d
-        aug_rank = np.hstack([np.zeros((len(moments), n * n_d)),
-                              omega_F[:, n * n_d:]])
-        fit = learn_feedforward(moments, sol.K_star, sol.Lambda_star, cost,
-                                hyper, extra_rows=omega_F,
-                                extra_rank_matrix=aug_rank)
-        sol = sol.with_feedforward(fit)
-    return sol
+    return _learn(moments, cost, hyper, columns, split, report, validate_with)

@@ -3,7 +3,9 @@
 Takes grid-level ensemble means (or exact moments) and produces, per
 sample time t_i, the windowed raw moments over [t_i, t_i + T], then
 assembles them into the regressor rows whose least-squares solutions
-recover the value matrix, the gain, and the feedforward pair.
+recover the value matrix, the gain, and the feedforward pair. The
+feedforward rows do not depend on the reference output map; only their
+right-hand side does (xi_rhs_for_output_map).
 
 Conventions: vech rows pair with h_form rows through
 <vech(P), h_form(M)> = trace(P M); column-major vec pairs through
@@ -36,7 +38,8 @@ class MomentTable:
     t_i + T; S, W, V, Z the windowed integrals of chi chi', chi u',
     u u', zeta zeta'. The d_/I_ blocks are the deterministic
     reference-by-mean moments used by the feedforward solve, stored as
-    flattened Kronecker columns. t_global locates each sample on the
+    flattened Kronecker columns; every output map's right-hand side
+    follows from I_xdchi and H. t_global locates each sample on the
     experiment-wide clock (segments of a multi-run dataset differ in
     offset), which is what shadow augmentation aligns on.
     """
@@ -54,7 +57,6 @@ class MomentTable:
     d_xdchi: np.ndarray | None = None
     I_xdchi: np.ndarray | None = None
     I_xdu: np.ndarray | None = None
-    I_ydzeta: np.ndarray | None = None
     alpha0: float | None = None
     H: np.ndarray | None = None
     n_d: int | None = None
@@ -89,8 +91,7 @@ class MomentTable:
             h=first.h, G0=cat("G0"), GT=cat("GT"), S=cat("S"), W=cat("W"),
             V=cat("V"), Z=cat("Z"), d_xdchi=cat("d_xdchi"),
             I_xdchi=cat("I_xdchi"), I_xdu=cat("I_xdu"),
-            I_ydzeta=cat("I_ydzeta"), alpha0=first.alpha0, H=first.H,
-            n_d=first.n_d)
+            alpha0=first.alpha0, H=first.H, n_d=first.n_d)
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,8 @@ def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
     """Windowed trapezoidal moments of a moment trajectory.
 
     ``source`` is a MomentTrajectory (grid arrays t, mean_x, mean_xx, u,
-    optionally x_d and y_d, and the discount it carries) from either
-    data route. The sampling layout (t1, sample_period, l, window) comes
+    optionally x_d, and the discount it carries) from either data
+    route. The sampling layout (t1, sample_period, l, window) comes
     from the SimConfig ``config``. ``output_map`` supplies H so the
     output moments Z and the feedforward right-hand sides can be formed.
     t_offset shifts the stored global clock.
@@ -189,9 +190,9 @@ def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
         H = np.asarray(output_map, dtype=float).reshape(-1, n)
         Z = np.einsum("qi,lij,pj->lqp", H, S, H)
 
-    d_xdchi = I_xdchi = I_xdu = I_ydzeta = None
+    d_xdchi = I_xdchi = I_xdu = None
     n_d = None
-    x_d, y_d = source.x_d, source.y_d
+    x_d = source.x_d
     if x_d is not None:
         n_d = x_d.shape[1]
         xdchi = np.einsum("td,tn->tdn", x_d, mx).reshape(t.size, n_d * n)
@@ -199,16 +200,11 @@ def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
         I_xdchi = _windowed_integrals(xdchi, idx, w, h)
         xdu = np.einsum("td,tm->tdm", x_d, u).reshape(t.size, n_d * m)
         I_xdu = _windowed_integrals(xdu, idx, w, h)
-        if y_d is not None and H is not None:
-            q = H.shape[0]
-            zeta = mx @ H.T
-            ydzeta = np.einsum("td,tq->tdq", y_d, zeta).reshape(t.size, y_d.shape[1] * q)
-            I_ydzeta = _windowed_integrals(ydzeta, idx, w, h)
 
     return MomentTable(t=sample_t, t_global=sample_t + t_offset,
                        window=config.window, h=h, G0=G0, GT=GT, S=S, W=W,
                        V=V, Z=Z, d_xdchi=d_xdchi, I_xdchi=I_xdchi,
-                       I_xdu=I_xdu, I_ydzeta=I_ydzeta,
+                       I_xdu=I_xdu,
                        alpha0=None if hyper is None else hyper.alpha0,
                        H=H, n_d=n_d)
 
@@ -253,12 +249,12 @@ def phi_rhs(moments: MomentTable, K_prev, cost) -> np.ndarray:
 
 
 def assemble_xi(moments: MomentTable, K_star, Lambda_star, cost,
-                gamma: float, alpha0: float):
-    """Feedforward rows pairing with [vec(Pi); vec(F)], and the rhs.
+                gamma: float, alpha0: float) -> np.ndarray:
+    """Feedforward rows pairing with [vec(Pi); vec(F)].
 
     Row t_i = [ d_xdchi + (gamma - alpha0)/2 * I_xdchi ;
-                -I_xdchi' (I kron (R+Lambda)K) - I_xdu' (I kron (R+Lambda)) ],
-    rhs t_i = I_ydzeta' vec(Q).
+                -I_xdchi' (I kron (R+Lambda)K) - I_xdu' (I kron (R+Lambda)) ];
+    the right-hand side of each output map is xi_rhs_for_output_map.
     """
     if moments.I_xdchi is None:
         raise ConfigError("moment table has no reference moments")
@@ -269,15 +265,11 @@ def assemble_xi(moments: MomentTable, K_star, Lambda_star, cost,
     eye_d = np.eye(n_d)
     blk_F = (-moments.I_xdchi @ np.kron(eye_d, RL @ K_star).T
              - moments.I_xdu @ np.kron(eye_d, RL).T)
-    Xi = np.hstack([blk_Pi, blk_F])
-    if moments.I_ydzeta is None:
-        raise ConfigError("moment table has no output reference moments")
-    rhs = moments.I_ydzeta @ vec(cost.Q)
-    return Xi, rhs
+    return np.hstack([blk_Pi, blk_F])
 
 
 def xi_rhs_for_output_map(moments: MomentTable, H_d_case, cost) -> np.ndarray:
-    """Feedforward rhs for an alternative reference output map.
+    """Feedforward rhs I_{y_d zeta}' vec(Q) for the output map H_d_case.
 
     Uses I_{y_d zeta} = (H_d kron H) I_{x_d chi}, so a whole family of
     output maps shares one assembled Xi.

@@ -320,7 +320,6 @@ class MomentTrajectory:
     u: np.ndarray
     se_xx: np.ndarray | None = None
     x_d: np.ndarray | None = None
-    y_d: np.ndarray | None = None
     discount: float | None = None
 
 
@@ -364,9 +363,7 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
     _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, config.base_seed, p, N,
               config.h, record)
 
-    x_d = y_d = None
-    if reference is not None:
-        x_d, y_d = reference_trajectory(reference, t)
+    x_d = None if reference is None else reference_trajectory(reference, t)[0]
     if discount is not None:
         scale = np.exp(-discount * t)
         mean_x = mean_x * scale[:, None]
@@ -375,7 +372,7 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
         if se_xx is not None:
             se_xx = se_xx * (scale * scale)[:, None]
     return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
-                            x_d=x_d, y_d=y_d, discount=discount)
+                            x_d=x_d, discount=discount)
 
 
 def _xx_forcing(y, p, q, C, r_idx, c_idx):
@@ -497,11 +494,8 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     bad = ~(norms <= _BLOWUP_NORM)
     if bad.any():
         raise Blowup(f"moment norm exceeded {_BLOWUP_NORM:.0e}", time=float(t[np.argmax(bad)]))
-    x_d = y_d = None
-    if reference is not None:
-        x_d, y_d = reference_trajectory(reference, t)
-    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u,
-                            x_d=x_d, y_d=y_d)
+    x_d = None if reference is None else reference_trajectory(reference, t)[0]
+    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, x_d=x_d)
 
 
 @dataclass(frozen=True)
@@ -600,15 +594,20 @@ def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
                       n_paths: int, base_seed: int) -> TrackingRun:
     """Closed-loop tracking with piecewise reference output maps.
 
-    schedule is a list of (H_d, F, duration) segments; the reference
-    state x_d evolves continuously under the shared A_d while the
-    output map and the feedforward gain switch at segment boundaries.
+    schedule is a list of (H_d, F, duration) segments, each duration a
+    positive multiple of h; the reference state x_d evolves continuously
+    under the shared A_d while the output map and the feedforward gain
+    switch at segment boundaries.
     """
     A_d = np.asarray(A_d, dtype=float)
     n, m, n_d = plant.n, plant.m, A_d.shape[0]
     K = np.asarray(K, dtype=float).reshape(m, n)
     durations = [seg[2] for seg in schedule]
     steps = [round(d / h) for d in durations]
+    for d, ns in zip(durations, steps):
+        if ns < 1 or abs(ns * h - d) > 1e-9 * max(1.0, d):
+            raise ConfigError(
+                f"tracking duration {d} is not a positive multiple of h = {h}")
     N = sum(steps)
     t = np.arange(N + 1) * h
     # reference state, shared across paths, continuous at switches

@@ -80,12 +80,9 @@ def ex1_mc_learn(ex1):
 @pytest.fixture(scope="module")
 def ex1_mc_ff(ex1, ex1_mc_learn):
     moments, sol, _ = ex1_mc_learn
-    fits = {}
-    for k in (1, 2, 3, 4):
-        fits[k] = learn_feedforward(moments, sol.K_star, sol.Lambda_star,
-                                    ex1.cost, ex1.hyper,
-                                    h_d=ex1.h_d_cases[k - 1])
-    return fits
+    fits = learn_feedforward(moments, sol.K_star, sol.Lambda_star,
+                             ex1.cost, ex1.hyper, ex1.h_d_cases[:4])
+    return dict(enumerate(fits, start=1))
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +145,7 @@ def test_criterion_03_data_driven_damped_oscillator(ex1_model, ex1_mc_learn,
     model, _ = ex1_model
     _, sol, elapsed = ex1_mc_learn
     rel = rel_err(sol.K_star, model.K)
-    fb_rank = sol.rank_reports["feedback"]
+    fb_rank = sol.rank
     ff_rank = ex1_mc_ff[1].rank
     ok = (rel <= 0.05
           and fb_rank.rank == 6 and fb_rank.margin > 0.0

@@ -1,6 +1,7 @@
 """Command line interface: configs, reports, exit codes, determinism."""
 
 import copy
+import dataclasses
 import glob
 import json
 import math
@@ -10,12 +11,15 @@ import re
 import numpy as np
 import pytest
 
+from slqt.benchmarks import damped_oscillator, gather_moments
 from slqt.cli import (EXIT_CODES, build_parser, canonical_json, exit_code_for,
-                      load_config, load_report, main, parse_experiment_config)
+                      load_config, load_report, main, parse_experiment_config,
+                      run_experiment)
 from slqt.errors import (Blowup, ConfigError, MaxIterExceeded, NonPositiveP,
                          NotStabilizing, RankDeficient, SingularOperator,
                          SlqtError)
 from slqt.model import StabilityCertificate
+from slqt.sim import SimConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -320,29 +324,31 @@ def test_error_block_carries_the_exception_figures():
         {"type": "NotStabilizing", "message": "n"}
 
 
+# two unforced segments of a noisy two-state plant (D = 0, no probing)
+# on exact moments, with one auxiliary pair restoring the rank
+SHADOW_CONFIG = {
+    "mode": "shadow",
+    "plant": {"A": [[0.0, 1.0], [-1.5, -0.1]], "B": [[0.0], [1.0]],
+              "C": [[0.05, 0.0], [0.0, 0.05]], "D": [[0.0], [0.0]],
+              "H": [[1.0, 0.0]]},
+    "reference": {"A_d": [[0.0, 1.3], [-1.3, 0.0]], "H_d": [[1.0, 0.0]],
+                  "x_d0": [1.0, -0.5]},
+    "cost": {"Q": [[4.0]], "R": [[2.0]]},
+    "sim": {"h": 1e-4, "T_s": 2e-3, "T": 0.05, "l": 40, "n_paths": 1},
+    "segments": [{"x0": [1.0, 0.6], "t_offset": 0.0},
+                 {"x0": [-0.7, 1.0], "t_offset": 0.1281}],
+    "data_source": {"kind": "exact"},
+    "shadow": {"A_a": [[-0.5, 1.2], [-0.8, -1.0]],
+               "F_a": [[0.0, 1.3], [-1.3, 0.0]], "x_a0": [0.0, 0.0],
+               "y_a0": [1.0, -0.5], "h": 1e-5,
+               "probing": {"amplitude": 2.0, "count": 20,
+                           "freq_range": [-40.0, 40.0], "seed": 13}},
+}
+
+
 def test_shadow_subcommand_runs_end_to_end(tmp_path, capsys):
-    # two unforced segments of a noisy two-state plant (D = 0, no probing)
-    # on exact moments, with one auxiliary pair restoring the rank
-    raw = {
-        "mode": "shadow",
-        "plant": {"A": [[0.0, 1.0], [-1.5, -0.1]], "B": [[0.0], [1.0]],
-                  "C": [[0.05, 0.0], [0.0, 0.05]], "D": [[0.0], [0.0]],
-                  "H": [[1.0, 0.0]]},
-        "reference": {"A_d": [[0.0, 1.3], [-1.3, 0.0]], "H_d": [[1.0, 0.0]],
-                      "x_d0": [1.0, -0.5]},
-        "cost": {"Q": [[4.0]], "R": [[2.0]]},
-        "sim": {"h": 1e-4, "T_s": 2e-3, "T": 0.05, "l": 40, "n_paths": 1},
-        "segments": [{"x0": [1.0, 0.6], "t_offset": 0.0},
-                     {"x0": [-0.7, 1.0], "t_offset": 0.1281}],
-        "data_source": {"kind": "exact"},
-        "shadow": {"A_a": [[-0.5, 1.2], [-0.8, -1.0]],
-                   "F_a": [[0.0, 1.3], [-1.3, 0.0]], "x_a0": [0.0, 0.0],
-                   "y_a0": [1.0, -0.5], "h": 1e-5,
-                   "probing": {"amplitude": 2.0, "count": 20,
-                               "freq_range": [-40.0, 40.0], "seed": 13}},
-    }
     cfg = tmp_path / "shadow.json"
-    cfg.write_text(json.dumps(raw))
+    cfg.write_text(json.dumps(SHADOW_CONFIG))
     out = tmp_path / "shadow"
     assert main(["shadow", "--config", str(cfg), "--out", str(out),
                  "--validate-with-model"]) == 0
@@ -356,6 +362,36 @@ def test_shadow_subcommand_runs_end_to_end(tmp_path, capsys):
     np.testing.assert_allclose(sh["K_hat"], report.payload["model_based"]["K_star"],
                                atol=1e-5)
     assert (out / "shadow_trace.csv").exists()
+
+
+def test_shadow_and_data_driven_blocks_share_their_keys():
+    shadow = run_experiment(parse_experiment_config(copy.deepcopy(SHADOW_CONFIG)),
+                            validate=True)
+    driven = run_experiment(parse_experiment_config(copy.deepcopy(SCALAR_CONFIG)),
+                            validate=True)
+    sh, dd = shadow.payload["shadow"], driven.payload["data_driven"]
+    flags = {"plant_input_zero", "max_abs_input_moment", "unaugmented_rank"}
+    assert flags <= set(sh)
+    assert set(sh) - flags == set(dd)
+    assert set(sh["rank"]) == set(dd["rank"]) == {"feedback"}
+
+
+def test_bad_refine_is_a_config_error():
+    bundle = dataclasses.replace(
+        damped_oscillator(),
+        sim=SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=5, n_paths=4))
+    with pytest.raises(ConfigError, match="got refine=50 with mode 'ensemble'"):
+        gather_moments(bundle, mode="ensemble", refine=50)
+    with pytest.raises(ConfigError, match="got refine=0 with mode 'exact'"):
+        gather_moments(bundle, mode="exact", refine=0)
+
+
+def test_bad_refine_exits_2(tmp_path, capsys):
+    for kind, refine in (("ensemble", 50), ("exact", 0)):
+        cfg = write_config(tmp_path, name=f"{kind}.json", overrides={
+            "data_source": {"kind": kind, "refine": refine}})
+        assert main(["learn-fb", "--config", cfg]) == EXIT_CODES["config"]
+        assert f"got refine={refine}" in capsys.readouterr().err
 
 
 def test_readme_lists_the_parser_subcommands():

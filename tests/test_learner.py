@@ -211,10 +211,8 @@ def test_shadow_learning_matches_model_solution():
     np.testing.assert_allclose(learned.P_star, sol.P, atol=1e-5)
     assert learned.certification == "validated"
     # feedforward through the same augmented rows reproduces the model gain
-    n, m, n_d = tab.n, tab.m, tab.n_d
-    aug = np.hstack([np.zeros((len(tab), n * n_d)), omegas[1][:, n * n_d:]])
-    fit = learn_feedforward(tab, learned.K_star, learned.Lambda_star, cost,
-                            hyper, extra_rows=omegas[1], extra_rank_matrix=aug)
+    fit, = learn_feedforward(tab, learned.K_star, learned.Lambda_star, cost,
+                             hyper, [ref.H_d], omega_F=omegas[1])
     Pi_m, F_m = feedforward_gains(plant, cost, ref, sol.P, sol.K)
     np.testing.assert_allclose(fit.F, F_m, atol=1e-5)
     np.testing.assert_allclose(fit.Pi, Pi_m, atol=1e-4)
@@ -251,13 +249,8 @@ def test_feedforward_output_map_scaling():
     omegas = shadow_regressors(shadow, plant.B, cost.R, tab.t_global,
                                window=cfg.window)
     learned = learn_shadow(tab, shadow, plant.B, cost, hyper, omegas=omegas)
-    n, m, n_d = tab.n, tab.m, tab.n_d
-    aug = np.hstack([np.zeros((len(tab), n * n_d)), omegas[1][:, n * n_d:]])
-    one = learn_feedforward(tab, learned.K_star, learned.Lambda_star, cost,
-                            hyper, h_d=ref.H_d, extra_rows=omegas[1],
-                            extra_rank_matrix=aug)
-    three = learn_feedforward(tab, learned.K_star, learned.Lambda_star, cost,
-                              hyper, h_d=3.0 * ref.H_d, extra_rows=omegas[1],
-                              extra_rank_matrix=aug)
+    one, three = learn_feedforward(tab, learned.K_star, learned.Lambda_star,
+                                   cost, hyper, [ref.H_d, 3.0 * ref.H_d],
+                                   omega_F=omegas[1])
     np.testing.assert_allclose(three.F, 3.0 * one.F, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(three.Pi, 3.0 * one.Pi, rtol=1e-8, atol=1e-10)

@@ -7,7 +7,7 @@ import pytest
 
 from slqt.errors import ConfigError, WindowOutOfRange
 from slqt.model import BpiHyperParams, CostWeights, StochasticSystem
-from slqt.regressors import (MomentTable, accumulate_raw_moments, assemble_xi,
+from slqt.regressors import (MomentTable, accumulate_raw_moments,
                              feedback_required_rank,
                              feedforward_required_rank, psi_rhs, rank_report,
                              xi_rhs_for_output_map)
@@ -23,7 +23,7 @@ def constant_source(x0, m=1, n_steps=200, h=1e-3):
     mean_xx = np.tile(vech(np.outer(x0, x0)), (t.size, 1))
     u = np.zeros((t.size, m))
     return SimpleNamespace(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u,
-                           discount=None, x_d=None, y_d=None)
+                           discount=None, x_d=None)
 
 
 def test_constant_state_moments():
@@ -165,11 +165,6 @@ def test_output_map_rhs_is_linear_and_consistent():
     base = xi_rhs_for_output_map(tab, ref.H_d, cost)
     np.testing.assert_allclose(xi_rhs_for_output_map(tab, 2.0 * ref.H_d, cost),
                                2.0 * base, rtol=1e-13)
-    # the assembled default rhs uses the reference's own output map
-    K = np.array([[0.4, 0.2]])
-    Lam = np.zeros((1, 1))
-    _, rhs = assemble_xi(tab, K, Lam, cost, gamma=1.0, alpha0=0.1)
-    np.testing.assert_allclose(rhs, base, rtol=1e-12)
 
 
 def test_feedforward_blocks_have_reference_columns():

@@ -549,3 +549,15 @@ def test_reference_trajectory_matches_exponential():
         np.testing.assert_allclose(x_d[k], expm(A_d * t[k]) @ ref.x_d0,
                                    rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(y_d, x_d @ ref.H_d.T, atol=1e-14)
+
+
+@pytest.mark.parametrize("duration", [0.0105, 0.0, -0.01])
+def test_tracking_durations_must_be_positive_multiples_of_h(duration):
+    plant = small_plant()
+    A_d = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    schedule = [(np.array([[1.0, 0.0]]), np.zeros((1, 2)), 0.01),
+                (np.array([[2.0, 0.0]]), np.zeros((1, 2)), duration)]
+    with pytest.raises(ConfigError, match="not a positive multiple of h"):
+        simulate_tracking(plant, A_d, np.array([1.0, 0.0]), schedule,
+                          np.zeros((1, 2)), None, h=1e-3, n_paths=2,
+                          base_seed=0)
