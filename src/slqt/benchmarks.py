@@ -142,6 +142,12 @@ def reference_at_offset(reference: ReferenceGenerator,
     return ReferenceGenerator(reference.A_d, reference.H_d, x_shift)
 
 
+def _check_refine(mode: str, refine: int) -> None:
+    if refine < 1 or (mode == "ensemble" and refine != 1):
+        raise ConfigError(f"refine must be >= 1 on the exact route and 1 on the "
+                          f"ensemble route, got refine={refine} with mode {mode!r}")
+
+
 def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
                    n_paths: int | None = None, refine: int = 1) -> MomentTable:
     """Collect the bundle's data segments and reduce them to one table.
@@ -153,9 +159,7 @@ def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
     is evaluated on the experiment-wide clock, so later segments see it
     advanced by their time offset.
     """
-    if refine < 1 or (mode == "ensemble" and refine != 1):
-        raise ConfigError(f"refine must be >= 1 on the exact route and 1 on the "
-                          f"ensemble route, got refine={refine} with mode {mode!r}")
+    _check_refine(mode, refine)
     hyper = bundle.hyper
     alpha_tilde = hyper.alpha_tilde
     tables = []

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_continuous_are
 
-from .benchmarks import coupled_oscillators, damped_oscillator, gather_moments
+from .benchmarks import (_check_refine, coupled_oscillators, damped_oscillator,
+                         gather_moments)
 from .bpi import feedforward_gains, solve_tracking
 from .errors import (Blowup, ConfigError, DivergedAlpha, MaxIterExceeded,
                      NotStabilizing, RankDeficient, SingularOperator, SlqtError)
@@ -33,7 +34,7 @@ from .learner import (LearnedSolution, ShadowConfig, learn_feedback,
 from .model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                     StochasticSystem, TrackingProblem, spectral_abscissa)
 from .regressors import feedback_required_rank, rank_report
-from .sim import (SimConfig, estimate_average_cost, probing_signal,
+from .sim import (SimConfig, _step_count, estimate_average_cost, probing_signal,
                   simulate_tracking)
 from .solvers import sare_residual
 from .symquad import h_form_rows
@@ -371,6 +372,20 @@ def _arr(block: dict, key: str) -> np.ndarray:
         raise ConfigError(f"config key {key!r} is not numeric") from e
 
 
+def _integer(block: dict, key: str, default: int) -> int:
+    v = block.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {v!r}")
+    return v
+
+
+def _positive(block: dict, key: str, default: float) -> float:
+    v = float(block.get(key, default))
+    if not 0.0 < v < np.inf:
+        raise ConfigError(f"config key {key!r} must be positive and finite, got {v!r}")
+    return v
+
+
 def _probing_from(block: dict):
     try:
         return probing_signal(float(block["amplitude"]), int(block["count"]),
@@ -387,7 +402,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     """
     try:
         return _parse(_known(raw, ""))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad config value: {e!r}") from e
 
 
@@ -459,6 +474,7 @@ def _parse(raw: dict) -> ExperimentConfig:
     if kind not in ("ensemble", "exact"):
         raise ConfigError(f"unknown data_source kind {kind!r}")
     data_source = {"kind": kind, "refine": int(dsb.get("refine", 1))}
+    _check_refine(kind, data_source["refine"])
 
     shb = _block(raw, "shadow")
     shadow = None
@@ -485,19 +501,34 @@ def _parse(raw: dict) -> ExperimentConfig:
             schedule = [(int(c), float(d)) for c, d in tb["schedule"]]
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad tracking schedule: {e}") from e
-        for c, _ in schedule:
-            if not 1 <= c <= len(h_d_cases):
-                raise ConfigError(f"tracking schedule case {c} out of range")
-        tracking = {"schedule": schedule, "h": float(tb.get("h", 1e-3)),
+        tracking = {"schedule": schedule, "h": _positive(tb, "h", 1e-3),
                     "n_paths": int(tb.get("n_paths", 200)),
                     "base_seed": int(tb.get("base_seed", 97))}
+        for c, d in schedule:
+            if not 1 <= c <= len(h_d_cases):
+                raise ConfigError(f"tracking schedule case {c} out of range")
+            _step_count(d, tracking["h"], "tracking duration")
+
+    ccb = _block(raw, "cost_comparison")
+    cost_comparison = None
+    if ccb is not None:
+        cost_comparison = {"case": _integer(ccb, "case", 8),
+                           "horizon": _positive(ccb, "horizon", 50.0),
+                           "n_paths": _integer(ccb, "n_paths", 2000),
+                           "h": _positive(ccb, "h", 1e-3),
+                           "seed": _integer(ccb, "seed", 314159)}
+        if not 1 <= cost_comparison["case"] <= len(h_d_cases):
+            raise ConfigError(f"cost_comparison case {cost_comparison['case']} out of range")
+        if cost_comparison["n_paths"] < 2:  # one path has no standard error
+            raise ConfigError("cost_comparison n_paths must be at least 2")
+        _step_count(cost_comparison["horizon"], cost_comparison["h"],
+                    "cost_comparison horizon")
 
     return ExperimentConfig(
         mode=mode, plant=plant, reference=reference, cost=cost, hyper=hyper,
         sim=sim, probing=probing, segments=segments, h_d_cases=h_d_cases,
         data_source=data_source, shadow=shadow, tracking=tracking,
-        cost_comparison=_block(raw, "cost_comparison"),
-        output=raw.get("output"), raw=raw)
+        cost_comparison=cost_comparison, output=raw.get("output"), raw=raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -639,14 +670,7 @@ def _run_tracking(plant, reference, cases, K, ff_by_case, schedule, h,
 def _cost_comparison(plant, cost, reference, cases, sol, options: dict) -> dict:
     """Average tracking cost of the noise-aware design against a design
     that pretended the noise channels were absent."""
-    case = int(options.get("case", 8))
-    horizon = float(options.get("horizon", 50.0))
-    n_paths = int(options.get("n_paths", 2000))
-    h = float(options.get("h", 1e-3))
-    seed = int(options.get("seed", 314159))
-    if not 1 <= case <= len(cases):
-        raise ConfigError(f"cost_comparison case {case} out of range")
-    ref_k = reference.with_output_map(cases[case - 1])
+    ref_k = reference.with_output_map(cases[options["case"] - 1])
     _, F_opt = feedforward_gains(plant, cost, ref_k, sol.P, sol.K)
     naive = StochasticSystem(plant.A, plant.B, np.zeros_like(plant.A),
                              np.zeros_like(plant.D), plant.H)
@@ -654,21 +678,19 @@ def _cost_comparison(plant, cost, reference, cases, sol, options: dict) -> dict:
                                  plant.H.T @ cost.Q @ plant.H, cost.R)
     K_det = np.linalg.solve(cost.R, plant.B.T @ P_det)
     _, F_det = feedforward_gains(naive, cost, ref_k, P_det, K_det)
-    # both designs run on the same noise paths (common random numbers), so
-    # the separation is the mean per-path difference over its own SE
-    c_opt = estimate_average_cost(plant, ref_k, (sol.K, F_opt), cost, horizon,
-                                  n_paths, seed, h=h)
-    c_det = estimate_average_cost(plant, ref_k, (K_det, F_det), cost, horizon,
-                                  n_paths, seed, h=h)
+    # one pass drives both designs with the same noise paths (common random
+    # numbers), so the separation is the mean per-path difference over its
+    # own SE
+    c_opt, c_det = estimate_average_cost(
+        plant, ref_k, [(sol.K, F_opt), (K_det, F_det)], cost, options["horizon"],
+        options["n_paths"], options["seed"], h=options["h"])
     d = c_det.per_path - c_opt.per_path
-    sep = d.mean() / (d.std() / np.sqrt(n_paths - 1)) if n_paths > 1 else float("nan")
-    return {"case": case, "horizon": horizon, "n_paths": n_paths, "h": h,
-            "seed": seed,
+    sep = d.mean() / (d.std() / np.sqrt(d.size - 1))
+    return {**options,
             "noise_aware": {"K": _matrix(sol.K), "F": _matrix(F_opt),
-                            "mean": float(c_opt.mean), "se": float(c_opt.se)},
+                            "mean": c_opt.mean, "se": c_opt.se},
             "deterministic_design": {"K": _matrix(K_det), "F": _matrix(F_det),
-                                     "mean": float(c_det.mean),
-                                     "se": float(c_det.se)},
+                                     "mean": c_det.mean, "se": c_det.se},
             "separation_se": float(sep)}
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag
 
 from .errors import Blowup, ConfigError
 from .model import ReferenceGenerator, _lyap_operator, is_stabilizing
@@ -41,6 +42,14 @@ _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
 def _is_multiple(x: float, h: float) -> bool:
     k = round(x / h)
     return abs(k * h - x) <= 1e-9 * max(1.0, abs(x))
+
+
+def _step_count(duration: float, h: float, name: str) -> int:
+    """The number of h-steps in duration, which must be a positive multiple of h."""
+    k = round(duration / h)
+    if k < 1 or not _is_multiple(duration, h):
+        raise ConfigError(f"{name} {duration} is not a positive multiple of h = {h}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -216,15 +225,13 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
     # runs through the same BLAS kernel as an ensemble's and stays
     # bit-identical to its ensemble member
     width = max(P, 2)
-    G = np.zeros((2 * n, n + 1))
-    G[:n, :n] = h * A
-    G[n:, :n] = C
-    G = np.broadcast_to(G, (n_steps, 2 * n, n + 1))  # step k uses G[k]
+    G = np.zeros((_BLOCK_STEPS, 2 * n, n + 1))  # step j of a block uses G[j]
+    G[:, :n, :n] = h * A
+    G[:, n:, :n] = C
+    f = None  # column n of G at every step, filled in block by block
     if forcing is not None:
         B, D, u = forcing
-        G = G.copy()
-        G[:, :n, n] = h * (u[:-1] @ B.T)
-        G[:, n:, n] = u[:-1] @ D.T
+        f = np.hstack([h * (u[:-1] @ B.T), u[:-1] @ D.T])
     gens = [np.random.Generator(np.random.Philox(first_seed + i)) for i in range(P)]
     noise = np.empty((P, _CHUNK_STEPS))
     rows = np.empty((P, _BLOCK_STEPS))  # one block of noise rows, compact
@@ -247,8 +254,10 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
             # transposing from a compact copy avoids a page per path and step
             np.copyto(rows[:, :b], noise[:, c:c + b])
             np.multiply(rows[:, :b].T, sqrt_h, out=dW[:b, :P])
+            if f is not None:
+                G[:b, :, n] = f[k:k + b]
             for j in range(b):
-                np.matmul(G[k + j], S[j], out=Y)
+                np.matmul(G[j], S[j], out=Y)
                 np.multiply(diffusion, dW[j], out=diffusion)
                 np.add(drift, diffusion, out=drift)
                 np.add(states[j], drift, out=states[j + 1])
@@ -517,64 +526,60 @@ class CostEstimate:
         return self.mean
 
 
-def estimate_average_cost(plant, reference: ReferenceGenerator, gains, cost,
+def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
                           horizon: float, n_paths: int, seed: int,
-                          h: float = 1e-3, x0=None) -> CostEstimate:
-    """Average of (1/T)*integral(|y - y_d|_Q^2 + |u|_R^2) over an ensemble.
+                          h: float = 1e-3, x0=None) -> list:
+    """Average of (1/T)*integral(|y - y_d|_Q^2 + |u|_R^2), one per design.
 
-    gains is the pair (K, F) of the control law u = -K x - F x_d. The
-    closed loop is simulated jointly with the reference by
-    Euler-Maruyama; per-path cost integrals use trapezoidal quadrature.
+    designs is a sequence of pairs (K, F), each the law u = -K x - F x_d.
+    Euler-Maruyama integrates the plant state only, forced by the exact
+    reference -F x_d(t_k) as in simulate_tracking. The designs' closed
+    loops are stacked block-diagonally in one kernel pass, so one dW,
+    from Philox(seed + i) on path i, drives every design: common random
+    numbers by construction, and each design's block equals its run
+    alone. Per-path integrals use the trapezoid rule.
     """
-    K = np.asarray(gains[0], dtype=float).reshape(plant.m, plant.n)
-    F = np.asarray(gains[1], dtype=float).reshape(plant.m, reference.n_d)
-    if not is_stabilizing(plant, K):
+    n, m, J = plant.n, plant.m, len(designs)
+    gains = [(np.asarray(K, dtype=float).reshape(m, n),
+              np.asarray(F, dtype=float).reshape(m, reference.n_d)) for K, F in designs]
+    if not all(is_stabilizing(plant, K) for K, _ in gains):
         raise Blowup("feedback gain is not mean-square stabilizing")
-    n, n_d, m = plant.n, reference.n_d, plant.m
-    nz = n + n_d
-    A_aug = np.zeros((nz, nz))
-    A_aug[:n, :n] = plant.A - plant.B @ K
-    A_aug[:n, n:] = -plant.B @ F
-    A_aug[n:, n:] = reference.A_d
-    C_aug = np.zeros((nz, nz))
-    C_aug[:n, :n] = plant.C - plant.D @ K
-    C_aug[:n, n:] = -plant.D @ F
-    H_err = np.zeros((plant.q, nz))
-    H_err[:, :n] = plant.H
-    H_err[:, n:] = -reference.H_d
-    K_aug = np.hstack([K, F])
-    # cost rate z' M z with M = H_err' Q H_err + K_aug' R K_aug
-    M = H_err.T @ cost.Q @ H_err + K_aug.T @ cost.R @ K_aug
-    N = round(horizon / h)
-    if abs(N * h - horizon) > 1e-9 * max(1.0, horizon):
-        raise ConfigError("horizon must be a multiple of h")
-    z0 = np.zeros(nz)
-    if x0 is not None:
-        z0[:n] = np.asarray(x0, dtype=float).ravel()
-    z0[n:] = reference.x_d0
-    acc = np.zeros(n_paths)
+    N = _step_count(horizon, h, "horizon")
+    x_d = _reference_states(reference.A_d, reference.x_d0, np.arange(N + 1) * h)
+    u_ff = [-x_d @ F.T for _, F in gains]
+    # each design's rate |Hx - y_d|_Q^2 + |Kx + F x_d|_R^2 is |W x - w_k|^2,
+    # W = [L_Q' H; L_R' K] and w_k = [L_Q' y_d; L_R' u_k] with Q = L_Q L_Q'
+    LQ, LR = np.linalg.cholesky(cost.Q).T, np.linalg.cholesky(cost.R).T
+    W = block_diag(*(np.vstack([LQ @ plant.H, LR @ K]) for K, _ in gains))
+    w = np.hstack([np.hstack([x_d @ (LQ @ reference.H_d).T, u @ LR.T])
+                   for u in u_ff])[:, :, None]
+    acc = np.zeros((J, n_paths))
     last = None
 
-    def integrate(k0, Z):
-        # rates z' M z of the block, joined to the last rate of the one before
+    def integrate(k0, S):
+        # the rates of the block, joined to the last rate of the one before
         nonlocal acc, last
-        rates = np.einsum("kip,kip->kp", Z, np.matmul(M, Z))
+        e = np.matmul(W, S)
+        e -= w[k0:k0 + len(S)]
+        e *= e
+        rates = e.reshape(len(S), J, -1, n_paths).sum(axis=2)
         if last is not None:
             acc += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
         last = rates[-1]
 
-    _em_paths(A_aug, C_aug, None, z0, seed, n_paths, N, h, integrate,
-              "closed-loop state")
-    per_path = acc / horizon
-    ref0 = per_path[0]
-    d = per_path - ref0
-    mean = float(ref0 + d.mean())
-    if n_paths > 1:
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
+    _em_paths(block_diag(*(plant.A - plant.B @ K for K, _ in gains)),
+              block_diag(*(plant.C - plant.D @ K for K, _ in gains)),
+              (block_diag(*[plant.B] * J), block_diag(*[plant.D] * J), np.hstack(u_ff)),
+              np.tile(x0, J), seed, n_paths, N, h, integrate, "closed-loop state")
+    estimates = []
+    for per_path in acc / horizon:
+        d = per_path - per_path[0]
         var = max(float((d * d).mean() - d.mean() ** 2), 0.0)
-        se = float(np.sqrt(var / (n_paths - 1)))
-    else:
-        se = float("nan")
-    return CostEstimate(mean, se, n_paths, horizon, per_path)
+        se = float(np.sqrt(var / (n_paths - 1))) if n_paths > 1 else float("nan")
+        estimates.append(CostEstimate(float(per_path[0] + d.mean()), se, n_paths,
+                                      horizon, per_path))
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -602,12 +607,7 @@ def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
     A_d = np.asarray(A_d, dtype=float)
     n, m, n_d = plant.n, plant.m, A_d.shape[0]
     K = np.asarray(K, dtype=float).reshape(m, n)
-    durations = [seg[2] for seg in schedule]
-    steps = [round(d / h) for d in durations]
-    for d, ns in zip(durations, steps):
-        if ns < 1 or abs(ns * h - d) > 1e-9 * max(1.0, d):
-            raise ConfigError(
-                f"tracking duration {d} is not a positive multiple of h = {h}")
+    steps = [_step_count(seg[2], h, "tracking duration") for seg in schedule]
     N = sum(steps)
     t = np.arange(N + 1) * h
     # reference state, shared across paths, continuous at switches

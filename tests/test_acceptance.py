@@ -316,10 +316,10 @@ def test_criterion_09_cost_ordering_and_tracking(ex1, ex1_model):
                                  ex1.cost.R)
     K_det = np.linalg.solve(ex1.cost.R, ex1.plant.B.T @ P_det)
     _, F_det = feedforward_gains(naive, ex1.cost, ref8, P_det, K_det)
-    c_opt = estimate_average_cost(ex1.plant, ref8, (sol.K, F_opt), ex1.cost,
-                                  50.0, 2000, 314159, h=1e-3)
-    c_det = estimate_average_cost(ex1.plant, ref8, (K_det, F_det), ex1.cost,
-                                  50.0, 2000, 314160, h=1e-3)
+    [c_opt] = estimate_average_cost(ex1.plant, ref8, [(sol.K, F_opt)], ex1.cost,
+                                    50.0, 2000, 314159, h=1e-3)
+    [c_det] = estimate_average_cost(ex1.plant, ref8, [(K_det, F_det)], ex1.cost,
+                                    50.0, 2000, 314160, h=1e-3)
     sep = (c_det.mean - c_opt.mean) / float(np.hypot(c_opt.se, c_det.se))
 
     # reference switches: the ensemble mean output must settle near the

@@ -86,6 +86,21 @@ def test_parse_config_validation_matrix():
         {"sim": {"h": 1e-3, "T_s": 1e-4, "T": 0.1, "l": 10}},
         {"probing": {"amplitude": 1.0}},
         {"tracking": {"schedule": [[7, 1.0]]}},
+        # a tracking segment that is not a positive multiple of its h
+        {"tracking": {"schedule": [[1, 1.0005]], "h": 0.01}},
+        {"tracking": {"schedule": [[1, 1.0]], "h": 0.0}},
+        {"tracking": {"schedule": [[1, math.inf]]}},
+        # a data route a model-based run never reads is still checked
+        {"mode": "model_based", "data_source": {"kind": "ensemble", "refine": 50}},
+        # the cost study block is typed before anything runs
+        {"cost_comparison": {"case": "eight"}},
+        {"cost_comparison": {"case": 3}},
+        {"cost_comparison": {"case": 1.5}},
+        {"cost_comparison": {"case": 1, "horizon": -1.0}},
+        {"cost_comparison": {"case": 1, "horizon": 1.0005, "h": 0.001}},
+        {"cost_comparison": {"case": 1, "h": 0.0}},
+        {"cost_comparison": {"case": 1, "n_paths": 1}},
+        {"cost_comparison": {"case": 1, "seed": "one"}},
     ):
         cfg = copy.deepcopy(SCALAR_CONFIG)
         for k, v in mutate.items():
@@ -392,6 +407,11 @@ def test_bad_refine_exits_2(tmp_path, capsys):
             "data_source": {"kind": kind, "refine": refine}})
         assert main(["learn-fb", "--config", cfg]) == EXIT_CODES["config"]
         assert f"got refine={refine}" in capsys.readouterr().err
+    # a model-based solve never collects data, and is refused all the same
+    cfg = write_config(tmp_path, name="model.json", overrides={
+        "mode": "model_based", "data_source": {"kind": "ensemble", "refine": 50}})
+    assert main(["solve", "--config", cfg]) == EXIT_CODES["config"]
+    assert "got refine=50 with mode 'ensemble'" in capsys.readouterr().err
 
 
 def test_readme_lists_the_parser_subcommands():
@@ -483,7 +503,8 @@ def test_example_run_lists_follow_the_bundles():
     assert one["learn"].mode == "data_driven"
     assert one["learn"].data_source["kind"] == "ensemble"
     assert one["learn"].cost_comparison == {"case": 8, "horizon": 50.0,
-                                            "n_paths": 2000, "h": 1e-3}
+                                            "n_paths": 2000, "h": 1e-3,
+                                            "seed": 314159}
     assert one["learn"].tracking is None
     np.testing.assert_array_equal(one["learn"].probing.omegas,
                                   ex1.probing.omegas)
@@ -549,11 +570,12 @@ def test_cost_comparison_pairs_the_designs_on_common_noise():
     config = parse_experiment_config(raw)
     cc = run_experiment(config).payload["cost_comparison"]
     ref = config.reference.with_output_map(config.h_d_cases[1])
-    aware, blind = (estimate_average_cost(config.plant, ref, (cc[key]["K"], cc[key]["F"]),
-                                          config.cost, 1.0, 40, 11, h=1e-3)
-                    for key in ("noise_aware", "deterministic_design"))
-    # both designs ran with the one seed, and the per-path costs stay out
-    # of the payload
+    aware, blind = estimate_average_cost(
+        config.plant, ref, [(cc[key]["K"], cc[key]["F"])
+                            for key in ("noise_aware", "deterministic_design")],
+        config.cost, 1.0, 40, 11, h=1e-3)
+    # both designs ran in one pass on the one seed, and the per-path costs
+    # stay out of the payload
     for est, key in ((aware, "noise_aware"), (blind, "deterministic_design")):
         assert set(cc[key]) == {"K", "F", "mean", "se"}
         assert (cc[key]["mean"], cc[key]["se"]) == (est.mean, est.se)

@@ -245,18 +245,18 @@ def test_block_kernel_equals_per_step_reference():
                             h=h, n_paths=P, base_seed=seed)
     close(run.x_mean, xs.mean(axis=1))
 
-    # average cost: the unforced closed loop joined with the reference
+    # average cost: the same forced loop, with the cost rate
+    # |Hx - H_d x_d|_Q^2 + |Kx + F x_d|_R^2 on the exact reference
     cost = CostWeights(Q=np.array([[2.0]]), R=np.diag([0.5, 1.0]))
-    A_aug = np.block([[plant.A - plant.B @ K, -plant.B @ F], [np.zeros((2, 3)), A_d]])
-    C_aug = np.block([[plant.C - plant.D @ K, -plant.D @ F], [np.zeros((2, 5))]])
-    E, K_aug = np.hstack([plant.H, -H_d]), np.hstack([K, F])
-    M = E.T @ cost.Q @ E + K_aug.T @ cost.R @ K_aug
-    zs = paths(A_aug, C_aug, None, np.concatenate([x0, x_d0]))
-    rates = np.einsum("kpi,ij,kpj->kp", zs, M, zs)
+    x_d = reference_trajectory(ref, t)[0]
+    e = xs @ plant.H.T - (x_d @ H_d.T)[:, None]
+    v = xs @ K.T + (x_d @ F.T)[:, None]
+    rates = (np.einsum("kpi,ij,kpj->kp", e, cost.Q, e)
+             + np.einsum("kpi,ij,kpj->kp", v, cost.R, v))
     horizon = n_steps * h
     per_path = h * (rates.sum(axis=0) - 0.5 * (rates[0] + rates[-1])) / horizon
-    est = estimate_average_cost(plant, ref, (K, F), cost, horizon, P, seed,
-                                h=h, x0=x0)
+    [est] = estimate_average_cost(plant, ref, [(K, F)], cost, horizon, P, seed,
+                                  h=h, x0=x0)
     close(est.per_path, per_path)
     close(est.mean, per_path.mean())
     close(est.se, per_path.std() / np.sqrt(P - 1))
@@ -456,8 +456,8 @@ def test_average_cost_zero_at_origin():
     cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
     K = np.array([[0.5, 0.5]])
     F = np.array([[0.3]])
-    est = estimate_average_cost(sys, ref, (K, F), cost, horizon=2.0,
-                                n_paths=16, seed=1, h=1e-3)
+    [est] = estimate_average_cost(sys, ref, [(K, F)], cost, horizon=2.0,
+                                  n_paths=16, seed=1, h=1e-3)
     # with x0 = 0 and x_d0 = 0 the multiplicative noise never switches on
     assert est.mean == 0.0
     assert est.se == 0.0
@@ -471,7 +471,7 @@ def test_average_cost_rejects_destabilizing_gain():
                              np.array([1.0]))
     cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
     with pytest.raises(Blowup):
-        estimate_average_cost(sys, ref, (np.zeros((1, 1)), np.zeros((1, 1))),
+        estimate_average_cost(sys, ref, [(np.zeros((1, 1)), np.zeros((1, 1)))],
                               cost, horizon=1.0, n_paths=4, seed=0)
 
 
@@ -482,12 +482,38 @@ def test_average_cost_reproducible_and_positive():
     cost = CostWeights(Q=np.array([[2.0]]), R=np.array([[0.5]]))
     K = np.array([[1.0, 1.2]])
     F = np.array([[-0.8]])
-    a = estimate_average_cost(sys, ref, (K, F), cost, horizon=4.0,
-                              n_paths=64, seed=5, h=1e-3)
-    b = estimate_average_cost(sys, ref, (K, F), cost, horizon=4.0,
-                              n_paths=64, seed=5, h=1e-3)
+    [a] = estimate_average_cost(sys, ref, [(K, F)], cost, horizon=4.0,
+                                n_paths=64, seed=5, h=1e-3)
+    [b] = estimate_average_cost(sys, ref, [(K, F)], cost, horizon=4.0,
+                                n_paths=64, seed=5, h=1e-3)
     assert a.mean == b.mean and a.se == b.se
     assert a.mean > 0.0 and a.se > 0.0 and a.n_paths == 64
+
+
+def test_stacked_designs_equal_their_runs_alone():
+    # two designs in one pass share each path's increments; each design's
+    # block of the stacked closed loop must reproduce its run alone bit for
+    # bit, across chunk and block boundaries
+    plant = three_state_plant()
+    ref = ReferenceGenerator(np.array([[0.0, 2.0], [-2.0, 0.0]]),
+                             np.array([[1.0, 0.5]]), np.array([1.0, 0.0]))
+    cost = CostWeights(Q=np.array([[2.0]]), R=np.diag([0.5, 1.0]))
+    designs = [(np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.2]]),
+                np.array([[0.2, -0.1], [0.0, 0.3]])),
+               (np.array([[1.0, 0.0, 0.2], [0.1, 0.8, 0.0]]),
+                np.array([[-0.3, 0.1], [0.2, 0.0]]))]
+    h, P, seed = 1e-3, 9, 21
+    horizon = (_CHUNK_STEPS + 45) * h
+    x0 = np.array([0.8, -0.5, 0.3])
+    stacked = estimate_average_cost(plant, ref, designs, cost, horizon, P, seed,
+                                    h=h, x0=x0)
+    assert len(stacked) == 2
+    assert not np.array_equal(stacked[0].per_path, stacked[1].per_path)
+    for design, both in zip(designs, stacked):
+        [alone] = estimate_average_cost(plant, ref, [design], cost, horizon, P,
+                                        seed, h=h, x0=x0)
+        assert np.array_equal(both.per_path, alone.per_path)
+        assert (both.mean, both.se) == (alone.mean, alone.se)
 
 
 def test_simulate_tracking_switches_and_shapes():
