@@ -3,10 +3,10 @@
 The plant here has no input noise channel and receives no probing at
 all; its data segments are unforced trajectories, so the plain
 regressor matrix is structurally rank deficient. Two auxiliary systems
-integrated on the side (a controllable "shadow" pair sharing only the
-input matrix B and the cost weight R) contribute rows that vanish at
-the true solution, restoring excitation rank without ever touching the
-plant input.
+run on the side (a controllable "shadow" pair sharing only the input
+matrix B and the cost weight R, its trajectories taken in closed form)
+contribute rows that vanish at the true solution, restoring excitation
+rank without ever touching the plant input.
 """
 
 import numpy as np

@@ -491,6 +491,9 @@ def _parse(raw: dict) -> ExperimentConfig:
             raise ConfigError("mode 'shadow' needs a shadow block")
         if np.abs(plant.D).max(initial=0.0) != 0.0:
             raise ConfigError("the shadow route requires D = 0")
+        if plant.m != 1:
+            raise ConfigError(f"the shadow route's probing input is scalar, "
+                              f"so the plant needs one input, got {plant.m}")
         if probing is not None:
             raise ConfigError("the shadow route forbids plant probing input")
 

@@ -8,20 +8,21 @@ solves a least-squares system whose unknowns are
 K = (R+Lambda)^{-1}M.
 
 learn_shadow handles the no-probing case (u = 0, D = 0): two auxiliary
-deterministic systems are simulated on the side and their regressor
-rows, which vanish identically at the true iterates, are added to the
-plant rows to restore full column rank. The plant itself is never
-excited. Both routes get their feedforward from learn_feedforward, the
-shadow route adding its auxiliary rows as omega_F.
+deterministic systems run on the side and their regressor rows, which
+vanish identically at the true iterates, are added to the plant rows to
+restore full column rank. shadow_regressors builds those rows in closed
+form, with no ODE solver: the auxiliary trajectories are sums of complex
+exponentials, and each window integral is the trapezoid rule of step
+shadow.h. The plant itself is never excited. Both routes get their
+feedforward from learn_feedforward, the shadow route adding its
+auxiliary rows as omega_F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bpi import _bootstrap
 from .errors import ConfigError, NonInvertible, RankDeficient, ShadowUncontrollable
@@ -30,14 +31,15 @@ from .regressors import (MomentTable, RankReport, assemble_psi,
                          assemble_xi, feedback_required_rank,
                          feedforward_required_rank, phi_rhs, psi_rhs,
                          rank_report, xi_rhs_for_output_map)
-from .symquad import h_form_rows, unvech, vech_indices
+from .sim import ProbingSignal
+from .symquad import h_form_rows, unvech
 
 __all__ = ["LearnedSolution", "ShadowConfig", "FeedforwardFit",
            "learn_feedback", "learn_feedforward", "shadow_regressors",
            "learn_shadow"]
 
 _COND_LIMIT = 1e12
-_ODE_RTOL, _ODE_ATOL = 1e-12, 1e-14  # DOP853 tolerances of the shadow systems
+_SHADOW_BLOCK = 512  # grid rows per block of the closed-form shadow series
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,14 @@ class ShadowConfig:
 
     x_a' = A_a x_a + B u_a supplies gain-equation rows; y_a' = F_a y_a
     supplies feedforward rows. F_a must have purely imaginary spectrum
-    so the auxiliary reference stays bounded.
+    so the auxiliary reference stays bounded. Both trajectories are in
+    closed form (no ODE solver), so u_a must be a ProbingSignal, no
+    i omega_j an eigenvalue of A_a, and A_a and F_a diagonalizable. h is
+    the step of the trapezoid rule over each window.
     """
 
     A_a: np.ndarray
-    u_a: Callable
+    u_a: ProbingSignal
     x_a0: np.ndarray
     F_a: np.ndarray
     y_a0: np.ndarray
@@ -94,6 +99,11 @@ class ShadowConfig:
         object.__setattr__(self, "F_a", F_a)
         object.__setattr__(self, "x_a0", np.asarray(self.x_a0, dtype=float).ravel())
         object.__setattr__(self, "y_a0", np.asarray(self.y_a0, dtype=float).ravel())
+        if not isinstance(self.u_a, ProbingSignal):
+            raise ConfigError("u_a must be a ProbingSignal, got "
+                              f"{type(self.u_a).__name__}")
+        if not self.h > 0.0:
+            raise ConfigError(f"shadow h must be positive, got {self.h!r}")
         if self.x_a0.size != A_a.shape[0]:
             raise ConfigError("x_a0 does not match A_a")
         if self.y_a0.size != F_a.shape[0]:
@@ -102,6 +112,19 @@ class ShadowConfig:
         if re.max(initial=0.0) > 1e-8:
             raise ConfigError(
                 f"F_a eigenvalues must be imaginary within 1e-8, worst {re.max():.3e}")
+        for name, M in (("A_a", A_a), ("F_a", F_a)):
+            cond = np.linalg.cond(np.linalg.eig(M)[1])
+            if not cond <= _COND_LIMIT:
+                raise ConfigError(f"{name} is defective or nearly so: its eigenvector "
+                                  f"matrix has condition {cond:.3e} > {_COND_LIMIT:.0e}")
+        w = self.u_a.omegas
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.linalg.cond(1j * w[:, None, None] * np.eye(len(A_a)) - A_a)
+        bad = np.flatnonzero(~(cond <= _COND_LIMIT))
+        if bad.size:
+            raise ConfigError(
+                f"probing frequency {bad[0]} (omega = {w[bad[0]]!r}) resonates with "
+                f"A_a: i omega I - A_a has condition {cond[bad[0]]:.3e} > {_COND_LIMIT:.0e}")
 
     @property
     def n(self) -> int:
@@ -227,90 +250,53 @@ def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
 # ---------------------------------------------------------------------------
 # Shadow systems
 
-def _shadow_series(shadow: ShadowConfig, B: np.ndarray, t_end: float,
-                   t_global: np.ndarray, w_steps: int):
-    """Integrate both auxiliary systems and stream windowed reductions.
+def _shadow_series(shadow: ShadowConfig, B: np.ndarray, targets: np.ndarray):
+    """z = [x_a; u; y_a] at the target grid indices, and its running Gram sums.
 
-    Returns pointwise endpoint values and windowed integrals of the
-    quadratic series the omega rows need, on the global clock.
+    Nothing is integrated numerically: with the shadow input
+    u(t) = a sum_j sin(omega_j t) = Im sum_j a e^{i omega_j t},
+        x_a(t) = Im sum_j c_j e^{i omega_j t} + e^{A_a t}(x_a0 - x_p(0)),
+        c_j = a (i omega_j I - A_a)^{-1} B,
+    and y_a(t) = e^{F_a t} y_a0, the exponentials taken through the
+    eigendecompositions that ShadowConfig checked. So z(t) is
+    Re sum_s g_s e^{s t}. The grid t = k h, from the first target to the
+    last, goes in blocks of _SHADOW_BLOCK rows: one table of e^{s r h}
+    serves every block, each block rotates g_s by e^{s t_b}, and is then
+    one real matrix product. Returns z at each sorted target and S_m,
+    the sum of z_k z_k' over targets[0] <= k <= targets[m].
     """
-    n, n_d = shadow.n, shadow.n_d
-    m = B.shape[1]
-    A_a, F_a = shadow.A_a, shadow.F_a
-
-    def rhs(t, z):
-        x, y = z[:n], z[n:]
-        u = np.atleast_1d(np.asarray(shadow.u_a(t), dtype=float))
-        return np.concatenate([A_a @ x + B @ u, F_a @ y])
-
-    z0 = np.concatenate([shadow.x_a0, shadow.y_a0])
-    sol = solve_ivp(rhs, (0.0, t_end), z0, method="DOP853",
-                    rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True)
-    if not sol.success:
-        raise ConfigError(f"shadow integration failed: {sol.message}")
-    h = shadow.h
-    N = round(t_end / h)
-    idx = np.round(t_global / h).astype(int)
-    if np.abs(idx * h - t_global).max() > 1e-9:
-        raise ConfigError("global sample times must lie on the shadow grid")
-    r_idx, c_idx = vech_indices(n)
-    wts = np.where(r_idx == c_idx, 1.0, 2.0)
-    d_xx = r_idx.size
-    widths = {"hxx": d_xx, "hax": d_xx, "xu": n * m, "yx": n_d * n, "yu": n_d * m}
-    targets = np.unique(np.concatenate([idx, idx + w_steps]))
-    point = {k: np.empty((targets.size, d)) for k, d in widths.items() if k in ("hxx", "yx")}
-    integ = {k: np.empty((targets.size, d)) for k, d in widths.items()}
-    tot = {k: np.zeros(d) for k, d in widths.items()}
-    chunk = 200_000
-    a = 0
-    t_pos = 0
-    while a < N:
-        b = min(a + chunk, N)
-        tt = np.arange(a, b + 1) * h
-        Z = sol.sol(tt)
-        X, Y = Z[:n].T, Z[n:].T
-        U = np.atleast_2d(np.asarray(shadow.u_a(tt), dtype=float))
-        if U.shape == (1, tt.size):
-            U = U.T
-        AX = X @ A_a.T
-        series = {
-            "hxx": wts * (X[:, r_idx] * X[:, c_idx]),
-            "hax": wts * (AX[:, r_idx] * X[:, c_idx] + X[:, r_idx] * AX[:, c_idx]),
-            "xu": (X[:, :, None] * U[:, None, :]).reshape(tt.size, n * m),
-            "yx": (Y[:, :, None] * X[:, None, :]).reshape(tt.size, n_d * n),
-            "yu": (Y[:, :, None] * U[:, None, :]).reshape(tt.size, n_d * m),
-        }
-        sel = slice(t_pos, t_pos + int(np.count_nonzero((targets >= a) & (targets < b))))
-        local = targets[sel] - a
-        for k, ser in series.items():
-            cum = np.empty_like(ser)
-            np.cumsum(0.5 * h * (ser[1:] + ser[:-1]), axis=0, out=cum[1:])
-            cum[0] = 0.0
-            if local.size:
-                integ[k][sel] = tot[k] + cum[local]
-                if k in point:
-                    point[k][sel] = ser[local]
-            tot[k] += cum[-1]
-        t_pos = sel.stop
-        a = b
-    # the final grid point can itself be a target (last window end)
-    if t_pos < targets.size:
-        tt = np.array([N * h])
-        Z = sol.sol(tt)
-        X, Y = Z[:n].T, Z[n:].T
-        U = np.atleast_2d(np.asarray(shadow.u_a(tt), dtype=float)).reshape(1, m)
-        AX = X @ A_a.T
-        point["hxx"][t_pos] = wts * (X[:, r_idx] * X[:, c_idx])
-        point["yx"][t_pos] = (Y[:, :, None] * X[:, None, :]).reshape(1, n_d * n)
-        for k in widths:
-            integ[k][t_pos] = tot[k]
-        t_pos += 1
-    if t_pos != targets.size:
-        raise ConfigError("shadow sampling did not cover all requested instants")
-    pos = {g: j for j, g in enumerate(targets)}
-    at = np.array([pos[g] for g in idx])
-    atw = np.array([pos[g] for g in idx + w_steps])
-    return point, integ, at, atw
+    n, n_d, sig = shadow.n, shadow.n_d, shadow.u_a
+    d, J = n + 1 + n_d, sig.omegas.size
+    c = sig.amplitude * np.linalg.solve(
+        1j * sig.omegas[:, None, None] * np.eye(n) - shadow.A_a,
+        np.broadcast_to(B, (J, n, 1)))[..., 0]
+    lam, V = np.linalg.eig(shadow.A_a)
+    mu, W = np.linalg.eig(shadow.F_a)
+    rates = np.concatenate([1j * sig.omegas, lam, mu])
+    g = np.zeros((rates.size, d), dtype=complex)
+    g[:J, :n] = -1j * c  # Im w = Re(-i w)
+    g[:J, n] = -1j * sig.amplitude
+    g[J:J + n, :n] = (V * np.linalg.solve(V, shadow.x_a0 - c.imag.sum(axis=0))).T
+    g[J + n:, n + 1:] = (W * np.linalg.solve(W, shadow.y_a0)).T
+    h, L = shadow.h, _SHADOW_BLOCK
+    E = np.exp(np.outer(np.arange(L) * h, rates))
+    table = np.hstack([E.real, -E.imag])
+    seg = np.zeros((targets.size, d, d))  # Gram sum over (targets[m-1], targets[m]]
+    z = np.empty((targets.size, d))
+    m = 0
+    for kb in range(targets[0], targets[-1] + 1, L):
+        rows = min(L, targets[-1] + 1 - kb)
+        rot = np.exp(rates * (kb * h))[:, None] * g
+        Z = table[:rows] @ np.vstack([rot.real, rot.imag])
+        p = 0
+        while p < rows:
+            q = min(rows, targets[m] - kb + 1)
+            seg[m] += Z[p:q].T @ Z[p:q]
+            if q == targets[m] - kb + 1:
+                z[m] = Z[q - 1]
+                m += 1
+            p = q
+    return z, np.cumsum(seg, axis=0)
 
 
 def shadow_regressors(shadow: ShadowConfig, b_matrix, r_matrix,
@@ -319,29 +305,37 @@ def shadow_regressors(shadow: ShadowConfig, b_matrix, r_matrix,
 
     Omega_K pairs with [vech(P); vec(K)] and Omega_F with
     [vec(Pi); vec(F)]; both vanish at the true iterates, which is what
-    makes adding them to the plant rows legitimate.
+    makes adding them to the plant rows legitimate. The auxiliary
+    trajectories are in closed form (_shadow_series) and each window
+    integral is the trapezoid rule of step shadow.h.
     """
-    B = np.asarray(b_matrix, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    R = np.asarray(r_matrix, dtype=float)
-    n, n_d, m = shadow.n, shadow.n_d, B.shape[1]
+    n, n_d, h = shadow.n, shadow.n_d, shadow.h
+    B = np.asarray(b_matrix, dtype=float).reshape(n, -1)
+    if B.shape[1] != 1:
+        raise ConfigError(f"the shadow input is scalar: B must have one column, "
+                          f"got {B.shape[1]}")
+    R = float(np.asarray(r_matrix, dtype=float).reshape(()))
     t_global = np.asarray(t_global, dtype=float)
-    w_steps = round(window / shadow.h)
-    if abs(w_steps * shadow.h - window) > 1e-9:
+    w_steps = round(window / h)
+    if abs(w_steps * h - window) > 1e-9:
         raise ConfigError("window must be a multiple of the shadow grid step")
-    t_end = float(t_global.max()) + window
-    point, integ, at, atw = _shadow_series(shadow, B, t_end, t_global, w_steps)
-    d_xa = point["hxx"][atw] - point["hxx"][at]
-    I_ax = integ["hax"][atw] - integ["hax"][at]
-    I_xu = integ["xu"][atw] - integ["xu"][at]
-    omega_K = np.hstack([d_xa - I_ax, -2.0 * I_xu @ np.kron(np.eye(n), R).T])
-    d_yx = point["yx"][atw] - point["yx"][at]
-    I_yx = integ["yx"][atw] - integ["yx"][at]
-    I_yu = integ["yu"][atw] - integ["yu"][at]
-    couple = np.kron(np.eye(n_d), shadow.A_a.T) + np.kron(shadow.F_a.T, np.eye(n))
-    omega_F = np.hstack([d_yx - I_yx @ couple,
-                         -I_yu @ np.kron(np.eye(n_d), R).T])
+    idx = np.round(t_global / h).astype(int)
+    if np.abs(idx * h - t_global).max() > 1e-9:
+        raise ConfigError("global sample times must lie on the shadow grid")
+    targets, pos = np.unique(np.concatenate([idx, idx + w_steps]), return_inverse=True)
+    at, atw = pos[:idx.size], pos[idx.size:]
+    z, S = _shadow_series(shadow, B, targets)
+    zz = z[:, :, None] * z[:, None, :]
+    dzz = zz[atw] - zz[at]
+    G = h * (S[atw] - S[at] - 0.5 * dzz)  # trapezoid over each window
+    A_a, x, y = shadow.A_a, slice(0, n), slice(n + 1, None)
+    I_xx = G[:, x, x]
+    omega_K = np.hstack([h_form_rows(dzz[:, x, x] - A_a @ I_xx - I_xx @ A_a.T),
+                         -2.0 * R * G[:, x, n]])
+    couple = np.kron(np.eye(n_d), A_a.T) + np.kron(shadow.F_a.T, np.eye(n))
+    omega_F = np.hstack([dzz[:, y, x].reshape(-1, n_d * n)
+                         - G[:, y, x].reshape(-1, n_d * n) @ couple,
+                         -R * G[:, y, n]])
     return omega_K, omega_F
 
 
@@ -358,12 +352,10 @@ def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
     pair (omega_K, omega_F); this uses omega_K, and omega_F goes to
     learn_feedforward for the feedforward fits.
     """
-    B = np.asarray(b_matrix, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
     n, m = moments.n, moments.m
     if shadow.n != n:
         raise ConfigError("shadow state dimension does not match the data")
+    B = np.asarray(b_matrix, dtype=float).reshape(n, -1)
     ctrb = np.hstack([np.linalg.matrix_power(shadow.A_a, k) @ B for k in range(n)])
     if np.linalg.matrix_rank(ctrb) < n:
         raise ShadowUncontrollable(

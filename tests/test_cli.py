@@ -77,6 +77,9 @@ def test_parse_config_validation_matrix():
     good = parse_experiment_config(copy.deepcopy(SCALAR_CONFIG))
     assert good.mode == "data_driven"
     assert len(good.h_d_cases) == 2
+    one_input = {k: v for k, v in SCALAR_CONFIG.items() if k != "probing"}
+    assert parse_experiment_config(copy.deepcopy(
+        {**one_input, "mode": "shadow", "shadow": SHADOW_BLOCK})).mode == "shadow"
     for mutate in (
         {"mode": "mystery"},
         {"plant": None},
@@ -101,6 +104,14 @@ def test_parse_config_validation_matrix():
         {"cost_comparison": {"case": 1, "h": 0.0}},
         {"cost_comparison": {"case": 1, "n_paths": 1}},
         {"cost_comparison": {"case": 1, "seed": "one"}},
+        # the shadow block is checked in every mode
+        {"shadow": {**SHADOW_BLOCK, "h": 0.0}},
+        {"shadow": {**SHADOW_BLOCK, "h": -1e-5}},
+        # the shadow probing signal is scalar, so a two-input plant is refused
+        {"mode": "shadow", "probing": None, "shadow": SHADOW_BLOCK,
+         "plant": {"A": [[0.0]], "B": [[1.0, 1.0]], "C": [[0.1]],
+                   "D": [[0.0, 0.0]], "H": [[1.0]]},
+         "cost": {"Q": [[1.0]], "R": [[1.0, 0.0], [0.0, 1.0]]}},
     ):
         cfg = copy.deepcopy(SCALAR_CONFIG)
         for k, v in mutate.items():

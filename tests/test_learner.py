@@ -4,14 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from slqt.benchmarks import coupled_oscillators
 from slqt.errors import (ConfigError, DivergedAlpha, MaxIterExceeded, NonPositiveP,
                          RankDeficient, ShadowUncontrollable)
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem)
 from slqt.bpi import feedforward_gains, solve_tracking
-from slqt.learner import (ShadowConfig, learn_feedback, learn_feedforward,
-                          learn_shadow, shadow_regressors)
+from slqt.learner import (ShadowConfig, _shadow_series, learn_feedback,
+                          learn_feedforward, learn_shadow, shadow_regressors)
 from slqt.regressors import accumulate_raw_moments
 from slqt.sim import SimConfig, probing_signal, propagate_moments_exact, run_ensemble
 from slqt.symquad import vech
@@ -154,24 +157,111 @@ def shadow_pair(r_val=2.0):
     return plant, cost, shadow
 
 
-def test_shadow_rows_annihilate_consistent_pairs():
-    plant, cost, shadow = shadow_pair()
-    t_global = np.array([0.0, 0.3, 0.6, 0.9])
-    omega_K, omega_F = shadow_regressors(shadow, plant.B, cost.R,
-                                         t_global, window=0.1)
-    rng = np.random.default_rng(7)
+def assert_annihilates_consistent_pairs(shadow, B, R, t_global, window, seed):
+    """Omega_K kills [vech(P); vec(R^-1 B'P)], Omega_F [vec(Pi); vec(R^-1 B'Pi)]."""
+    omega_K, omega_F = shadow_regressors(shadow, B, R, t_global, window)
+    rng = np.random.default_rng(seed)
     scale_K = np.abs(omega_K).max()
     scale_F = np.abs(omega_F).max()
     for trial in range(10):
-        P = rng.normal(size=(2, 2))
+        P = rng.normal(size=(shadow.n, shadow.n))
         P = P + P.T
-        K = np.linalg.solve(cost.R, plant.B.T @ P)
+        K = np.linalg.solve(R, B.T @ P)
         theta_k = np.concatenate([vech(P), K.ravel(order="F")])
         assert np.abs(omega_K @ theta_k).max() < 1e-6 * max(1.0, scale_K)
-        Pi = rng.normal(size=(2, 2))
-        F = np.linalg.solve(cost.R, plant.B.T @ Pi)
+        Pi = rng.normal(size=(shadow.n, shadow.n_d))
+        F = np.linalg.solve(R, B.T @ Pi)
         theta_f = np.concatenate([Pi.ravel(order="F"), F.ravel(order="F")])
         assert np.abs(omega_F @ theta_f).max() < 1e-6 * max(1.0, scale_F)
+
+
+def test_shadow_rows_annihilate_consistent_pairs():
+    plant, cost, shadow = shadow_pair()
+    assert_annihilates_consistent_pairs(shadow, plant.B, cost.R,
+                                        np.array([0.0, 0.3, 0.6, 0.9]), 0.1, seed=7)
+
+
+entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(arrays(float, (2, 2), elements=entries), arrays(float, (2, 1), elements=entries),
+       arrays(float, 4, elements=entries), st.floats(0.2, 3.0),
+       st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+def test_shadow_rows_annihilate_consistent_pairs_for_random_systems(M, B, x0y0, w, r, seed):
+    # a stable A_a (spectral abscissa -0.5) with well-conditioned modes,
+    # a rotating F_a and a fresh probing draw
+    A_a = M - (np.linalg.eigvals(M).real.max() + 0.5) * np.eye(2)
+    assume(np.linalg.cond(np.linalg.eig(A_a)[1]) < 1e6)
+    shadow = ShadowConfig(A_a=A_a, u_a=probing_signal(1.0, 6, (-20.0, 20.0), seed=seed),
+                          x_a0=x0y0[:2], F_a=np.array([[0.0, w], [-w, 0.0]]),
+                          y_a0=x0y0[2:], h=1e-4)
+    assert_annihilates_consistent_pairs(shadow, B, np.array([[r]]),
+                                        np.array([0.0, 0.05, 0.12]), 0.05, seed=seed)
+
+
+def dop853_series(shadow, B, t):
+    """[x_a; u; y_a] at times t from DOP853 at rtol 1e-12, the oracle."""
+    from scipy.integrate import solve_ivp
+
+    n = shadow.n
+
+    def rhs(s, z):
+        return np.concatenate([shadow.A_a @ z[:n] + B[:, 0] * shadow.u_a(s),
+                               shadow.F_a @ z[n:]])
+
+    sol = solve_ivp(rhs, (0.0, t[-1]), np.concatenate([shadow.x_a0, shadow.y_a0]),
+                    method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+    assert sol.success
+    Z = sol.sol(t).T
+    return np.hstack([Z[:, :n], shadow.u_a(t)[:, None], Z[:, n:]])
+
+
+@pytest.mark.parametrize("example", ["shadow_pair", "example2"])
+def test_closed_form_shadow_series_matches_dop853(example):
+    if example == "shadow_pair":
+        plant, _, shadow = shadow_pair()
+    else:
+        bundle = coupled_oscillators()
+        plant, shadow = bundle.plant, bundle.shadow
+    # targets across block edges, adjacent ones, and a start off zero
+    targets = np.array([3, 10, 1030, 1031, 20_000, 40_000])
+    z, S = _shadow_series(shadow, plant.B, targets)
+    Z = dop853_series(shadow, plant.B, np.arange(targets[0], targets[-1] + 1) * shadow.h)
+    at = targets - targets[0]
+    assert np.abs(z - Z[at]).max() <= 1e-9 * np.abs(Z).max()
+    S_ref = np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0)[at]
+    assert np.abs(S - S_ref).max() <= 1e-9 * np.abs(S_ref).max()
+
+
+def test_shadow_config_takes_a_probing_signal_only():
+    _, _, shadow = shadow_pair()
+    with pytest.raises(ConfigError, match="ProbingSignal"):
+        dataclasses.replace(shadow, u_a=lambda t: np.sin(t))
+
+
+def test_shadow_rows_need_one_input():
+    plant, _, shadow = shadow_pair()
+    with pytest.raises(ConfigError, match="one column"):
+        shadow_regressors(shadow, np.hstack([plant.B, plant.B]), np.eye(2),
+                          np.array([0.0, 0.1]), window=0.1)
+
+
+def test_resonant_probing_frequency_is_a_config_error():
+    # A_a with eigenvalues +-i omega_3 makes i omega_3 I - A_a singular
+    _, _, shadow = shadow_pair()
+    w = shadow.u_a.omegas[3]
+    with pytest.raises(ConfigError, match=r"probing frequency 3 \(omega = "):
+        dataclasses.replace(shadow, A_a=np.array([[0.0, w], [-w, 0.0]]))
+
+
+def test_defective_auxiliary_matrices_are_config_errors():
+    # Jordan blocks: e^{Mt} has a t e^{lambda t} term no eigenbasis carries
+    _, _, shadow = shadow_pair()
+    with pytest.raises(ConfigError, match="A_a is defective"):
+        dataclasses.replace(shadow, A_a=np.array([[-1.0, 1.0], [0.0, -1.0]]))
+    with pytest.raises(ConfigError, match="F_a is defective"):
+        dataclasses.replace(shadow, F_a=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def unforced_moments(plant, hyper, l=40):

@@ -19,12 +19,13 @@ def test_every_name_in_all_resolves(name):
 
 @pytest.mark.parametrize("demo", ["01_model_based_solution.py",
                                   "02_data_driven_learning.py",
+                                  "03_shadow_learning.py",
                                   "04_tracking_and_cost.py"])
 def test_model_based_demo_runs(demo):
     # demo 01 calls solve_tracking and spectral_abscissa the way a user
-    # would, demo 02 reads the learner's iterate trace, demo 04 runs both
-    # cost designs in one call; each must run to the end in a fresh
-    # interpreter
+    # would, demo 02 reads the learner's iterate trace, demo 03 learns
+    # through shadow_regressors, demo 04 runs both cost designs in one
+    # call; each must run to the end in a fresh interpreter
     import os
     import subprocess
     import sys
