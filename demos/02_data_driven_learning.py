@@ -22,7 +22,7 @@ model = solve_tracking(TrackingProblem(
 print(f"model-based optimum K* = {model.K.ravel()}")
 
 # exact moments: the noise-free oracle route
-moments = gather_moments(bundle, mode="exact", refine=20)
+moments = gather_moments(bundle, mode="exact")
 learned = learn_feedback(moments, bundle.cost, bundle.hyper,
                          validate_with=bundle.plant)
 states = list(model.history["phase1"]) + list(model.history["phase2"])

@@ -12,17 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import ConfigError
 from .learner import ShadowConfig
 from .model import BpiHyperParams, CostWeights, ReferenceGenerator, StochasticSystem
 from .regressors import MomentTable, accumulate_raw_moments
-from .sim import (ProbingSignal, SimConfig, discounted_input, probing_signal,
+from .sim import (ProbingSignal, SimConfig, _reference_states, probing_signal,
                   propagate_moments_exact, run_ensemble)
 
 __all__ = ["ExampleBundle", "damped_oscillator", "coupled_oscillators",
-           "reference_at_offset",
            "gather_moments"]
 
 
@@ -133,54 +130,31 @@ def coupled_oscillators() -> ExampleBundle:
         segments=segments, shadow=shadow, scenarios=dict(_SCENARIOS))
 
 
-def reference_at_offset(reference: ReferenceGenerator,
-                         dt: float) -> ReferenceGenerator:
-    """The same generator restarted from its state dt time units in."""
-    if dt == 0.0:
-        return reference
-    x_shift = expm(reference.A_d * dt) @ reference.x_d0
-    return ReferenceGenerator(reference.A_d, reference.H_d, x_shift)
-
-
-def _check_refine(mode: str, refine: int) -> None:
-    if refine < 1 or (mode == "ensemble" and refine != 1):
-        raise ConfigError(f"refine must be >= 1 on the exact route and 1 on the "
-                          f"ensemble route, got refine={refine} with mode {mode!r}")
-
-
 def gather_moments(bundle: ExampleBundle, mode: str = "ensemble",
-                   n_paths: int | None = None, refine: int = 1) -> MomentTable:
+                   n_paths: int | None = None) -> MomentTable:
     """Collect the bundle's data segments and reduce them to one table.
 
     mode='ensemble' runs seeded Monte Carlo; mode='exact' propagates
-    the closed moment ODEs instead (the noise-free oracle route).
-    ``refine`` >= 1 tightens the quadrature grid of the exact route;
-    the ensemble route takes only refine = 1. The reference trajectory
-    is evaluated on the experiment-wide clock, so later segments see it
-    advanced by their time offset.
+    the closed moment ODEs instead (the noise-free oracle route). Both
+    routes discount by (gamma - alpha0)/2 the same way. The reference
+    is on the experiment-wide clock: each segment restarts it from its
+    state at the segment's time offset.
     """
-    _check_refine(mode, refine)
     hyper = bundle.hyper
-    alpha_tilde = hyper.alpha_tilde
+    ref = bundle.reference
     tables = []
     for x0, t_offset, seg_seed in bundle.segments:
-        reference = reference_at_offset(bundle.reference, t_offset)
+        reference = replace(ref, x_d0=_reference_states(ref.A_d, ref.x_d0, [t_offset])[0])
         if mode == "ensemble":
             # each segment runs the sim layout under its own base seed (and
             # path count, when overridden)
             sim = replace(bundle.sim, base_seed=int(seg_seed),
                           n_paths=bundle.sim.n_paths if n_paths is None else int(n_paths))
             traj = run_ensemble(bundle.plant, bundle.probing, x0, sim,
-                                discount=alpha_tilde, reference=reference)
+                                discount=hyper.alpha_tilde, reference=reference)
         elif mode == "exact":
-            shifted = StochasticSystem(
-                bundle.plant.A - alpha_tilde * np.eye(bundle.plant.n),
-                bundle.plant.B, bundle.plant.C, bundle.plant.D, bundle.plant.H)
-            u = discounted_input(bundle.probing, alpha_tilde)
-            traj = propagate_moments_exact(
-                shifted, u, x0, bundle.sim,
-                method="adaptive" if refine > 1 else "rk4", refine=refine,
-                reference=reference)
+            traj = propagate_moments_exact(bundle.plant, bundle.probing, x0, bundle.sim,
+                                           discount=hyper.alpha_tilde, reference=reference)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         tables.append(accumulate_raw_moments(

@@ -4,7 +4,7 @@ Phase I walks alpha from alpha0 up to gamma while keeping the zero-gain
 start admissible: each step evaluates the gain on the shifted plant
 S(alpha) with forcing K'RK + theta, improves the gain, then advances
 alpha by a certified increment. Once alpha crosses gamma the iterate
-stabilizes the original plant and phase II refines it there with the
+stabilizes the original plant and phase II iterates on it there with the
 true cost forcing K'RK + H'QH until it reaches the optimum.
 
 One loop, ``_bootstrap``, runs both phases for the model-based solve

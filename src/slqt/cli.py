@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_continuous_are
 
-from .benchmarks import (_check_refine, coupled_oscillators, damped_oscillator,
-                         gather_moments)
+from .benchmarks import coupled_oscillators, damped_oscillator, gather_moments
 from .bpi import feedforward_gains, solve_tracking
 from .errors import (Blowup, ConfigError, DivergedAlpha, MaxIterExceeded,
                      NotStabilizing, RankDeficient, SingularOperator, SlqtError)
@@ -335,7 +334,7 @@ _CONFIG_KEYS = {
     "sim": {"h", "T_s", "T", "t1", "l", "n_paths", "base_seed"},
     "probing": _PROBING_KEYS,
     "segments": {"x0", "t_offset", "base_seed"},
-    "data_source": {"kind", "refine"},
+    "data_source": {"kind"},
     "shadow": {"A_a", "x_a0", "F_a", "y_a0", "probing", "h"},
     "shadow.probing": _PROBING_KEYS,
     "tracking": {"schedule", "h", "n_paths", "base_seed"},
@@ -473,8 +472,7 @@ def _parse(raw: dict) -> ExperimentConfig:
     kind = dsb.get("kind", "ensemble")
     if kind not in ("ensemble", "exact"):
         raise ConfigError(f"unknown data_source kind {kind!r}")
-    data_source = {"kind": kind, "refine": int(dsb.get("refine", 1))}
-    _check_refine(kind, data_source["refine"])
+    data_source = {"kind": kind}
 
     shb = _block(raw, "shadow")
     shadow = None
@@ -727,8 +725,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         if config.mode != "model_based":
             with _timed(report, "collect"):
                 moments = gather_moments(config, mode=config.data_source["kind"],
-                                         n_paths=n_paths,
-                                         refine=config.data_source["refine"])
+                                         n_paths=n_paths)
             validate_with = config.plant if validate else None
             omega_F, flags = None, {}
             if config.mode == "shadow":

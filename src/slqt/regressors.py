@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_simpson
 
 from .errors import ConfigError, WindowOutOfRange
 from .model import BpiHyperParams
@@ -123,7 +123,10 @@ def feedforward_required_rank(n: int, m: int, n_d: int) -> int:
 
 def _windowed_integrals(series: np.ndarray, idx: np.ndarray, w: int,
                         h: float) -> np.ndarray:
-    cum = cumulative_trapezoid(series, dx=h, axis=0, initial=0.0)
+    # composite Simpson: each step's integral is that of the parabola
+    # through it and a neighbouring sample, so windows of any start and
+    # length integrate quadratics exactly
+    cum = cumulative_simpson(series, dx=h, axis=0, initial=0.0)
     return cum[idx + w] - cum[idx]
 
 
@@ -137,14 +140,19 @@ def _check_psd(name: str, rows_of_mats: np.ndarray) -> None:
 
 def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
                            output_map=None, t_offset: float = 0.0) -> MomentTable:
-    """Windowed trapezoidal moments of a moment trajectory.
+    """Windowed moments of a moment trajectory, by composite Simpson.
 
     ``source`` is a MomentTrajectory (grid arrays t, mean_x, mean_xx, u,
     optionally x_d, and the discount it carries) from either data
-    route. The sampling layout (t1, sample_period, l, window) comes
-    from the SimConfig ``config``. ``output_map`` supplies H so the
-    output moments Z and the feedforward right-hand sides can be formed.
-    t_offset shifts the stored global clock.
+    route; a discount other than (gamma - alpha0)/2 of ``hyper`` is a
+    ConfigError. Each window integral is exact for moments quadratic
+    in t, at any sample index and window length (a grid of two points
+    falls back to the trapezoid rule), so with the exact route's RK4
+    moments the table is fourth-order accurate in h. The sampling
+    layout (t1, sample_period, l, window) comes from the SimConfig
+    ``config``. ``output_map`` supplies H so the output moments Z and
+    the feedforward right-hand sides can be formed. t_offset shifts the
+    stored global clock.
     """
     discount = source.discount
     if hyper is not None and discount is not None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
 from .errors import Blowup, ConfigError
@@ -27,13 +26,12 @@ from .symquad import vech_indices
 
 __all__ = [
     "SimConfig", "PathRecord", "ProbingSignal", "MomentTrajectory",
-    "TrackingRun", "probing_signal", "discounted_input", "simulate_sde_path",
+    "TrackingRun", "probing_signal", "simulate_sde_path",
     "run_ensemble", "propagate_moments_exact", "reference_trajectory",
     "estimate_average_cost", "CostEstimate", "simulate_tracking",
 ]
 
 _BLOWUP_NORM = 1e8
-_ODE_RTOL, _ODE_ATOL = 1e-12, 1e-14  # DOP853 tolerances of the exact moments
 _CHUNK_STEPS = 2048
 _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
@@ -158,20 +156,6 @@ class ProbingSignal:
 
 def probing_signal(amplitude: float, count: int, freq_range, seed: int) -> ProbingSignal:
     return ProbingSignal(amplitude, count, (float(freq_range[0]), float(freq_range[1])), seed)
-
-
-def discounted_input(fn, rate: float):
-    """Compose a time-function with the exponential weight exp(-rate*t)."""
-    if fn is None:
-        return None
-
-    def weighted(t):
-        t_arr = np.asarray(t, dtype=float)
-        v = np.asarray(fn(t), dtype=float)
-        w = np.exp(-rate * t_arr)
-        return v * w[..., None] if v.ndim == w.ndim + 1 else v * w
-
-    return weighted
 
 
 def _sample_input(fn, t: np.ndarray, m: int) -> np.ndarray:
@@ -318,9 +302,10 @@ class MomentTrajectory:
     Both data routes return this: run_ensemble's Monte Carlo reductions
     and propagate_moments_exact's exact moments. mean_xx rows hold the
     upper triangle of E[x x'] row by row; se_xx, filled by run_ensemble
-    only, the per-entry standard errors of mean_xx. When ``discount`` is
-    set the trajectories are the transformed ones: x and u scaled by
-    exp(-discount * t) and second moments by the square of that factor.
+    whenever it runs more than one path, the per-entry standard errors
+    of mean_xx. When ``discount`` is set the trajectories are the
+    transformed ones, on both routes: x and u scaled by exp(-discount * t)
+    and second moments by the square of that factor.
     """
 
     t: np.ndarray
@@ -332,9 +317,24 @@ class MomentTrajectory:
     discount: float | None = None
 
 
+def _moment_trajectory(t, mean_x, mean_xx, u, discount, reference,
+                       se_xx=None) -> MomentTrajectory:
+    """The plant moments on the grid t as a MomentTrajectory, with the
+    reference state attached and, when discount is set, x and u scaled
+    by exp(-discount * t) and the second moments by its square."""
+    x_d = None if reference is None else reference_trajectory(reference, t)[0]
+    if discount is not None:
+        scale = np.exp(-discount * t)[:, None]
+        mean_x, u = mean_x * scale, u * scale
+        mean_xx = mean_xx * (scale * scale)
+        if se_xx is not None:
+            se_xx = se_xx * (scale * scale)
+    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
+                            x_d=x_d, discount=discount)
+
+
 def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = None,
-                 reference: ReferenceGenerator | None = None,
-                 with_se: bool = True) -> MomentTrajectory:
+                 reference: ReferenceGenerator | None = None) -> MomentTrajectory:
     """Simulate config.n_paths Euler-Maruyama paths and stream reductions.
 
     Path p uses seed base_seed + p with an independent counter-based
@@ -351,7 +351,7 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
     nn2 = r_idx.size
     mean_x = np.empty((N + 1, n))
     mean_xx = np.empty((N + 1, nn2))
-    se_xx = np.empty((N + 1, nn2)) if with_se and p > 1 else None
+    se_xx = np.empty((N + 1, nn2)) if p > 1 else None
 
     prods = np.empty((_BLOCK_STEPS, nn2, p))
 
@@ -371,17 +371,7 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
 
     _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, config.base_seed, p, N,
               config.h, record)
-
-    x_d = None if reference is None else reference_trajectory(reference, t)[0]
-    if discount is not None:
-        scale = np.exp(-discount * t)
-        mean_x = mean_x * scale[:, None]
-        u = u * scale[:, None]
-        mean_xx = mean_xx * (scale * scale)[:, None]
-        if se_xx is not None:
-            se_xx = se_xx * (scale * scale)[:, None]
-    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
-                            x_d=x_d, discount=discount)
+    return _moment_trajectory(t, mean_x, mean_xx, u, discount, reference, se_xx)
 
 
 def _xx_forcing(y, p, q, C, r_idx, c_idx):
@@ -422,89 +412,45 @@ def _affine_recursion(z0, Lt, h, fs):
 
 
 def propagate_moments_exact(plant, input, x0, config: SimConfig,
-                            method: str = "rk4", refine: int = 1,
-                            reference: ReferenceGenerator | None = None) -> MomentTrajectory:
+                            discount: float | None = None,
+                            reference: ReferenceGenerator | None = None,
+                            method: str = "rk4") -> MomentTrajectory:
     """Integrate the closed mean/second-moment ODEs of the plant SDE.
 
     m' = A m + B u and
     G' = A G + G A' + B u m' + m u' B' + C G C' + C m u' D' + D u m' C' + D u u' D'
     with G = E[x x']. This is the oracle the sampled-data pipeline is
-    validated against. method='rk4' steps on the config grid at O(h^4);
-    method='adaptive' integrates with a high-order adaptive scheme and
-    evaluates the dense solution on the config grid refined by
-    ``refine`` (step h/refine), which is what tight quadrature
-    tolerances downstream need. Either way Blowup is raised at the first
-    time where the norm of [m; vech G] exceeds 1e8 or is not finite.
+    validated against. Classical RK4 (method 'rk4', the only scheme)
+    steps on the config grid at O(h^4), which the Simpson windows
+    downstream keep. Blowup is raised at the first grid time where the
+    norm of [m; vech G] exceeds 1e8 or is not finite. discount and
+    reference act as in run_ensemble: the moments are scaled by
+    exp(-discount * t) after the check, and x_d is attached.
     """
-    n, m = plant.n, plant.m
+    if method != "rk4":
+        raise ConfigError(f"unknown method {method!r}; the exact moments use 'rk4'")
     x0 = np.asarray(x0, dtype=float).ravel()
-    r_idx, c_idx = vech_indices(n)
+    r_idx, c_idx = vech_indices(plant.n)
     A, B, C, D = plant.A, plant.B, plant.C, plant.D
-    # the G flow is X -> A X + X A' + C X C', the operator at (A', C')
+    # Both ODEs are linear once u is known, so one RK4 step is a fixed
+    # map z -> Phi z + w_k; w_k for every step comes from the stage
+    # forcings at once, leaving only the affine recursions sequential.
+    # The G flow is X -> A X + X A' + C X C', the operator at (A', C').
     LG = _lyap_operator(A.T, C.T)
-    if method == "rk4":
-        if refine != 1:
-            raise ConfigError("refine applies to the adaptive method only")
-        # Both ODEs are linear once u is known, so one RK4 step is a fixed
-        # map z -> Phi z + w_k; w_k for every step comes from the stage
-        # forcings at once, leaving only the affine recursions sequential.
-        h, t = config.h, config.grid()
-        u_half = _sample_input(input, np.arange(2 * config.n_steps + 1) * (h / 2.0), m)
-        us = (u_half[:-1:2], u_half[1::2], u_half[1::2], u_half[2::2])
-        bs = [u @ B.T for u in us]
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean_x = _affine_recursion(x0, A.T, h, bs)
-            fs = [_xx_forcing(y, p, u @ D.T, C, r_idx, c_idx)
-                  for y, p, u in zip(_rk4_step(A.T, h, mean_x[:-1], bs)[0], bs, us)]
-            mean_xx = _affine_recursion(np.outer(x0, x0)[r_idx, c_idx], LG.T, h, fs)
-        u = u_half[::2]
-    elif method == "adaptive":
-        if refine < 1:
-            raise ConfigError("refine must be at least 1")
-
-        def rhs(tt, z):
-            mv = z[:n]
-            uk = np.atleast_1d(np.asarray(input(tt), dtype=float)) if input is not None \
-                else np.zeros(m)
-            p, q = B @ uk, D @ uk
-            f = _xx_forcing(mv[None], p[None], q[None], C, r_idx, c_idx)[0]
-            return np.concatenate([A @ mv + p, LG @ z[n:] + f])
-
-        def diverged(tt, z):
-            return np.linalg.norm(z) - _BLOWUP_NORM
-
-        diverged.terminal = True
-        diverged.direction = 1.0
-        z0 = np.concatenate([x0, np.outer(x0, x0)[r_idx, c_idx]])
-        sol = solve_ivp(rhs, (0.0, config.duration), z0, method="DOP853",
-                        rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True,
-                        events=diverged)
-        if sol.status == 1:
-            raise Blowup(f"moment norm exceeded {_BLOWUP_NORM:.0e}",
-                         time=float(sol.t_events[0][0]))
-        if not sol.success:
-            raise Blowup(f"adaptive moment propagation failed: {sol.message}")
-        h_f = config.h / refine
-        N_f = config.n_steps * refine
-        t = np.arange(N_f + 1) * h_f
-        mean_x = np.empty((N_f + 1, n))
-        mean_xx = np.empty((N_f + 1, r_idx.size))
-        chunk = 200_000
-        for a in range(0, N_f + 1, chunk):
-            b = min(a + chunk, N_f + 1)
-            Z = sol.sol(t[a:b])
-            mean_x[a:b] = Z[:n].T
-            mean_xx[a:b] = Z[n:].T
-        u = _sample_input(input, t, m)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    h, t = config.h, config.grid()
+    u_half = _sample_input(input, np.arange(2 * config.n_steps + 1) * (h / 2.0), plant.m)
+    us = (u_half[:-1:2], u_half[1::2], u_half[1::2], u_half[2::2])
+    bs = [u @ B.T for u in us]
     with np.errstate(over="ignore", invalid="ignore"):
+        mean_x = _affine_recursion(x0, A.T, h, bs)
+        fs = [_xx_forcing(y, p, u @ D.T, C, r_idx, c_idx)
+              for y, p, u in zip(_rk4_step(A.T, h, mean_x[:-1], bs)[0], bs, us)]
+        mean_xx = _affine_recursion(np.outer(x0, x0)[r_idx, c_idx], LG.T, h, fs)
         norms = np.sqrt((mean_x * mean_x).sum(axis=1) + (mean_xx * mean_xx).sum(axis=1))
     bad = ~(norms <= _BLOWUP_NORM)
     if bad.any():
         raise Blowup(f"moment norm exceeded {_BLOWUP_NORM:.0e}", time=float(t[np.argmax(bad)]))
-    x_d = None if reference is None else reference_trajectory(reference, t)[0]
-    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, x_d=x_d)
+    return _moment_trajectory(t, mean_x, mean_xx, u_half[::2], discount, reference)
 
 
 @dataclass(frozen=True)

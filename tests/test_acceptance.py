@@ -63,7 +63,7 @@ def ex1_model(ex1):
 
 @pytest.fixture(scope="module")
 def ex1_exact_learn(ex1):
-    moments = gather_moments(ex1, mode="exact", refine=50)
+    moments = gather_moments(ex1, mode="exact")
     return learn_feedback(moments, ex1.cost, ex1.hyper,
                           validate_with=ex1.plant)
 
@@ -249,7 +249,7 @@ def test_criterion_07_lyapunov_and_riccati_oracles():
     for b in range(4):
         cfg = SimConfig(h=1e-3, sample_period=0.01, window=0.01, t1=0.0,
                         l=2001, n_paths=500, base_seed=1000 * b)
-        ds = run_ensemble(closed, None, x0, cfg, with_se=False)
+        ds = run_ensemble(closed, None, x0, cfg)
         integrand = np.exp(-(gamma - alpha) * ds.t) * (ds.mean_xx @ pair)
         batches.append(np.trapezoid(integrand, ds.t))
     batches = np.asarray(batches)

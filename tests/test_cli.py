@@ -1,7 +1,6 @@
 """Command line interface: configs, reports, exit codes, determinism."""
 
 import copy
-import dataclasses
 import glob
 import json
 import math
@@ -11,7 +10,6 @@ import re
 import numpy as np
 import pytest
 
-from slqt.benchmarks import damped_oscillator, gather_moments
 from slqt.cli import (EXIT_CODES, build_parser, canonical_json, exit_code_for,
                       load_config, load_report, main, parse_experiment_config,
                       run_experiment)
@@ -19,7 +17,6 @@ from slqt.errors import (Blowup, ConfigError, MaxIterExceeded, NonPositiveP,
                          NotStabilizing, RankDeficient, SingularOperator,
                          SlqtError)
 from slqt.model import StabilityCertificate
-from slqt.sim import SimConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -94,7 +91,9 @@ def test_parse_config_validation_matrix():
         {"tracking": {"schedule": [[1, 1.0]], "h": 0.0}},
         {"tracking": {"schedule": [[1, math.inf]]}},
         # a data route a model-based run never reads is still checked
-        {"mode": "model_based", "data_source": {"kind": "ensemble", "refine": 50}},
+        {"mode": "model_based", "data_source": {"kind": "moments"}},
+        # refine is no key, even at its old default
+        {"mode": "model_based", "data_source": {"kind": "exact", "refine": 1}},
         # the cost study block is typed before anything runs
         {"cost_comparison": {"case": "eight"}},
         {"cost_comparison": {"case": 3}},
@@ -402,27 +401,35 @@ def test_shadow_and_data_driven_blocks_share_their_keys():
     assert set(sh["rank"]) == set(dd["rank"]) == {"feedback"}
 
 
+REFINE_ERROR = "unknown key(s) ['refine'] in config block 'data_source'"
+
+
+def refine_configs():
+    """(subcommand, config) pairs of every mode, each data_source setting
+    the removed refine key; a model-based solve never collects data."""
+    for refine in (1, 20):
+        for kind in ("ensemble", "exact"):
+            yield "learn-fb", {**SCALAR_CONFIG, "data_source": {"kind": kind, "refine": refine}}
+            yield "solve", {**SCALAR_CONFIG, "mode": "model_based",
+                            "data_source": {"kind": kind, "refine": refine}}
+        yield "shadow", {**SHADOW_CONFIG, "data_source": {"kind": "exact", "refine": refine}}
+
+
 def test_bad_refine_is_a_config_error():
-    bundle = dataclasses.replace(
-        damped_oscillator(),
-        sim=SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=5, n_paths=4))
-    with pytest.raises(ConfigError, match="got refine=50 with mode 'ensemble'"):
-        gather_moments(bundle, mode="ensemble", refine=50)
-    with pytest.raises(ConfigError, match="got refine=0 with mode 'exact'"):
-        gather_moments(bundle, mode="exact", refine=0)
+    # the exact route has one grid, so an old config's refine is refused,
+    # naming the key, in every mode and at any value
+    for _, raw in refine_configs():
+        with pytest.raises(ConfigError) as info:
+            parse_experiment_config(copy.deepcopy(raw))
+        assert REFINE_ERROR in str(info.value)
 
 
 def test_bad_refine_exits_2(tmp_path, capsys):
-    for kind, refine in (("ensemble", 50), ("exact", 0)):
-        cfg = write_config(tmp_path, name=f"{kind}.json", overrides={
-            "data_source": {"kind": kind, "refine": refine}})
-        assert main(["learn-fb", "--config", cfg]) == EXIT_CODES["config"]
-        assert f"got refine={refine}" in capsys.readouterr().err
-    # a model-based solve never collects data, and is refused all the same
-    cfg = write_config(tmp_path, name="model.json", overrides={
-        "mode": "model_based", "data_source": {"kind": "ensemble", "refine": 50}})
-    assert main(["solve", "--config", cfg]) == EXIT_CODES["config"]
-    assert "got refine=50 with mode 'ensemble'" in capsys.readouterr().err
+    for i, (command, raw) in enumerate(refine_configs()):
+        path = tmp_path / f"refine{i}.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == EXIT_CODES["config"]
+        assert REFINE_ERROR in capsys.readouterr().err
 
 
 def test_readme_lists_the_parser_subcommands():

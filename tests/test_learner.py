@@ -30,11 +30,8 @@ def scalar_moments(hyper, l=60, probing=True):
     sys = scalar_plant()
     sig = probing_signal(1.0, 8, (-30.0, 30.0), seed=4) if probing else None
     cfg = SimConfig(h=1e-4, sample_period=1e-3, window=0.05, l=l, n_paths=1)
-    shifted = StochasticSystem(sys.A - hyper.alpha_tilde * np.eye(1),
-                               sys.B, sys.C, sys.D, sys.H)
-    from slqt.sim import discounted_input
-    traj = propagate_moments_exact(shifted, discounted_input(sig, hyper.alpha_tilde),
-                                   np.array([1.0]), cfg)
+    traj = propagate_moments_exact(sys, sig, np.array([1.0]), cfg,
+                                   discount=hyper.alpha_tilde)
     return accumulate_raw_moments(traj, hyper=hyper, config=cfg, output_map=sys.H)
 
 
@@ -270,8 +267,6 @@ def unforced_moments(plant, hyper, l=40):
     from slqt.regressors import MomentTable
 
     cfg = SimConfig(h=1e-4, sample_period=2e-3, window=0.05, l=l, n_paths=1)
-    shifted = StochasticSystem(plant.A - hyper.alpha_tilde * np.eye(plant.n),
-                               plant.B, plant.C, plant.D, plant.H)
     ref = ReferenceGenerator(np.array([[0.0, 1.3], [-1.3, 0.0]]),
                              np.array([[1.0, 0.0]]), np.array([1.0, -0.5]))
     # two unforced segments from different states, on one global clock
@@ -280,8 +275,8 @@ def unforced_moments(plant, hyper, l=40):
     for x0, dt in ((np.array([1.0, 0.6]), 0.0), (np.array([-0.7, 1.0]), offset)):
         seg_ref = ReferenceGenerator(ref.A_d, ref.H_d,
                                      expm(ref.A_d * dt) @ ref.x_d0)
-        traj = propagate_moments_exact(shifted, None, x0, cfg,
-                                       reference=seg_ref)
+        traj = propagate_moments_exact(plant, None, x0, cfg,
+                                       discount=hyper.alpha_tilde, reference=seg_ref)
         tables.append(accumulate_raw_moments(traj, hyper=hyper, config=cfg,
                                              output_map=plant.H, t_offset=dt))
     return MomentTable.concat(tables), ref, cfg

@@ -4,6 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import simpson
 
 from slqt.errors import ConfigError, WindowOutOfRange
 from slqt.model import BpiHyperParams, CostWeights, StochasticSystem
@@ -43,6 +46,10 @@ def test_constant_state_moments():
 
 
 def test_windowed_integrals_match_direct_quadrature():
+    # Simpson's rule on each window's own 41 samples: the same sum where
+    # the window starts on an even grid index (k = 0, 24), another
+    # fourth-order rule where it starts on an odd one (k = 7); the
+    # trapezoid rule misses both by more than 1e-7 of the scale
     sys = StochasticSystem(A=np.array([[-0.5, 1.0], [-1.0, -0.3]]),
                            B=np.array([[0.0], [1.0]]),
                            C=0.1 * np.eye(2), D=np.zeros((2, 1)),
@@ -54,12 +61,58 @@ def test_windowed_integrals_match_direct_quadrature():
     for k in (0, 7, 24):
         t0 = cfg.sample_times()[k]
         sel = (traj.t >= t0 - 1e-12) & (traj.t <= t0 + cfg.window + 1e-12)
-        direct = np.trapezoid(traj.mean_xx[sel], traj.t[sel], axis=0)
-        np.testing.assert_allclose(vech(tab.S[k]), direct, rtol=1e-9, atol=1e-12)
+        assert sel.sum() == 41
         xu = traj.mean_x[sel] * traj.u[sel]
-        np.testing.assert_allclose(tab.W[k].ravel(),
-                                   np.trapezoid(xu, traj.t[sel], axis=0),
-                                   rtol=1e-9, atol=1e-12)
+        for got, f in ((vech(tab.S[k]), traj.mean_xx[sel]), (tab.W[k].ravel(), xu)):
+            scale = cfg.window * np.abs(f).max()
+            np.testing.assert_allclose(got, simpson(f, x=traj.t[sel], axis=0),
+                                       rtol=0.0, atol=1e-8 * scale)
+
+
+def linear_rows(p, q, t):
+    return p[None, :] + t[:, None] * q[None, :]
+
+
+def integral_of_outer(p, q, r, s, t0, t1):
+    """Closed form of the integral of (p + q t)(r + s t)' over [t0, t1]."""
+    d1, d2, d3 = t1 - t0, (t1 ** 2 - t0 ** 2) / 2.0, (t1 ** 3 - t0 ** 3) / 3.0
+    return (np.multiply.outer(p, r) * d1 + (np.multiply.outer(p, s)
+            + np.multiply.outer(q, r)) * d2 + np.multiply.outer(q, s) * d3)
+
+
+coefs = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from([1e-3, 2.5e-3, 0.01, 0.05]), st.integers(0, 40),
+       st.integers(1, 12), st.integers(1, 60), st.integers(1, 12), st.integers(0, 3),
+       arrays(float, (3, 2, 2), elements=coefs))
+def test_windows_integrate_quadratic_moments_exactly(h, t1_steps, period_steps,
+                                                     window_steps, l, extra, coef):
+    # x, u and x_d linear in t (each row of coef is a pair p, q of p + q t),
+    # so every windowed moment integrates a quadratic: exact to roundoff
+    # at any start and window length SimConfig accepts, on grids of at
+    # least three points that may run past the last window
+    cfg = SimConfig(h=h, sample_period=period_steps * h, window=window_steps * h,
+                    t1=t1_steps * h, l=l, n_paths=1)
+    t = np.arange(max(cfg.n_steps + extra, 2) + 1) * h
+    (a, b), (c, d), (e, f) = coef
+    x = linear_rows(a, b, t)
+    src = SimpleNamespace(t=t, mean_x=x, u=linear_rows(c, d, t),
+                          x_d=linear_rows(e, f, t), discount=None,
+                          mean_xx=np.array([vech(np.outer(r, r)) for r in x]))
+    tab = accumulate_raw_moments(src, config=cfg)
+    # every integrand is at most 4 (1 + t)^2 in size
+    scale = t[-1] * 4.0 * (1.0 + t[-1]) ** 2
+    for i, t0 in enumerate(cfg.sample_times()):
+        t_end = t0 + cfg.window
+        for got, ref in (
+                (tab.S[i], integral_of_outer(a, b, a, b, t0, t_end)),
+                (tab.W[i], integral_of_outer(a, b, c, d, t0, t_end)),
+                (tab.V[i], integral_of_outer(c, d, c, d, t0, t_end)),
+                (tab.I_xdchi[i], integral_of_outer(e, f, a, b, t0, t_end).ravel()),
+                (tab.I_xdu[i], integral_of_outer(e, f, c, d, t0, t_end).ravel())):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_window_beyond_grid_raises():

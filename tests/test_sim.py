@@ -1,7 +1,6 @@
 """Simulation layer: paths, ensembles, exact moments, cost and tracking."""
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +10,7 @@ from scipy.linalg import expm
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
 from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, SimConfig, _em_paths,
-                      _sample_input, discounted_input,
+                      _sample_input,
                       estimate_average_cost, probing_signal,
                       propagate_moments_exact, reference_trajectory,
                       run_ensemble, simulate_sde_path, simulate_tracking)
@@ -72,11 +71,20 @@ def test_probing_signal_different_seed_differs():
 
 
 def test_discounted_input_weighting():
+    # the exact route discounts the way the ensemble route does: the
+    # input by exp(-rate t), the mean by the same weight, E[xx'] by its square
+    sys = small_plant()
     sig = probing_signal(1.0, 5, (-10.0, 10.0), seed=0)
-    w = discounted_input(sig, 0.45)
-    t = np.linspace(0.0, 3.0, 301)
-    np.testing.assert_allclose(w(t), np.exp(-0.45 * t) * sig(t), rtol=1e-14)
-    assert discounted_input(None, 0.45) is None
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=40)
+    x0 = np.array([0.5, -1.0])
+    plain = propagate_moments_exact(sys, sig, x0, cfg)
+    disc = propagate_moments_exact(sys, sig, x0, cfg, discount=0.45)
+    w = np.exp(-0.45 * plain.t)
+    assert plain.discount is None and disc.discount == 0.45
+    np.testing.assert_allclose(disc.u[:, 0], w * sig(plain.t), rtol=1e-14)
+    np.testing.assert_allclose(disc.mean_x, w[:, None] * plain.mean_x, rtol=1e-14)
+    np.testing.assert_allclose(disc.mean_xx, (w ** 2)[:, None] * plain.mean_xx,
+                               rtol=1e-14)
 
 
 def test_ensemble_mean_is_unbiased_for_euler():
@@ -289,21 +297,6 @@ def test_input_function_errors_propagate_unchanged():
     assert info.value is fault
 
 
-def test_exact_moment_methods_agree():
-    sys = small_plant()
-    sig = probing_signal(0.5, 4, (-8.0, 8.0), seed=4)
-    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=60)
-    x0 = np.array([0.3, -0.7])
-    a = propagate_moments_exact(sys, sig, x0, cfg, method="rk4")
-    b = propagate_moments_exact(sys, sig, x0, cfg, method="adaptive", refine=2)
-    if b.t.size == a.t.size:
-        np.testing.assert_allclose(a.mean_xx, b.mean_xx, rtol=1e-6, atol=1e-9)
-    else:
-        # refine=2 halves the step; compare on the shared instants
-        np.testing.assert_allclose(a.t, b.t[::2], atol=1e-12)
-        np.testing.assert_allclose(a.mean_xx, b.mean_xx[::2], rtol=1e-6, atol=1e-9)
-
-
 def moment_rhs(sys, mvec, G, uk):
     """Right-hand side of the mean and second-moment ODEs in matrix form."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
@@ -353,7 +346,75 @@ def test_rk4_step_map_equals_per_step_rk4(forced):
     np.testing.assert_array_equal(got.t, cfg.grid())
 
 
-@pytest.mark.parametrize("method", ["rk4", "adaptive"])
+def dop853_moments(plant, input, x0, t):
+    """The exact moments at times t from DOP853 at rtol 1e-12, the oracle."""
+    from scipy.integrate import solve_ivp
+
+    n = plant.n
+
+    def rhs(s, z):
+        dm, dG = moment_rhs(plant, z[:n], z[n:].reshape(n, n), input(np.array([s]))[0])
+        return np.concatenate([dm, dG.ravel()])
+
+    sol = solve_ivp(rhs, (0.0, t[-1]), np.concatenate([x0, np.outer(x0, x0).ravel()]),
+                    method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+    assert sol.success
+    Z = sol.sol(t).T
+    r, c = np.triu_indices(n)
+    return Z[:, :n], Z[:, n:].reshape(-1, n, n)[:, r, c]
+
+
+def shifted_plant_moments(plant, input, x0, cfg, rate):
+    """The discounted moments as the moments of the shifted plant A - rate I
+    driven by exp(-rate t) u(t): the same ODEs, integrated differently."""
+    shifted = StochasticSystem(plant.A - rate * np.eye(plant.n), plant.B, plant.C,
+                               plant.D, plant.H)
+
+    def weighted(t):
+        return np.exp(-rate * t)[:, None] * input(t)
+
+    return propagate_moments_exact(shifted, weighted, x0, cfg)
+
+
+def test_exact_moment_methods_agree():
+    # RK4 on the grid against DOP853, at two steps: the error is below
+    # 1e-7 of the moments' size and falls 16-fold when the step halves
+    sys = three_state_plant()
+    x0 = np.array([0.8, -0.5, 0.3])
+    errs = []
+    for h in (1e-2, 5e-3):
+        cfg = SimConfig(h=h, sample_period=4e-2, window=0.2, l=25)
+        got = propagate_moments_exact(sys, two_input_signal, x0, cfg)
+        mean_x, mean_xx = dop853_moments(sys, two_input_signal, x0, got.t)
+        step = round(1e-2 / h)
+        errs.append([np.abs(a - b)[::step].max() / np.abs(b).max()
+                     for a, b in ((got.mean_x, mean_x), (got.mean_xx, mean_xx))])
+    errs = np.array(errs)
+    assert errs[0].max() < 1e-7
+    assert np.all((errs[0] / errs[1] > 12.0) & (errs[0] / errs[1] < 20.0))
+
+
+def test_discount_route_matches_the_shifted_plant():
+    # discounting the plant's moments, and integrating the shifted plant
+    # under the discounted input, agree to RK4's O(h^4): the gap is small
+    # and falls 16-fold when the step halves
+    sys = three_state_plant()
+    x0 = np.array([0.8, -0.5, 0.3])
+    gaps = []
+    for h in (2e-2, 1e-2):
+        cfg = SimConfig(h=h, sample_period=4e-2, window=0.2, l=25)
+        disc = propagate_moments_exact(sys, two_input_signal, x0, cfg, discount=0.45)
+        old = shifted_plant_moments(sys, two_input_signal, x0, cfg, 0.45)
+        np.testing.assert_allclose(disc.u, old.u, rtol=1e-15)
+        step = round(2e-2 / h)
+        gaps.append([np.abs(a - b)[::step].max() / np.abs(b).max()
+                     for a, b in ((disc.mean_x, old.mean_x), (disc.mean_xx, old.mean_xx))])
+    gaps = np.array(gaps)
+    assert gaps[0].max() < 1e-7
+    assert np.all((gaps[0] / gaps[1] > 12.0) & (gaps[0] / gaps[1] < 20.0))
+
+
+@pytest.mark.parametrize("method", ["rk4"])
 def test_diverging_exact_moments_raise_blowup(method):
     sys = StochasticSystem(A=np.array([[200.0]]), B=np.array([[1.0]]),
                            C=np.array([[0.0]]), D=np.array([[0.0]]),
@@ -361,33 +422,20 @@ def test_diverging_exact_moments_raise_blowup(method):
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.1, l=190)
     with np.errstate(all="ignore"), pytest.raises(Blowup) as info:
         propagate_moments_exact(sys, None, np.array([1.0]), cfg, method=method)
-    if method == "rk4":
-        # unforced, the RK4 mean is psi^k and the second moment phi^k, with
-        # psi and phi the degree-4 Taylor polynomials of A h and 2 A h; the
-        # norm rule fires at the first k with hypot(psi^k, phi^k) > 1e8
-        psi, phi = (sum(a ** j / math.factorial(j) for j in range(5)) for a in (0.2, 0.4))
-        k = next(k for k in range(1, 1000) if math.hypot(psi ** k, phi ** k) > 1e8)
-        assert k == 47
-        assert info.value.time == cfg.grid()[k]
-        # the adaptive solve's event time is within one step of it
-        with pytest.raises(Blowup) as event:
-            propagate_moments_exact(sys, None, np.array([1.0]), cfg, method="adaptive")
-        assert abs(info.value.time - event.value.time) <= cfg.h
-
-
-def test_adaptive_moments_stop_at_the_divergence_event():
-    # no overflow, no warning: the solve ends where the moment norm
-    # crosses 1e8, and E[x^2] = exp(400 t) dominates that norm
-    sys = StochasticSystem(A=np.array([[200.0]]), B=np.array([[1.0]]),
-                           C=np.array([[0.0]]), D=np.array([[0.0]]),
-                           H=np.array([[1.0]]))
-    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.1, l=190)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(Blowup) as info:
-            propagate_moments_exact(sys, None, np.array([1.0]), cfg,
-                                    method="adaptive")
-    assert abs(info.value.time - np.log(1e8) / 400.0) < 1e-3
+    # unforced, the RK4 mean is psi^k and the second moment phi^k, with
+    # psi and phi the degree-4 Taylor polynomials of A h and 2 A h; the
+    # norm rule fires at the first k with hypot(psi^k, phi^k) > 1e8
+    psi, phi = (sum(a ** j / math.factorial(j) for j in range(5)) for a in (0.2, 0.4))
+    k = next(k for k in range(1, 1000) if math.hypot(psi ** k, phi ** k) > 1e8)
+    assert k == 47
+    assert info.value.time == cfg.grid()[k]
+    # the rule reads the undiscounted moments, as the ensemble's does
+    with np.errstate(all="ignore"), pytest.raises(Blowup) as disc:
+        propagate_moments_exact(sys, None, np.array([1.0]), cfg, discount=100.0,
+                                method=method)
+    assert disc.value.time == info.value.time
+    with pytest.raises(ConfigError, match="unknown method 'adaptive'"):
+        propagate_moments_exact(sys, None, np.array([1.0]), cfg, method="adaptive")
 
 
 def test_sim_config_validation():

@@ -129,7 +129,7 @@ def test_solve_gen_lyap_monte_carlo_representation():
     batches = []
     for b in range(4):
         cfg = SimConfig(n_paths=150, base_seed=1000 * b, **cfg_kwargs)
-        ds = run_ensemble(closed, None, x0, cfg, with_se=False)
+        ds = run_ensemble(closed, None, x0, cfg)
         t = ds.t
         integrand = np.exp(-lam * t) * (ds.mean_xx @ pair)
         batches.append(np.trapezoid(integrand, t))
