@@ -9,6 +9,7 @@ a couple of percent.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +37,8 @@ print(f"worst value-matrix gap to the model iterates: {worst:.2e}")
 # seeded Monte Carlo with a reduced ensemble (the benchmark default
 # of 2000 paths takes a little under a minute)
 t0 = time.perf_counter()
-mc = gather_moments(bundle, mode="ensemble", n_paths=300)
+mc = gather_moments(replace(bundle, sim=replace(bundle.sim, n_paths=300)),
+                    mode="ensemble")
 learned_mc = learn_feedback(mc, bundle.cost, bundle.hyper,
                             validate_with=bundle.plant)
 rel = np.linalg.norm(learned_mc.K_star - model.K) / np.linalg.norm(model.K)

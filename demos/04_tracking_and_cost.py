@@ -24,11 +24,9 @@ sol = solve_tracking(TrackingProblem(
 schedule = bundle.scenarios["scenario1"]
 sched = []
 for case, dur in schedule:
-    row = bundle.h_d_cases[case - 1]
-    _, F = feedforward_gains(plant, cost,
-                             bundle.reference.with_output_map(row),
+    _, F = feedforward_gains(plant, cost, bundle.reference_for_case(case),
                              sol.P, sol.K)
-    sched.append((row, F, float(dur)))
+    sched.append((bundle.h_d_cases[case - 1], F, float(dur)))
 
 run = simulate_tracking(plant, bundle.reference.A_d, bundle.reference.x_d0,
                         sched, sol.K, np.zeros(plant.n), 1e-3, 200, 97)
@@ -44,7 +42,7 @@ for j, (case, _) in enumerate(schedule):
           f"rms {rms:.3f}, settled {settled:.3f}")
 
 # cost of pretending the noise is additive-only
-ref = bundle.reference.with_output_map(bundle.h_d_cases[7])
+ref = bundle.reference_for_case(8)
 _, F_opt = feedforward_gains(plant, cost, ref, sol.P, sol.K)
 naive = StochasticSystem(plant.A, plant.B, np.zeros_like(plant.A),
                          np.zeros_like(plant.D), plant.H)

@@ -3,17 +3,21 @@
 Subcommands cover each pipeline stage (model-based solve,
 feedback/feedforward learning, shadow learning, tracking demos) plus
 the two bundled benchmark reproductions and the canonical re-emit of a
-report. Every stage runs through ``run_experiment``; an example is a
-fixed list of experiment configs built from its bundle, one report per
-run. Reports are
-canonical JSON with sorted keys and 17-significant-digit numbers, so
-identical configs and seeds produce byte-identical payloads; wall-clock
-fields live outside the payload.
+report. Every run is a raw JSON config (the --config file, or one of
+the bundled examples in ``benchmarks.EXAMPLES``) into which the
+subcommand writes its mode and the --seed and --paths flags; it is then
+parsed once (``slqt.config``) and run through ``run_experiment``, one
+report per run. The report echoes that config, so rerunning a report's
+config reproduces its payload. Reports are canonical JSON with sorted
+keys and 17-significant-digit numbers, so identical configs and seeds
+produce byte-identical payloads; wall-clock fields live outside the
+payload.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -24,17 +28,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_continuous_are
 
-from .benchmarks import coupled_oscillators, damped_oscillator, gather_moments
+from .benchmarks import EXAMPLES, gather_moments
 from .bpi import feedforward_gains, solve_tracking
+from .config import (ExperimentConfig, _block, _integer, _known, load_config,
+                     parse_experiment_config, read_config)
 from .errors import (Blowup, ConfigError, DivergedAlpha, MaxIterExceeded,
                      NotStabilizing, RankDeficient, SingularOperator, SlqtError)
-from .learner import (LearnedSolution, ShadowConfig, learn_feedback,
-                      learn_feedforward, learn_shadow, shadow_regressors)
-from .model import (BpiHyperParams, CostWeights, ReferenceGenerator,
-                    StochasticSystem, TrackingProblem, spectral_abscissa)
+from .learner import (LearnedSolution, learn_feedback, learn_feedforward,
+                      learn_shadow, shadow_regressors)
+from .model import StochasticSystem, TrackingProblem, spectral_abscissa
 from .regressors import feedback_required_rank, rank_report
-from .sim import (SimConfig, _step_count, estimate_average_cost, probing_signal,
-                  simulate_tracking)
+from .sim import estimate_average_cost, simulate_tracking
 from .solvers import sare_residual
 from .symquad import h_form_rows
 
@@ -297,251 +301,6 @@ def _write_tracking_csv(path: str, run) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Configuration
-
-
-@dataclass
-class ExperimentConfig:
-    """Parsed and dimension-checked experiment description."""
-
-    mode: str
-    plant: StochasticSystem
-    reference: ReferenceGenerator
-    cost: CostWeights
-    hyper: BpiHyperParams
-    sim: SimConfig
-    probing: object | None
-    segments: tuple
-    h_d_cases: tuple
-    data_source: dict
-    shadow: ShadowConfig | None
-    tracking: dict | None
-    cost_comparison: dict | None
-    output: str | None
-    raw: dict
-
-
-_PROBING_KEYS = {"amplitude", "count", "freq_range", "seed"}
-# the keys each config block may hold; any other key is a ConfigError
-_CONFIG_KEYS = {
-    "": {"mode", "plant", "reference", "cost", "hyper", "sim", "probing",
-         "segments", "data_source", "shadow", "tracking", "cost_comparison",
-         "output"},
-    "plant": {"A", "B", "C", "D", "H"},
-    "reference": {"A_d", "H_d", "x_d0", "cases"},
-    "cost": {"Q", "R"},
-    "hyper": {"gamma", "alpha0", "eta", "theta", "epsilon", "max_iter", "stop_rule"},
-    "sim": {"h", "T_s", "T", "t1", "l", "n_paths", "base_seed"},
-    "probing": _PROBING_KEYS,
-    "segments": {"x0", "t_offset", "base_seed"},
-    "data_source": {"kind"},
-    "shadow": {"A_a", "x_a0", "F_a", "y_a0", "probing", "h"},
-    "shadow.probing": _PROBING_KEYS,
-    "tracking": {"schedule", "h", "n_paths", "base_seed"},
-    "cost_comparison": {"case", "horizon", "n_paths", "h", "seed"},
-}
-
-
-def _known(block, name: str) -> dict:
-    """``block`` if it is a JSON object holding only keys of ``name``."""
-    where = f"config block {name!r}" if name else "the config"
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - _CONFIG_KEYS[name])
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
-    return block
-
-
-def _block(parent: dict, key: str, prefix: str = "",
-           required: bool = False) -> dict | None:
-    """The checked sub-block ``parent[key]``, or None when absent or null."""
-    block = parent.get(key)
-    if block is None and required:
-        raise ConfigError(f"config needs a {key} block")
-    return None if block is None else _known(block, prefix + key)
-
-
-def _arr(block: dict, key: str) -> np.ndarray:
-    try:
-        return np.asarray(block[key], dtype=float)
-    except KeyError as e:
-        raise ConfigError(f"missing config key {key!r}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config key {key!r} is not numeric") from e
-
-
-def _integer(block: dict, key: str, default: int) -> int:
-    v = block.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {v!r}")
-    return v
-
-
-def _positive(block: dict, key: str, default: float) -> float:
-    v = float(block.get(key, default))
-    if not 0.0 < v < np.inf:
-        raise ConfigError(f"config key {key!r} must be positive and finite, got {v!r}")
-    return v
-
-
-def _probing_from(block: dict):
-    try:
-        return probing_signal(float(block["amplitude"]), int(block["count"]),
-                              block["freq_range"], int(block["seed"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad probing block: {e}") from e
-
-
-def parse_experiment_config(raw: dict) -> ExperimentConfig:
-    """Check and build an experiment config.
-
-    An unknown key anywhere, a block that is not a JSON object, and a
-    value of the wrong type all raise ConfigError.
-    """
-    try:
-        return _parse(_known(raw, ""))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"bad config value: {e!r}") from e
-
-
-def _parse(raw: dict) -> ExperimentConfig:
-    mode = raw.get("mode", "model_based")
-    if mode not in ("model_based", "data_driven", "shadow"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    pb = _block(raw, "plant", required=True)
-    plant = StochasticSystem(A=_arr(pb, "A"), B=_arr(pb, "B"), C=_arr(pb, "C"),
-                             D=_arr(pb, "D"), H=_arr(pb, "H"))
-    rb = _block(raw, "reference", required=True)
-    reference = ReferenceGenerator(_arr(rb, "A_d"), _arr(rb, "H_d"),
-                                   _arr(rb, "x_d0"))
-    cb = _block(raw, "cost", required=True)
-    cost = CostWeights(Q=np.atleast_2d(_arr(cb, "Q")),
-                       R=np.atleast_2d(_arr(cb, "R")))
-    hb = _block(raw, "hyper") or {}
-    theta = hb.get("theta")
-    hyper = BpiHyperParams(
-        gamma=float(hb.get("gamma", 1.0)), alpha0=float(hb.get("alpha0", 0.1)),
-        eta=float(hb.get("eta", 0.95)),
-        theta=None if theta is None else np.asarray(theta, dtype=float),
-        epsilon=float(hb.get("epsilon", 1e-5)),
-        max_iter=int(hb.get("max_iter", 200)),
-        stop_rule=hb.get("stop_rule", "gain"))
-    # construct-and-discard: raises ConfigError on any dimension mismatch
-    TrackingProblem(system=plant, reference=reference, cost=cost, hyper=hyper)
-
-    sb = _block(raw, "sim") or {}
-    sim = SimConfig(h=float(sb.get("h", 1e-4)),
-                    sample_period=float(sb.get("T_s", 1e-3)),
-                    window=float(sb.get("T", 0.1)),
-                    t1=float(sb.get("t1", 0.0)), l=int(sb.get("l", 5001)),
-                    n_paths=int(sb.get("n_paths", 2000)),
-                    base_seed=int(sb.get("base_seed", 0)))
-    prb = _block(raw, "probing")
-    probing = _probing_from(prb) if prb else None
-
-    segs = raw.get("segments")
-    if segs is None:
-        segments = ((np.zeros(plant.n), 0.0, sim.base_seed),)
-    else:
-        if not isinstance(segs, list) or not segs:
-            raise ConfigError("segments must be a non-empty list of JSON objects")
-        segments = []
-        for s in segs:
-            x0 = _arr(_known(s, "segments"), "x0").ravel()
-            if x0.size != plant.n:
-                raise ConfigError(
-                    f"segment x0 has {x0.size} entries, plant has {plant.n} states")
-            segments.append((x0, float(s.get("t_offset", 0.0)),
-                             int(s.get("base_seed", sim.base_seed))))
-        segments = tuple(segments)
-
-    case_rows = rb.get("cases")
-    if case_rows is None:
-        h_d_cases = (reference.H_d,)
-    else:
-        h_d_cases = tuple(np.atleast_2d(np.asarray(r, dtype=float))
-                          for r in case_rows)
-        for r in h_d_cases:
-            if r.shape[1] != reference.n_d:
-                raise ConfigError(
-                    f"case output map has {r.shape[1]} columns, "
-                    f"reference has {reference.n_d} states")
-
-    dsb = _block(raw, "data_source") or {}
-    kind = dsb.get("kind", "ensemble")
-    if kind not in ("ensemble", "exact"):
-        raise ConfigError(f"unknown data_source kind {kind!r}")
-    data_source = {"kind": kind}
-
-    shb = _block(raw, "shadow")
-    shadow = None
-    if shb is not None:
-        spb = _block(shb, "probing", "shadow.")
-        if not spb:
-            raise ConfigError("shadow block needs a probing signal")
-        shadow = ShadowConfig(A_a=_arr(shb, "A_a"), u_a=_probing_from(spb),
-                              x_a0=_arr(shb, "x_a0"), F_a=_arr(shb, "F_a"),
-                              y_a0=_arr(shb, "y_a0"),
-                              h=float(shb.get("h", 5e-6)))
-    if mode == "shadow":
-        if shadow is None:
-            raise ConfigError("mode 'shadow' needs a shadow block")
-        if np.abs(plant.D).max(initial=0.0) != 0.0:
-            raise ConfigError("the shadow route requires D = 0")
-        if plant.m != 1:
-            raise ConfigError(f"the shadow route's probing input is scalar, "
-                              f"so the plant needs one input, got {plant.m}")
-        if probing is not None:
-            raise ConfigError("the shadow route forbids plant probing input")
-
-    tb = _block(raw, "tracking")
-    tracking = None
-    if tb is not None:
-        try:
-            schedule = [(int(c), float(d)) for c, d in tb["schedule"]]
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad tracking schedule: {e}") from e
-        tracking = {"schedule": schedule, "h": _positive(tb, "h", 1e-3),
-                    "n_paths": int(tb.get("n_paths", 200)),
-                    "base_seed": int(tb.get("base_seed", 97))}
-        for c, d in schedule:
-            if not 1 <= c <= len(h_d_cases):
-                raise ConfigError(f"tracking schedule case {c} out of range")
-            _step_count(d, tracking["h"], "tracking duration")
-
-    ccb = _block(raw, "cost_comparison")
-    cost_comparison = None
-    if ccb is not None:
-        cost_comparison = {"case": _integer(ccb, "case", 8),
-                           "horizon": _positive(ccb, "horizon", 50.0),
-                           "n_paths": _integer(ccb, "n_paths", 2000),
-                           "h": _positive(ccb, "h", 1e-3),
-                           "seed": _integer(ccb, "seed", 314159)}
-        if not 1 <= cost_comparison["case"] <= len(h_d_cases):
-            raise ConfigError(f"cost_comparison case {cost_comparison['case']} out of range")
-        if cost_comparison["n_paths"] < 2:  # one path has no standard error
-            raise ConfigError("cost_comparison n_paths must be at least 2")
-        _step_count(cost_comparison["horizon"], cost_comparison["h"],
-                    "cost_comparison horizon")
-
-    return ExperimentConfig(
-        mode=mode, plant=plant, reference=reference, cost=cost, hyper=hyper,
-        sim=sim, probing=probing, segments=segments, h_d_cases=h_d_cases,
-        data_source=data_source, shadow=shadow, tracking=tracking,
-        cost_comparison=cost_comparison, output=raw.get("output"), raw=raw)
-
-
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path!r}: {e}") from e
-    return parse_experiment_config(raw)
-
-
-# ---------------------------------------------------------------------------
 # Payload builders
 
 
@@ -575,18 +334,18 @@ def _iterate_rows(states) -> list:
             for st in states]
 
 
-def _payload_model(plant, cost, hyper, reference, cases):
+def _payload_model(config: ExperimentConfig):
     """Model-based solve plus per-case feedforward gains."""
-    problem = TrackingProblem(system=plant, reference=reference, cost=cost,
-                              hyper=hyper)
-    sol = solve_tracking(problem)
+    plant, cost = config.plant, config.cost
+    sol = solve_tracking(TrackingProblem(system=plant, reference=config.reference,
+                                         cost=cost, hyper=config.hyper))
     hist = sol.history
     trace = _iterate_rows(list(hist["phase1"]) + list(hist["phase2"]))
     ff_by_case = {}
     ff_payload = []
-    for k, row in enumerate(cases, start=1):
-        ref_k = reference.with_output_map(row)
-        Pi, F = feedforward_gains(plant, cost, ref_k, sol.P, sol.K)
+    for k, row in enumerate(config.h_d_cases, start=1):
+        Pi, F = feedforward_gains(plant, cost, config.reference_for_case(k),
+                                  sol.P, sol.K)
         ff_by_case[k] = F
         ff_payload.append({"case": k, "H_d": _matrix(row), "F": _matrix(F),
                            "Pi": _matrix(Pi)})
@@ -632,9 +391,10 @@ def _vs_model(learned: LearnedSolution, sol) -> dict:
             "K_rel_err_2norm": float(np.linalg.norm(dK) / np.linalg.norm(sol.K))}
 
 
-def _ff_case_fits(moments, learned, cost, hyper, cases, omega_F):
+def _ff_case_fits(config: ExperimentConfig, moments, learned, omega_F):
+    cases = config.h_d_cases
     fits = learn_feedforward(moments, learned.K_star, learned.Lambda_star,
-                             cost, hyper, cases, omega_F=omega_F)
+                             config.cost, config.hyper, cases, omega_F=omega_F)
     payload = [{"case": k, "H_d": _matrix(row), "F": _matrix(fit.F),
                 "Pi": _matrix(fit.Pi), "residual": float(fit.residual),
                 "rank": _rank_payload(fit.rank)}
@@ -642,19 +402,20 @@ def _ff_case_fits(moments, learned, cost, hyper, cases, omega_F):
     return {k: fit.F for k, fit in enumerate(fits, start=1)}, payload
 
 
-def _run_tracking(plant, reference, cases, K, ff_by_case, schedule, h,
-                  n_paths, base_seed, out_dir, filename) -> dict:
-    sched = [(cases[c - 1], ff_by_case[c], float(d)) for c, d in schedule]
-    run = simulate_tracking(plant, reference.A_d, reference.x_d0, sched, K,
-                            np.zeros(plant.n), h, n_paths, base_seed)
+def _run_tracking(config: ExperimentConfig, K, ff_by_case, out_dir) -> dict:
+    tr, ref = config.tracking, config.reference
+    sched = [(config.h_d_cases[c - 1], ff_by_case[c], d) for c, d in tr["schedule"]]
+    run = simulate_tracking(config.plant, ref.A_d, ref.x_d0, sched, K,
+                            np.zeros(config.plant.n), tr["h"], tr["n_paths"],
+                            tr["base_seed"])
     wrote = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _write_tracking_csv(os.path.join(out_dir, filename), run)
-        wrote = filename
+        wrote = "tracking.csv"
+        _write_tracking_csv(os.path.join(out_dir, wrote), run)
     bounds = [0.0, *run.switch_times, float(run.t[-1])]
     segs = []
-    for j, (case, _) in enumerate(schedule):
+    for j, (case, _) in enumerate(tr["schedule"]):
         a, b = bounds[j], bounds[j + 1]
         span = (run.t >= a) & (run.t <= b)
         err = run.y_mean[span] - run.y_d[span]
@@ -663,15 +424,16 @@ def _run_tracking(plant, reference, cases, K, ff_by_case, schedule, h,
         segs.append({"case": case, "start": float(a), "end": float(b),
                      "rms_error": float(np.sqrt(np.mean(err ** 2))),
                      "settled_rms_error": float(np.sqrt(np.mean(tail_err ** 2)))})
-    return {"file": wrote, "h": float(h), "n_paths": int(n_paths),
-            "base_seed": int(base_seed), "segments": segs,
+    return {"file": wrote, "h": tr["h"], "n_paths": tr["n_paths"],
+            "base_seed": tr["base_seed"], "segments": segs,
             "max_settled_rms": max(s["settled_rms_error"] for s in segs)}
 
 
-def _cost_comparison(plant, cost, reference, cases, sol, options: dict) -> dict:
+def _cost_comparison(config: ExperimentConfig, sol) -> dict:
     """Average tracking cost of the noise-aware design against a design
     that pretended the noise channels were absent."""
-    ref_k = reference.with_output_map(cases[options["case"] - 1])
+    plant, cost, options = config.plant, config.cost, config.cost_comparison
+    ref_k = config.reference_for_case(options["case"])
     _, F_opt = feedforward_gains(plant, cost, ref_k, sol.P, sol.K)
     naive = StochasticSystem(plant.A, plant.B, np.zeros_like(plant.A),
                              np.zeros_like(plant.D), plant.H)
@@ -700,14 +462,12 @@ def _cost_comparison(plant, cost, reference, cases, sol, options: dict) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
-                   validate: bool = False, n_paths: int | None = None) -> RunReport:
+                   validate: bool = False) -> RunReport:
     """Run the configured mode end to end, writing report and traces."""
     report = RunReport()
     out_dir = out_dir or config.output
     report.payload["config"] = _pyify(config.raw)
     report.payload["mode"] = config.mode
-    if n_paths is not None:
-        report.payload["n_paths_override"] = int(n_paths)
 
     def work():
         # tracking uses the model gains in model_based mode and the
@@ -715,17 +475,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         sol = None
         if config.mode == "model_based" or validate:
             with _timed(report, "model_based"):
-                sol, ff_by_case, ffmp, mb = _payload_model(
-                    config.plant, config.cost, config.hyper, config.reference,
-                    config.h_d_cases)
+                sol, ff_by_case, ffmp, mb = _payload_model(config)
             K = sol.K
             report.payload["model_based"] = mb
             if config.mode == "model_based":
                 report.payload["feedforward_cases"] = ffmp
         if config.mode != "model_based":
             with _timed(report, "collect"):
-                moments = gather_moments(config, mode=config.data_source["kind"],
-                                         n_paths=n_paths)
+                moments = gather_moments(config, mode=config.data_source["kind"])
             validate_with = config.plant if validate else None
             omega_F, flags = None, {}
             if config.mode == "shadow":
@@ -750,27 +507,20 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
             block.update(flags)
             report.payload[config.mode] = block
             with _timed(report, "learn_feedforward"):
-                ff_by_case, ffp = _ff_case_fits(moments, learned, config.cost,
-                                                config.hyper, config.h_d_cases,
-                                                omega_F)
+                ff_by_case, ffp = _ff_case_fits(config, moments, learned, omega_F)
             K = learned.K_star
             report.payload["feedforward_cases"] = ffp
         if config.tracking is not None:
-            tr = config.tracking
             with _timed(report, "tracking"):
-                report.payload["tracking"] = _run_tracking(
-                    config.plant, config.reference, config.h_d_cases, K,
-                    ff_by_case, tr["schedule"], tr["h"], tr["n_paths"],
-                    tr["base_seed"], out_dir, "tracking.csv")
+                report.payload["tracking"] = _run_tracking(config, K, ff_by_case,
+                                                           out_dir)
         if config.cost_comparison is not None:
             if sol is None:
                 raise ConfigError(
                     "cost_comparison needs the model-based solution; use mode "
                     "model_based or pass validate")
             with _timed(report, "cost_comparison"):
-                report.payload["cost_comparison"] = _cost_comparison(
-                    config.plant, config.cost, config.reference,
-                    config.h_d_cases, sol, config.cost_comparison)
+                report.payload["cost_comparison"] = _cost_comparison(config, sol)
 
     return _guarded(report, out_dir, work)
 
@@ -786,85 +536,41 @@ def _shadow_flags(moments) -> dict:
             "unaugmented_rank": _rank_payload(unaug)}
 
 
-def _shift_seeds(cfg: ExperimentConfig, offset) -> ExperimentConfig:
-    """Add ``offset`` (the --seed flag) to every segment base seed."""
-    if offset:
-        cfg.segments = tuple((x0, t_off, seed + offset)
-                             for x0, t_off, seed in cfg.segments)
-    return cfg
-
-
-def _probing_block(sig) -> dict:
-    return {"amplitude": sig.amplitude, "count": sig.count,
-            "freq_range": list(sig.freq_range), "seed": sig.seed}
-
-
-def _example_configs(which: str) -> list:
-    """(name, config) of each run that reproduces one bundled example.
-
-    Example one: Monte Carlo data-driven learning checked against the
-    model, the noise-aware versus noise-blind cost study, and both
-    tracking scenarios under the model gains. Example two: shadow
-    learning on exact moments with zero plant input, tracking scenario 2
-    under the learned gains, and the model-based feedforward table.
-    """
-    b = damped_oscillator() if which == "one" else coupled_oscillators()
-    ref, hy, sim = b.reference, b.hyper, b.sim
-    base = {
-        "plant": {k: _matrix(getattr(b.plant, k)) for k in "ABCDH"},
-        "reference": {"A_d": _matrix(ref.A_d), "H_d": _matrix(ref.H_d),
-                      "x_d0": _matrix(ref.x_d0),
-                      "cases": [_matrix(row) for row in b.h_d_cases]},
-        "cost": {"Q": _matrix(b.cost.Q), "R": _matrix(b.cost.R)},
-        "hyper": {"gamma": hy.gamma, "alpha0": hy.alpha0, "eta": hy.eta,
-                  "epsilon": hy.epsilon, "max_iter": hy.max_iter,
-                  "stop_rule": hy.stop_rule},
-        "sim": {"h": sim.h, "T_s": sim.sample_period, "T": sim.window,
-                "t1": sim.t1, "l": sim.l, "n_paths": sim.n_paths,
-                "base_seed": sim.base_seed},
-        "segments": [{"x0": _matrix(x0), "t_offset": t_off, "base_seed": seed}
-                     for x0, t_off, seed in b.segments]}
-
-    def tracking(scenario):
-        return {"schedule": [list(step) for step in b.scenarios[scenario]],
-                "h": 1e-3, "n_paths": 200, "base_seed": 97}
-
-    if which == "one":
-        base["probing"] = _probing_block(b.probing)
-        runs = {"learn": {"mode": "data_driven",
-                          "data_source": {"kind": "ensemble"},
-                          "cost_comparison": {"case": 8, "horizon": 50.0,
-                                              "n_paths": 2000, "h": 1e-3}},
-                "scenario1": {"mode": "model_based",
-                              "tracking": tracking("scenario1")},
-                "scenario2": {"mode": "model_based",
-                              "tracking": tracking("scenario2")}}
-    else:
-        sh = b.shadow
-        base["shadow"] = {"A_a": _matrix(sh.A_a), "F_a": _matrix(sh.F_a),
-                          "x_a0": _matrix(sh.x_a0), "y_a0": _matrix(sh.y_a0),
-                          "probing": _probing_block(sh.u_a), "h": sh.h}
-        runs = {"learn": {"mode": "shadow", "data_source": {"kind": "exact"},
-                          "tracking": tracking("scenario2")},
-                "model": {"mode": "model_based"}}
-    return [(name, parse_experiment_config({**base, **run}))
-            for name, run in runs.items()]
-
-
 # ---------------------------------------------------------------------------
 # Command handlers
+
+
+def _with_flags(raw, args, mode: str | None = None) -> dict:
+    """A copy of ``raw`` with ``mode`` and the --seed and --paths flags
+    written in, so the config a report echoes reruns its run unflagged.
+
+    --seed is added to ``sim.base_seed`` and to every segment's explicit
+    ``base_seed``; --paths becomes ``sim.n_paths``.
+    """
+    raw = copy.deepcopy(_known(raw, ""))
+    if mode is not None:
+        raw["mode"] = mode
+    if args.seed or args.paths is not None:
+        sim = raw["sim"] = _block(raw, "sim") or {}
+        if args.paths is not None:
+            sim["n_paths"] = args.paths
+        if args.seed:
+            sim["base_seed"] = _integer(sim, "base_seed", 0) + args.seed
+            segs = raw.get("segments")
+            for seg in segs if isinstance(segs, list) else ():
+                if isinstance(seg, dict) and "base_seed" in seg:
+                    seg["base_seed"] = _integer(seg, "base_seed") + args.seed
+    return raw
 
 
 def _cmd_run(mode: str, summary, needs_tracking: bool = False):
     """Handler running the --config experiment in ``mode``, then printing
     ``summary(payload)``."""
     def handler(args) -> int:
-        cfg = _shift_seeds(load_config(args.config), args.seed)
+        cfg = parse_experiment_config(_with_flags(read_config(args.config), args, mode))
         if needs_tracking and cfg.tracking is None:
             raise ConfigError("config has no tracking block")
-        cfg.mode = mode
-        report = run_experiment(cfg, out_dir=args.out, validate=args.validate,
-                                n_paths=args.paths)
+        report = run_experiment(cfg, out_dir=args.out, validate=args.validate)
         print(summary(report.payload))
         return 0
 
@@ -892,12 +598,12 @@ def _track_summary(p) -> str:
 
 def _cmd_example(which):
     def handler(args) -> int:
+        base, runs = EXAMPLES[which]
         payloads = {}
-        for name, cfg in _example_configs(which):
+        for name, blocks in runs.items():
+            cfg = parse_experiment_config(_with_flags({**base, **blocks}, args))
             out = os.path.join(args.out, name) if args.out else None
-            payloads[name] = run_experiment(
-                _shift_seeds(cfg, args.seed), out_dir=out, validate=True,
-                n_paths=args.paths).payload
+            payloads[name] = run_experiment(cfg, out_dir=out, validate=True).payload
         learn = payloads["learn"]
         if which == "one":
             dd = learn["data_driven"]
@@ -943,9 +649,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="experiment config JSON file")
         q.add_argument("--out", default=None, help="output directory")
         q.add_argument("--seed", type=int, default=None,
-                       help="offset added to every segment base seed")
+                       help="offset added to sim.base_seed and every segment "
+                            "base_seed, written into the echoed config")
         q.add_argument("--paths", type=int, default=None,
-                       help="override the ensemble path count")
+                       help="ensemble path count, written into the config "
+                            "as sim.n_paths")
         if takes_validate:
             q.add_argument("--validate-with-model", action="store_true",
                            dest="validate",

@@ -111,6 +111,24 @@ def test_parse_config_validation_matrix():
          "plant": {"A": [[0.0]], "B": [[1.0, 1.0]], "C": [[0.1]],
                    "D": [[0.0, 0.0]], "H": [[1.0]]},
          "cost": {"Q": [[1.0]], "R": [[1.0, 0.0], [0.0, 1.0]]}},
+        # integer keys take JSON integers only, and seeds are non-negative
+        {"sim": {**SCALAR_CONFIG["sim"], "l": 201.5}},
+        {"sim": {**SCALAR_CONFIG["sim"], "l": 201.0}},
+        {"sim": {**SCALAR_CONFIG["sim"], "n_paths": "60"}},
+        {"sim": {**SCALAR_CONFIG["sim"], "base_seed": 3.5}},
+        {"sim": {**SCALAR_CONFIG["sim"], "base_seed": -1}},
+        {"segments": [{"x0": [0.0], "base_seed": 1.5}]},
+        {"segments": [{"x0": [0.0], "base_seed": -2}]},
+        {"tracking": {"schedule": [[1, 1.0]], "n_paths": 10.5}},
+        {"tracking": {"schedule": [[1, 1.0]], "base_seed": -1}},
+        {"tracking": {"schedule": [[1, 1.0]], "n_paths": 0}},
+        {"tracking": {"schedule": [[1.5, 1.0]]}},
+        {"hyper": {"max_iter": 50.5}},
+        {"probing": {**SCALAR_CONFIG["probing"], "count": 10.5}},
+        {"probing": {**SCALAR_CONFIG["probing"], "seed": -5}},
+        {"probing": {**SCALAR_CONFIG["probing"], "seed": True}},
+        {"mode": "model_based", "cost_comparison": {"case": 1, "seed": -1}},
+        {"shadow": {**SHADOW_BLOCK, "probing": {**SHADOW_BLOCK["probing"], "seed": -2}}},
     ):
         cfg = copy.deepcopy(SCALAR_CONFIG)
         for k, v in mutate.items():
@@ -182,14 +200,21 @@ def test_config_typos_and_bad_values_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def example_runs(which):
+    """(name, parsed config) of each run of a bundled example."""
+    from slqt.benchmarks import EXAMPLES
+    base, runs = EXAMPLES[which]
+    return [(name, parse_experiment_config(copy.deepcopy({**base, **blocks})))
+            for name, blocks in runs.items()]
+
+
 def test_shipped_configs_parse():
     paths = sorted(glob.glob(os.path.join(ROOT, "perfbench", "configs", "*.json")))
     assert len(paths) == 8
     for path in paths:
         load_config(path)
-    from slqt.cli import _example_configs
     for which in ("one", "two"):
-        for _, cfg in _example_configs(which):
+        for _, cfg in example_runs(which):
             parse_experiment_config(copy.deepcopy(cfg.raw))
 
 
@@ -389,6 +414,72 @@ def test_shadow_subcommand_runs_end_to_end(tmp_path, capsys):
     assert (out / "shadow_trace.csv").exists()
 
 
+def test_shadow_subcommand_refuses_configs_outside_its_route(tmp_path, capsys,
+                                                             monkeypatch):
+    # the subcommand's mode is written into the config before it is
+    # parsed, so the shadow route's checks hold whatever mode the file names
+    import slqt.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("data collected for a refused config")
+
+    monkeypatch.setattr(slqt.cli, "gather_moments", never)
+    unprobed = {k: v for k, v in SCALAR_CONFIG.items() if k != "probing"}
+    cases = [
+        ({**SCALAR_CONFIG}, "mode 'shadow' needs a shadow block"),
+        ({**unprobed, "shadow": SHADOW_BLOCK,
+          "plant": {**SCALAR_CONFIG["plant"], "D": [[0.5]]}},
+         "the shadow route requires D = 0"),
+        ({**SCALAR_CONFIG, "shadow": SHADOW_BLOCK},
+         "the shadow route forbids plant probing input"),
+    ]
+    for i, (raw, message) in enumerate(cases):
+        assert raw["mode"] == "data_driven"
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / f"out{i}"
+        assert main(["shadow", "--config", str(path), "--out", str(out)]) == \
+            EXIT_CODES["config"]
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,config", [
+    ("learn-ff", ["--seed", "3"], SCALAR_CONFIG),
+    ("learn-ff", ["--paths", "40"], SCALAR_CONFIG),
+    ("solve", [], SCALAR_CONFIG),
+], ids=["seed", "paths", "solve-data-driven"])
+def test_report_config_reruns_its_run(tmp_path, command, flags, config):
+    # a report's config holds the subcommand's mode and the flags, so
+    # rerunning it with no flags reproduces the payload byte for byte
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "a")]
+                + flags) == 0
+    first = load_report(str(tmp_path / "a" / "report.json"))
+    echoed = first.payload["config"]
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(echoed))
+    assert main([command, "--config", str(again), "--out", str(tmp_path / "b")]) == 0
+    second = load_report(str(tmp_path / "b" / "report.json"))
+    assert second.payload_text() == first.payload_text()
+    sim = config["sim"]
+    assert echoed["sim"]["base_seed"] == sim["base_seed"] + (3 if "--seed" in flags else 0)
+    assert echoed["sim"]["n_paths"] == (40 if "--paths" in flags else sim["n_paths"])
+    assert echoed["mode"] == first.payload["mode"] == \
+        ("model_based" if command == "solve" else "data_driven")
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "neg"
+    assert main(["learn-fb", "--config", cfg, "--seed", "-10", "--out", str(out)]) == \
+        EXIT_CODES["config"]
+    assert "'base_seed' is a seed and must be non-negative, got -7" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shadow_and_data_driven_blocks_share_their_keys():
     shadow = run_experiment(parse_experiment_config(copy.deepcopy(SHADOW_CONFIG)),
                             validate=True)
@@ -510,13 +601,12 @@ def _same_problem(cfg, bundle):
 
 def test_example_run_lists_follow_the_bundles():
     from slqt.benchmarks import coupled_oscillators, damped_oscillator
-    from slqt.cli import _example_configs
 
     def tracking(bundle, scenario):
         return {"schedule": list(bundle.scenarios[scenario]), "h": 1e-3,
                 "n_paths": 200, "base_seed": 97}
 
-    one, ex1 = dict(_example_configs("one")), damped_oscillator()
+    one, ex1 = dict(example_runs("one")), damped_oscillator()
     assert list(one) == ["learn", "scenario1", "scenario2"]
     assert one["learn"].mode == "data_driven"
     assert one["learn"].data_source["kind"] == "ensemble"
@@ -533,7 +623,7 @@ def test_example_run_lists_follow_the_bundles():
     for cfg in one.values():
         _same_problem(cfg, ex1)
 
-    two, ex2 = dict(_example_configs("two")), coupled_oscillators()
+    two, ex2 = dict(example_runs("two")), coupled_oscillators()
     assert list(two) == ["learn", "model"]
     assert two["learn"].mode == "shadow"
     assert two["learn"].data_source["kind"] == "exact"
@@ -553,10 +643,9 @@ def test_example_run_lists_follow_the_bundles():
 
 def test_example1_scenario_runs_track_end_to_end(tmp_path):
     from slqt.benchmarks import damped_oscillator
-    from slqt.cli import _example_configs, run_experiment
 
     scenarios = damped_oscillator().scenarios
-    for name, cfg in _example_configs("one"):
+    for name, cfg in example_runs("one"):
         if name == "learn":
             continue
         out = tmp_path / name
