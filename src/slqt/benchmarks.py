@@ -51,7 +51,7 @@ _REFERENCE = {
               [[0.0, 1.0, 1.0]], [[0.0, 1.0, 0.0]]],
 }
 _HYPER = {"gamma": 1.0, "alpha0": 0.1, "eta": 0.95, "epsilon": 1e-5,
-          "max_iter": 200, "stop_rule": "gain"}
+          "max_iter": 200}
 
 
 def _tracking(scenario: str) -> dict:

@@ -8,9 +8,10 @@ stabilizes the original plant and phase II iterates on it there with the
 true cost forcing K'RK + H'QH until it reaches the optimum.
 
 One loop, ``_bootstrap``, runs both phases for the model-based solve
-here and for the data-driven learners; they differ only in how a
-policy is evaluated (a generalized Lyapunov solve, or least squares on
-moment data).
+here and for the data-driven learners. It builds each step's forcing
+and applies the one stop rule; the routes differ only in how they solve
+for the value under that forcing (a generalized Lyapunov solve, or
+least squares on moment data).
 """
 
 from __future__ import annotations
@@ -46,17 +47,18 @@ class IterateState:
     abscissa: float | None = None
 
 
-def _bootstrap(hyper: BpiHyperParams, theta, R, evaluate, stop_rule: str):
+def _bootstrap(hyper: BpiHyperParams, theta, HQH, R, evaluate):
     """Both phases of the iteration around a policy evaluation.
 
-    ``evaluate(level, K, phase)`` evaluates the gain K at the shift level
-    (alpha in phase I, gamma in phase II) and returns (P, K_next,
-    diagnostics), the diagnostics being IterateState fields. Phase I
-    starts from the zero gain and stops once alpha reaches gamma; phase
-    II stops when the gain step (stop_rule 'gain') or the value step
-    ('value') drops to epsilon. Each phase has max_iter steps. Returns
-    (trace, crossing); MaxIterExceeded and DivergedAlpha (alpha failing
-    to increase three times running) carry the trace so far.
+    ``evaluate(level, K, forcing)`` solves for the value P of the gain K
+    at the shift level (alpha in phase I, gamma in phase II) under the
+    forcing (K'RK + theta in phase I, K'RK + H'QH in phase II) and
+    returns (P, K_next, diagnostics), the diagnostics being IterateState
+    fields. Phase I starts from the zero gain and stops once alpha
+    reaches gamma; phase II stops when the value step
+    ||P_i - P_{i-1}||_F drops to epsilon. Each phase has max_iter steps.
+    Returns (trace, crossing); MaxIterExceeded and DivergedAlpha (alpha
+    failing to increase three times running) carry the trace so far.
     """
     gamma = hyper.gamma
     K = np.zeros((R.shape[0], theta.shape[0]))
@@ -64,7 +66,7 @@ def _bootstrap(hyper: BpiHyperParams, theta, R, evaluate, stop_rule: str):
     trace: list[IterateState] = []
     stalled = 0
     for i in range(1, hyper.max_iter + 1):
-        P, K, diagnostics = evaluate(alpha, K, 1)
+        P, K, diagnostics = evaluate(alpha, K, K.T @ R @ K + theta)
         alpha_next = alpha_update(alpha, P, K, hyper.eta, theta, R)
         trace.append(IterateState(1, i, alpha_next, P, K, **diagnostics))
         stalled = stalled + 1 if alpha_next <= alpha else 0
@@ -82,16 +84,12 @@ def _bootstrap(hyper: BpiHyperParams, theta, R, evaluate, stop_rule: str):
     crossing = len(trace)
     P_prev = None
     for i in range(crossing + 1, crossing + hyper.max_iter + 1):
-        P, K_next, diagnostics = evaluate(gamma, K, 2)
-        if stop_rule == "gain":
-            delta = float(np.linalg.norm(K_next - K, 2))
-        else:
-            delta = (float(np.linalg.norm(P - P_prev, "fro"))
-                     if P_prev is not None else np.inf)
-        trace.append(IterateState(2, i, gamma, P, K_next, delta, **diagnostics))
+        P, K, diagnostics = evaluate(gamma, K, K.T @ R @ K + HQH)
+        delta = float(np.linalg.norm(P - P_prev, "fro")) if P_prev is not None else np.inf
+        trace.append(IterateState(2, i, gamma, P, K, delta, **diagnostics))
         if delta <= hyper.epsilon:
             return trace, crossing
-        K, P_prev = K_next, P
+        P_prev = P
     raise MaxIterExceeded(
         f"policy iteration did not converge within {hyper.max_iter} iterations "
         f"past the crossing", trace=trace)
@@ -125,14 +123,13 @@ def solve_tracking(problem: TrackingProblem) -> TrackingSolution:
             f"need gamma > {sigma_bar + hyper.alpha0:.6g} "
             f"(zero-gain threshold {sigma_bar:.6g} plus alpha0), got {hyper.gamma}")
 
-    def evaluate(level, K, phase):
-        forcing = K.T @ R @ K + (theta if phase == 1 else HQH)
+    def evaluate(level, K, forcing):
         sol = solve_gen_lyap(sys, K, forcing, alpha=level, gamma=hyper.gamma)
         return sol.P, gain_update(sys, sol.P, R), {
             "residual": sol.residual_norm, "condition": sol.condition,
             "abscissa": sol.certificate.abscissa}
 
-    trace, crossing = _bootstrap(hyper, theta, R, evaluate, hyper.stop_rule)
+    trace, crossing = _bootstrap(hyper, theta, HQH, R, evaluate)
     P, K = trace[-1].P, trace[-1].K
     Lambda = sys.D.T @ P @ sys.D
     Pi, F = feedforward_gains(sys, problem.cost, problem.reference, P, K)

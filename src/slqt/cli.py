@@ -470,10 +470,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     report.payload["mode"] = config.mode
 
     def work():
+        with_model = config.mode == "model_based" or validate
+        if config.cost_comparison is not None and not with_model:
+            raise ConfigError(
+                "cost_comparison needs the model-based solution; use mode "
+                "model_based or pass validate")
         # tracking uses the model gains in model_based mode and the
         # learned gains otherwise
         sol = None
-        if config.mode == "model_based" or validate:
+        if with_model:
             with _timed(report, "model_based"):
                 sol, ff_by_case, ffmp, mb = _payload_model(config)
             K = sol.K
@@ -515,10 +520,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                 report.payload["tracking"] = _run_tracking(config, K, ff_by_case,
                                                            out_dir)
         if config.cost_comparison is not None:
-            if sol is None:
-                raise ConfigError(
-                    "cost_comparison needs the model-based solution; use mode "
-                    "model_based or pass validate")
             with _timed(report, "cost_comparison"):
                 report.payload["cost_comparison"] = _cost_comparison(config, sol)
 

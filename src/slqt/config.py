@@ -58,7 +58,7 @@ _CONFIG_KEYS = {
     "plant": {"A", "B", "C", "D", "H"},
     "reference": {"A_d", "H_d", "x_d0", "cases"},
     "cost": {"Q", "R"},
-    "hyper": {"gamma", "alpha0", "eta", "theta", "epsilon", "max_iter", "stop_rule"},
+    "hyper": {"gamma", "alpha0", "eta", "theta", "epsilon", "max_iter"},
     "sim": {"h", "T_s", "T", "t1", "l", "n_paths", "base_seed"},
     "probing": _PROBING_KEYS,
     "segments": {"x0", "t_offset", "base_seed"},
@@ -165,8 +165,7 @@ def _parse(raw: dict) -> ExperimentConfig:
         eta=float(hb.get("eta", 0.95)),
         theta=None if theta is None else np.asarray(theta, dtype=float),
         epsilon=float(hb.get("epsilon", 1e-5)),
-        max_iter=_integer(hb, "max_iter", 200),
-        stop_rule=hb.get("stop_rule", "gain"))
+        max_iter=_integer(hb, "max_iter", 200))
     # construct-and-discard: raises ConfigError on any dimension mismatch
     TrackingProblem(system=plant, reference=reference, cost=cost, hyper=hyper)
 

@@ -29,10 +29,9 @@ from .errors import ConfigError, NonInvertible, RankDeficient, ShadowUncontrolla
 from .model import BpiHyperParams, CostWeights, is_stabilizing
 from .regressors import (MomentTable, RankReport, assemble_psi,
                          assemble_xi, feedback_required_rank,
-                         feedforward_required_rank, phi_rhs, psi_rhs,
-                         rank_report, xi_rhs_for_output_map)
+                         feedforward_required_rank, psi_rhs, rank_report)
 from .sim import ProbingSignal
-from .symquad import h_form_rows, unvech
+from .symquad import h_form_rows, unvech, vec
 
 __all__ = ["LearnedSolution", "ShadowConfig", "FeedforwardFit",
            "learn_feedback", "learn_feedforward", "shadow_regressors",
@@ -153,25 +152,27 @@ def _learn(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
 
     ``columns(psi)`` maps the assembled plant rows to the least-squares
     matrix; ``split(theta)`` unpacks the estimate into (P, M, Lambda).
-    Phase II stops on the value step |P_i - P_{i-1}| <= epsilon.
+    Each step solves against psi_rhs of the forcing ``_bootstrap`` passes.
     """
     R = cost.R
     theta_mat = hyper.theta_for(moments.n)
+    H = moments.H
+    if H is None:
+        raise ConfigError("moment table has no output map H; pass output_map")
     residuals = []
     Lambda = None
 
-    def evaluate(level, K, phase):
+    def evaluate(level, K, forcing):
         nonlocal Lambda
-        b = (psi_rhs(moments, K.T @ R @ K + theta_mat) if phase == 1
-             else phi_rhs(moments, K, cost))
-        theta, resid = _lstsq(columns(assemble_psi(moments, level, K)), b)
+        theta, resid = _lstsq(columns(assemble_psi(moments, level, K)),
+                              psi_rhs(moments, forcing))
         if not np.isfinite(resid):
             raise ConfigError("least-squares residual is not finite")
         P, M, Lambda = split(theta)
         residuals.append(resid)
         return P, _gain_from(M, Lambda, R), {}
 
-    trace, crossing = _bootstrap(hyper, theta_mat, R, evaluate, "value")
+    trace, crossing = _bootstrap(hyper, theta_mat, H.T @ cost.Q @ H, R, evaluate)
     certificates = None
     if validate_with is not None:
         certificates = [is_stabilizing(validate_with, st.K,
@@ -189,9 +190,9 @@ def learn_feedback(moments: MomentTable, cost: CostWeights,
                    hyper: BpiHyperParams, validate_with=None) -> LearnedSolution:
     """Bootstrap policy iteration by least squares on sampled moments.
 
-    Stops the second phase on the value step |P_i - P_{i-1}| <= epsilon.
-    Requires the excitation rank condition on the raw moment columns;
-    failure raises RankDeficient with the singular spectrum attached.
+    Requires the output map H in the table and the excitation rank
+    condition on the raw moment columns; a rank failure raises
+    RankDeficient with the singular spectrum attached.
     """
     n, m = moments.n, moments.m
     raw = np.hstack([h_form_rows(moments.S), moments.W.reshape(len(moments), n * m),
@@ -220,13 +221,15 @@ def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
 
     The feedforward rows and their rank test do not depend on the output
     map, so both are built once; each case then solves its own
-    right-hand side. omega_F adds the shadow route's feedforward rows
-    (from shadow_regressors), whose F block also enters the rank test.
+    right-hand side I_xdchi vec(H'Q H_d), H'Q H_d being the forcing of
+    the model-based Sylvester equation. omega_F adds the shadow route's
+    feedforward rows (from shadow_regressors), whose F block also enters
+    the rank test.
     Returns one FeedforwardFit per case, in order.
     """
     n, m, n_d = moments.n, moments.m, moments.n_d
-    if n_d is None:
-        raise ConfigError("moment table has no reference moments")
+    if n_d is None or moments.H is None:
+        raise ConfigError("moment table lacks H or reference moments")
     raw = np.hstack([moments.I_xdchi, moments.I_xdu])
     Xi = assemble_xi(moments, K_star, Lambda_star, cost, hyper.gamma, hyper.alpha0)
     if omega_F is not None:
@@ -238,9 +241,10 @@ def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
         raise RankDeficient(
             f"reference moment data spans rank {report.rank} < required "
             f"{report.required_rank}", report=report)
+    HQ = moments.H.T @ cost.Q
     fits = []
     for h_d in h_d_cases:
-        theta, resid = _lstsq(Xi, xi_rhs_for_output_map(moments, h_d, cost))
+        theta, resid = _lstsq(Xi, moments.I_xdchi @ vec(HQ @ np.reshape(h_d, (-1, n_d))))
         fits.append(FeedforwardFit(Pi=theta[:n * n_d].reshape((n, n_d), order="F"),
                                    F=theta[n * n_d:].reshape((m, n_d), order="F"),
                                    residual=resid, rank=report))

@@ -173,10 +173,9 @@ class BpiHyperParams:
     """Bootstrap policy-iteration hyperparameters.
 
     theta=None resolves to 10 * I_n once the plant dimension is known.
-    stop_rule 'gain' stops phase II of the model-based iteration on
-    ||K_i - K_{i-1}||_2 <= epsilon, 'value' on ||P_i - P_{i-1}||_F <=
-    epsilon. Both routes run the same loop, but the data-driven
-    learners always pass the value step and ignore stop_rule.
+    Phase II of every route, model-based or learned, stops on the value
+    step ||P_i - P_{i-1}||_F <= epsilon; each phase has at most
+    max_iter steps.
     """
 
     gamma: float = 1.0
@@ -185,7 +184,6 @@ class BpiHyperParams:
     theta: np.ndarray | None = None
     epsilon: float = 1e-5
     max_iter: int = 200
-    stop_rule: str = "gain"
 
     def __post_init__(self):
         if not (0.0 < self.alpha0 < self.gamma):
@@ -197,8 +195,6 @@ class BpiHyperParams:
             raise ConfigError("epsilon must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.stop_rule not in ("gain", "value"):
-            raise ConfigError(f"unknown stop_rule {self.stop_rule!r}")
         if self.theta is not None:
             th = _as_matrix(self.theta, "theta")
             _check_pd(th, "theta")

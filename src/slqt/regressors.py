@@ -4,8 +4,9 @@ Takes grid-level ensemble means (or exact moments) and produces, per
 sample time t_i, the windowed raw moments over [t_i, t_i + T], then
 assembles them into the regressor rows whose least-squares solutions
 recover the value matrix, the gain, and the feedforward pair. The
-feedforward rows do not depend on the reference output map; only their
-right-hand side does (xi_rhs_for_output_map).
+right-hand sides are those of the model-based equations: psi_rhs of a
+policy-iteration forcing, and I_xdchi vec(H'Q H_d) for the feedforward,
+so the feedforward rows do not depend on the reference output map.
 
 Conventions: vech rows pair with h_form rows through
 <vech(P), h_form(M)> = trace(P M); column-major vec pairs through
@@ -17,15 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import ConfigError, WindowOutOfRange
 from .model import BpiHyperParams
-from .symquad import h_form_rows, unvech_rows, vec, vech
+from .symquad import h_form_rows, unvech_rows, vech
 
 __all__ = [
     "MomentTable", "RankReport", "accumulate_raw_moments", "assemble_psi",
-    "assemble_xi", "psi_rhs", "phi_rhs", "rank_report",
+    "assemble_xi", "psi_rhs", "rank_report",
     "feedback_required_rank", "feedforward_required_rank",
 ]
 
@@ -35,13 +35,15 @@ class MomentTable:
     """Windowed raw moments per sample time.
 
     G0/GT are the endpoint second moments E[chi chi'] at t_i and
-    t_i + T; S, W, V, Z the windowed integrals of chi chi', chi u',
-    u u', zeta zeta'. The d_/I_ blocks are the deterministic
-    reference-by-mean moments used by the feedforward solve, stored as
-    flattened Kronecker columns; every output map's right-hand side
-    follows from I_xdchi and H. t_global locates each sample on the
-    experiment-wide clock (segments of a multi-run dataset differ in
-    offset), which is what shadow augmentation aligns on.
+    t_i + T; S, W, V the windowed integrals of chi chi', chi u', u u'.
+    The d_/I_ blocks are the deterministic reference-by-mean moments
+    used by the feedforward solve, stored as flattened Kronecker
+    columns. H is the plant output map, from which the learners form
+    the cost forcing H'QH and every output map's right-hand side
+    I_xdchi vec(H'Q H_d); a table without it cannot be learned from.
+    t_global locates each sample on the experiment-wide clock (segments
+    of a multi-run dataset differ in offset), which is what shadow
+    augmentation aligns on.
     """
 
     t: np.ndarray
@@ -53,7 +55,6 @@ class MomentTable:
     S: np.ndarray
     W: np.ndarray
     V: np.ndarray
-    Z: np.ndarray | None = None
     d_xdchi: np.ndarray | None = None
     I_xdchi: np.ndarray | None = None
     I_xdu: np.ndarray | None = None
@@ -89,7 +90,7 @@ class MomentTable:
         return MomentTable(
             t=cat("t"), t_global=cat("t_global"), window=first.window,
             h=first.h, G0=cat("G0"), GT=cat("GT"), S=cat("S"), W=cat("W"),
-            V=cat("V"), Z=cat("Z"), d_xdchi=cat("d_xdchi"),
+            V=cat("V"), d_xdchi=cat("d_xdchi"),
             I_xdchi=cat("I_xdchi"), I_xdu=cat("I_xdu"),
             alpha0=first.alpha0, H=first.H, n_d=first.n_d)
 
@@ -121,12 +122,25 @@ def feedforward_required_rank(n: int, m: int, n_d: int) -> int:
     return (n + m) * n_d
 
 
-def _windowed_integrals(series: np.ndarray, idx: np.ndarray, w: int,
+def _windowed_integrals(y: np.ndarray, idx: np.ndarray, w: int,
                         h: float) -> np.ndarray:
-    # composite Simpson: each step's integral is that of the parabola
-    # through it and a neighbouring sample, so windows of any start and
-    # length integrate quadratics exactly
-    cum = cumulative_simpson(series, dx=h, axis=0, initial=0.0)
+    # composite Simpson, each step integrated as the parabola through it
+    # and the next sample (even steps) or the previous one (odd steps and
+    # the last), the sums scipy's cumulative_simpson forms; windows of any
+    # start and length integrate quadratics exactly
+    if len(y) < 3:  # the trapezoid rule
+        steps = h * (y[1:] + y[:-1]) / 2.0
+    else:
+        def parabola(near, mid, far):
+            return h / 3.0 * (5.0 * near / 4.0 + 2.0 * mid - far / 4.0)
+
+        steps = np.empty((len(y) - 1,) + y.shape[1:])
+        a, b, c = y[:-2:2], y[1:-1:2], y[2::2]
+        steps[0:2 * len(a):2] = parabola(a, b, c)
+        steps[1:2 * len(a):2] = parabola(c, b, a)
+        steps[-1] = parabola(y[-1], y[-2], y[-3])
+    cum = np.zeros((len(y),) + y.shape[1:])
+    np.cumsum(steps, axis=0, out=cum[1:])
     return cum[idx + w] - cum[idx]
 
 
@@ -150,9 +164,8 @@ def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
     falls back to the trapezoid rule), so with the exact route's RK4
     moments the table is fourth-order accurate in h. The sampling
     layout (t1, sample_period, l, window) comes from the SimConfig
-    ``config``. ``output_map`` supplies H so the output moments Z and
-    the feedforward right-hand sides can be formed. t_offset shifts the
-    stored global clock.
+    ``config``. ``output_map`` supplies the H the learners need for
+    their right-hand sides. t_offset shifts the stored global clock.
     """
     discount = source.discount
     if hyper is not None and discount is not None:
@@ -192,11 +205,9 @@ def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
     _check_psd("S", S)
     _check_psd("V", V)
 
-    Z = None
     H = None
     if output_map is not None:
         H = np.asarray(output_map, dtype=float).reshape(-1, n)
-        Z = np.einsum("qi,lij,pj->lqp", H, S, H)
 
     d_xdchi = I_xdchi = I_xdu = None
     n_d = None
@@ -211,7 +222,7 @@ def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
 
     return MomentTable(t=sample_t, t_global=sample_t + t_offset,
                        window=config.window, h=h, G0=G0, GT=GT, S=S, W=W,
-                       V=V, Z=Z, d_xdchi=d_xdchi, I_xdchi=I_xdchi,
+                       V=V, d_xdchi=d_xdchi, I_xdchi=I_xdchi,
                        I_xdu=I_xdu,
                        alpha0=None if hyper is None else hyper.alpha0,
                        H=H, n_d=n_d)
@@ -242,18 +253,9 @@ def assemble_psi(moments: MomentTable, alpha_prev: float, K_prev) -> np.ndarray:
 
 
 def psi_rhs(moments: MomentTable, forcing) -> np.ndarray:
-    """-trace(forcing * S_i) per row; forcing is K'RK + theta."""
+    """-trace(forcing * S_i) per row, for the forcing of either phase
+    (K'RK + theta or K'RK + H'QH)."""
     return -h_form_rows(moments.S) @ vech(np.asarray(forcing, dtype=float))
-
-
-def phi_rhs(moments: MomentTable, K_prev, cost) -> np.ndarray:
-    """-trace(K'RK * S_i) - trace(Q * Z_i) per row."""
-    if moments.Z is None:
-        raise ConfigError("moment table has no output moments; pass output_map")
-    K_prev = np.asarray(K_prev, dtype=float)
-    KRK = K_prev.T @ cost.R @ K_prev
-    return (-h_form_rows(moments.S) @ vech(KRK)
-            - h_form_rows(moments.Z) @ vech(np.asarray(cost.Q, dtype=float)))
 
 
 def assemble_xi(moments: MomentTable, K_star, Lambda_star, cost,
@@ -262,7 +264,7 @@ def assemble_xi(moments: MomentTable, K_star, Lambda_star, cost,
 
     Row t_i = [ d_xdchi + (gamma - alpha0)/2 * I_xdchi ;
                 -I_xdchi' (I kron (R+Lambda)K) - I_xdu' (I kron (R+Lambda)) ];
-    the right-hand side of each output map is xi_rhs_for_output_map.
+    the right-hand side of output map H_d is I_xdchi vec(H'Q H_d).
     """
     if moments.I_xdchi is None:
         raise ConfigError("moment table has no reference moments")
@@ -274,19 +276,6 @@ def assemble_xi(moments: MomentTable, K_star, Lambda_star, cost,
     blk_F = (-moments.I_xdchi @ np.kron(eye_d, RL @ K_star).T
              - moments.I_xdu @ np.kron(eye_d, RL).T)
     return np.hstack([blk_Pi, blk_F])
-
-
-def xi_rhs_for_output_map(moments: MomentTable, H_d_case, cost) -> np.ndarray:
-    """Feedforward rhs I_{y_d zeta}' vec(Q) for the output map H_d_case.
-
-    Uses I_{y_d zeta} = (H_d kron H) I_{x_d chi}, so a whole family of
-    output maps shares one assembled Xi.
-    """
-    if moments.H is None or moments.I_xdchi is None:
-        raise ConfigError("moment table lacks H or reference moments")
-    H_d_case = np.asarray(H_d_case, dtype=float).reshape(-1, moments.n_d)
-    lift = np.kron(H_d_case, moments.H)
-    return (moments.I_xdchi @ lift.T) @ vec(cost.Q)
 
 
 def rank_report(matrix, required_rank: int, tol: float = 1e-8) -> RankReport:

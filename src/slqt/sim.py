@@ -7,7 +7,8 @@ against), and Monte Carlo average-cost estimation.
 
 Every simulated path, single or in an ensemble, comes from one
 Euler-Maruyama kernel: path i draws its increments from Philox(seed_i)
-alone, so any member of an ensemble can be reproduced by itself.
+alone, so any member of an ensemble can be reproduced by itself (a
+one-path run_ensemble from its seed).
 Ensemble reductions are centered on path 0 and run in a fixed order so
 that repeated runs with the same configuration are bit-identical, and
 so that a zero-diffusion ensemble reduces exactly to its single path.
@@ -25,8 +26,8 @@ from .model import ReferenceGenerator, _lyap_operator, is_stabilizing
 from .symquad import vech_indices
 
 __all__ = [
-    "SimConfig", "PathRecord", "ProbingSignal", "MomentTrajectory",
-    "TrackingRun", "probing_signal", "simulate_sde_path",
+    "SimConfig", "ProbingSignal", "MomentTrajectory",
+    "TrackingRun", "probing_signal",
     "run_ensemble", "propagate_moments_exact", "reference_trajectory",
     "estimate_average_cost", "CostEstimate", "simulate_tracking",
 ]
@@ -97,21 +98,6 @@ class SimConfig:
 
     def sample_times(self) -> np.ndarray:
         return self.t1 + np.arange(self.l) * self.sample_period
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """One simulated trajectory on a uniform grid."""
-
-    t: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
-    y: np.ndarray | None
-    seed: int | None
-
-    def __post_init__(self):
-        if not np.isfinite(self.x).all():
-            raise Blowup("trajectory contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -250,24 +236,6 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
             observe(k + 1, blk)
             S[0] = S[b]
             k += b
-
-
-def simulate_sde_path(sys, input, x0, config: SimConfig, seed: int) -> PathRecord:
-    """One Euler-Maruyama path of dx = (Ax+Bu)dt + (Cx+Du)dw.
-
-    Bit-identical to path ``seed - base_seed`` of a run_ensemble call
-    with the same configuration and input.
-    """
-    t = config.grid()
-    u = _sample_input(input, t, sys.m)
-    xs = np.empty((config.n_steps + 1, sys.n))
-
-    def store(k0, S):
-        xs[k0:k0 + len(S)] = S[:, :, 0]
-
-    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, seed, 1, config.n_steps,
-              config.h, store)
-    return PathRecord(t, xs, u, xs @ sys.H.T, seed)
 
 
 def _centred_mean(S) -> np.ndarray:

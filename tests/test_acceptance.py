@@ -187,7 +187,7 @@ def test_criterion_05_exact_moment_equivalence(ex1_model, ex1_exact_learn):
 def test_criterion_06_monotonicity_suite():
     """Phase-II value matrices must decrease toward the fixed point and
     phase I must finish within the bound its own step inequality gives."""
-    hyper = BpiHyperParams(epsilon=1e-9, max_iter=200, stop_rule="value")
+    hyper = BpiHyperParams(epsilon=1e-9, max_iter=200)
     worst_pair = np.inf
     worst_star = np.inf
     bound_ok = True

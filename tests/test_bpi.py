@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from slqt.benchmarks import damped_oscillator
-from slqt.bpi import feedforward_gains, solve_tracking
+from slqt.bpi import _bootstrap, feedforward_gains, solve_tracking
 from slqt.errors import InitConditionViolated, MaxIterExceeded
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem, is_stabilizing,
                         spectral_abscissa)
+from slqt.solvers import gain_update, solve_gen_lyap
 
 ALPHA_TRACE = [0.523930577, 0.721031001, 1.704852975]
 K_STAR = np.array([[26.04653, 7.592634]])
@@ -141,15 +142,27 @@ def test_max_iter_exceeded_in_phase2_carries_both_phases(bundle):
                                rtol=0, atol=1e-6)
 
 
-def test_stop_rules_agree(bundle):
-    base = dict(system=bundle.plant, reference=bundle.reference,
-                cost=bundle.cost)
-    by_gain = solve_tracking(TrackingProblem(
-        hyper=BpiHyperParams(stop_rule="gain"), **base))
-    by_value = solve_tracking(TrackingProblem(
-        hyper=BpiHyperParams(stop_rule="value"), **base))
-    np.testing.assert_allclose(by_gain.K, by_value.K, rtol=0, atol=1e-4)
-    np.testing.assert_allclose(by_gain.P, by_value.P, rtol=0, atol=1e-4)
+def test_bootstrap_passes_each_phase_its_forcing(bundle, solution):
+    # a stub evaluation records what the loop hands it and solves as the
+    # model route does; phase I must get K'RK + Theta, phase II K'RK + H'QH
+    plant, cost, hyper = bundle.plant, bundle.cost, bundle.hyper
+    theta = hyper.theta_for(plant.n)
+    HQH = plant.H.T @ cost.Q @ plant.H
+    calls = []
+
+    def evaluate(level, K, forcing):
+        calls.append((level, K.copy(), forcing.copy()))
+        sol = solve_gen_lyap(plant, K, forcing, alpha=level, gamma=hyper.gamma)
+        return sol.P, gain_update(plant, sol.P, cost.R), {}
+
+    trace, crossing = _bootstrap(hyper, theta, HQH, cost.R, evaluate)
+    assert crossing == 3 and len(calls) == len(trace) == 9
+    for j, (level, K, forcing) in enumerate(calls):
+        phase_term = theta if j < crossing else HQH
+        np.testing.assert_array_equal(forcing, K.T @ cost.R @ K + phase_term)
+        assert (level == hyper.gamma) == (j >= crossing)
+    np.testing.assert_array_equal(calls[0][1], np.zeros_like(solution.K))
+    np.testing.assert_array_equal(trace[-1].K, solution.K)
 
 
 def test_closed_loop_abscissa_negative(bundle, solution):

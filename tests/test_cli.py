@@ -124,6 +124,8 @@ def test_parse_config_validation_matrix():
         {"tracking": {"schedule": [[1, 1.0]], "n_paths": 0}},
         {"tracking": {"schedule": [[1.5, 1.0]]}},
         {"hyper": {"max_iter": 50.5}},
+        # phase II has one stop rule, the value step; there is no key for it
+        {"hyper": {"stop_rule": "gain"}},
         {"probing": {**SCALAR_CONFIG["probing"], "count": 10.5}},
         {"probing": {**SCALAR_CONFIG["probing"], "seed": -5}},
         {"probing": {**SCALAR_CONFIG["probing"], "seed": True}},
@@ -442,6 +444,28 @@ def test_shadow_subcommand_refuses_configs_outside_its_route(tmp_path, capsys,
             EXIT_CODES["config"]
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_cost_comparison_without_model_is_refused_before_collecting(
+        tmp_path, capsys, monkeypatch):
+    # a learning run without --validate-with-model has no model-based
+    # solution to compare costs against; that is known before any stage
+    import slqt.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("data collected for a refused config")
+
+    monkeypatch.setattr(slqt.cli, "gather_moments", never)
+    path = write_config(tmp_path, {"cost_comparison": {"case": 1}})
+    out = tmp_path / "out"
+    assert main(["learn-fb", "--config", path, "--out", str(out)]) == \
+        EXIT_CODES["config"]
+    message = ("cost_comparison needs the model-based solution; use mode "
+               "model_based or pass validate")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    report = load_report(str(out / "report.json"))
+    assert report.failed and report.error["message"] == message
+    assert report.timing_s == {}
 
 
 @pytest.mark.parametrize("command,flags,config", [

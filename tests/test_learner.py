@@ -339,3 +339,25 @@ def test_feedforward_output_map_scaling():
                                    omega_F=omegas[1])
     np.testing.assert_allclose(three.F, 3.0 * one.F, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(three.Pi, 3.0 * one.Pi, rtol=1e-8, atol=1e-10)
+
+
+def test_tables_without_output_map_are_refused():
+    # the learners form H'QH and H'QH_d from the table's H, as the model
+    # route does from the plant's; a table accumulated without it is a
+    # config error (exit 2), not a silent zero cost
+    hyper = BpiHyperParams()
+    cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
+    no_H = dataclasses.replace(scalar_moments(hyper), H=None)
+    with pytest.raises(ConfigError, match="no output map H"):
+        learn_feedback(no_H, cost, hyper)
+    plant, cost, shadow = shadow_pair()
+    tab, ref, cfg = unforced_moments(plant, hyper)
+    omegas = shadow_regressors(shadow, plant.B, cost.R, tab.t_global,
+                               window=cfg.window)
+    no_H = dataclasses.replace(tab, H=None)
+    with pytest.raises(ConfigError, match="no output map H"):
+        learn_shadow(no_H, shadow, plant.B, cost, hyper, omegas=omegas)
+    learned = learn_shadow(tab, shadow, plant.B, cost, hyper, omegas=omegas)
+    with pytest.raises(ConfigError, match="lacks H"):
+        learn_feedforward(no_H, learned.K_star, learned.Lambda_star, cost, hyper,
+                          [ref.H_d], omega_F=omegas[1])

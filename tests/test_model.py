@@ -349,8 +349,6 @@ def test_hyper_validation():
     with pytest.raises(ConfigError):
         BpiHyperParams(eta=1.0)
     with pytest.raises(ConfigError):
-        BpiHyperParams(stop_rule="nope")
-    with pytest.raises(ConfigError):
         BpiHyperParams(theta=np.diag([1.0, 0.0]))
 
 

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson, simpson
 
 from slqt.errors import ConfigError, WindowOutOfRange
-from slqt.model import BpiHyperParams, CostWeights, StochasticSystem
-from slqt.regressors import (MomentTable, accumulate_raw_moments,
-                             feedback_required_rank,
-                             feedforward_required_rank, psi_rhs, rank_report,
-                             xi_rhs_for_output_map)
+from slqt.model import BpiHyperParams, StochasticSystem
+from slqt.regressors import (MomentTable, _windowed_integrals,
+                             accumulate_raw_moments, feedback_required_rank,
+                             feedforward_required_rank, psi_rhs, rank_report)
 from slqt.sim import SimConfig, probing_signal, propagate_moments_exact
 from slqt.symquad import vech
 
@@ -41,8 +40,6 @@ def test_constant_state_moments():
         np.testing.assert_allclose(tab.S[k], 0.05 * outer, rtol=1e-10)
         np.testing.assert_allclose(tab.W[k], 0.0, atol=1e-15)
         np.testing.assert_allclose(tab.V[k], 0.0, atol=1e-15)
-    # output reduction is H S H' throughout
-    np.testing.assert_allclose(tab.Z[:, 0, 0], tab.S[:, 0, 0], rtol=1e-12)
 
 
 def test_windowed_integrals_match_direct_quadrature():
@@ -67,6 +64,17 @@ def test_windowed_integrals_match_direct_quadrature():
             scale = cfg.window * np.abs(f).max()
             np.testing.assert_allclose(got, simpson(f, x=traj.t[sel], axis=0),
                                        rtol=0.0, atol=1e-8 * scale)
+    # every window of every start and length, against scipy's cumulative
+    # Simpson on grids of 2 points (the trapezoid rule), 3 points, and an
+    # odd and an even number of points
+    rng = np.random.default_rng(0)
+    for size in (2, 3, 40, 41):
+        series = rng.standard_normal((size, 3))
+        cum = cumulative_simpson(series, dx=0.01, axis=0, initial=0.0)
+        for w in range(size):
+            idx = np.arange(size - w)
+            np.testing.assert_allclose(_windowed_integrals(series, idx, w, 0.01),
+                                       cum[idx + w] - cum[idx], rtol=0.0, atol=1e-14)
 
 
 def linear_rows(p, q, t):
@@ -210,14 +218,6 @@ def reference_source(n_steps=400, h=1e-3):
     traj = propagate_moments_exact(sys, sig, np.array([0.5, -0.5]), cfg,
                                    reference=ref)
     return accumulate_raw_moments(traj, config=cfg, output_map=sys.H), ref
-
-
-def test_output_map_rhs_is_linear_and_consistent():
-    tab, ref = reference_source()
-    cost = CostWeights(Q=np.array([[3.0]]), R=np.array([[1.0]]))
-    base = xi_rhs_for_output_map(tab, ref.H_d, cost)
-    np.testing.assert_allclose(xi_rhs_for_output_map(tab, 2.0 * ref.H_d, cost),
-                               2.0 * base, rtol=1e-13)
 
 
 def test_feedforward_blocks_have_reference_columns():

@@ -13,7 +13,7 @@ from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, SimConfig, _em_paths,
                       _sample_input,
                       estimate_average_cost, probing_signal,
                       propagate_moments_exact, reference_trajectory,
-                      run_ensemble, simulate_sde_path, simulate_tracking)
+                      run_ensemble, simulate_tracking)
 from slqt.symquad import unvech
 
 
@@ -41,6 +41,12 @@ def three_state_plant():
 def two_input_signal(t):
     return (np.sin(np.multiply.outer(t, [3.0, 7.5]))
             + np.cos(np.multiply.outer(t, [-4.0, 11.0])))
+
+
+def single_path(sys, input, x0, cfg, seed):
+    """Path ``seed - base_seed`` of an ensemble: a one-path run from its
+    seed, whose centred mean is the path itself."""
+    return run_ensemble(sys, input, x0, replace(cfg, n_paths=1, base_seed=seed)).mean_x
 
 
 def test_probing_signal_bound_and_determinism():
@@ -149,41 +155,33 @@ def test_noise_free_ensemble_collapses_to_one_path():
                     n_paths=4, base_seed=100)
     x0 = np.array([0.5, -0.25])
     ds = run_ensemble(sys, sig, x0, cfg)
-    path = simulate_sde_path(sys, sig, x0, cfg, seed=100)
-    np.testing.assert_array_equal(ds.mean_x, path.x)
+    path = single_path(sys, sig, x0, cfg, seed=100)
+    np.testing.assert_array_equal(ds.mean_x, path)
     # second moments of a deterministic ensemble are the outer products
-    for k in (0, 10, len(path.t) - 1):
-        xx = np.outer(path.x[k], path.x[k])
+    for k in (0, 10, len(path) - 1):
+        xx = np.outer(path[k], path[k])
         np.testing.assert_allclose(unvech(ds.mean_xx[k], 2), xx,
                                    rtol=1e-12, atol=1e-15)
 
 
-def test_single_path_matches_ensemble_member():
-    sys = small_plant()
-    sig = probing_signal(1.0, 4, (-10.0, 10.0), seed=8)
-    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=20,
-                    n_paths=3, base_seed=50)
-    x0 = np.array([1.0, 1.0])
-    path = simulate_sde_path(sys, sig, x0, cfg, seed=51)
-    solo = run_ensemble(sys, sig, x0, replace(cfg, n_paths=1, base_seed=51))
-    np.testing.assert_array_equal(solo.mean_x, path.x)
-
-
 def test_every_ensemble_member_is_its_single_path():
-    sys = three_state_plant()
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=20,
                     n_paths=5, base_seed=50)
-    x0 = np.array([0.8, -0.5, 0.3])
-    members = np.empty((cfg.n_steps + 1, 3, 5))
+    cases = [(small_plant(), probing_signal(1.0, 4, (-10.0, 10.0), seed=8),
+              np.array([1.0, 1.0])),
+             (three_state_plant(), two_input_signal, np.array([0.8, -0.5, 0.3]))]
+    for plant, input, x0 in cases:
+        members = np.empty((cfg.n_steps + 1, plant.n, 5))
 
-    def keep(k0, S):
-        members[k0:k0 + len(S)] = S
+        def keep(k0, S):
+            members[k0:k0 + len(S)] = S
 
-    u = _sample_input(two_input_signal, cfg.grid(), 2)
-    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, 5, cfg.n_steps, cfg.h, keep)
-    for p in range(5):
-        path = simulate_sde_path(sys, two_input_signal, x0, cfg, seed=50 + p)
-        np.testing.assert_array_equal(members[:, :, p], path.x)
+        u = _sample_input(input, cfg.grid(), plant.m)
+        _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, 50, 5,
+                  cfg.n_steps, cfg.h, keep)
+        for p in range(5):
+            np.testing.assert_array_equal(
+                members[:, :, p], single_path(plant, input, x0, cfg, seed=50 + p))
 
 
 def em_per_step(A, C, forcing, x0, first_seed, n_paths, n_steps, h, observe):
@@ -237,7 +235,7 @@ def test_block_kernel_equals_per_step_reference():
     close(ds.mean_x, xs.mean(axis=1))
     close(ds.mean_xx, prods.mean(axis=1))
     close(ds.se_xx, prods.std(axis=1) / np.sqrt(P))
-    close(simulate_sde_path(plant, two_input_signal, x0, cfg, seed).x, xs[:, 0])
+    close(single_path(plant, two_input_signal, x0, cfg, seed), xs[:, 0])
 
     # tracking: the closed loop driven by -F x_d
     A_d = np.array([[0.0, 2.0], [-2.0, 0.0]])
@@ -293,7 +291,7 @@ def test_input_function_errors_propagate_unchanged():
     sys = small_plant()
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=5, n_paths=2)
     with pytest.raises(ProbeFault) as info:
-        simulate_sde_path(sys, faulty, np.zeros(2), cfg, seed=0)
+        single_path(sys, faulty, np.zeros(2), cfg, seed=0)
     assert info.value is fault
 
 
