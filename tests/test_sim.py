@@ -164,24 +164,38 @@ def test_noise_free_ensemble_collapses_to_one_path():
                                    rtol=1e-12, atol=1e-15)
 
 
+def test_single_path_matches_ensemble_member():
+    sys = small_plant()
+    sig = probing_signal(1.0, 4, (-10.0, 10.0), seed=8)
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=20,
+                    n_paths=3, base_seed=50)
+    x0 = np.array([1.0, 1.0])
+    members = np.empty((cfg.n_steps + 1, 2, 3))
+
+    def keep(k0, S):
+        members[k0:k0 + len(S)] = S
+
+    u = _sample_input(sig, cfg.grid(), 1)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, 3, cfg.n_steps, cfg.h, keep)
+    np.testing.assert_array_equal(members[:, :, 1],
+                                  single_path(sys, sig, x0, cfg, seed=51))
+
+
 def test_every_ensemble_member_is_its_single_path():
+    sys = three_state_plant()
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=20,
                     n_paths=5, base_seed=50)
-    cases = [(small_plant(), probing_signal(1.0, 4, (-10.0, 10.0), seed=8),
-              np.array([1.0, 1.0])),
-             (three_state_plant(), two_input_signal, np.array([0.8, -0.5, 0.3]))]
-    for plant, input, x0 in cases:
-        members = np.empty((cfg.n_steps + 1, plant.n, 5))
+    x0 = np.array([0.8, -0.5, 0.3])
+    members = np.empty((cfg.n_steps + 1, 3, 5))
 
-        def keep(k0, S):
-            members[k0:k0 + len(S)] = S
+    def keep(k0, S):
+        members[k0:k0 + len(S)] = S
 
-        u = _sample_input(input, cfg.grid(), plant.m)
-        _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, 50, 5,
-                  cfg.n_steps, cfg.h, keep)
-        for p in range(5):
-            np.testing.assert_array_equal(
-                members[:, :, p], single_path(plant, input, x0, cfg, seed=50 + p))
+    u = _sample_input(two_input_signal, cfg.grid(), 2)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, 5, cfg.n_steps, cfg.h, keep)
+    for p in range(5):
+        np.testing.assert_array_equal(
+            members[:, :, p], single_path(sys, two_input_signal, x0, cfg, seed=50 + p))
 
 
 def em_per_step(A, C, forcing, x0, first_seed, n_paths, n_steps, h, observe):
