@@ -48,6 +48,8 @@ __all__ = ["EXIT_CODES", "ExperimentConfig", "RunReport", "canonical_json",
 
 REPORT_SCHEMA = "slqt-report/1"
 
+_CSV_ROWS = 4096  # CSV rows formatted per write
+
 EXIT_CODES = {"ok": 0, "config": 2, "rank": 3, "numerical": 4, "contract": 5}
 
 
@@ -249,22 +251,37 @@ def _timed(report: RunReport, stage: str):
 # CSV writers
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _fmt_float(float(v))
+def _write_csv(path: str, header: list, values, index=None) -> None:
+    """Write rows of leading integer columns (index) and float columns.
 
-
-def _write_csv(path: str, header: list, rows) -> None:
+    values is a (rows, k) array of floats and index the (rows, j) integer
+    columns written before them (none by default). Every value is checked
+    before the file is opened, so a refusal leaves no file behind. Each
+    row is one str.format: integers as such, floats with 17 significant
+    digits (they roundtrip binary64) and -0.0 as 0, as in the report.
+    """
+    values = np.asarray(values, dtype=float)
+    index = (np.empty((values.shape[0], 0), dtype=np.int64) if index is None
+             else np.asarray(index, dtype=np.int64))
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise ConfigError(f"report values must be finite, got {float(values[r, c])!r} "
+                          f"in column {header[index.shape[1] + c]!r} of row {r + 1} "
+                          f"of {os.path.basename(path)}")
+    values = values + 0.0
+    fmt = ",".join(["{:d}"] * index.shape[1] + ["{:.17g}"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_csv_cell(v) for v in row) + "\n")
+        for s in range(0, values.shape[0], _CSV_ROWS):
+            rows = zip(index[s:s + _CSV_ROWS].tolist(), values[s:s + _CSV_ROWS].tolist())
+            f.write("".join([fmt.format(*i, *v) for i, v in rows]))
 
 
 def _write_trace_csv(path: str, trace_rows: list) -> None:
     if not trace_rows:
-        _write_csv(path, ["iteration", "phase", "alpha"], [])
+        _write_csv(path, ["iteration", "phase", "alpha"], np.empty((0, 1)),
+                   np.empty((0, 2)))
         return
     K0 = np.asarray(trace_rows[0]["K"], dtype=float)
     n = np.asarray(trace_rows[0]["P"], dtype=float).shape[0]
@@ -273,21 +290,16 @@ def _write_trace_csv(path: str, trace_rows: list) -> None:
     header = (["iteration", "phase", "alpha"]
               + [f"k_{a + 1}{b + 1}" for a in range(m) for b in range(n)]
               + [f"p_{a + 1}{b + 1}" for a, b in zip(ri, ci)])
-    body = []
-    for r in trace_rows:
-        K = np.asarray(r["K"], dtype=float)
-        P = np.asarray(r["P"], dtype=float)
-        body.append([r["iteration"], r["phase"], r["alpha"],
-                     *K.ravel(), *P[ri, ci]])
-    _write_csv(path, header, body)
+    body = [[r["alpha"], *np.asarray(r["K"], dtype=float).ravel(),
+             *np.asarray(r["P"], dtype=float)[ri, ci]] for r in trace_rows]
+    _write_csv(path, header, body, [[r["iteration"], r["phase"]] for r in trace_rows])
 
 
 def _write_ff_csv(path: str, case_rows: list) -> None:
     width = np.asarray(case_rows[0]["F"], dtype=float).size
     header = ["case"] + [f"f_{j + 1}" for j in range(width)]
-    body = [[row["case"], *np.asarray(row["F"], dtype=float).ravel()]
-            for row in case_rows]
-    _write_csv(path, header, body)
+    body = [np.asarray(row["F"], dtype=float).ravel() for row in case_rows]
+    _write_csv(path, header, body, [[row["case"]] for row in case_rows])
 
 
 def _write_tracking_csv(path: str, run) -> None:

@@ -36,6 +36,7 @@ _BLOWUP_NORM = 1e8
 _CHUNK_STEPS = 2048
 _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
+_SCAN_BLOCK = 128  # RK4 steps per block of the exact route's affine scan
 
 
 def _is_multiple(x: float, h: float) -> bool:
@@ -368,15 +369,38 @@ def _affine_recursion(z0, Lt, h, fs):
     """RK4 trajectory z_{k+1} = Phi z_k + w_k of z' = L z + f from z0.
 
     Phi (the RK4 polynomial in hL) and every w_k are built at once; fs
-    holds the (N, d) stage forcings of the N steps.
+    holds the (N, d) stage forcings of the N steps. The recursion runs as
+    a two-level blocked scan over blocks of b = _SCAN_BLOCK steps: every
+    block is run from zero, all at once, to its end offset; the block
+    starts are carried by z <- Phi^b z + offset; and every block is run
+    again from its true start, writing the trajectory. Phi^b is built by
+    b repeated products, which keep the roundoff of the step-by-step
+    recursion where repeated squaring loses a digit.
     """
     phi_t = _rk4_step(Lt, h, np.eye(z0.size), (0.0,) * 4)[1]
     w = _rk4_step(Lt, h, np.zeros_like(fs[0]), fs)[1]
-    Z = np.empty((w.shape[0] + 1, z0.size))
-    Z[0] = z = z0
-    for k in range(w.shape[0]):
-        Z[k + 1] = z = z @ phi_t + w[k]
-    return Z
+    n, b = w.shape[0], _SCAN_BLOCK
+    blocks = -(-n // b)
+    # Z holds w_k in row k + 1 (and zeros past the last step) until the
+    # final sweep adds Phi z_k into it; V views its rows block by block
+    Z = np.zeros((blocks * b + 1, z0.size))
+    Z[0] = z0
+    Z[1:n + 1] = w
+    V = Z[1:].reshape(blocks, b, z0.size)
+    offset = np.zeros((blocks, z0.size))
+    for j in range(b):
+        offset = offset @ phi_t + V[:, j]
+    starts = np.empty_like(offset)
+    starts[0] = z0
+    if blocks > 1:
+        phi_b = phi_t
+        for _ in range(b - 1):
+            phi_b = phi_b @ phi_t
+        for i in range(1, blocks):
+            starts[i] = starts[i - 1] @ phi_b + offset[i - 1]
+    for j in range(b):
+        V[:, j] += (starts if j == 0 else V[:, j - 1]) @ phi_t
+    return Z[:n + 1]
 
 
 def propagate_moments_exact(plant, input, x0, config: SimConfig,
@@ -402,7 +426,7 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     A, B, C, D = plant.A, plant.B, plant.C, plant.D
     # Both ODEs are linear once u is known, so one RK4 step is a fixed
     # map z -> Phi z + w_k; w_k for every step comes from the stage
-    # forcings at once, leaving only the affine recursions sequential.
+    # forcings at once, and each recursion runs as a blocked scan.
     # The G flow is X -> A X + X A' + C X C', the operator at (A', C').
     LG = _lyap_operator(A.T, C.T)
     h, t = config.h, config.grid()

@@ -6,11 +6,13 @@ import json
 import math
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from slqt.cli import (EXIT_CODES, build_parser, canonical_json, exit_code_for,
+from slqt.cli import (EXIT_CODES, _write_ff_csv, _write_trace_csv,
+                      _write_tracking_csv, build_parser, canonical_json, exit_code_for,
                       load_config, load_report, main, parse_experiment_config,
                       run_experiment)
 from slqt.errors import (Blowup, ConfigError, MaxIterExceeded, NonPositiveP,
@@ -571,6 +573,76 @@ def test_track_produces_tracking_csv(tmp_path):
     lines = (out / "tracking.csv").read_text().splitlines()
     assert lines[0].split(",")[0] == "t"
     assert len(lines) == 2 + round(2.0 / 0.01)
+
+
+# zeros of both signs, the least subnormal, values near the largest
+# double, integral floats and floats that need all 17 digits
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 3.0, -2.0,
+               1e17, 0.1, 2.0 / 3.0, -1.25e-7]
+
+
+def per_cell_csv(header, rows):
+    """The CSV bytes formatted one cell at a time: integers by str, floats
+    with 17 significant digits, and zero of either sign as 0."""
+    def cell(v):
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return "0" if float(v) == 0.0 else format(float(v), ".17g")
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def test_csv_writers_match_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(4)
+    edge = np.array(EDGE_FLOATS)
+    # trace rows: integer iteration and phase columns, then alpha, K, vech P
+    trace = [{"iteration": i, "phase": 1 + i // 3, "alpha": edge[i],
+              "K": [[edge[i + 1], edge[-i - 1]]],
+              "P": [[edge[i + 2], edge[i + 3]], [edge[i + 3], edge[i + 4]]]}
+             for i in range(6)]
+    path = tmp_path / "shadow_trace.csv"
+    _write_trace_csv(str(path), trace)
+    rows = [[r["iteration"], r["phase"], r["alpha"], *r["K"][0], r["P"][0][0],
+             r["P"][0][1], r["P"][1][1]] for r in trace]
+    header = ["iteration", "phase", "alpha", "k_11", "k_12", "p_11", "p_12", "p_22"]
+    assert path.read_bytes() == per_cell_csv(header, rows)
+    _write_trace_csv(str(path), [])
+    assert path.read_bytes() == b"iteration,phase,alpha\n"
+    # feedforward cases: an integer case column, then vec F
+    cases = [{"case": k, "F": edge[k:k + 4].reshape(2, 2).tolist()} for k in range(1, 9)]
+    path = tmp_path / "ff_cases.csv"
+    _write_ff_csv(str(path), cases)
+    rows = [[c["case"], *np.ravel(c["F"])] for c in cases]
+    assert path.read_bytes() == per_cell_csv(["case", "f_1", "f_2", "f_3", "f_4"], rows)
+    # a tracking body longer than one formatting chunk, every cell a float
+    n = 9001
+    body = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, (n, 4))
+    for j in range(4):
+        body[:len(edge), j] = np.roll(edge, j)
+    body[-1] = [-0.0, 5e-324, -1.7e308, 7.0]
+    run = SimpleNamespace(t=np.arange(n) * 1e-3, y_mean=body[:, :1], y_d=body[:, 1:2],
+                          u_mean=body[:, 2:])
+    path = tmp_path / "tracking.csv"
+    _write_tracking_csv(str(path), run)
+    rows = np.hstack([run.t[:, None], body]).tolist()
+    assert path.read_bytes() == per_cell_csv(["t", "y_1", "y_d_1", "u_1", "u_2"], rows)
+
+
+def test_non_finite_csv_value_is_refused_before_the_file_exists(tmp_path):
+    run = SimpleNamespace(t=np.arange(5.0), y_mean=np.ones((5, 1)), y_d=np.ones((5, 1)),
+                          u_mean=np.ones((5, 1)))
+    run.y_d[2, 0] = np.nan
+    run.u_mean[3, 0] = np.inf
+    run.y_mean[4, 0] = -np.inf
+    path = tmp_path / "tracking.csv"
+    with pytest.raises(ConfigError, match=r"got nan in column 'y_d_1' of row 3") as info:
+        _write_tracking_csv(str(path), run)
+    assert exit_code_for(info.value) == EXIT_CODES["config"]
+    assert not path.exists()
+    cases = [{"case": 1, "F": [[1.0, np.inf]]}]
+    with pytest.raises(ConfigError, match=r"got inf in column 'f_2' of row 1"):
+        _write_ff_csv(str(tmp_path / "ff_cases.csv"), cases)
+    assert os.listdir(tmp_path) == []
 
 
 def test_report_reemit_is_identical(tmp_path, capsys):

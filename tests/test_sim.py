@@ -9,7 +9,8 @@ from scipy.linalg import expm
 
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
-from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, SimConfig, _em_paths,
+from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, _SCAN_BLOCK, SimConfig,
+                      _affine_recursion, _em_paths, _rk4_step,
                       _sample_input,
                       estimate_average_cost, probing_signal,
                       propagate_moments_exact, reference_trajectory,
@@ -356,6 +357,50 @@ def test_rk4_step_map_equals_per_step_rk4(forced):
         assert np.abs(b).max() > 0.1
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
     np.testing.assert_array_equal(got.t, cfg.grid())
+
+
+def affine_per_step(z0, Lt, h, fs):
+    """The RK4 step map z <- z Phi + w_k applied one step after another.
+
+    Phi and w_k come from the module's stage formula, which
+    test_rk4_step_map_equals_per_step_rk4 checks against RK4 on the
+    moment ODEs; this is the recursion the blocked scan replaces.
+    """
+    phi_t = _rk4_step(Lt, h, np.eye(z0.size), (0.0,) * 4)[1]
+    w = _rk4_step(Lt, h, np.zeros_like(fs[0]), fs)[1]
+    Z = np.empty((w.shape[0] + 1, z0.size))
+    Z[0] = z = z0
+    for k in range(w.shape[0]):
+        Z[k + 1] = z = z @ phi_t + w[k]
+    return Z
+
+
+SCAN_OPERATORS = {
+    "stable": np.array([[-0.5, 2.0, 0.1], [-2.0, -0.5, 0.3], [0.2, -0.4, -1.0]]),
+    "unstable": np.array([[0.25, 1.5, 0.0], [-1.5, 0.25, 0.2], [0.0, 0.3, -0.2]]),
+    # one Jordan block: a defective operator takes the same path
+    "defective": np.array([[-0.3, 1.0, 0.0], [0.0, -0.3, 1.0], [0.0, 0.0, -0.3]]),
+    # h * lambda = -2.5 on the fast mode, inside RK4's real stability
+    # interval, so its step factor is -0.65 and alternates in sign
+    "stiff": np.array([[-2500.0, 0.0, 0.0], [1.0, -1.0, 0.5], [0.0, -0.5, -1.0]]),
+}
+
+
+@pytest.mark.parametrize("n_steps", [1, _SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 21000])
+@pytest.mark.parametrize("kind", sorted(SCAN_OPERATORS))
+def test_blocked_scan_equals_per_step_recursion(kind, n_steps):
+    L, h = SCAN_OPERATORS[kind], 1e-3
+    rng = np.random.default_rng(n_steps)
+    fs = [rng.standard_normal((n_steps, 3)) for _ in range(4)]
+    z0 = np.array([0.7, -0.4, 1.1])
+    got = _affine_recursion(z0, L.T, h, fs)
+    want = affine_per_step(z0, L.T, h, fs)
+    assert got.shape == (n_steps + 1, 3)
+    np.testing.assert_array_equal(got[0], z0)
+    # rtol 1e-12 of the largest state up to each step: the unstable rows
+    # grow ~200-fold, and a stable row may pass near zero
+    scale = np.maximum.accumulate(np.abs(want).max(axis=1, keepdims=True))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def dop853_moments(plant, input, x0, t):
