@@ -8,7 +8,11 @@ against), and Monte Carlo average-cost estimation.
 Every simulated path, single or in an ensemble, comes from one
 Euler-Maruyama kernel: path i draws its increments from Philox(seed_i)
 alone, so any member of an ensemble can be reproduced by itself (a
-one-path run_ensemble from its seed).
+one-path run_ensemble from its seed). The kernel holds the increments
+in two buffers: one producer thread fills one buffer, path by path,
+while the calling thread steps and reduces the chunk in the other.
+Every path still draws its stream in order, so the thread changes only
+the timing, never a value.
 Ensemble reductions are centered on path 0 and run in a fixed order so
 that repeated runs with the same configuration are bit-identical, and
 so that a zero-diffusion ensemble reduces exactly to its single path.
@@ -16,6 +20,7 @@ so that a zero-diffusion ensemble reduces exactly to its single path.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +38,7 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e8
-_CHUNK_STEPS = 2048
+_CHUNK_STEPS = 2048  # steps of noise held, split between the kernel's two buffers
 _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
 _SCAN_BLOCK = 128  # RK4 steps per block of the exact route's affine scan
@@ -175,13 +180,27 @@ def _check_block(S, k0, h, sys_name):
                      f"at t = {t:.6g}", path_index=int(p), time=t)
 
 
+def _draw(gens, buf, L):
+    """Fill buf[i, :L] with the next L standard normals of path i's generator,
+    one call per path in path order; each call drops the interpreter lock
+    while it fills."""
+    for i, gen in enumerate(gens):
+        gen.standard_normal(L, out=buf[i, :L])
+
+
 def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
               h: float, observe, sys_name: str = "state") -> None:
     """Euler-Maruyama paths of dx = (Ax+Bu)dt + (Cx+Du)dw from a common x0.
 
     forcing is (B, D, u) with u the (n_steps+1, m) input on the grid, or
     None for an unforced system. Path i draws its increments from
-    Philox(first_seed + i), one chunk of _CHUNK_STEPS steps at a time.
+    Philox(first_seed + i). The increments come in chunks of
+    _CHUNK_STEPS // 2 steps, held in two buffers: a producer thread
+    (named "slqt-em-draws") fills the next chunk in one buffer while this
+    thread steps through the chunk in the other. Each path's stream is
+    drawn in order either way, so the paths do not depend on the timing.
+    The producer is joined before the call returns or raises, and an
+    error raised by a draw reaches the caller unchanged.
     The state is X of shape (n, n_paths), paths on the last axis; one
     step is X + (hAX + hBu) + dW (CX + Du), with both brackets from one
     stacked product [hA hBu; C Du] [X; 1]. States are buffered
@@ -204,7 +223,8 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
         B, D, u = forcing
         f = np.hstack([h * (u[:-1] @ B.T), u[:-1] @ D.T])
     gens = [np.random.Generator(np.random.Philox(first_seed + i)) for i in range(P)]
-    noise = np.empty((P, _CHUNK_STEPS))
+    span = _CHUNK_STEPS // 2
+    noise = np.empty((2, P, span))  # chunk c is drawn into noise[c % 2]
     rows = np.empty((P, _BLOCK_STEPS))  # one block of noise rows, compact
     dW = np.zeros((_BLOCK_STEPS, width))
     S = np.empty((_BLOCK_STEPS + 1, n + 1, width))  # row n holds the 1 of [X; 1]
@@ -215,28 +235,32 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
     states = [s[:n] for s in S]  # views made once; the step loop is hot
     sqrt_h = np.sqrt(h)
     observe(0, S[:1, :n, :P])
-    k = 0
-    while k < n_steps:
-        L = min(_CHUNK_STEPS, n_steps - k)
-        for i, gen in enumerate(gens):
-            gen.standard_normal(L, out=noise[i, :L])
-        for c in range(0, L, _BLOCK_STEPS):
-            b = min(_BLOCK_STEPS, L - c)
-            # transposing from a compact copy avoids a page per path and step
-            np.copyto(rows[:, :b], noise[:, c:c + b])
-            np.multiply(rows[:, :b].T, sqrt_h, out=dW[:b, :P])
-            if f is not None:
-                G[:b, :, n] = f[k:k + b]
-            for j in range(b):
-                np.matmul(G[j], S[j], out=Y)
-                np.multiply(diffusion, dW[j], out=diffusion)
-                np.add(drift, diffusion, out=drift)
-                np.add(states[j], drift, out=states[j + 1])
-            blk = S[1:b + 1, :n, :P]
-            _check_block(blk, k + 1, h, sys_name)
-            observe(k + 1, blk)
-            S[0] = S[b]
-            k += b
+    # leaving the with block, by return or by raise, joins the producer
+    with ThreadPoolExecutor(1, thread_name_prefix="slqt-em-draws") as producer:
+        drawn = producer.submit(_draw, gens, noise[0], min(span, n_steps))
+        for c, start in enumerate(range(0, n_steps, span)):
+            end = min(start + span, n_steps)
+            drawn.result()
+            if end < n_steps:
+                drawn = producer.submit(_draw, gens, noise[(c + 1) % 2],
+                                        min(span, n_steps - end))
+            chunk = noise[c % 2]
+            for k in range(start, end, _BLOCK_STEPS):
+                b = min(_BLOCK_STEPS, end - k)
+                # transposing from a compact copy avoids a page per path and step
+                np.copyto(rows[:, :b], chunk[:, k - start:k - start + b])
+                np.multiply(rows[:, :b].T, sqrt_h, out=dW[:b, :P])
+                if f is not None:
+                    G[:b, :, n] = f[k:k + b]
+                for j in range(b):
+                    np.matmul(G[j], S[j], out=Y)
+                    np.multiply(diffusion, dW[j], out=diffusion)
+                    np.add(drift, diffusion, out=drift)
+                    np.add(states[j], drift, out=states[j + 1])
+                blk = S[1:b + 1, :n, :P]
+                _check_block(blk, k + 1, h, sys_name)
+                observe(k + 1, blk)
+                S[0] = S[b]
 
 
 def _centred_mean(S) -> np.ndarray:

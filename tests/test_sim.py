@@ -1,6 +1,8 @@
 """Simulation layer: paths, ensembles, exact moments, cost and tracking."""
 
 import math
+import sys as pysys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -199,6 +201,38 @@ def test_every_ensemble_member_is_its_single_path():
             members[:, :, p], single_path(sys, two_input_signal, x0, cfg, seed=50 + p))
 
 
+def test_members_equal_their_single_paths_across_buffer_swaps():
+    # the increments come in chunks of _CHUNK_STEPS // 2 steps, drawn on
+    # the producer thread into two alternating buffers; three swaps and a
+    # partial last chunk must leave every member its one-path run, and the
+    # stacked cost designs their runs alone
+    span = _CHUNK_STEPS // 2
+    n_steps = 3 * span + 5
+    sys = three_state_plant()
+    cfg = SimConfig(h=1e-3, sample_period=1e-3, window=1e-3, l=n_steps,
+                    n_paths=4, base_seed=70)
+    assert cfg.n_steps == n_steps
+    x0 = np.array([0.8, -0.5, 0.3])
+    members = np.empty((n_steps + 1, 3, 4))
+
+    def keep(k0, S):
+        members[k0:k0 + len(S)] = S
+
+    u = _sample_input(two_input_signal, cfg.grid(), 2)
+    # a short switch interval hands the interpreter lock between the
+    # producer and the step loop far more often than by default
+    interval = pysys.getswitchinterval()
+    pysys.setswitchinterval(1e-6)
+    try:
+        _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 70, 4, n_steps, cfg.h, keep)
+    finally:
+        pysys.setswitchinterval(interval)
+    for p in range(4):
+        np.testing.assert_array_equal(
+            members[:, :, p], single_path(sys, two_input_signal, x0, cfg, seed=70 + p))
+    assert_stacked_designs_equal_their_runs_alone(n_steps)
+
+
 def em_per_step(A, C, forcing, x0, first_seed, n_paths, n_steps, h, observe):
     """Euler-Maruyama one step at a time with paths first, and one
     observer call per step: the layout the block kernel replaced."""
@@ -220,8 +254,8 @@ def em_per_step(A, C, forcing, x0, first_seed, n_paths, n_steps, h, observe):
 def test_block_kernel_equals_per_step_reference():
     plant = three_state_plant()
     h, P, seed = 1e-3, 24, 60
-    n_steps = 2 * _CHUNK_STEPS + 37
-    assert n_steps % _BLOCK_STEPS and n_steps % _CHUNK_STEPS
+    n_steps = 2 * _CHUNK_STEPS + 37  # four chunks of _CHUNK_STEPS // 2 and a partial one
+    assert n_steps % _BLOCK_STEPS and n_steps % (_CHUNK_STEPS // 2)
     cfg = SimConfig(h=h, sample_period=h, window=h, l=n_steps, n_paths=P,
                     base_seed=seed)
     assert cfg.n_steps == n_steps
@@ -554,6 +588,78 @@ def test_em_blowup_names_the_first_path_over_the_bound_and_its_time():
     assert info.value.time == pytest.approx(h * math.ceil(np.log(1e8) / np.log(1.2)))
 
 
+def test_no_thread_outlives_a_kernel_call_and_errors_reach_the_caller(monkeypatch):
+    span = _CHUNK_STEPS // 2
+    before = threading.enumerate()
+
+    # a normal ensemble, long enough for several draws
+    cfg = SimConfig(h=1e-3, sample_period=1e-3, window=1e-3, l=2 * span + 7,
+                    n_paths=3, base_seed=5)
+    run_ensemble(small_plant(), None, np.array([1.0, -1.0]), cfg)
+    assert threading.enumerate() == before
+
+    # the Blowup of the test above, raised in the first chunk while the
+    # draw of the second is pending, names the same path and time
+    sys = StochasticSystem(A=np.array([[20.0]]), B=np.array([[1.0]]),
+                           C=np.array([[5.0]]), D=np.array([[0.0]]),
+                           H=np.array([[1.0]]))
+    named = []
+    for n_steps in (600, 2 * span + 5):
+        cfg = SimConfig(h=1e-2, sample_period=1e-2, window=1e-2, l=n_steps,
+                        n_paths=8, base_seed=0)
+        with pytest.raises(Blowup) as info:
+            run_ensemble(sys, None, np.array([1.0]), cfg)
+        assert round(info.value.time / 1e-2) < span
+        named.append((info.value.path_index, info.value.time))
+        assert threading.enumerate() == before
+    assert named[0] == named[1]
+
+    # an observer that raises partway through a run, while a draw is pending
+    plant, x0 = small_plant(), np.array([1.0, -1.0])
+
+    class ObserveFault(RuntimeError):
+        pass
+
+    fault = ObserveFault("observer failed")
+    seen = []
+
+    def observe(k0, S):
+        seen.append([t.name for t in threading.enumerate()
+                     if t.name.startswith("slqt-em-draws")])
+        if k0 > span + 100:
+            raise fault
+
+    with pytest.raises(ObserveFault) as info:
+        _em_paths(plant.A, plant.C, None, x0, 0, 4, 3 * span, 1e-3, observe)
+    assert info.value is fault
+    assert seen[-1] == ["slqt-em-draws_0"]
+    assert threading.enumerate() == before
+
+    # a draw that fails on the producer thread, in its second chunk: the
+    # caller gets the very exception object it raised
+    class DrawFault(RuntimeError):
+        pass
+
+    fault = DrawFault("draw failed")
+    calls = []
+
+    class FaultyGenerator(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            if self.bit_generator.seed_seq.entropy == 3:
+                calls.append(threading.current_thread().name)
+                if len(calls) == 2:
+                    raise fault
+            return super().standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", FaultyGenerator)
+    with pytest.raises(DrawFault) as info:
+        _em_paths(plant.A, plant.C, None, x0, 0, 4, 3 * span, 1e-3,
+                  lambda k0, S: None)
+    assert info.value is fault
+    assert calls == ["slqt-em-draws_0"] * 2
+    assert threading.enumerate() == before
+
+
 def test_average_cost_zero_at_origin():
     sys = small_plant()
     ref = ReferenceGenerator(np.array([[0.0]]), np.array([[1.0]]),
@@ -595,10 +701,7 @@ def test_average_cost_reproducible_and_positive():
     assert a.mean > 0.0 and a.se > 0.0 and a.n_paths == 64
 
 
-def test_stacked_designs_equal_their_runs_alone():
-    # two designs in one pass share each path's increments; each design's
-    # block of the stacked closed loop must reproduce its run alone bit for
-    # bit, across chunk and block boundaries
+def assert_stacked_designs_equal_their_runs_alone(n_steps):
     plant = three_state_plant()
     ref = ReferenceGenerator(np.array([[0.0, 2.0], [-2.0, 0.0]]),
                              np.array([[1.0, 0.5]]), np.array([1.0, 0.0]))
@@ -608,7 +711,7 @@ def test_stacked_designs_equal_their_runs_alone():
                (np.array([[1.0, 0.0, 0.2], [0.1, 0.8, 0.0]]),
                 np.array([[-0.3, 0.1], [0.2, 0.0]]))]
     h, P, seed = 1e-3, 9, 21
-    horizon = (_CHUNK_STEPS + 45) * h
+    horizon = n_steps * h
     x0 = np.array([0.8, -0.5, 0.3])
     stacked = estimate_average_cost(plant, ref, designs, cost, horizon, P, seed,
                                     h=h, x0=x0)
@@ -619,6 +722,13 @@ def test_stacked_designs_equal_their_runs_alone():
                                         seed, h=h, x0=x0)
         assert np.array_equal(both.per_path, alone.per_path)
         assert (both.mean, both.se) == (alone.mean, alone.se)
+
+
+def test_stacked_designs_equal_their_runs_alone():
+    # two designs in one pass share each path's increments; each design's
+    # block of the stacked closed loop must reproduce its run alone bit for
+    # bit, across chunk and block boundaries
+    assert_stacked_designs_equal_their_runs_alone(_CHUNK_STEPS + 45)
 
 
 def test_simulate_tracking_switches_and_shapes():

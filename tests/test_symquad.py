@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from slqt.symquad import (h_form, h_form_rows, unvech, vec, vech, vech_indices,
-                          vech_rows)
+from slqt.symquad import (h_form, h_form_rows, unvech, unvech_rows, vec, vech,
+                          vech_indices, vech_rows)
 
 
 def random_sym(rng, n):
@@ -92,3 +94,69 @@ def test_vech_indices_consistency():
     ri, ci = vech_indices(n)
     P = random_sym(np.random.default_rng(1), n)
     np.testing.assert_array_equal(P[ri, ci], vech(P))
+
+
+# Property tests of the identities the module docstring states. Entries
+# stay within +-1e3, so no product over- or underflows past subnormals.
+properties = settings(derandomize=True, database=None, max_examples=100,
+                      deadline=None)
+entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def symmetrize(M):
+    """The symmetric matrices (over the last two axes) with M's upper triangle."""
+    return np.triu(M) + np.swapaxes(np.triu(M, 1), -1, -2)
+
+
+@st.composite
+def symmetric_stack(draw, max_n=6, max_l=5):
+    """An (l, n, n) stack of symmetric matrices."""
+    n = draw(st.integers(1, max_n))
+    l = draw(st.integers(1, max_l))
+    return symmetrize(draw(arrays(float, (l, n, n), elements=entries)))
+
+
+@st.composite
+def symmetric_and_vector(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    P = symmetrize(draw(arrays(float, (n, n), elements=entries)))
+    return P, draw(arrays(float, n, elements=entries))
+
+
+@properties
+@given(symmetric_stack())
+def test_unvech_inverts_vech(stack):
+    for M in stack:
+        np.testing.assert_array_equal(unvech(vech(M)), M)
+        np.testing.assert_array_equal(unvech(vech(M), M.shape[0]), M)
+
+
+@properties
+@given(symmetric_and_vector())
+def test_h_form_of_outer_product_pairs_to_the_quadratic_form(case):
+    P, x = case
+    lhs = float(vech(P) @ h_form(np.outer(x, x)))
+    rhs = float(x @ P @ x)
+    # both sides sum the same n^2 products in different orders
+    scale = float(np.abs(x) @ np.abs(P) @ np.abs(x))
+    assert abs(lhs - rhs) <= 1e-13 * x.size ** 2 * scale + 1e-300
+
+
+@properties
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_vec_of_outer_product_is_the_kronecker_product(p, q, data):
+    a = data.draw(arrays(float, p, elements=entries))
+    b = data.draw(arrays(float, q, elements=entries))
+    np.testing.assert_array_equal(vec(np.outer(a, b)), np.kron(b, a))
+
+
+@properties
+@given(symmetric_stack())
+def test_row_variants_equal_the_per_matrix_functions(stack):
+    n = stack.shape[-1]
+    vr, hr = vech_rows(stack), h_form_rows(stack)
+    back = unvech_rows(vr, n)
+    for k, M in enumerate(stack):
+        np.testing.assert_array_equal(vr[k], vech(M))
+        np.testing.assert_array_equal(hr[k], h_form(M))
+        np.testing.assert_array_equal(back[k], unvech(vech(M), n))
