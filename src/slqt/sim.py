@@ -8,11 +8,14 @@ against), and Monte Carlo average-cost estimation.
 Every simulated path, single or in an ensemble, comes from one
 Euler-Maruyama kernel: path i draws its increments from Philox(seed_i)
 alone, so any member of an ensemble can be reproduced by itself (a
-one-path run_ensemble from its seed). The kernel holds the increments
-in two buffers: one producer thread fills one buffer, path by path,
-while the calling thread steps and reduces the chunk in the other.
-Every path still draws its stream in order, so the thread changes only
-the timing, never a value.
+one-path run_ensemble from its seed). The increments follow the
+two-point law of the simplified weak Euler scheme (Kloeden & Platen,
+Numerical Solution of SDEs, 1992, section 14.1): dW = +sqrt(h) or
+-sqrt(h), each with probability 1/2, one random bit per step. The plant
+is linear, so its mean and second-moment recursions use only E xi = 0,
+E xi^2 = 1 and independent steps; they are those of Gaussian
+Euler-Maruyama exactly, and so is every expected value the moment
+oracles give. Only the sampling spread differs (E xi^4 = 1, not 3).
 Ensemble reductions are centered on path 0 and run in a fixed order so
 that repeated runs with the same configuration are bit-identical, and
 so that a zero-diffusion ensemble reduces exactly to its single path.
@@ -20,7 +23,6 @@ so that a zero-diffusion ensemble reduces exactly to its single path.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +40,10 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e8
-_CHUNK_STEPS = 2048  # steps of noise held, split between the kernel's two buffers
+# steps of sign bits unpacked at a time; a multiple of 64, so that a path's
+# increments do not depend on where the chunks fall
+_CHUNK_STEPS = 1024
+_SIGNS = np.array([1.0, -1.0])  # the increment of a 0 bit and a 1 bit, in units of sqrt(h)
 _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
 _SCAN_BLOCK = 128  # RK4 steps per block of the exact route's affine scan
@@ -180,12 +185,19 @@ def _check_block(S, k0, h, sys_name):
                      f"at t = {t:.6g}", path_index=int(p), time=t)
 
 
-def _draw(gens, buf, L):
-    """Fill buf[i, :L] with the next L standard normals of path i's generator,
-    one call per path in path order; each call drops the interpreter lock
-    while it fills."""
-    for i, gen in enumerate(gens):
-        gen.standard_normal(L, out=buf[i, :L])
+def _sign_bits(bitgens, n_steps: int) -> np.ndarray:
+    """The sign bits of the next n_steps increments of every path, step-major.
+
+    Path i takes ceil(n_steps / 64) words from bitgens[i].random_raw in
+    one call. Row k of the (64 * ceil(n_steps / 64), len(bitgens)) uint8
+    result holds bit k of each path's words, little-endian within each
+    64-bit word: 0 for an increment of +sqrt(h), 1 for -sqrt(h) (_SIGNS).
+    Rows past n_steps are the unused bits of the last word.
+    """
+    words = np.empty((len(bitgens), -(-n_steps // 64)), dtype="<u8")
+    for i, bg in enumerate(bitgens):
+        words[i] = bg.random_raw(words.shape[1])
+    return np.unpackbits(words.view(np.uint8).T, axis=0, bitorder="little")
 
 
 def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
@@ -193,14 +205,9 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
     """Euler-Maruyama paths of dx = (Ax+Bu)dt + (Cx+Du)dw from a common x0.
 
     forcing is (B, D, u) with u the (n_steps+1, m) input on the grid, or
-    None for an unforced system. Path i draws its increments from
-    Philox(first_seed + i). The increments come in chunks of
-    _CHUNK_STEPS // 2 steps, held in two buffers: a producer thread
-    (named "slqt-em-draws") fills the next chunk in one buffer while this
-    thread steps through the chunk in the other. Each path's stream is
-    drawn in order either way, so the paths do not depend on the timing.
-    The producer is joined before the call returns or raises, and an
-    error raised by a draw reaches the caller unchanged.
+    None for an unforced system. Path i draws its increments, +-sqrt(h),
+    from the bits of Philox(first_seed + i), one random_raw call per
+    chunk of _CHUNK_STEPS steps (see _sign_bits).
     The state is X of shape (n, n_paths), paths on the last axis; one
     step is X + (hAX + hBu) + dW (CX + Du), with both brackets from one
     stacked product [hA hBu; C Du] [X; 1]. States are buffered
@@ -222,10 +229,9 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
     if forcing is not None:
         B, D, u = forcing
         f = np.hstack([h * (u[:-1] @ B.T), u[:-1] @ D.T])
-    gens = [np.random.Generator(np.random.Philox(first_seed + i)) for i in range(P)]
-    span = _CHUNK_STEPS // 2
-    noise = np.empty((2, P, span))  # chunk c is drawn into noise[c % 2]
-    rows = np.empty((P, _BLOCK_STEPS))  # one block of noise rows, compact
+    bitgens = [np.random.Philox(first_seed + i) for i in range(P)]
+    steps = np.sqrt(h) * _SIGNS  # the increment of a 0 bit and of a 1 bit
+    signs = np.empty((P, _BLOCK_STEPS), dtype=np.uint8)  # one block of bits, compact
     dW = np.zeros((_BLOCK_STEPS, width))
     S = np.empty((_BLOCK_STEPS + 1, n + 1, width))  # row n holds the 1 of [X; 1]
     S[:, n] = 1.0
@@ -233,34 +239,27 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
     Y = np.empty((2 * n, width))
     drift, diffusion = Y[:n], Y[n:]
     states = [s[:n] for s in S]  # views made once; the step loop is hot
-    sqrt_h = np.sqrt(h)
     observe(0, S[:1, :n, :P])
-    # leaving the with block, by return or by raise, joins the producer
-    with ThreadPoolExecutor(1, thread_name_prefix="slqt-em-draws") as producer:
-        drawn = producer.submit(_draw, gens, noise[0], min(span, n_steps))
-        for c, start in enumerate(range(0, n_steps, span)):
-            end = min(start + span, n_steps)
-            drawn.result()
-            if end < n_steps:
-                drawn = producer.submit(_draw, gens, noise[(c + 1) % 2],
-                                        min(span, n_steps - end))
-            chunk = noise[c % 2]
-            for k in range(start, end, _BLOCK_STEPS):
-                b = min(_BLOCK_STEPS, end - k)
-                # transposing from a compact copy avoids a page per path and step
-                np.copyto(rows[:, :b], chunk[:, k - start:k - start + b])
-                np.multiply(rows[:, :b].T, sqrt_h, out=dW[:b, :P])
-                if f is not None:
-                    G[:b, :, n] = f[k:k + b]
-                for j in range(b):
-                    np.matmul(G[j], S[j], out=Y)
-                    np.multiply(diffusion, dW[j], out=diffusion)
-                    np.add(drift, diffusion, out=drift)
-                    np.add(states[j], drift, out=states[j + 1])
-                blk = S[1:b + 1, :n, :P]
-                _check_block(blk, k + 1, h, sys_name)
-                observe(k + 1, blk)
-                S[0] = S[b]
+    for start in range(0, n_steps, _CHUNK_STEPS):
+        end = min(start + _CHUNK_STEPS, n_steps)
+        bits = _sign_bits(bitgens, end - start)
+        for k in range(start, end, _BLOCK_STEPS):
+            b = min(_BLOCK_STEPS, end - k)
+            # bits holds each path's steps contiguously; a compact copy of
+            # the block keeps the transposed read within a few pages
+            np.copyto(signs[:, :b], bits[k - start:k - start + b].T)
+            np.take(steps, signs[:, :b].T, out=dW[:b, :P], mode="wrap")
+            if f is not None:
+                G[:b, :, n] = f[k:k + b]
+            for j in range(b):
+                np.matmul(G[j], S[j], out=Y)
+                np.multiply(diffusion, dW[j], out=diffusion)
+                np.add(drift, diffusion, out=drift)
+                np.add(states[j], drift, out=states[j + 1])
+            blk = S[1:b + 1, :n, :P]
+            _check_block(blk, k + 1, h, sys_name)
+            observe(k + 1, blk)
+            S[0] = S[b]
 
 
 def _centred_mean(S) -> np.ndarray:

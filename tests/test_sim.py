@@ -1,7 +1,6 @@
 """Simulation layer: paths, ensembles, exact moments, cost and tracking."""
 
 import math
-import sys as pysys
 import threading
 from dataclasses import replace
 
@@ -11,9 +10,9 @@ from scipy.linalg import expm
 
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
-from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, _SCAN_BLOCK, SimConfig,
+from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, _SCAN_BLOCK, _SIGNS, SimConfig,
                       _affine_recursion, _em_paths, _rk4_step,
-                      _sample_input,
+                      _sample_input, _sign_bits,
                       estimate_average_cost, probing_signal,
                       propagate_moments_exact, reference_trajectory,
                       run_ensemble, simulate_tracking)
@@ -50,6 +49,13 @@ def single_path(sys, input, x0, cfg, seed):
     """Path ``seed - base_seed`` of an ensemble: a one-path run from its
     seed, whose centred mean is the path itself."""
     return run_ensemble(sys, input, x0, replace(cfg, n_paths=1, base_seed=seed)).mean_x
+
+
+def increments(first_seed, n_paths, n_steps, h):
+    """The (n_steps, n_paths) Euler-Maruyama increments of paths first_seed,
+    first_seed + 1, ...: the kernel's sign bits, drawn in one call."""
+    bitgens = [np.random.Philox(first_seed + i) for i in range(n_paths)]
+    return np.sqrt(h) * _SIGNS[_sign_bits(bitgens, n_steps)[:n_steps]]
 
 
 def test_probing_signal_bound_and_determinism():
@@ -202,12 +208,10 @@ def test_every_ensemble_member_is_its_single_path():
 
 
 def test_members_equal_their_single_paths_across_buffer_swaps():
-    # the increments come in chunks of _CHUNK_STEPS // 2 steps, drawn on
-    # the producer thread into two alternating buffers; three swaps and a
-    # partial last chunk must leave every member its one-path run, and the
-    # stacked cost designs their runs alone
-    span = _CHUNK_STEPS // 2
-    n_steps = 3 * span + 5
+    # the sign bits are unpacked _CHUNK_STEPS steps at a time; three chunk
+    # boundaries and a partial last chunk must leave every member its
+    # one-path run, and the stacked cost designs their runs alone
+    n_steps = 3 * _CHUNK_STEPS + 5
     sys = three_state_plant()
     cfg = SimConfig(h=1e-3, sample_period=1e-3, window=1e-3, l=n_steps,
                     n_paths=4, base_seed=70)
@@ -219,14 +223,7 @@ def test_members_equal_their_single_paths_across_buffer_swaps():
         members[k0:k0 + len(S)] = S
 
     u = _sample_input(two_input_signal, cfg.grid(), 2)
-    # a short switch interval hands the interpreter lock between the
-    # producer and the step loop far more often than by default
-    interval = pysys.getswitchinterval()
-    pysys.setswitchinterval(1e-6)
-    try:
-        _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 70, 4, n_steps, cfg.h, keep)
-    finally:
-        pysys.setswitchinterval(interval)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 70, 4, n_steps, cfg.h, keep)
     for p in range(4):
         np.testing.assert_array_equal(
             members[:, :, p], single_path(sys, two_input_signal, x0, cfg, seed=70 + p))
@@ -237,9 +234,7 @@ def em_per_step(A, C, forcing, x0, first_seed, n_paths, n_steps, h, observe):
     """Euler-Maruyama one step at a time with paths first, and one
     observer call per step: the layout the block kernel replaced."""
     X = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
-    dW = np.sqrt(h) * np.array([
-        np.random.Generator(np.random.Philox(first_seed + i)).standard_normal(n_steps)
-        for i in range(n_paths)])
+    dW = increments(first_seed, n_paths, n_steps, h).T
     observe(0, X)
     for k in range(n_steps):
         drift, diffusion = X @ A.T, X @ C.T
@@ -254,8 +249,8 @@ def em_per_step(A, C, forcing, x0, first_seed, n_paths, n_steps, h, observe):
 def test_block_kernel_equals_per_step_reference():
     plant = three_state_plant()
     h, P, seed = 1e-3, 24, 60
-    n_steps = 2 * _CHUNK_STEPS + 37  # four chunks of _CHUNK_STEPS // 2 and a partial one
-    assert n_steps % _BLOCK_STEPS and n_steps % (_CHUNK_STEPS // 2)
+    n_steps = 4 * _CHUNK_STEPS + 37  # four chunks and a partial one
+    assert n_steps % _BLOCK_STEPS and n_steps % 64
     cfg = SimConfig(h=h, sample_period=h, window=h, l=n_steps, n_paths=P,
                     base_seed=seed)
     assert cfg.n_steps == n_steps
@@ -564,11 +559,10 @@ def test_em_blowup_names_the_first_path_over_the_bound_and_its_time():
                            H=np.array([[1.0]]))
     cfg = SimConfig(h=h, sample_period=h, window=h, l=N, n_paths=P,
                     base_seed=seed)
-    z = np.array([np.random.Generator(np.random.Philox(seed + p)).standard_normal(N)
-                  for p in range(P)])
+    dW = increments(seed, P, N, h)
     x = np.ones((N + 1, P))
     for k in range(N):
-        x[k + 1] = x[k] + h * a * x[k] + np.sqrt(h) * z[:, k] * c * x[k]
+        x[k + 1] = x[k] + h * a * x[k] + dW[k] * c * x[k]
     over = np.abs(x) > 1e8
     assert over.any(axis=0).all()
     assert len(set(over.argmax(axis=0))) > 1
@@ -579,6 +573,11 @@ def test_em_blowup_names_the_first_path_over_the_bound_and_its_time():
     assert over[k, p]
     assert not over[:k].any() and not over[k, :p].any()
     assert p > 0 and k % _BLOCK_STEPS  # inside a block, not on path 0
+    # the same paths over more than two chunks cross at the same step
+    longer = replace(cfg, l=2 * _CHUNK_STEPS + 5)
+    with pytest.raises(Blowup) as again:
+        run_ensemble(sys, None, np.array([1.0]), longer)
+    assert (again.value.path_index, again.value.time) == (p, info.value.time)
     # without noise every path crosses at once, at the first k with
     # 1.2^k > 1e8, and the lowest index is named
     quiet = StochasticSystem(sys.A, sys.B, np.zeros((1, 1)), sys.D, sys.H)
@@ -588,76 +587,71 @@ def test_em_blowup_names_the_first_path_over_the_bound_and_its_time():
     assert info.value.time == pytest.approx(h * math.ceil(np.log(1e8) / np.log(1.2)))
 
 
-def test_no_thread_outlives_a_kernel_call_and_errors_reach_the_caller(monkeypatch):
-    span = _CHUNK_STEPS // 2
+def test_the_kernel_starts_no_thread():
     before = threading.enumerate()
+    seen = []
 
-    # a normal ensemble, long enough for several draws
-    cfg = SimConfig(h=1e-3, sample_period=1e-3, window=1e-3, l=2 * span + 7,
-                    n_paths=3, base_seed=5)
-    run_ensemble(small_plant(), None, np.array([1.0, -1.0]), cfg)
+    def observe(k0, S):
+        seen.append(threading.enumerate())
+
+    plant = small_plant()
+    _em_paths(plant.A, plant.C, None, np.array([1.0, -1.0]), 5, 3,
+              2 * _CHUNK_STEPS + 7, 1e-3, observe)
+    assert seen and all(now == before for now in seen)
     assert threading.enumerate() == before
 
-    # the Blowup of the test above, raised in the first chunk while the
-    # draw of the second is pending, names the same path and time
-    sys = StochasticSystem(A=np.array([[20.0]]), B=np.array([[1.0]]),
-                           C=np.array([[5.0]]), D=np.array([[0.0]]),
-                           H=np.array([[1.0]]))
-    named = []
-    for n_steps in (600, 2 * span + 5):
-        cfg = SimConfig(h=1e-2, sample_period=1e-2, window=1e-2, l=n_steps,
-                        n_paths=8, base_seed=0)
-        with pytest.raises(Blowup) as info:
-            run_ensemble(sys, None, np.array([1.0]), cfg)
-        assert round(info.value.time / 1e-2) < span
-        named.append((info.value.path_index, info.value.time))
-        assert threading.enumerate() == before
-    assert named[0] == named[1]
 
-    # an observer that raises partway through a run, while a draw is pending
+def test_an_observer_error_reaches_the_caller_unchanged():
     plant, x0 = small_plant(), np.array([1.0, -1.0])
 
     class ObserveFault(RuntimeError):
         pass
 
     fault = ObserveFault("observer failed")
-    seen = []
 
     def observe(k0, S):
-        seen.append([t.name for t in threading.enumerate()
-                     if t.name.startswith("slqt-em-draws")])
-        if k0 > span + 100:
+        if k0 > _CHUNK_STEPS + 100:
             raise fault
 
     with pytest.raises(ObserveFault) as info:
-        _em_paths(plant.A, plant.C, None, x0, 0, 4, 3 * span, 1e-3, observe)
+        _em_paths(plant.A, plant.C, None, x0, 0, 4, 3 * _CHUNK_STEPS, 1e-3, observe)
     assert info.value is fault
-    assert seen[-1] == ["slqt-em-draws_0"]
-    assert threading.enumerate() == before
 
-    # a draw that fails on the producer thread, in its second chunk: the
-    # caller gets the very exception object it raised
-    class DrawFault(RuntimeError):
-        pass
 
-    fault = DrawFault("draw failed")
-    calls = []
+def kernel_increments(first_seed, n_paths, n_steps, h):
+    """The increments the kernel applies, read off a plant whose state after
+    each step is that step's increment: hA = -1, B = C = 0, D u = 1, so
+    X + (-X + dW) = dW exactly when dW = +-sqrt(h)."""
+    A = np.array([[-1.0 / h]])
+    assert (h * A == -1.0).all()
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    states = np.empty((n_steps + 1, n_paths))
 
-    class FaultyGenerator(np.random.Generator):
-        def standard_normal(self, *args, **kwargs):
-            if self.bit_generator.seed_seq.entropy == 3:
-                calls.append(threading.current_thread().name)
-                if len(calls) == 2:
-                    raise fault
-            return super().standard_normal(*args, **kwargs)
+    def keep(k0, S):
+        states[k0:k0 + len(S)] = S[:, 0]
 
-    monkeypatch.setattr(np.random, "Generator", FaultyGenerator)
-    with pytest.raises(DrawFault) as info:
-        _em_paths(plant.A, plant.C, None, x0, 0, 4, 3 * span, 1e-3,
-                  lambda k0, S: None)
-    assert info.value is fault
-    assert calls == ["slqt-em-draws_0"] * 2
-    assert threading.enumerate() == before
+    _em_paths(A, zero, (zero, one, np.ones((n_steps + 1, 1))), [0.0], first_seed,
+              n_paths, n_steps, h, keep)
+    return states[1:]
+
+
+def test_a_path_takes_the_first_increments_of_its_sign_bits():
+    # three chunks, the last of 5 steps; 2 * 1024 + 5 is not a multiple of
+    # 64, so the last word's spare bits go unused
+    h, P, seed, N = 1e-3, 3, 40, 2 * _CHUNK_STEPS + 5
+    assert N % 64
+    np.testing.assert_array_equal(kernel_increments(seed, P, N, h),
+                                  increments(seed, P, N, h))
+    for i in range(P):
+        np.testing.assert_array_equal(kernel_increments(seed + i, 1, N, h)[:, 0],
+                                      increments(seed + i, 1, N, h)[:, 0])
+
+
+def test_every_increment_is_plus_or_minus_sqrt_h():
+    for h in (1e-3, 1e-4, 0.3):
+        dW = kernel_increments(11, 5, 700, h)
+        assert (np.abs(dW) == np.sqrt(h)).all()
+        assert (dW > 0).any(axis=0).all() and (dW < 0).any(axis=0).all()
 
 
 def test_average_cost_zero_at_origin():
@@ -728,7 +722,7 @@ def test_stacked_designs_equal_their_runs_alone():
     # two designs in one pass share each path's increments; each design's
     # block of the stacked closed loop must reproduce its run alone bit for
     # bit, across chunk and block boundaries
-    assert_stacked_designs_equal_their_runs_alone(_CHUNK_STEPS + 45)
+    assert_stacked_designs_equal_their_runs_alone(2 * _CHUNK_STEPS + 45)
 
 
 def test_simulate_tracking_switches_and_shapes():
