@@ -30,8 +30,7 @@ except RankDeficient as err:
 omegas = shadow_regressors(bundle.shadow, bundle.plant.B, bundle.cost.R,
                            moments.t_global, moments.window)
 learned = learn_shadow(moments, bundle.shadow, bundle.plant.B, bundle.cost,
-                       bundle.hyper, validate_with=bundle.plant,
-                       omegas=omegas)
+                       bundle.hyper, omegas=omegas)
 
 cross = learned.crossing_iteration
 K_cross = learned.trace[cross - 1].K

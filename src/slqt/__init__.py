@@ -18,8 +18,8 @@ from .errors import RankDeficient
 from .learner import (learn_feedback, learn_feedforward, learn_shadow,
                       shadow_regressors)
 from .model import (BpiHyperParams, CostWeights, ReferenceGenerator,
-                    StochasticSystem, TrackingProblem, spectral_abscissa,
-                    zero_gain_threshold)
+                    StochasticSystem, TrackingProblem, is_stabilizing,
+                    spectral_abscissa, zero_gain_threshold)
 from .sim import (SimConfig, estimate_average_cost, run_ensemble,
                   simulate_tracking)
 from .solvers import sare_residual, solve_gen_lyap

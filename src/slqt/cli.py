@@ -8,10 +8,10 @@ the bundled examples in ``benchmarks.EXAMPLES``) into which the
 subcommand writes its mode and the --seed and --paths flags; it is then
 parsed once (``slqt.config``) and run through ``run_experiment``, one
 report per run. The report echoes that config, so rerunning a report's
-config reproduces its payload. Reports are canonical JSON with sorted
-keys and 17-significant-digit numbers, so identical configs and seeds
-produce byte-identical payloads; wall-clock fields live outside the
-payload.
+config (with --validate-with-model if the run had it) reproduces its
+payload. Reports are canonical JSON with sorted keys and
+17-significant-digit numbers, so identical configs and seeds produce
+byte-identical payloads; wall-clock fields live outside the payload.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (Blowup, ConfigError, DivergedAlpha, MaxIterExceeded,
                      NotStabilizing, RankDeficient, SingularOperator, SlqtError)
 from .learner import (LearnedSolution, learn_feedback, learn_feedforward,
                       learn_shadow, shadow_regressors)
-from .model import StochasticSystem, TrackingProblem, spectral_abscissa
+from .model import StochasticSystem, TrackingProblem, is_stabilizing, spectral_abscissa
 from .regressors import feedback_required_rank, rank_report
 from .sim import estimate_average_cost, simulate_tracking
 from .solvers import sare_residual
@@ -326,9 +326,7 @@ def _rank_payload(rep) -> dict:
             "singular_values": [float(s) for s in rep.singular_values]}
 
 
-def _cert_payload(cert) -> dict | None:
-    if cert is None:
-        return None
+def _cert_payload(cert) -> dict:
     return {"stabilizing": bool(cert.stabilizing),
             "abscissa": float(cert.abscissa),
             "alpha": None if cert.alpha is None else float(cert.alpha),
@@ -378,20 +376,29 @@ def _payload_model(config: ExperimentConfig):
 
 
 def _payload_learned(learned: LearnedSolution) -> dict:
-    payload = {
+    return {
         "K_hat": _matrix(learned.K_star), "P_hat": _matrix(learned.P_star),
         "Lambda_hat": _matrix(learned.Lambda_star),
         "alpha_trace": [float(st.alpha) for st in learned.trace],
         "crossing_iteration": int(learned.crossing_iteration),
         "total_iterations": int(learned.total_iterations),
         "residuals": [float(r) for r in learned.residuals],
-        "certification": learned.certification,
         "rank": {"feedback": _rank_payload(learned.rank)},
         "trace": _iterate_rows(learned.trace),
     }
-    if learned.certificates is not None:
-        payload["certificates"] = [_cert_payload(c) for c in learned.certificates]
-    return payload
+
+
+def _certification(config: ExperimentConfig, learned: LearnedSolution,
+                   validate: bool) -> dict:
+    """Without validate, the model-free tag; with it, the plant's certificate
+    of each learned iterate at its level (alpha in phase I, capped at gamma)."""
+    if not validate:
+        return {"certification": "uncertified (model-free)"}
+    gamma = config.hyper.gamma
+    return {"certification": "validated",
+            "certificates": [_cert_payload(is_stabilizing(
+                config.plant, st.K, alpha=min(st.alpha, gamma), gamma=gamma))
+                for st in learned.trace]}
 
 
 def _vs_model(learned: LearnedSolution, sol) -> dict:
@@ -500,7 +507,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         if config.mode != "model_based":
             with _timed(report, "collect"):
                 moments = gather_moments(config, mode=config.data_source["kind"])
-            validate_with = config.plant if validate else None
             omega_F, flags = None, {}
             if config.mode == "shadow":
                 with _timed(report, "shadow_rows"):
@@ -508,17 +514,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                                                config.cost.R, moments.t_global,
                                                moments.window)
                 with _timed(report, "learn_shadow"):
-                    learned = learn_shadow(
-                        moments, config.shadow, config.plant.B, config.cost,
-                        config.hyper, validate_with=validate_with,
-                        omegas=omegas)
+                    learned = learn_shadow(moments, config.shadow, config.plant.B,
+                                           config.cost, config.hyper, omegas=omegas)
+                    cert = _certification(config, learned, validate)
                 flags = _shadow_flags(moments)
                 omega_F = omegas[1]
             else:
                 with _timed(report, "learn_feedback"):
-                    learned = learn_feedback(moments, config.cost, config.hyper,
-                                             validate_with=validate_with)
-            block = _payload_learned(learned)
+                    learned = learn_feedback(moments, config.cost, config.hyper)
+                    cert = _certification(config, learned, validate)
+            block = {**_payload_learned(learned), **cert}
             if sol is not None:
                 block["vs_model"] = _vs_model(learned, sol)
             block.update(flags)
@@ -555,7 +560,7 @@ def _shadow_flags(moments) -> dict:
 
 def _with_flags(raw, args, mode: str | None = None) -> dict:
     """A copy of ``raw`` with ``mode`` and the --seed and --paths flags
-    written in, so the config a report echoes reruns its run unflagged.
+    written in, so the config a report echoes reruns its run without them.
 
     --seed is added to ``sim.base_seed`` and to every segment's explicit
     ``base_seed``; --paths becomes ``sim.n_paths``.

@@ -5,7 +5,8 @@ solve (the one loop ``bpi._bootstrap``) entirely on sampled moment
 data: in place of a generalized Lyapunov solve, each policy evaluation
 solves a least-squares system whose unknowns are
 [vech(P); vec(M); vech(Lambda)] and recovers the gain
-K = (R+Lambda)^{-1}M.
+K = (R+Lambda)^{-1}M. No plant matrix enters but the shadow route's B;
+certifying the iterates against a known plant is the caller's.
 
 learn_shadow handles the no-probing case (u = 0, D = 0): two auxiliary
 deterministic systems run on the side and their regressor rows, which
@@ -25,19 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpi import _bootstrap
-from .errors import ConfigError, NonInvertible, RankDeficient, ShadowUncontrollable
-from .model import BpiHyperParams, CostWeights, is_stabilizing
+from .errors import ConfigError, NonInvertible, ShadowUncontrollable
+from .model import BpiHyperParams, CostWeights
 from .regressors import (MomentTable, RankReport, assemble_psi,
                          assemble_xi, feedback_required_rank,
-                         feedforward_required_rank, psi_rhs, rank_report)
+                         feedforward_required_rank, psi_rhs, require_rank)
 from .sim import ProbingSignal
+from .solvers import _COND_LIMIT
 from .symquad import h_form_rows, unvech, vec
 
 __all__ = ["LearnedSolution", "ShadowConfig", "FeedforwardFit",
            "learn_feedback", "learn_feedforward", "shadow_regressors",
            "learn_shadow"]
 
-_COND_LIMIT = 1e12
 _SHADOW_BLOCK = 512  # grid rows per block of the closed-form shadow series
 
 
@@ -47,21 +48,30 @@ class LearnedSolution:
 
     trace holds one IterateState per iteration, residuals the
     least-squares residual of each, rank the excitation rank test of
-    the feedback rows. Certificates are only present when a validation
-    model was supplied, otherwise the solution is tagged uncertified
-    (model-free).
+    the feedback rows and Lambda_star the last Lambda estimate; the
+    final (P, K), the crossing and the iteration count come from trace.
     """
 
     trace: list
     residuals: list
     rank: RankReport
-    P_star: np.ndarray
-    K_star: np.ndarray
     Lambda_star: np.ndarray
-    crossing_iteration: int
-    total_iterations: int
-    certification: str = "uncertified (model-free)"
-    certificates: list | None = None
+
+    @property
+    def P_star(self) -> np.ndarray:
+        return self.trace[-1].P
+
+    @property
+    def K_star(self) -> np.ndarray:
+        return self.trace[-1].K
+
+    @property
+    def crossing_iteration(self) -> int:
+        return sum(st.phase == 1 for st in self.trace)
+
+    @property
+    def total_iterations(self) -> int:
+        return len(self.trace)
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ def _gain_from(M: np.ndarray, Lambda: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _learn(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
-           columns, split, report: RankReport, validate_with) -> LearnedSolution:
+           columns, split, report: RankReport) -> LearnedSolution:
     """Bootstrap policy iteration with least squares as the evaluation.
 
     ``columns(psi)`` maps the assembled plant rows to the least-squares
@@ -172,22 +182,13 @@ def _learn(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
         residuals.append(resid)
         return P, _gain_from(M, Lambda, R), {}
 
-    trace, crossing = _bootstrap(hyper, theta_mat, H.T @ cost.Q @ H, R, evaluate)
-    certificates = None
-    if validate_with is not None:
-        certificates = [is_stabilizing(validate_with, st.K,
-                                       alpha=min(st.alpha, hyper.gamma),
-                                       gamma=hyper.gamma) for st in trace]
-    return LearnedSolution(
-        trace=trace, residuals=residuals, rank=report,
-        P_star=trace[-1].P, K_star=trace[-1].K, Lambda_star=Lambda,
-        crossing_iteration=crossing, total_iterations=len(trace),
-        certification="uncertified (model-free)" if validate_with is None else "validated",
-        certificates=certificates)
+    trace, _ = _bootstrap(hyper, theta_mat, H.T @ cost.Q @ H, R, evaluate)
+    return LearnedSolution(trace=trace, residuals=residuals, rank=report,
+                           Lambda_star=Lambda)
 
 
 def learn_feedback(moments: MomentTable, cost: CostWeights,
-                   hyper: BpiHyperParams, validate_with=None) -> LearnedSolution:
+                   hyper: BpiHyperParams) -> LearnedSolution:
     """Bootstrap policy iteration by least squares on sampled moments.
 
     Requires the output map H in the table and the excitation rank
@@ -197,21 +198,14 @@ def learn_feedback(moments: MomentTable, cost: CostWeights,
     n, m = moments.n, moments.m
     raw = np.hstack([h_form_rows(moments.S), moments.W.reshape(len(moments), n * m),
                      h_form_rows(moments.V)])
-    report = rank_report(raw, feedback_required_rank(n, m))
-    if not report.passed:
-        raise RankDeficient(
-            f"moment data spans rank {report.rank} < required "
-            f"{report.required_rank}", report=report)
+    report = require_rank(raw, feedback_required_rank(n, m), "moment data")
     nn2 = n * (n + 1) // 2
 
     def split(theta):
-        P = unvech(theta[:nn2], n)
-        P = 0.5 * (P + P.T)
         M = theta[nn2:nn2 + n * m].reshape((m, n), order="F")
-        Lam = unvech(theta[nn2 + n * m:], m)
-        return P, M, 0.5 * (Lam + Lam.T)
+        return unvech(theta[:nn2], n), M, unvech(theta[nn2 + n * m:], m)
 
-    return _learn(moments, cost, hyper, lambda psi: psi, split, report, validate_with)
+    return _learn(moments, cost, hyper, lambda psi: psi, split, report)
 
 
 def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
@@ -236,11 +230,8 @@ def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
         raw = raw + np.hstack([np.zeros((len(moments), n * n_d)),
                                omega_F[:, n * n_d:]])
         Xi = Xi + omega_F
-    report = rank_report(raw, feedforward_required_rank(n, m, n_d))
-    if not report.passed:
-        raise RankDeficient(
-            f"reference moment data spans rank {report.rank} < required "
-            f"{report.required_rank}", report=report)
+    report = require_rank(raw, feedforward_required_rank(n, m, n_d),
+                          "reference moment data")
     HQ = moments.H.T @ cost.Q
     fits = []
     for h_d in h_d_cases:
@@ -344,8 +335,7 @@ def shadow_regressors(shadow: ShadowConfig, b_matrix, r_matrix,
 
 
 def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
-                 cost: CostWeights, hyper: BpiHyperParams, omegas,
-                 validate_with=None) -> LearnedSolution:
+                 cost: CostWeights, hyper: BpiHyperParams, omegas) -> LearnedSolution:
     """Feedback learning with zero plant excitation.
 
     The plant data must come from unforced trajectories of a plant with
@@ -371,20 +361,15 @@ def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
     nn2 = n * (n + 1) // 2
     # excitation rank on [windowed plant second moments | shadow input coupling]
     raw_aug = np.hstack([h_form_rows(moments.S), omega_K[:, nn2:]])
-    report = rank_report(raw_aug, feedback_required_rank(n, m, with_lambda=False))
-    if not report.passed:
-        raise RankDeficient(
-            f"augmented moment data spans rank {report.rank} < required "
-            f"{report.required_rank}", report=report)
+    report = require_rank(raw_aug, feedback_required_rank(n, m, with_lambda=False),
+                          "augmented moment data")
     lift = np.kron(np.eye(n), cost.R)
 
     def columns(psi):
         return np.hstack([psi[:, :nn2], psi[:, nn2:nn2 + n * m] @ lift]) + omega_K
 
     def split(theta):
-        P = unvech(theta[:nn2], n)
-        P = 0.5 * (P + P.T)
         K = theta[nn2:].reshape((m, n), order="F")
-        return P, cost.R @ K, np.zeros((m, m))
+        return unvech(theta[:nn2], n), cost.R @ K, np.zeros((m, m))
 
-    return _learn(moments, cost, hyper, columns, split, report, validate_with)
+    return _learn(moments, cost, hyper, columns, split, report)

@@ -65,8 +65,6 @@ class StochasticSystem:
         if A.shape != (n, n):
             raise ConfigError(f"A must be square, got {A.shape}")
         B = _as_matrix(self.B, "B")
-        if B.ndim == 2 and B.shape[0] != n and B.shape == (1, n):
-            B = B.T
         if B.shape[0] != n:
             raise ConfigError(f"B must have {n} rows, got {B.shape}")
         C = _as_matrix(self.C, "C")

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, WindowOutOfRange
+from .errors import ConfigError, RankDeficient, WindowOutOfRange
 from .model import BpiHyperParams
 from .symquad import h_form_rows, unvech_rows, vech
 
 __all__ = [
     "MomentTable", "RankReport", "accumulate_raw_moments", "assemble_psi",
-    "assemble_xi", "psi_rhs", "rank_report",
+    "assemble_xi", "psi_rhs", "rank_report", "require_rank",
     "feedback_required_rank", "feedforward_required_rank",
 ]
 
@@ -108,9 +108,6 @@ class RankReport:
     @property
     def passed(self) -> bool:
         return self.rank >= self.required_rank
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def feedback_required_rank(n: int, m: int, with_lambda: bool = True) -> int:
@@ -291,3 +288,12 @@ def rank_report(matrix, required_rank: int, tol: float = 1e-8) -> RankReport:
     return RankReport(rank=rank, required_rank=required_rank,
                       singular_values=sv, margin=float(margin), tol=tol)
 
+
+def require_rank(matrix, required_rank: int, data: str) -> RankReport:
+    """rank_report of matrix; RankDeficient, with the report attached and
+    ``data`` naming the rows in its message, when the rank falls short."""
+    report = rank_report(matrix, required_rank)
+    if not report.passed:
+        raise RankDeficient(f"{data} spans rank {report.rank} < required "
+                            f"{report.required_rank}", report=report)
+    return report

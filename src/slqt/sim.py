@@ -134,10 +134,6 @@ class ProbingSignal:
         rng = np.random.Generator(np.random.Philox(self.seed))
         object.__setattr__(self, "omegas", rng.uniform(lo, hi, self.count))
 
-    @property
-    def bound(self) -> float:
-        return abs(self.amplitude) * self.count
-
     def __call__(self, t):
         # the (samples x frequencies) sine matrix is built one block of
         # samples at a time so long grids stay small in memory; each
@@ -482,9 +478,6 @@ class CostEstimate:
     n_paths: int
     horizon: float
     per_path: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __float__(self) -> float:
-        return self.mean
 
 
 def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,

@@ -79,7 +79,6 @@ def solve_gen_lyap(sys: StochasticSystem, K, Qmat, alpha: float | None = None,
             f"Lyapunov residual {residual:.3e} exceeds tolerance at scale {scale:.3e}",
             certificate=cert)
     P = unvech(p, sys.n)
-    P = 0.5 * (P + P.T)
     if np.linalg.eigvalsh(Qmat).min() > 0.0 and np.linalg.eigvalsh(P).min() < -1e-10:
         raise NotStabilizing(
             "positive definite forcing produced an indefinite value matrix",

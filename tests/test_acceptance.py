@@ -64,16 +64,14 @@ def ex1_model(ex1):
 @pytest.fixture(scope="module")
 def ex1_exact_learn(ex1):
     moments = gather_moments(ex1, mode="exact")
-    return learn_feedback(moments, ex1.cost, ex1.hyper,
-                          validate_with=ex1.plant)
+    return learn_feedback(moments, ex1.cost, ex1.hyper)
 
 
 @pytest.fixture(scope="module")
 def ex1_mc_learn(ex1):
     t0 = time.perf_counter()
     moments = gather_moments(ex1, mode="ensemble")
-    sol = learn_feedback(moments, ex1.cost, ex1.hyper,
-                         validate_with=ex1.plant)
+    sol = learn_feedback(moments, ex1.cost, ex1.hyper)
     return moments, sol, time.perf_counter() - t0
 
 
@@ -103,7 +101,7 @@ def ex2_shadow(ex2):
     omegas = shadow_regressors(ex2.shadow, ex2.plant.B, ex2.cost.R,
                                moments.t_global, moments.window)
     sol = learn_shadow(moments, ex2.shadow, ex2.plant.B, ex2.cost,
-                       ex2.hyper, validate_with=ex2.plant, omegas=omegas)
+                       ex2.hyper, omegas=omegas)
     return moments, omegas, sol
 
 

@@ -198,7 +198,11 @@ def test_config_typos_and_bad_values_exit_2(tmp_path, capsys):
     for name, override in (("typo", {"sim": {"h": 1e-3, "n_path": 10}}),
                            ("list", {"hyper": [1]}),
                            ("string", {"hyper": {"gamma": "one"}}),
-                           ("no_segments", {"segments": []})):
+                           ("no_segments", {"segments": []}),
+                           ("row_b", {"plant": {
+                               "A": [[0.0, 1.0], [-5.0, -0.5]], "B": [[0.0, 1.0]],
+                               "C": [[0.1, 0.2], [0.2, 0.3]], "D": [[0.0], [0.1]],
+                               "H": [[1.0, 0.0]]}})):
         cfg = write_config(tmp_path, overrides=override, name=name + ".json")
         assert main(["learn-fb", "--config", cfg]) == EXIT_CODES["config"]
         assert capsys.readouterr().err.startswith("error: ")
@@ -516,6 +520,98 @@ def test_shadow_and_data_driven_blocks_share_their_keys():
     assert flags <= set(sh)
     assert set(sh) - flags == set(dd)
     assert set(sh["rank"]) == set(dd["rank"]) == {"feedback"}
+
+
+LEARNING_RUNS = [("learn-fb", SCALAR_CONFIG, "data_driven"),
+                 ("shadow", SHADOW_CONFIG, "shadow")]
+
+
+def _learned_block(tmp_path, command, raw, name, flags=()):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / name),
+                 *flags]) == 0
+    return load_report(str(tmp_path / name / "report.json")).payload
+
+
+def test_validated_learning_certifies_every_iterate(tmp_path, capsys):
+    # --validate-with-model certifies each learned iterate against the plant
+    for command, raw, key in LEARNING_RUNS:
+        block = _learned_block(tmp_path, command, raw, command,
+                               ["--validate-with-model"])[key]
+        assert block["certification"] == "validated"
+        certs = block["certificates"]
+        assert len(certs) == len(block["trace"]) == block["total_iterations"]
+        assert all(c["stabilizing"] for c in certs)
+        assert all(c["abscissa"] < 0.0 for c in certs)
+
+
+def test_learning_without_the_model_is_uncertified(tmp_path, capsys):
+    # the learners never see the plant: without the flag the block is
+    # tagged model-free, and the gains equal those of the validated run
+    for command, raw, key in LEARNING_RUNS:
+        plain = _learned_block(tmp_path, command, raw, command)
+        block = plain[key]
+        assert block["certification"] == "uncertified (model-free)"
+        assert "certificates" not in block and "model_based" not in plain
+        checked = _learned_block(tmp_path, command, raw, command + "-model",
+                                 ["--validate-with-model"])
+        assert {k: v for k, v in checked[key].items()
+                if k not in ("certification", "certificates", "vs_model")} == \
+            {k: v for k, v in block.items() if k != "certification"}
+        assert checked["feedforward_cases"] == plain["feedforward_cases"]
+
+
+def test_seed_flag_shifts_explicit_segment_seeds(tmp_path, capsys):
+    # --seed shifts sim.base_seed and each segment's explicit base_seed; a
+    # segment without one takes the shifted sim seed when parsed
+    raw = {**SCALAR_CONFIG, "segments": [{"x0": [1.0], "base_seed": 20},
+                                         {"x0": [-0.5], "t_offset": 0.5}]}
+    first = _learned_block(tmp_path, "learn-ff", raw, "shifted", ["--seed", "4"])
+    echoed = first["config"]
+    assert echoed["sim"]["base_seed"] == 7
+    assert echoed["segments"] == [{"x0": [1.0], "base_seed": 24},
+                                  {"x0": [-0.5], "t_offset": 0.5}]
+    cfg = parse_experiment_config(copy.deepcopy(echoed))
+    assert [seed for _, _, seed in cfg.segments] == [24, 7]
+    # the echoed seeds are the ones the run drew with
+    again = _learned_block(tmp_path, "learn-ff", echoed, "again")
+    assert canonical_json(again) == canonical_json(first)
+    unshifted = _learned_block(tmp_path, "learn-ff", raw, "unshifted")
+    assert unshifted["config"]["segments"] == raw["segments"]
+    assert unshifted["data_driven"]["K_hat"] != first["data_driven"]["K_hat"]
+
+
+def test_track_without_a_tracking_block_exits_2(tmp_path, capsys):
+    out = tmp_path / "trk"
+    assert main(["track", "--config", write_config(tmp_path), "--out", str(out)]) == \
+        EXIT_CODES["config"]
+    assert capsys.readouterr().err == "error: config has no tracking block\n"
+    assert not out.exists()
+
+
+def test_example_command_runs_each_listed_run(tmp_path, capsys, monkeypatch):
+    # a small stand-in for the bundled example two: every run of the list
+    # gets its own validated report under --out, and the learn run's
+    # summary is printed
+    import slqt.cli
+
+    base = {k: v for k, v in SHADOW_CONFIG.items() if k != "mode"}
+    runs = {"learn": {"mode": "shadow"}, "model": {"mode": "model_based"}}
+    monkeypatch.setattr(slqt.cli, "EXAMPLES", {"two": (base, runs)})
+    out = tmp_path / "ex2"
+    assert main(["example2", "--out", str(out)]) == 0
+    learn = load_report(str(out / "learn" / "report.json")).payload
+    model = load_report(str(out / "model" / "report.json")).payload
+    sh = learn["shadow"]
+    assert capsys.readouterr().out == (
+        f"shadow K^ = {sh['K_hat']} (crossing at iteration "
+        f"{sh['crossing_iteration']}, plant input zero: True)\n")
+    assert learn["config"] == {**base, **runs["learn"]}
+    assert model["config"] == {**base, **runs["model"]}
+    assert sh["certification"] == "validated"
+    assert learn["model_based"] == model["model_based"]
+    assert sorted(os.listdir(out)) == ["learn", "model"]
 
 
 REFINE_ERROR = "unknown key(s) ['refine'] in config block 'data_source'"

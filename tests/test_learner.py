@@ -43,21 +43,13 @@ def test_scalar_learner_hits_closed_form():
     p_true = (0.01 + np.sqrt(4.0001)) / 2.0
     assert learned.P_star[0, 0] == pytest.approx(p_true, abs=1e-5)
     assert learned.K_star[0, 0] == pytest.approx(p_true, abs=1e-5)
-    assert learned.certification.startswith("uncertified")
     assert learned.crossing_iteration >= 1
     assert learned.total_iterations == len(learned.trace)
-
-
-def test_learner_validation_attaches_certificates():
-    hyper = BpiHyperParams()
-    tab = scalar_moments(hyper)
-    cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
-    learned = learn_feedback(tab, cost, hyper, validate_with=scalar_plant())
-    assert learned.certification == "validated"
-    assert learned.certificates is not None
-    assert len(learned.certificates) == learned.total_iterations
-    assert all(c.stabilizing for c in learned.certificates)
-    assert all(c.abscissa < 0.0 for c in learned.certificates)
+    # the final pair and the crossing are read from the trace
+    assert learned.P_star is learned.trace[-1].P
+    assert learned.K_star is learned.trace[-1].K
+    crossing = learned.crossing_iteration
+    assert learned.trace[crossing - 1].phase == 1 and learned.trace[crossing].phase == 2
 
 
 def test_unforced_data_with_input_noise_is_rank_deficient():
@@ -288,13 +280,11 @@ def test_shadow_learning_matches_model_solution():
     tab, ref, cfg = unforced_moments(plant, hyper)
     omegas = shadow_regressors(shadow, plant.B, cost.R, tab.t_global,
                                window=cfg.window)
-    learned = learn_shadow(tab, shadow, plant.B, cost, hyper, omegas=omegas,
-                           validate_with=plant)
+    learned = learn_shadow(tab, shadow, plant.B, cost, hyper, omegas=omegas)
     prob = TrackingProblem(plant, ref, cost, hyper)
     sol = solve_tracking(prob)
     np.testing.assert_allclose(learned.K_star, sol.K, atol=1e-5)
     np.testing.assert_allclose(learned.P_star, sol.P, atol=1e-5)
-    assert learned.certification == "validated"
     # feedforward through the same augmented rows reproduces the model gain
     fit, = learn_feedforward(tab, learned.K_star, learned.Lambda_star, cost,
                              hyper, [ref.H_d], omega_F=omegas[1])

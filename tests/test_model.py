@@ -206,6 +206,15 @@ def test_dimensions_and_digest():
     assert (sys.n, sys.m, sys.q) == (2, 1, 1)
 
 
+def test_b_without_n_rows_is_a_config_error():
+    # a row B (2-D or 1-D) is refused, as a D of that shape already is,
+    # not transposed into a column
+    plant = example_one_plant()
+    for B in ([[0.0, 1.0]], [0.0, 1.0]):
+        with pytest.raises(ConfigError, match=r"B must have 2 rows, got \(1, 2\)"):
+            StochasticSystem(A=plant.A, B=B, C=plant.C, D=plant.D, H=plant.H)
+
+
 def test_scalar_zero_gain_threshold():
     # dx = a x dt + c x dw has mean-square dynamics d/dt E[x^2] = (2a + c^2) E[x^2]
     sys = StochasticSystem(A=[[0.5]], B=[[1.0]], C=[[0.1]], D=[[0.0]], H=[[1.0]])
