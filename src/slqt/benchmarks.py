@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .config import ExperimentConfig, parse_experiment_config
 from .regressors import MomentTable, accumulate_raw_moments
-from .sim import _reference_states, propagate_moments_exact, run_ensemble
+from .sim import propagate_moments_exact, run_ensemble
 
 __all__ = ["EXAMPLES", "ExampleBundle", "damped_oscillator",
            "coupled_oscillators", "gather_moments"]
@@ -142,25 +142,21 @@ def gather_moments(config: ExperimentConfig, mode: str = "ensemble") -> MomentTa
     mode='ensemble' runs seeded Monte Carlo; mode='exact' propagates
     the closed moment ODEs instead (the noise-free oracle route). Both
     routes discount by (gamma - alpha0)/2 the same way. The reference
-    is on the experiment-wide clock: each segment restarts it from its
-    state at the segment's time offset.
+    is on the experiment-wide clock: accumulate_raw_moments restarts it
+    at each segment's time offset.
     """
-    hyper = config.hyper
-    ref = config.reference
+    discount = config.hyper.alpha_tilde
     tables = []
     for x0, t_offset, seg_seed in config.segments:
-        reference = replace(ref, x_d0=_reference_states(ref.A_d, ref.x_d0, [t_offset])[0])
         if mode == "ensemble":
             # each segment runs the sim layout under its own base seed
             sim = replace(config.sim, base_seed=int(seg_seed))
-            traj = run_ensemble(config.plant, config.probing, x0, sim,
-                                discount=hyper.alpha_tilde, reference=reference)
+            traj = run_ensemble(config.plant, config.probing, x0, sim, discount=discount)
         elif mode == "exact":
             traj = propagate_moments_exact(config.plant, config.probing, x0, config.sim,
-                                           discount=hyper.alpha_tilde, reference=reference)
+                                           discount=discount)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        tables.append(accumulate_raw_moments(
-            traj, config=config.sim, hyper=hyper, output_map=config.plant.H,
-            t_offset=t_offset))
+        tables.append(accumulate_raw_moments(traj, config.sim, config.plant.H,
+                                             config.reference, t_offset))
     return MomentTable.concat(tables) if len(tables) > 1 else tables[0]

@@ -448,12 +448,12 @@ def _run_tracking(config: ExperimentConfig, K, ff_by_case, out_dir) -> dict:
             "max_settled_rms": max(s["settled_rms_error"] for s in segs)}
 
 
-def _cost_comparison(config: ExperimentConfig, sol) -> dict:
-    """Average tracking cost of the noise-aware design against a design
-    that pretended the noise channels were absent."""
+def _cost_comparison(config: ExperimentConfig, sol, F_opt) -> dict:
+    """Average tracking cost of the noise-aware design (sol.K and the model
+    route's feedforward F_opt of the study's case) against a design that
+    pretended the noise channels were absent."""
     plant, cost, options = config.plant, config.cost, config.cost_comparison
     ref_k = config.reference_for_case(options["case"])
-    _, F_opt = feedforward_gains(plant, cost, ref_k, sol.P, sol.K)
     naive = StochasticSystem(plant.A, plant.B, np.zeros_like(plant.A),
                              np.zeros_like(plant.D), plant.H)
     P_det = solve_continuous_are(plant.A, plant.B,
@@ -499,8 +499,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         sol = None
         if with_model:
             with _timed(report, "model_based"):
-                sol, ff_by_case, ffmp, mb = _payload_model(config)
-            K = sol.K
+                sol, ff_model, ffmp, mb = _payload_model(config)
+            K, ff_by_case = sol.K, ff_model
             report.payload["model_based"] = mb
             if config.mode == "model_based":
                 report.payload["feedforward_cases"] = ffmp
@@ -538,7 +538,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                                                            out_dir)
         if config.cost_comparison is not None:
             with _timed(report, "cost_comparison"):
-                report.payload["cost_comparison"] = _cost_comparison(config, sol)
+                report.payload["cost_comparison"] = _cost_comparison(
+                    config, sol, ff_model[config.cost_comparison["case"]])
 
     return _guarded(report, out_dir, work)
 

@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .learner import ShadowConfig
 from .model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                     StochasticSystem, TrackingProblem)
-from .sim import SimConfig, _step_count, probing_signal
+from .sim import ProbingSignal, SimConfig, _step_count
 
 __all__ = ["ExperimentConfig", "load_config", "parse_experiment_config",
            "read_config"]
@@ -127,8 +127,7 @@ def _positive(block: dict, key: str, default: float) -> float:
 def _probing_from(block: dict):
     count, seed = _integer(block, "count"), _seed(block, "seed")
     try:
-        return probing_signal(float(block["amplitude"]), count,
-                              block["freq_range"], seed)
+        return ProbingSignal(float(block["amplitude"]), count, block["freq_range"], seed)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad probing block: {e}") from e
 

@@ -156,6 +156,13 @@ def _gain_from(M: np.ndarray, Lambda: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, M)
 
 
+def _check_discount(moments: MomentTable, hyper: BpiHyperParams) -> None:
+    """ConfigError unless the table was discounted at (gamma - alpha0)/2."""
+    if moments.discount is None or abs(moments.discount - hyper.alpha_tilde) > 1e-12:
+        raise ConfigError(f"moment table discount {moments.discount} does not match "
+                          f"(gamma - alpha0)/2 = {hyper.alpha_tilde}")
+
+
 def _learn(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
            columns, split, report: RankReport) -> LearnedSolution:
     """Bootstrap policy iteration with least squares as the evaluation.
@@ -164,17 +171,15 @@ def _learn(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
     matrix; ``split(theta)`` unpacks the estimate into (P, M, Lambda).
     Each step solves against psi_rhs of the forcing ``_bootstrap`` passes.
     """
-    R = cost.R
+    _check_discount(moments, hyper)
+    R, H = cost.R, moments.H
     theta_mat = hyper.theta_for(moments.n)
-    H = moments.H
-    if H is None:
-        raise ConfigError("moment table has no output map H; pass output_map")
     residuals = []
     Lambda = None
 
     def evaluate(level, K, forcing):
         nonlocal Lambda
-        theta, resid = _lstsq(columns(assemble_psi(moments, level, K)),
+        theta, resid = _lstsq(columns(assemble_psi(moments, level - hyper.alpha0, K)),
                               psi_rhs(moments, forcing))
         if not np.isfinite(resid):
             raise ConfigError("least-squares residual is not finite")
@@ -191,9 +196,9 @@ def learn_feedback(moments: MomentTable, cost: CostWeights,
                    hyper: BpiHyperParams) -> LearnedSolution:
     """Bootstrap policy iteration by least squares on sampled moments.
 
-    Requires the output map H in the table and the excitation rank
-    condition on the raw moment columns; a rank failure raises
-    RankDeficient with the singular spectrum attached.
+    Requires a table discounted at hyper's (gamma - alpha0)/2 (else
+    ConfigError) and the excitation rank condition on the raw moment
+    columns; RankDeficient carries the singular spectrum.
     """
     n, m = moments.n, moments.m
     raw = np.hstack([h_form_rows(moments.S), moments.W.reshape(len(moments), n * m),
@@ -221,11 +226,10 @@ def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
     the rank test.
     Returns one FeedforwardFit per case, in order.
     """
+    _check_discount(moments, hyper)
     n, m, n_d = moments.n, moments.m, moments.n_d
-    if n_d is None or moments.H is None:
-        raise ConfigError("moment table lacks H or reference moments")
     raw = np.hstack([moments.I_xdchi, moments.I_xdu])
-    Xi = assemble_xi(moments, K_star, Lambda_star, cost, hyper.gamma, hyper.alpha0)
+    Xi = assemble_xi(moments, K_star, Lambda_star, cost)
     if omega_F is not None:
         raw = raw + np.hstack([np.zeros((len(moments), n * n_d)),
                                omega_F[:, n * n_d:]])

@@ -184,13 +184,13 @@ class BpiHyperParams:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (0.0 < self.alpha0 < self.gamma):
-            raise ConfigError(
-                f"need 0 < alpha0 < gamma, got alpha0={self.alpha0}, gamma={self.gamma}")
+        if not (0.0 < self.alpha0 < self.gamma < np.inf):
+            raise ConfigError(f"need 0 < alpha0 < gamma < inf, got alpha0={self.alpha0}, "
+                              f"gamma={self.gamma}")
         if not (0.0 < self.eta < 1.0):
             raise ConfigError(f"need 0 < eta < 1, got {self.eta}")
-        if self.epsilon <= 0.0:
-            raise ConfigError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
         if self.theta is not None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankDeficient, WindowOutOfRange
-from .model import BpiHyperParams
+from .sim import _reference_states
 from .symquad import h_form_rows, unvech_rows, vech
 
 __all__ = [
@@ -40,27 +40,26 @@ class MomentTable:
     used by the feedforward solve, stored as flattened Kronecker
     columns. H is the plant output map, from which the learners form
     the cost forcing H'QH and every output map's right-hand side
-    I_xdchi vec(H'Q H_d); a table without it cannot be learned from.
-    t_global locates each sample on the experiment-wide clock (segments
-    of a multi-run dataset differ in offset), which is what shadow
-    augmentation aligns on.
+    I_xdchi vec(H'Q H_d). discount is the rate of the trajectory the
+    table came from (None if undiscounted); the learners refuse a table
+    whose discount is not their (gamma - alpha0)/2. t_global locates
+    each sample on the experiment-wide clock (segments of a multi-run
+    dataset differ in offset), which is what shadow augmentation aligns on.
     """
 
     t: np.ndarray
     t_global: np.ndarray
     window: float
-    h: float
     G0: np.ndarray
     GT: np.ndarray
     S: np.ndarray
     W: np.ndarray
     V: np.ndarray
-    d_xdchi: np.ndarray | None = None
-    I_xdchi: np.ndarray | None = None
-    I_xdu: np.ndarray | None = None
-    alpha0: float | None = None
-    H: np.ndarray | None = None
-    n_d: int | None = None
+    d_xdchi: np.ndarray
+    I_xdchi: np.ndarray
+    I_xdu: np.ndarray
+    H: np.ndarray
+    discount: float | None
 
     def __len__(self) -> int:
         return self.t.size
@@ -73,26 +72,29 @@ class MomentTable:
     def m(self) -> int:
         return self.V.shape[1]
 
+    @property
+    def n_d(self) -> int:
+        return self.I_xdu.shape[1] // self.m
+
     @staticmethod
     def concat(tables) -> "MomentTable":
         """Stack the rows of several tables (multi-segment datasets)."""
         first = tables[0]
         for tb in tables[1:]:
-            if tb.window != first.window or tb.n != first.n or tb.m != first.m:
+            if (tb.window, tb.n, tb.m, tb.n_d) != (first.window, first.n, first.m, first.n_d):
                 raise ConfigError("tables disagree on window or dimensions")
+            if tb.discount != first.discount:
+                raise ConfigError(f"tables disagree on discount: {first.discount} "
+                                  f"and {tb.discount}")
 
         def cat(name):
-            parts = [getattr(tb, name) for tb in tables]
-            if any(p is None for p in parts):
-                return None
-            return np.concatenate(parts, axis=0)
+            return np.concatenate([getattr(tb, name) for tb in tables], axis=0)
 
         return MomentTable(
             t=cat("t"), t_global=cat("t_global"), window=first.window,
-            h=first.h, G0=cat("G0"), GT=cat("GT"), S=cat("S"), W=cat("W"),
-            V=cat("V"), d_xdchi=cat("d_xdchi"),
-            I_xdchi=cat("I_xdchi"), I_xdu=cat("I_xdu"),
-            alpha0=first.alpha0, H=first.H, n_d=first.n_d)
+            G0=cat("G0"), GT=cat("GT"), S=cat("S"), W=cat("W"),
+            V=cat("V"), d_xdchi=cat("d_xdchi"), I_xdchi=cat("I_xdchi"),
+            I_xdu=cat("I_xdu"), H=first.H, discount=first.discount)
 
 
 @dataclass(frozen=True)
@@ -149,27 +151,23 @@ def _check_psd(name: str, rows_of_mats: np.ndarray) -> None:
                           f"(min eigenvalue {evals.min():.3e})")
 
 
-def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
-                           output_map=None, t_offset: float = 0.0) -> MomentTable:
+def accumulate_raw_moments(source, config, output_map, reference,
+                           t_offset: float = 0.0) -> MomentTable:
     """Windowed moments of a moment trajectory, by composite Simpson.
 
-    ``source`` is a MomentTrajectory (grid arrays t, mean_x, mean_xx, u,
-    optionally x_d, and the discount it carries) from either data
-    route; a discount other than (gamma - alpha0)/2 of ``hyper`` is a
-    ConfigError. Each window integral is exact for moments quadratic
-    in t, at any sample index and window length (a grid of two points
-    falls back to the trapezoid rule), so with the exact route's RK4
-    moments the table is fourth-order accurate in h. The sampling
-    layout (t1, sample_period, l, window) comes from the SimConfig
-    ``config``. ``output_map`` supplies the H the learners need for
-    their right-hand sides. t_offset shifts the stored global clock.
+    ``source`` is a MomentTrajectory (grid arrays t, mean_x, mean_xx, u
+    and the discount it carries) from either data route; the table
+    records that discount. Each window integral is exact for moments
+    quadratic in t, at any sample index and window length (a grid of
+    two points falls back to the trapezoid rule), so with the exact
+    route's RK4 moments the table is fourth-order accurate in h. The
+    sampling layout (t1, sample_period, l, window) comes from the
+    SimConfig ``config``. ``output_map`` is the H the learners need for
+    their right-hand sides. The source runs from t_offset on the
+    experiment clock, which the table stores as t_global; the
+    ReferenceGenerator ``reference`` is restarted from its state at
+    t_offset and evaluated on the source grid, exactly.
     """
-    discount = source.discount
-    if hyper is not None and discount is not None:
-        if abs(discount - hyper.alpha_tilde) > 1e-12:
-            raise ConfigError(
-                f"trajectory discount {discount} does not match (gamma-alpha0)/2 "
-                f"= {hyper.alpha_tilde}")
     t = source.t
     h = float(t[1] - t[0])
     N = t.size - 1
@@ -184,6 +182,8 @@ def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
         raise WindowOutOfRange(
             f"samples span [{sample_t[0]}, {sample_t[-1]} + {config.window}] "
             f"but the source grid ends at {t[-1]}")
+    x_d0 = _reference_states(reference.A_d, reference.x_d0, [t_offset])[0]
+    x_d = _reference_states(reference.A_d, x_d0, t)
 
     mx, mxx, u = source.mean_x, source.mean_xx, source.u
     n, m = mx.shape[1], u.shape[1]
@@ -202,44 +202,31 @@ def accumulate_raw_moments(source, config, hyper: BpiHyperParams | None = None,
     _check_psd("S", S)
     _check_psd("V", V)
 
-    H = None
-    if output_map is not None:
-        H = np.asarray(output_map, dtype=float).reshape(-1, n)
-
-    d_xdchi = I_xdchi = I_xdu = None
-    n_d = None
-    x_d = source.x_d
-    if x_d is not None:
-        n_d = x_d.shape[1]
-        xdchi = np.einsum("td,tn->tdn", x_d, mx).reshape(t.size, n_d * n)
-        d_xdchi = xdchi[idx + w] - xdchi[idx]
-        I_xdchi = _windowed_integrals(xdchi, idx, w, h)
-        xdu = np.einsum("td,tm->tdm", x_d, u).reshape(t.size, n_d * m)
-        I_xdu = _windowed_integrals(xdu, idx, w, h)
-
+    n_d = x_d.shape[1]
+    xdchi = np.einsum("td,tn->tdn", x_d, mx).reshape(t.size, n_d * n)
+    I_xdchi = _windowed_integrals(xdchi, idx, w, h)
+    xdu = np.einsum("td,tm->tdm", x_d, u).reshape(t.size, n_d * m)
     return MomentTable(t=sample_t, t_global=sample_t + t_offset,
-                       window=config.window, h=h, G0=G0, GT=GT, S=S, W=W,
-                       V=V, d_xdchi=d_xdchi, I_xdchi=I_xdchi,
-                       I_xdu=I_xdu,
-                       alpha0=None if hyper is None else hyper.alpha0,
-                       H=H, n_d=n_d)
+                       window=config.window, G0=G0, GT=GT, S=S, W=W, V=V,
+                       d_xdchi=xdchi[idx + w] - xdchi[idx], I_xdchi=I_xdchi,
+                       I_xdu=_windowed_integrals(xdu, idx, w, h),
+                       H=np.asarray(output_map, dtype=float).reshape(-1, n),
+                       discount=source.discount)
 
 
-def assemble_psi(moments: MomentTable, alpha_prev: float, K_prev) -> np.ndarray:
+def assemble_psi(moments: MomentTable, shift: float, K_prev) -> np.ndarray:
     """Regressor rows pairing with theta = [vech(P); vec(M); vech(Lambda)].
 
-    Row t_i = [ dbar_chi + (alpha - alpha0) h(S);
+    Row t_i = [ dbar_chi + shift h(S);
                 -2 (vec(K_prev S) + vec(W'));
-                -h(V) + h(K_prev S K_prev') ].
+                -h(V) + h(K_prev S K_prev') ],
+    with shift = alpha - alpha0, the learner's level less its alpha0.
     """
-    if moments.alpha0 is None:
-        raise ConfigError("moment table carries no alpha0; pass hyper when accumulating")
     n, m = moments.n, moments.m
     K_prev = np.asarray(K_prev, dtype=float).reshape(m, n)
     l = len(moments)
     hS = h_form_rows(moments.S)
-    blk_P = (h_form_rows(moments.GT) - h_form_rows(moments.G0)
-             + (alpha_prev - moments.alpha0) * hS)
+    blk_P = h_form_rows(moments.GT) - h_form_rows(moments.G0) + shift * hS
     KS = np.einsum("ak,lkn->lan", K_prev, moments.S)
     vec_KS = np.transpose(KS, (0, 2, 1)).reshape(l, m * n)
     vec_Wt = moments.W.reshape(l, n * m)
@@ -255,20 +242,19 @@ def psi_rhs(moments: MomentTable, forcing) -> np.ndarray:
     return -h_form_rows(moments.S) @ vech(np.asarray(forcing, dtype=float))
 
 
-def assemble_xi(moments: MomentTable, K_star, Lambda_star, cost,
-                gamma: float, alpha0: float) -> np.ndarray:
+def assemble_xi(moments: MomentTable, K_star, Lambda_star, cost) -> np.ndarray:
     """Feedforward rows pairing with [vec(Pi); vec(F)].
 
-    Row t_i = [ d_xdchi + (gamma - alpha0)/2 * I_xdchi ;
-                -I_xdchi' (I kron (R+Lambda)K) - I_xdu' (I kron (R+Lambda)) ];
-    the right-hand side of output map H_d is I_xdchi vec(H'Q H_d).
+    Row t_i = [ d_xdchi + discount * I_xdchi ;
+                -I_xdchi' (I kron (R+Lambda)K) - I_xdu' (I kron (R+Lambda)) ],
+    discount being the table's, (gamma - alpha0)/2 of the learner that
+    checked it; the right-hand side of output map H_d is
+    I_xdchi vec(H'Q H_d).
     """
-    if moments.I_xdchi is None:
-        raise ConfigError("moment table has no reference moments")
     n, m, n_d = moments.n, moments.m, moments.n_d
     K_star = np.asarray(K_star, dtype=float).reshape(m, n)
     RL = cost.R + np.asarray(Lambda_star, dtype=float).reshape(m, m)
-    blk_Pi = moments.d_xdchi + 0.5 * (gamma - alpha0) * moments.I_xdchi
+    blk_Pi = moments.d_xdchi + moments.discount * moments.I_xdchi
     eye_d = np.eye(n_d)
     blk_F = (-moments.I_xdchi @ np.kron(eye_d, RL @ K_star).T
              - moments.I_xdu @ np.kron(eye_d, RL).T)

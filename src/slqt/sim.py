@@ -34,8 +34,7 @@ from .symquad import vech_indices
 
 __all__ = [
     "SimConfig", "ProbingSignal", "MomentTrajectory",
-    "TrackingRun", "probing_signal",
-    "run_ensemble", "propagate_moments_exact", "reference_trajectory",
+    "TrackingRun", "run_ensemble", "propagate_moments_exact",
     "estimate_average_cost", "CostEstimate", "simulate_tracking",
 ]
 
@@ -116,7 +115,8 @@ class ProbingSignal:
     """u(t) = a * sum_j sin(omega_j t) with frequencies drawn once.
 
     Evaluation is a pure function of t; the same seed always reproduces
-    the same frequencies and therefore the same signal.
+    the same frequencies and therefore the same signal. The amplitude
+    must be finite; freq_range is kept as two floats.
     """
 
     amplitude: float
@@ -128,7 +128,10 @@ class ProbingSignal:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("count must be at least 1")
-        lo, hi = self.freq_range
+        lo, hi = map(float, self.freq_range)
+        object.__setattr__(self, "freq_range", (lo, hi))
+        if not np.isfinite(self.amplitude):
+            raise ConfigError(f"probing amplitude must be finite, got {self.amplitude!r}")
         if hi < lo:
             raise ConfigError("frequency range must be ordered")
         rng = np.random.Generator(np.random.Philox(self.seed))
@@ -145,10 +148,6 @@ class ProbingSignal:
             blk = flat[a:a + _PROBE_ROWS]
             vals[a:a + blk.size] = self.amplitude * np.sin(blk[:, None] * self.omegas).sum(axis=-1)
         return float(vals[0]) if t.ndim == 0 else vals.reshape(t.shape)
-
-
-def probing_signal(amplitude: float, count: int, freq_range, seed: int) -> ProbingSignal:
-    return ProbingSignal(amplitude, count, (float(freq_range[0]), float(freq_range[1])), seed)
 
 
 def _sample_input(fn, t: np.ndarray, m: int) -> np.ndarray:
@@ -272,17 +271,6 @@ def _reference_states(A_d, x_d0, t: np.ndarray) -> np.ndarray:
     return np.real(E * c[None, :] @ V.T)
 
 
-def reference_trajectory(reference: ReferenceGenerator, t: np.ndarray):
-    """Exact (x_d, y_d) on the grid via the eigendecomposition of A_d.
-
-    Valid because reference generators are semisimple with imaginary
-    spectrum; accuracy is checked against the matrix exponential in the
-    test suite.
-    """
-    x_d = _reference_states(reference.A_d, reference.x_d0, t)
-    return x_d, x_d @ reference.H_d.T
-
-
 @dataclass(frozen=True)
 class MomentTrajectory:
     """Mean and second-moment trajectories on a uniform grid t.
@@ -293,7 +281,8 @@ class MomentTrajectory:
     whenever it runs more than one path, the per-entry standard errors
     of mean_xx. When ``discount`` is set the trajectories are the
     transformed ones, on both routes: x and u scaled by exp(-discount * t)
-    and second moments by the square of that factor.
+    and second moments by the square of that factor. The reference is
+    not part of it: accumulate_raw_moments evaluates x_d on the grid.
     """
 
     t: np.ndarray
@@ -301,16 +290,13 @@ class MomentTrajectory:
     mean_xx: np.ndarray
     u: np.ndarray
     se_xx: np.ndarray | None = None
-    x_d: np.ndarray | None = None
     discount: float | None = None
 
 
-def _moment_trajectory(t, mean_x, mean_xx, u, discount, reference,
-                       se_xx=None) -> MomentTrajectory:
-    """The plant moments on the grid t as a MomentTrajectory, with the
-    reference state attached and, when discount is set, x and u scaled
-    by exp(-discount * t) and the second moments by its square."""
-    x_d = None if reference is None else reference_trajectory(reference, t)[0]
+def _moment_trajectory(t, mean_x, mean_xx, u, discount, se_xx=None) -> MomentTrajectory:
+    """The plant moments on the grid t as a MomentTrajectory; when discount
+    is set, x and u are scaled by exp(-discount * t), the second moments
+    by its square."""
     if discount is not None:
         scale = np.exp(-discount * t)[:, None]
         mean_x, u = mean_x * scale, u * scale
@@ -318,11 +304,11 @@ def _moment_trajectory(t, mean_x, mean_xx, u, discount, reference,
         if se_xx is not None:
             se_xx = se_xx * (scale * scale)
     return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
-                            x_d=x_d, discount=discount)
+                            discount=discount)
 
 
-def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = None,
-                 reference: ReferenceGenerator | None = None) -> MomentTrajectory:
+def run_ensemble(plant, input, x0, config: SimConfig,
+                 discount: float | None = None) -> MomentTrajectory:
     """Simulate config.n_paths Euler-Maruyama paths and stream reductions.
 
     Path p uses seed base_seed + p with an independent counter-based
@@ -359,7 +345,7 @@ def run_ensemble(plant, input, x0, config: SimConfig, discount: float | None = N
 
     _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, config.base_seed, p, N,
               config.h, record)
-    return _moment_trajectory(t, mean_x, mean_xx, u, discount, reference, se_xx)
+    return _moment_trajectory(t, mean_x, mean_xx, u, discount, se_xx)
 
 
 def _xx_forcing(y, p, q, C, r_idx, c_idx):
@@ -424,7 +410,6 @@ def _affine_recursion(z0, Lt, h, fs):
 
 def propagate_moments_exact(plant, input, x0, config: SimConfig,
                             discount: float | None = None,
-                            reference: ReferenceGenerator | None = None,
                             method: str = "rk4") -> MomentTrajectory:
     """Integrate the closed mean/second-moment ODEs of the plant SDE.
 
@@ -434,9 +419,9 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     validated against. Classical RK4 (method 'rk4', the only scheme)
     steps on the config grid at O(h^4), which the Simpson windows
     downstream keep. Blowup is raised at the first grid time where the
-    norm of [m; vech G] exceeds 1e8 or is not finite. discount and
-    reference act as in run_ensemble: the moments are scaled by
-    exp(-discount * t) after the check, and x_d is attached.
+    norm of [m; vech G] exceeds 1e8 or is not finite. discount acts as
+    in run_ensemble: the moments are scaled by exp(-discount * t) after
+    the check.
     """
     if method != "rk4":
         raise ConfigError(f"unknown method {method!r}; the exact moments use 'rk4'")
@@ -461,7 +446,7 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     bad = ~(norms <= _BLOWUP_NORM)
     if bad.any():
         raise Blowup(f"moment norm exceeded {_BLOWUP_NORM:.0e}", time=float(t[np.argmax(bad)]))
-    return _moment_trajectory(t, mean_x, mean_xx, u_half[::2], discount, reference)
+    return _moment_trajectory(t, mean_x, mean_xx, u_half[::2], discount)
 
 
 @dataclass(frozen=True)
@@ -522,8 +507,8 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
         last = rates[-1]
 
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
-    _em_paths(block_diag(*(plant.A - plant.B @ K for K, _ in gains)),
-              block_diag(*(plant.C - plant.D @ K for K, _ in gains)),
+    A_cl, C_cl = zip(*(plant.closed_loop(K) for K, _ in gains))
+    _em_paths(block_diag(*A_cl), block_diag(*C_cl),
               (block_diag(*[plant.B] * J), block_diag(*[plant.D] * J), np.hstack(u_ff)),
               np.tile(x0, J), seed, n_paths, N, h, integrate, "closed-loop state")
     estimates = []
@@ -583,7 +568,7 @@ def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
     def record(k0, S):
         x_mean[k0:k0 + len(S)] = _centred_mean(S)
 
-    _em_paths(plant.A - plant.B @ K, plant.C - plant.D @ K, (plant.B, plant.D, u_ff),
+    _em_paths(*plant.closed_loop(K), (plant.B, plant.D, u_ff),
               np.zeros(n) if x0 is None else x0, base_seed, n_paths, N, h, record,
               "tracking state")
     u_mean = u_ff - x_mean @ K.T

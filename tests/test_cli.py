@@ -208,6 +208,26 @@ def test_config_typos_and_bad_values_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("hyper", "epsilon", math.inf), ("hyper", "epsilon", math.nan),
+    ("hyper", "gamma", math.inf),
+    ("probing", "amplitude", math.nan), ("probing", "amplitude", math.inf),
+], ids=["epsilon-inf", "epsilon-nan", "gamma-inf", "amplitude-nan", "amplitude-inf"])
+def test_non_finite_hyperparameters_and_amplitudes_exit_2(tmp_path, capsys, block, key, value):
+    # JSON's Infinity and NaN parse; example 1's learn run with one of
+    # them is refused before anything runs, with no report written
+    from slqt.benchmarks import EXAMPLES
+    raw = copy.deepcopy(EXAMPLES["one"][0])
+    raw[block][key] = value
+    path = tmp_path / "cfg.json"
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(raw, f)
+    out = tmp_path / "out"
+    assert main(["learn-ff", "--config", str(path), "--out", str(out)]) == EXIT_CODES["config"]
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "report.json").exists()
+
+
 def example_runs(which):
     """(name, parsed config) of each run of a bundled example."""
     from slqt.benchmarks import EXAMPLES

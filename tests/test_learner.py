@@ -15,9 +15,12 @@ from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
 from slqt.bpi import feedforward_gains, solve_tracking
 from slqt.learner import (ShadowConfig, _shadow_series, learn_feedback,
                           learn_feedforward, learn_shadow, shadow_regressors)
-from slqt.regressors import accumulate_raw_moments
-from slqt.sim import SimConfig, probing_signal, propagate_moments_exact, run_ensemble
+from slqt.regressors import MomentTable, accumulate_raw_moments
+from slqt.sim import ProbingSignal, SimConfig, propagate_moments_exact, run_ensemble
 from slqt.symquad import vech
+
+# x_d' = 0 from x_d0 = 1
+STILL = ReferenceGenerator(A_d=[[0.0]], H_d=[[1.0]], x_d0=[1.0])
 
 
 def scalar_plant():
@@ -27,12 +30,14 @@ def scalar_plant():
 
 
 def scalar_moments(hyper, l=60, probing=True):
+    """The scalar plant's exact table, discounted at hyper's alpha_tilde
+    (not at all when hyper is None)."""
     sys = scalar_plant()
-    sig = probing_signal(1.0, 8, (-30.0, 30.0), seed=4) if probing else None
+    sig = ProbingSignal(1.0, 8, (-30.0, 30.0), seed=4) if probing else None
     cfg = SimConfig(h=1e-4, sample_period=1e-3, window=0.05, l=l, n_paths=1)
-    traj = propagate_moments_exact(sys, sig, np.array([1.0]), cfg,
-                                   discount=hyper.alpha_tilde)
-    return accumulate_raw_moments(traj, hyper=hyper, config=cfg, output_map=sys.H)
+    discount = None if hyper is None else hyper.alpha_tilde
+    traj = propagate_moments_exact(sys, sig, np.array([1.0]), cfg, discount=discount)
+    return accumulate_raw_moments(traj, cfg, sys.H, STILL)
 
 
 def test_scalar_learner_hits_closed_form():
@@ -61,7 +66,7 @@ def test_unforced_data_with_input_noise_is_rank_deficient():
                     base_seed=2)
     ds = run_ensemble(sys, None, np.array([1.0]), cfg,
                       discount=hyper.alpha_tilde)
-    tab = accumulate_raw_moments(ds, config=cfg, hyper=hyper, output_map=sys.H)
+    tab = accumulate_raw_moments(ds, cfg, sys.H, STILL)
     cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
     with pytest.raises(RankDeficient) as exc:
         learn_feedback(tab, cost, hyper)
@@ -137,7 +142,7 @@ def shadow_pair(r_val=2.0):
     cost = CostWeights(Q=np.array([[4.0]]), R=np.array([[r_val]]))
     shadow = ShadowConfig(
         A_a=np.array([[-0.5, 1.2], [-0.8, -1.0]]),
-        u_a=probing_signal(2.0, 20, (-40.0, 40.0), seed=13),
+        u_a=ProbingSignal(2.0, 20, (-40.0, 40.0), seed=13),
         x_a0=np.zeros(2),
         F_a=np.array([[0.0, 1.3], [-1.3, 0.0]]),
         y_a0=np.array([1.0, -0.5]),
@@ -182,7 +187,7 @@ def test_shadow_rows_annihilate_consistent_pairs_for_random_systems(M, B, x0y0, 
     # a rotating F_a and a fresh probing draw
     A_a = M - (np.linalg.eigvals(M).real.max() + 0.5) * np.eye(2)
     assume(np.linalg.cond(np.linalg.eig(A_a)[1]) < 1e6)
-    shadow = ShadowConfig(A_a=A_a, u_a=probing_signal(1.0, 6, (-20.0, 20.0), seed=seed),
+    shadow = ShadowConfig(A_a=A_a, u_a=ProbingSignal(1.0, 6, (-20.0, 20.0), seed=seed),
                           x_a0=x0y0[:2], F_a=np.array([[0.0, w], [-w, 0.0]]),
                           y_a0=x0y0[2:], h=1e-4)
     assert_annihilates_consistent_pairs(shadow, B, np.array([[r]]),
@@ -254,23 +259,18 @@ def test_defective_auxiliary_matrices_are_config_errors():
 
 
 def unforced_moments(plant, hyper, l=40):
-    from scipy.linalg import expm
-
-    from slqt.regressors import MomentTable
-
+    """Two unforced segments' exact tables, joined, discounted as in
+    scalar_moments."""
     cfg = SimConfig(h=1e-4, sample_period=2e-3, window=0.05, l=l, n_paths=1)
     ref = ReferenceGenerator(np.array([[0.0, 1.3], [-1.3, 0.0]]),
                              np.array([[1.0, 0.0]]), np.array([1.0, -0.5]))
     # two unforced segments from different states, on one global clock
     offset = cfg.duration + cfg.h
+    discount = None if hyper is None else hyper.alpha_tilde
     tables = []
     for x0, dt in ((np.array([1.0, 0.6]), 0.0), (np.array([-0.7, 1.0]), offset)):
-        seg_ref = ReferenceGenerator(ref.A_d, ref.H_d,
-                                     expm(ref.A_d * dt) @ ref.x_d0)
-        traj = propagate_moments_exact(plant, None, x0, cfg,
-                                       discount=hyper.alpha_tilde, reference=seg_ref)
-        tables.append(accumulate_raw_moments(traj, hyper=hyper, config=cfg,
-                                             output_map=plant.H, t_offset=dt))
+        traj = propagate_moments_exact(plant, None, x0, cfg, discount=discount)
+        tables.append(accumulate_raw_moments(traj, cfg, plant.H, ref, dt))
     return MomentTable.concat(tables), ref, cfg
 
 
@@ -296,11 +296,11 @@ def test_shadow_learning_matches_model_solution():
 def test_shadow_requires_unforced_plant_data():
     plant, cost, shadow = shadow_pair()
     hyper = BpiHyperParams()
-    sig = probing_signal(1.0, 4, (-10.0, 10.0), seed=1)
+    sig = ProbingSignal(1.0, 4, (-10.0, 10.0), seed=1)
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=10, n_paths=4)
     ds = run_ensemble(plant, sig, np.array([1.0, 0.0]), cfg,
                       discount=hyper.alpha_tilde)
-    tab = accumulate_raw_moments(ds, config=cfg, hyper=hyper, output_map=plant.H)
+    tab = accumulate_raw_moments(ds, cfg, plant.H, STILL)
     with pytest.raises(ConfigError):
         learn_shadow(tab, shadow, plant.B, cost, hyper,
                      omegas=(np.zeros((10, 5)), np.zeros((10, 6))))
@@ -331,23 +331,42 @@ def test_feedforward_output_map_scaling():
     np.testing.assert_allclose(three.Pi, 3.0 * one.Pi, rtol=1e-8, atol=1e-10)
 
 
-def test_tables_without_output_map_are_refused():
-    # the learners form H'QH and H'QH_d from the table's H, as the model
-    # route does from the plant's; a table accumulated without it is a
-    # config error (exit 2), not a silent zero cost
-    hyper = BpiHyperParams()
+@pytest.mark.parametrize("learner", ["feedback", "shadow", "feedforward"])
+def test_discount_mismatch_is_rejected(learner):
+    # a table is learned only at the discount it was made with: one from an
+    # undiscounted trajectory, one made at gamma = 1.0 (alpha_tilde = 0.45)
+    # and learned at gamma = 1.5, and one at a rate no hyper here has, are
+    # each a config error (exit 2), not a wrong gain
+    hyper = BpiHyperParams()  # alpha_tilde = (1 - 0.1)/2 = 0.45
+    later = BpiHyperParams(gamma=1.5)  # alpha_tilde = 0.7
     cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
-    no_H = dataclasses.replace(scalar_moments(hyper), H=None)
-    with pytest.raises(ConfigError, match="no output map H"):
-        learn_feedback(no_H, cost, hyper)
-    plant, cost, shadow = shadow_pair()
-    tab, ref, cfg = unforced_moments(plant, hyper)
-    omegas = shadow_regressors(shadow, plant.B, cost.R, tab.t_global,
-                               window=cfg.window)
-    no_H = dataclasses.replace(tab, H=None)
-    with pytest.raises(ConfigError, match="no output map H"):
-        learn_shadow(no_H, shadow, plant.B, cost, hyper, omegas=omegas)
-    learned = learn_shadow(tab, shadow, plant.B, cost, hyper, omegas=omegas)
-    with pytest.raises(ConfigError, match="lacks H"):
-        learn_feedforward(no_H, learned.K_star, learned.Lambda_star, cost, hyper,
-                          [ref.H_d], omega_F=omegas[1])
+    if learner == "shadow":
+        plant, cost, shadow = shadow_pair()
+
+        def tables(hy):
+            return unforced_moments(plant, hy)[0]
+
+        omegas = shadow_regressors(shadow, plant.B, cost.R, tables(hyper).t_global, 0.05)
+
+        def learn(tab, hy):
+            return learn_shadow(tab, shadow, plant.B, cost, hy, omegas=omegas)
+    elif learner == "feedback":
+        tables = scalar_moments
+
+        def learn(tab, hy):
+            return learn_feedback(tab, cost, hy)
+    else:
+        tables = scalar_moments
+        fit = learn_feedback(tables(hyper), cost, hyper)
+
+        def learn(tab, hy):
+            return learn_feedforward(tab, fit.K_star, fit.Lambda_star, cost, hy,
+                                     [STILL.H_d])
+    tab = tables(hyper)
+    assert tab.discount == hyper.alpha_tilde
+    learn(tab, hyper)
+    assert tables(None).discount is None
+    for table, hy in ((tables(None), hyper), (tab, later),
+                      (dataclasses.replace(tab, discount=0.3), hyper)):
+        with pytest.raises(ConfigError, match="does not match"):
+            learn(table, hy)

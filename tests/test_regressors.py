@@ -7,32 +7,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_simpson, simpson
+from scipy.linalg import expm
 
 from slqt.errors import ConfigError, WindowOutOfRange
-from slqt.model import BpiHyperParams, StochasticSystem
+from slqt.model import ReferenceGenerator, StochasticSystem
 from slqt.regressors import (MomentTable, _windowed_integrals,
                              accumulate_raw_moments, feedback_required_rank,
                              feedforward_required_rank, psi_rhs, rank_report)
-from slqt.sim import SimConfig, probing_signal, propagate_moments_exact
+from slqt.sim import ProbingSignal, SimConfig, propagate_moments_exact
 from slqt.symquad import vech
 
+# x_d' = 0: the reference stays at x_d0 = 1
+STILL = ReferenceGenerator(A_d=[[0.0]], H_d=[[1.0]], x_d0=[1.0])
 
-def constant_source(x0, m=1, n_steps=200, h=1e-3):
+
+def constant_source(x0, m=1, n_steps=200, h=1e-3, discount=None):
     """A synthetic grid source frozen at state x0 with zero input."""
     t = np.arange(n_steps + 1) * h
     n = x0.size
     mean_x = np.tile(x0, (t.size, 1))
     mean_xx = np.tile(vech(np.outer(x0, x0)), (t.size, 1))
     u = np.zeros((t.size, m))
-    return SimpleNamespace(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u,
-                           discount=None, x_d=None)
+    return SimpleNamespace(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, discount=discount)
+
+
+def tabulate(src, cfg, t_offset=0.0):
+    """The table of src with output map [1 0 ...] and the still reference."""
+    return accumulate_raw_moments(src, cfg, np.eye(1, src.mean_x.shape[1]), STILL,
+                                  t_offset)
 
 
 def test_constant_state_moments():
     x0 = np.array([1.5, -2.0])
     src = constant_source(x0)
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=10, n_paths=1)
-    tab = accumulate_raw_moments(src, config=cfg, output_map=np.array([[1.0, 0.0]]))
+    tab = tabulate(src, cfg)
     outer = np.outer(x0, x0)
     for k in range(len(tab)):
         np.testing.assert_allclose(tab.G0[k], outer, rtol=1e-12)
@@ -51,10 +60,10 @@ def test_windowed_integrals_match_direct_quadrature():
                            B=np.array([[0.0], [1.0]]),
                            C=0.1 * np.eye(2), D=np.zeros((2, 1)),
                            H=np.array([[1.0, 0.0]]))
-    sig = probing_signal(1.0, 5, (-10.0, 10.0), seed=3)
+    sig = ProbingSignal(1.0, 5, (-10.0, 10.0), seed=3)
     cfg = SimConfig(h=1e-3, sample_period=5e-3, window=0.04, l=25)
     traj = propagate_moments_exact(sys, sig, np.array([1.0, 0.0]), cfg)
-    tab = accumulate_raw_moments(traj, config=cfg)
+    tab = tabulate(traj, cfg)
     for k in (0, 7, 24):
         t0 = cfg.sample_times()[k]
         sel = (traj.t >= t0 - 1e-12) & (traj.t <= t0 + cfg.window + 1e-12)
@@ -94,22 +103,25 @@ coefs = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.sampled_from([1e-3, 2.5e-3, 0.01, 0.05]), st.integers(0, 40),
        st.integers(1, 12), st.integers(1, 60), st.integers(1, 12), st.integers(0, 3),
-       arrays(float, (3, 2, 2), elements=coefs))
+       arrays(float, (5, 2), elements=coefs))
 def test_windows_integrate_quadratic_moments_exactly(h, t1_steps, period_steps,
                                                      window_steps, l, extra, coef):
-    # x, u and x_d linear in t (each row of coef is a pair p, q of p + q t),
-    # so every windowed moment integrates a quadratic: exact to roundoff
-    # at any start and window length SimConfig accepts, on grids of at
-    # least three points that may run past the last window
+    # x and u linear in t (the rows a, b and c, d of coef are the pairs p, q
+    # of p + q t), so S, W and V integrate quadratics; x_d is the constant
+    # e (a reference with A_d = 0), so its products with x and u are
+    # linear: all exact to roundoff at any start and window length
+    # SimConfig accepts, on grids of at least three points that may run
+    # past the last window
     cfg = SimConfig(h=h, sample_period=period_steps * h, window=window_steps * h,
                     t1=t1_steps * h, l=l, n_paths=1)
     t = np.arange(max(cfg.n_steps + extra, 2) + 1) * h
-    (a, b), (c, d), (e, f) = coef
+    a, b, c, d, e = coef
     x = linear_rows(a, b, t)
-    src = SimpleNamespace(t=t, mean_x=x, u=linear_rows(c, d, t),
-                          x_d=linear_rows(e, f, t), discount=None,
+    src = SimpleNamespace(t=t, mean_x=x, u=linear_rows(c, d, t), discount=None,
                           mean_xx=np.array([vech(np.outer(r, r)) for r in x]))
-    tab = accumulate_raw_moments(src, config=cfg)
+    ref = ReferenceGenerator(A_d=np.zeros((2, 2)), H_d=[[1.0, 0.0]], x_d0=e)
+    tab = accumulate_raw_moments(src, cfg, np.eye(1, 2), ref)
+    still = np.zeros(2)
     # every integrand is at most 4 (1 + t)^2 in size
     scale = t[-1] * 4.0 * (1.0 + t[-1]) ** 2
     for i, t0 in enumerate(cfg.sample_times()):
@@ -118,8 +130,9 @@ def test_windows_integrate_quadratic_moments_exactly(h, t1_steps, period_steps,
                 (tab.S[i], integral_of_outer(a, b, a, b, t0, t_end)),
                 (tab.W[i], integral_of_outer(a, b, c, d, t0, t_end)),
                 (tab.V[i], integral_of_outer(c, d, c, d, t0, t_end)),
-                (tab.I_xdchi[i], integral_of_outer(e, f, a, b, t0, t_end).ravel()),
-                (tab.I_xdu[i], integral_of_outer(e, f, c, d, t0, t_end).ravel())):
+                (tab.d_xdchi[i], np.multiply.outer(e, cfg.window * b).ravel()),
+                (tab.I_xdchi[i], integral_of_outer(e, still, a, b, t0, t_end).ravel()),
+                (tab.I_xdu[i], integral_of_outer(e, still, c, d, t0, t_end).ravel())):
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * scale)
 
 
@@ -128,23 +141,14 @@ def test_window_beyond_grid_raises():
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=10)
     # samples reach 0.09 + 0.05 window = 0.14 > grid end 0.10
     with pytest.raises(WindowOutOfRange):
-        accumulate_raw_moments(src, config=cfg)
+        tabulate(src, cfg)
 
 
 def test_sample_times_must_lie_on_grid():
     src = constant_source(np.array([1.0]), n_steps=1000)
     cfg = SimConfig(h=2.5e-3, sample_period=2.5e-3, window=0.005, l=4)
     with pytest.raises(ConfigError):
-        accumulate_raw_moments(src, config=cfg)
-
-
-def test_discount_mismatch_is_rejected():
-    src = constant_source(np.array([1.0]), n_steps=200)
-    src.discount = 0.3
-    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=5)
-    hyper = BpiHyperParams()  # alpha_tilde = (1 - 0.1)/2 = 0.45
-    with pytest.raises(ConfigError):
-        accumulate_raw_moments(src, hyper=hyper, config=cfg)
+        tabulate(src, cfg)
 
 
 def test_indefinite_second_moments_are_rejected():
@@ -153,7 +157,7 @@ def test_indefinite_second_moments_are_rejected():
     src.mean_xx = np.tile(vech(bad), (src.t.size, 1))
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=5)
     with pytest.raises(ConfigError):
-        accumulate_raw_moments(src, config=cfg)
+        tabulate(src, cfg)
 
 
 def test_required_rank_counts():
@@ -180,9 +184,8 @@ def test_rank_report_margins():
 def test_concat_appends_rows_and_checks_shapes():
     x0 = np.array([1.0, -1.0])
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=8)
-    a = accumulate_raw_moments(constant_source(x0), config=cfg)
-    b = accumulate_raw_moments(constant_source(2.0 * x0), config=cfg,
-                               t_offset=1.0)
+    a = tabulate(constant_source(x0), cfg)
+    b = tabulate(constant_source(2.0 * x0), cfg, t_offset=1.0)
     both = MomentTable.concat([a, b])
     assert len(both) == 16
     np.testing.assert_allclose(both.t_global[8:], b.t_global, atol=1e-12)
@@ -190,15 +193,34 @@ def test_concat_appends_rows_and_checks_shapes():
     np.testing.assert_allclose(both.S[:8], a.S)
     np.testing.assert_allclose(both.S[8:], b.S)
     cfg_other = SimConfig(h=1e-3, sample_period=1e-2, window=0.03, l=8)
-    c = accumulate_raw_moments(constant_source(x0), config=cfg_other)
+    c = tabulate(constant_source(x0), cfg_other)
     with pytest.raises(ConfigError):
         MomentTable.concat([a, c])
+    # a reference of another dimension
+    pair = ReferenceGenerator(np.zeros((2, 2)), [[1.0, 0.0]], [1.0, 1.0])
+    d = accumulate_raw_moments(constant_source(x0), cfg, np.eye(1, 2), pair)
+    assert (a.n_d, d.n_d) == (1, 2)
+    with pytest.raises(ConfigError, match="dimensions"):
+        MomentTable.concat([a, d])
+
+
+def test_concat_refuses_tables_of_different_discounts():
+    x0 = np.array([1.0, -1.0])
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=8)
+    a, b, c = (tabulate(constant_source(x0, discount=rate), cfg)
+               for rate in (0.45, 0.45, 0.3))
+    assert a.discount == 0.45 and c.discount == 0.3
+    assert MomentTable.concat([a, b]).discount == 0.45
+    undiscounted = tabulate(constant_source(x0), cfg)
+    for other in (c, undiscounted):
+        with pytest.raises(ConfigError, match="disagree on discount"):
+            MomentTable.concat([a, other])
 
 
 def test_psi_rhs_is_linear_in_forcing():
     x0 = np.array([0.7, 0.4])
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=6)
-    tab = accumulate_raw_moments(constant_source(x0), config=cfg)
+    tab = tabulate(constant_source(x0), cfg)
     forcing = np.array([[2.0, 0.5], [0.5, 1.0]])
     np.testing.assert_allclose(psi_rhs(tab, 2.0 * forcing),
                                2.0 * psi_rhs(tab, forcing), rtol=1e-13)
@@ -210,14 +232,12 @@ def reference_source(n_steps=400, h=1e-3):
                            B=np.array([[0.0], [1.0]]),
                            C=0.1 * np.eye(2), D=np.zeros((2, 1)),
                            H=np.array([[1.0, 0.0]]))
-    from slqt.model import ReferenceGenerator
     ref = ReferenceGenerator(np.array([[0.0, 1.0], [-2.0, 0.0]]),
                              np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
-    sig = probing_signal(0.5, 4, (-8.0, 8.0), seed=5)
+    sig = ProbingSignal(0.5, 4, (-8.0, 8.0), seed=5)
     cfg = SimConfig(h=h, sample_period=5e-3, window=0.05, l=40)
-    traj = propagate_moments_exact(sys, sig, np.array([0.5, -0.5]), cfg,
-                                   reference=ref)
-    return accumulate_raw_moments(traj, config=cfg, output_map=sys.H), ref
+    traj = propagate_moments_exact(sys, sig, np.array([0.5, -0.5]), cfg)
+    return accumulate_raw_moments(traj, cfg, sys.H, ref), ref
 
 
 def test_feedforward_blocks_have_reference_columns():
@@ -226,3 +246,18 @@ def test_feedforward_blocks_have_reference_columns():
     assert tab.I_xdchi.shape == (len(tab), 2 * 2)
     assert tab.I_xdu.shape == (len(tab), 2 * 1)
     assert tab.d_xdchi.shape == (len(tab), 2 * 2)
+
+
+def test_reference_restarts_at_the_segment_offset():
+    # a segment starting at t_offset on the experiment clock sees the
+    # reference from its state there, x_d(t_offset) = e^{A_d t_offset} x_d0
+    src = constant_source(np.array([1.0, -1.0]))
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=8)
+    ref = ReferenceGenerator([[0.0, 1.0], [-2.0, 0.0]], [[1.0, 0.0]], [1.0, 0.0])
+    later = accumulate_raw_moments(src, cfg, np.eye(1, 2), ref, t_offset=0.7)
+    moved = ReferenceGenerator(ref.A_d, ref.H_d, expm(0.7 * ref.A_d) @ ref.x_d0)
+    now = accumulate_raw_moments(src, cfg, np.eye(1, 2), moved)
+    for block in ("d_xdchi", "I_xdchi", "I_xdu"):
+        np.testing.assert_allclose(getattr(later, block), getattr(now, block),
+                                   rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(later.t_global, now.t_global + 0.7, atol=1e-12)

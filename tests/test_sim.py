@@ -10,11 +10,10 @@ from scipy.linalg import expm
 
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
-from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, _SCAN_BLOCK, _SIGNS, SimConfig,
-                      _affine_recursion, _em_paths, _rk4_step,
-                      _sample_input, _sign_bits,
-                      estimate_average_cost, probing_signal,
-                      propagate_moments_exact, reference_trajectory,
+from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, _SCAN_BLOCK, _SIGNS, ProbingSignal,
+                      SimConfig, _affine_recursion, _em_paths, _reference_states,
+                      _rk4_step, _sample_input, _sign_bits,
+                      estimate_average_cost, propagate_moments_exact,
                       run_ensemble, simulate_tracking)
 from slqt.symquad import unvech
 
@@ -59,12 +58,15 @@ def increments(first_seed, n_paths, n_steps, h):
 
 
 def test_probing_signal_bound_and_determinism():
-    sig = probing_signal(2.0, 25, (-40.0, 40.0), seed=3)
+    sig = ProbingSignal(2.0, 25, (-40.0, 40.0), seed=3)
     t = np.linspace(0.0, 7.0, 5001)
     u = sig(t)
     assert np.abs(u).max() <= 2.0 * 25
     assert np.abs(sig.omegas).max() <= 40.0
-    sig2 = probing_signal(2.0, 25, (-40.0, 40.0), seed=3)
+    # the range is stored as a pair of floats, whatever sequence it came as
+    sig2 = ProbingSignal(2.0, 25, [-40, 40], seed=3)
+    assert sig2.freq_range == (-40.0, 40.0)
+    assert all(type(f) is float for f in sig2.freq_range)
     np.testing.assert_array_equal(sig.omegas, sig2.omegas)
     np.testing.assert_array_equal(sig2(t), u)
     # scalar evaluation agrees with the vectorized one
@@ -80,8 +82,8 @@ def test_probing_signal_bound_and_determinism():
 
 def test_probing_signal_different_seed_differs():
     t = np.linspace(0.0, 1.0, 100)
-    a = probing_signal(1.0, 10, (-50.0, 50.0), seed=1)(t)
-    b = probing_signal(1.0, 10, (-50.0, 50.0), seed=2)(t)
+    a = ProbingSignal(1.0, 10, (-50.0, 50.0), seed=1)(t)
+    b = ProbingSignal(1.0, 10, (-50.0, 50.0), seed=2)(t)
     assert np.abs(a - b).max() > 1e-6
 
 
@@ -89,7 +91,7 @@ def test_discounted_input_weighting():
     # the exact route discounts the way the ensemble route does: the
     # input by exp(-rate t), the mean by the same weight, E[xx'] by its square
     sys = small_plant()
-    sig = probing_signal(1.0, 5, (-10.0, 10.0), seed=0)
+    sig = ProbingSignal(1.0, 5, (-10.0, 10.0), seed=0)
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=40)
     x0 = np.array([0.5, -1.0])
     plain = propagate_moments_exact(sys, sig, x0, cfg)
@@ -106,7 +108,7 @@ def test_ensemble_mean_is_unbiased_for_euler():
     # the Euler-Maruyama mean follows the deterministic Euler map exactly,
     # so mean_x minus the same-step noise-free run is pure sampling noise
     sys = small_plant(c_scale=1.0)
-    sig = probing_signal(1.0, 8, (-20.0, 20.0), seed=5)
+    sig = ProbingSignal(1.0, 8, (-20.0, 20.0), seed=5)
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=96,
                     n_paths=400, base_seed=42)
     x0 = np.array([1.0, -0.5])
@@ -120,7 +122,7 @@ def test_ensemble_mean_is_unbiased_for_euler():
 
 def test_ensemble_second_moments_match_exact_propagation():
     sys = small_plant()
-    sig = probing_signal(0.5, 6, (-15.0, 15.0), seed=9)
+    sig = ProbingSignal(0.5, 6, (-15.0, 15.0), seed=9)
     cfg = SimConfig(h=1e-3, sample_period=5e-3, window=0.01, l=150,
                     n_paths=600, base_seed=7)
     x0 = np.array([0.8, 0.2])
@@ -136,7 +138,7 @@ def test_ensemble_second_moments_match_exact_propagation():
 
 def test_discount_identity_is_a_path_reweighting():
     sys = small_plant()
-    sig = probing_signal(1.0, 4, (-10.0, 10.0), seed=2)
+    sig = ProbingSignal(1.0, 4, (-10.0, 10.0), seed=2)
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.02, l=40,
                     n_paths=32, base_seed=11)
     x0 = np.array([1.0, 0.0])
@@ -158,7 +160,7 @@ def test_noise_free_ensemble_collapses_to_one_path():
         C=np.zeros((2, 2)), D=np.zeros((2, 1)),
         H=np.array([[1.0, 0.0]]),
     )
-    sig = probing_signal(1.0, 3, (-5.0, 5.0), seed=1)
+    sig = ProbingSignal(1.0, 3, (-5.0, 5.0), seed=1)
     # four paths so the mean of identical paths is exact in floating point
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=30,
                     n_paths=4, base_seed=100)
@@ -175,7 +177,7 @@ def test_noise_free_ensemble_collapses_to_one_path():
 
 def test_single_path_matches_ensemble_member():
     sys = small_plant()
-    sig = probing_signal(1.0, 4, (-10.0, 10.0), seed=8)
+    sig = ProbingSignal(1.0, 4, (-10.0, 10.0), seed=8)
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=20,
                     n_paths=3, base_seed=50)
     x0 = np.array([1.0, 1.0])
@@ -288,7 +290,7 @@ def test_block_kernel_equals_per_step_reference():
     K = np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.2]])
     F = np.array([[0.2, -0.1], [0.0, 0.3]])
     ref = ReferenceGenerator(A_d, H_d, x_d0)
-    u_ff = -reference_trajectory(ref, t)[0] @ F.T
+    u_ff = -_reference_states(A_d, x_d0, t) @ F.T
     xs = paths(plant.A - plant.B @ K, plant.C - plant.D @ K,
                (plant.B, plant.D, u_ff), x0)
     run = simulate_tracking(plant, A_d, x_d0, [(H_d, F, n_steps * h)], K, x0,
@@ -298,7 +300,7 @@ def test_block_kernel_equals_per_step_reference():
     # average cost: the same forced loop, with the cost rate
     # |Hx - H_d x_d|_Q^2 + |Kx + F x_d|_R^2 on the exact reference
     cost = CostWeights(Q=np.array([[2.0]]), R=np.diag([0.5, 1.0]))
-    x_d = reference_trajectory(ref, t)[0]
+    x_d = _reference_states(A_d, x_d0, t)
     e = xs @ plant.H.T - (x_d @ H_d.T)[:, None]
     v = xs @ K.T + (x_d @ F.T)[:, None]
     rates = (np.einsum("kpi,ij,kpj->kp", e, cost.Q, e)
@@ -764,26 +766,24 @@ def test_tracking_mean_is_the_closed_loop_ensemble_mean():
                             h=h, n_paths=6, base_seed=40)
     closed = StochasticSystem(sys.A - sys.B @ K, sys.B, sys.C - sys.D @ K,
                               sys.D, sys.H)
-    ref = ReferenceGenerator(A_d, H_d, x_d0)
     cfg = SimConfig(h=h, sample_period=h, window=h, l=n_steps, n_paths=6,
                     base_seed=40)
     assert cfg.n_steps == n_steps
-    ds = run_ensemble(closed, lambda t: -reference_trajectory(ref, t)[0] @ F.T,
+    ds = run_ensemble(closed, lambda t: -_reference_states(A_d, x_d0, t) @ F.T,
                       x0, cfg)
     np.testing.assert_array_equal(run.x_mean, ds.mean_x)
-    np.testing.assert_array_equal(run.x_d, reference_trajectory(ref, run.t)[0])
+    np.testing.assert_array_equal(run.x_d, _reference_states(A_d, x_d0, run.t))
 
 
 def test_reference_trajectory_matches_exponential():
     A_d = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    ref = ReferenceGenerator(A_d, np.array([[1.0, 1.0]]), np.array([1.0, -1.0]))
+    x_d0 = np.array([1.0, -1.0])
     t = np.linspace(0.0, 3.0, 31)
-    x_d, y_d = reference_trajectory(ref, t)
-    assert x_d.shape == (31, 2) and y_d.shape == (31, 1)
+    x_d = _reference_states(A_d, x_d0, t)
+    assert x_d.shape == (31, 2)
     for k in (0, 7, 30):
-        np.testing.assert_allclose(x_d[k], expm(A_d * t[k]) @ ref.x_d0,
+        np.testing.assert_allclose(x_d[k], expm(A_d * t[k]) @ x_d0,
                                    rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(y_d, x_d @ ref.H_d.T, atol=1e-14)
 
 
 @pytest.mark.parametrize("duration", [0.0105, 0.0, -0.01])
