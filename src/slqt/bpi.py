@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedAlpha, InitConditionViolated, MaxIterExceeded, NotStabilizing
+from .errors import (DivergedAlpha, InitConditionViolated, MaxIterExceeded, NonFiniteIterate,
+                     NotStabilizing)
 from .model import BpiHyperParams, StochasticSystem, TrackingProblem, zero_gain_threshold
 from .solvers import (TrackingSolution, alpha_update, ff_from_pi, gain_update,
                       solve_gen_lyap, solve_sylvester)
@@ -47,6 +48,16 @@ class IterateState:
     abscissa: float | None = None
 
 
+def _refuse_non_finite(i: int, P, K, R, trace) -> None:
+    """Raise NonFiniteIterate, with the trace so far, unless step i's P, K
+    and K'RK (which the next step and the alpha update use) are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.isfinite(M).all() for M in (P, K, K.T @ R @ K))
+    if not finite:
+        raise NonFiniteIterate(f"policy iteration {i} left a non-finite value P, "
+                               f"gain K or gain cost K'RK", trace=trace)
+
+
 def _bootstrap(hyper: BpiHyperParams, theta, HQH, R, evaluate):
     """Both phases of the iteration around a policy evaluation.
 
@@ -57,8 +68,9 @@ def _bootstrap(hyper: BpiHyperParams, theta, HQH, R, evaluate):
     fields. Phase I starts from the zero gain and stops once alpha
     reaches gamma; phase II stops when the value step
     ||P_i - P_{i-1}||_F drops to epsilon. Each phase has max_iter steps.
-    Returns (trace, crossing); MaxIterExceeded and DivergedAlpha (alpha
-    failing to increase three times running) carry the trace so far.
+    Returns (trace, crossing); MaxIterExceeded, DivergedAlpha (alpha
+    failing to increase three times running) and NonFiniteIterate (a
+    step whose P, K or K'RK is not finite) carry the trace so far.
     """
     gamma = hyper.gamma
     K = np.zeros((R.shape[0], theta.shape[0]))
@@ -67,6 +79,7 @@ def _bootstrap(hyper: BpiHyperParams, theta, HQH, R, evaluate):
     stalled = 0
     for i in range(1, hyper.max_iter + 1):
         P, K, diagnostics = evaluate(alpha, K, K.T @ R @ K + theta)
+        _refuse_non_finite(i, P, K, R, trace)
         alpha_next = alpha_update(alpha, P, K, hyper.eta, theta, R)
         trace.append(IterateState(1, i, alpha_next, P, K, **diagnostics))
         stalled = stalled + 1 if alpha_next <= alpha else 0
@@ -85,6 +98,7 @@ def _bootstrap(hyper: BpiHyperParams, theta, HQH, R, evaluate):
     P_prev = None
     for i in range(crossing + 1, crossing + hyper.max_iter + 1):
         P, K, diagnostics = evaluate(gamma, K, K.T @ R @ K + HQH)
+        _refuse_non_finite(i, P, K, R, trace)
         delta = float(np.linalg.norm(P - P_prev, "fro")) if P_prev is not None else np.inf
         trace.append(IterateState(2, i, gamma, P, K, delta, **diagnostics))
         if delta <= hyper.epsilon:

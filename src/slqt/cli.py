@@ -32,7 +32,7 @@ from .benchmarks import EXAMPLES, gather_moments
 from .bpi import feedforward_gains, solve_tracking
 from .config import (ExperimentConfig, _block, _integer, _known, load_config,
                      parse_experiment_config, read_config)
-from .errors import (Blowup, ConfigError, DivergedAlpha, MaxIterExceeded,
+from .errors import (Blowup, ConfigError, DivergedAlpha, MaxIterExceeded, NonFiniteIterate,
                      NotStabilizing, RankDeficient, SingularOperator, SlqtError)
 from .learner import (LearnedSolution, learn_feedback, learn_feedforward,
                       learn_shadow, shadow_regressors)
@@ -210,7 +210,8 @@ def _error_block(exc: SlqtError) -> dict:
     detail = {}
     if isinstance(exc, RankDeficient) and exc.report is not None:
         detail["rank"] = _rank_payload(exc.report)
-    elif isinstance(exc, (MaxIterExceeded, DivergedAlpha)) and exc.trace is not None:
+    elif isinstance(exc, (MaxIterExceeded, DivergedAlpha, NonFiniteIterate)) \
+            and exc.trace is not None:
         detail["trace"] = _iterate_rows(exc.trace)
     elif isinstance(exc, Blowup):
         detail = {k: v for k, v in (("time", exc.time), ("path_index", exc.path_index))

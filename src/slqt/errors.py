@@ -58,6 +58,19 @@ class MaxIterExceeded(SlqtError):
         self.trace = trace
 
 
+class NonFiniteIterate(SlqtError):
+    """A policy-iteration step left a non-finite value P, gain K or gain
+    cost K'RK (the next step's forcing), as an overflow from an input map
+    of 1e300 does.
+
+    trace is the iterate trace before the refused step.
+    """
+
+    def __init__(self, msg, trace=None):
+        super().__init__(msg)
+        self.trace = trace
+
+
 class RankDeficient(SlqtError):
     """A data matrix misses its required column rank."""
 

@@ -113,6 +113,11 @@ class ShadowConfig:
                               f"{type(self.u_a).__name__}")
         if not self.h > 0.0:
             raise ConfigError(f"shadow h must be positive, got {self.h!r}")
+        for name, M in (("A_a", A_a), ("F_a", F_a)):
+            if M.ndim != 2 or M.shape[0] != M.shape[1]:
+                raise ConfigError(f"shadow {name} must be a square matrix, got shape {M.shape}")
+            if not np.isfinite(M).all():
+                raise ConfigError(f"shadow {name} has a non-finite entry")
         if self.x_a0.size != A_a.shape[0]:
             raise ConfigError("x_a0 does not match A_a")
         if self.y_a0.size != F_a.shape[0]:

@@ -86,6 +86,9 @@ class MomentTable:
             if tb.discount != first.discount:
                 raise ConfigError(f"tables disagree on discount: {first.discount} "
                                   f"and {tb.discount}")
+            if not np.array_equal(tb.H, first.H):
+                raise ConfigError(f"tables disagree on the output map H: "
+                                  f"{first.H.tolist()} and {tb.H.tolist()}")
 
         def cat(name):
             return np.concatenate([getattr(tb, name) for tb in tables], axis=0)

@@ -19,10 +19,21 @@ oracles give. Only the sampling spread differs (E xi^4 = 1, not 3).
 Ensemble reductions are centered on path 0 and run in a fixed order so
 that repeated runs with the same configuration are bit-identical, and
 so that a zero-diffusion ensemble reduces exactly to its single path.
+
+Ensembles run as fixed batches of _PATH_BATCH paths, each its own
+kernel pass; the batches past the first run in forked worker processes,
+one per usable CPU (os.sched_getaffinity), with no setting for the
+count. run_ensemble's batches all centre on path 0: each batch past the
+first carries path 0 as an extra leading column, left out of its sums.
+Each batch's sums over its paths are added in batch order, and
+estimate_average_cost's per-path costs are joined in batch order, so
+the bytes do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +53,13 @@ _BLOWUP_NORM = 1e8
 # steps of sign bits unpacked at a time; a multiple of 64, so that a path's
 # increments do not depend on where the chunks fall
 _CHUNK_STEPS = 1024
+_DRAW_CHUNKS = 8  # chunks of sign words drawn per random_raw call of a path
 _SIGNS = np.array([1.0, -1.0])  # the increment of a 0 bit and a 1 bit, in units of sqrt(h)
 _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
 _SCAN_BLOCK = 128  # RK4 steps per block of the exact route's affine scan
+_PATH_BATCH = 1000  # paths per kernel pass of an ensemble; the last batch takes the rest
+_SLAB_ROWS = 4096  # rows of a worker's result read and folded in at a time
 
 
 def _is_multiple(x: float, h: float) -> bool:
@@ -164,10 +178,11 @@ def _sample_input(fn, t: np.ndarray, m: int) -> np.ndarray:
                       f"{t.size} times; expected {expected}")
 
 
-def _check_block(S, k0, h, sys_name):
+def _check_block(S, k0, h, sys_name, paths):
     """Raise Blowup at the first state of S (steps k0, k0 + 1, ...) where
     a path's norm is over _BLOWUP_NORM or not finite, naming the
-    lowest-index such path and the time in seconds."""
+    lowest-index such path (paths[p] for column p) and the time in
+    seconds."""
     lim = _BLOWUP_NORM / np.sqrt(S.shape[1])
     if S.max() <= lim and S.min() >= -lim:  # false on NaN too
         return
@@ -175,35 +190,48 @@ def _check_block(S, k0, h, sys_name):
     bad = ~(norms <= _BLOWUP_NORM)
     if bad.any():
         j, p = np.unravel_index(np.argmax(bad), bad.shape)
-        t = (k0 + int(j)) * h
+        t, p = (k0 + int(j)) * h, int(paths[p])
         raise Blowup(f"{sys_name} norm exceeded {_BLOWUP_NORM:.0e} on path {p} "
-                     f"at t = {t:.6g}", path_index=int(p), time=t)
+                     f"at t = {t:.6g}", path_index=p, time=t)
 
 
-def _sign_bits(bitgens, n_steps: int) -> np.ndarray:
-    """The sign bits of the next n_steps increments of every path, step-major.
-
-    Path i takes ceil(n_steps / 64) words from bitgens[i].random_raw in
-    one call. Row k of the (64 * ceil(n_steps / 64), len(bitgens)) uint8
-    result holds bit k of each path's words, little-endian within each
-    64-bit word: 0 for an increment of +sqrt(h), 1 for -sqrt(h) (_SIGNS).
-    Rows past n_steps are the unused bits of the last word.
-    """
+def _sign_words(bitgens, n_steps: int) -> np.ndarray:
+    """The words holding the sign bits of the next n_steps increments of
+    every path: row i holds ceil(n_steps / 64) words from one
+    bitgens[i].random_raw call."""
     words = np.empty((len(bitgens), -(-n_steps // 64)), dtype="<u8")
     for i, bg in enumerate(bitgens):
         words[i] = bg.random_raw(words.shape[1])
+    return words
+
+
+def _unpack_signs(words) -> np.ndarray:
+    """Row k of the (64 * words.shape[1], paths) uint8 result holds bit k
+    of each path's words, little-endian within each 64-bit word: 0 for an
+    increment of +sqrt(h), 1 for -sqrt(h) (_SIGNS)."""
     return np.unpackbits(words.view(np.uint8).T, axis=0, bitorder="little")
 
 
-def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
-              h: float, observe, sys_name: str = "state") -> None:
+def _sign_bits(bitgens, n_steps: int) -> np.ndarray:
+    """The sign bits of the next n_steps increments of every path,
+    step-major, in one piece: the bits the kernel draws _DRAW_CHUNKS
+    chunks at a time and unpacks one chunk at a time. Rows past n_steps
+    are the unused bits of the last word.
+    """
+    return _unpack_signs(_sign_words(bitgens, n_steps))
+
+
+def _em_paths(A, C, forcing, x0, seeds, n_steps: int, h: float, observe,
+              sys_name: str = "state", paths=None) -> None:
     """Euler-Maruyama paths of dx = (Ax+Bu)dt + (Cx+Du)dw from a common x0.
 
     forcing is (B, D, u) with u the (n_steps+1, m) input on the grid, or
-    None for an unforced system. Path i draws its increments, +-sqrt(h),
-    from the bits of Philox(first_seed + i), one random_raw call per
-    chunk of _CHUNK_STEPS steps (see _sign_bits).
-    The state is X of shape (n, n_paths), paths on the last axis; one
+    None for an unforced system. Column i draws its increments,
+    +-sqrt(h), from the bits of Philox(seeds[i]), one random_raw call per
+    _DRAW_CHUNKS chunks of _CHUNK_STEPS steps, unpacked a chunk at a time
+    (see _sign_bits). paths[i] is the number a Blowup gives column i's
+    path (by default i).
+    The state is X of shape (n, len(seeds)), paths on the last axis; one
     step is X + (hAX + hBu) + dW (CX + Du), with both brackets from one
     stacked product [hA hBu; C Du] [X; 1]. States are buffered
     _BLOCK_STEPS at a time:
@@ -212,7 +240,8 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
     view of a reused buffer, so copy what you keep. Each block is
     checked for divergence before it is observed.
     """
-    n, P = A.shape[0], n_paths
+    n, P = A.shape[0], len(seeds)
+    paths = range(P) if paths is None else paths
     # a single path gets a noise-free second column, so that its product
     # runs through the same BLAS kernel as an ensemble's and stays
     # bit-identical to its ensemble member
@@ -224,7 +253,7 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
     if forcing is not None:
         B, D, u = forcing
         f = np.hstack([h * (u[:-1] @ B.T), u[:-1] @ D.T])
-    bitgens = [np.random.Philox(first_seed + i) for i in range(P)]
+    bitgens = [np.random.Philox(seed) for seed in seeds]
     steps = np.sqrt(h) * _SIGNS  # the increment of a 0 bit and of a 1 bit
     signs = np.empty((P, _BLOCK_STEPS), dtype=np.uint8)  # one block of bits, compact
     dW = np.zeros((_BLOCK_STEPS, width))
@@ -235,26 +264,143 @@ def _em_paths(A, C, forcing, x0, first_seed: int, n_paths: int, n_steps: int,
     drift, diffusion = Y[:n], Y[n:]
     states = [s[:n] for s in S]  # views made once; the step loop is hot
     observe(0, S[:1, :n, :P])
-    for start in range(0, n_steps, _CHUNK_STEPS):
-        end = min(start + _CHUNK_STEPS, n_steps)
-        bits = _sign_bits(bitgens, end - start)
-        for k in range(start, end, _BLOCK_STEPS):
-            b = min(_BLOCK_STEPS, end - k)
-            # bits holds each path's steps contiguously; a compact copy of
-            # the block keeps the transposed read within a few pages
-            np.copyto(signs[:, :b], bits[k - start:k - start + b].T)
-            np.take(steps, signs[:, :b].T, out=dW[:b, :P], mode="wrap")
-            if f is not None:
-                G[:b, :, n] = f[k:k + b]
-            for j in range(b):
-                np.matmul(G[j], S[j], out=Y)
-                np.multiply(diffusion, dW[j], out=diffusion)
-                np.add(drift, diffusion, out=drift)
-                np.add(states[j], drift, out=states[j + 1])
-            blk = S[1:b + 1, :n, :P]
-            _check_block(blk, k + 1, h, sys_name)
-            observe(k + 1, blk)
-            S[0] = S[b]
+    draw = _DRAW_CHUNKS * _CHUNK_STEPS
+    for first in range(0, n_steps, draw):
+        words = _sign_words(bitgens, min(draw, n_steps - first))
+        for start in range(first, min(first + draw, n_steps), _CHUNK_STEPS):
+            end = min(start + _CHUNK_STEPS, n_steps)
+            w0 = (start - first) // 64
+            bits = _unpack_signs(words[:, w0:w0 + _CHUNK_STEPS // 64])
+            for k in range(start, end, _BLOCK_STEPS):
+                b = min(_BLOCK_STEPS, end - k)
+                # bits holds each path's steps contiguously; a compact copy
+                # of the block keeps the transposed read within a few pages
+                np.copyto(signs[:, :b], bits[k - start:k - start + b].T)
+                np.take(steps, signs[:, :b].T, out=dW[:b, :P], mode="wrap")
+                if f is not None:
+                    G[:b, :, n] = f[k:k + b]
+                for j in range(b):
+                    np.matmul(G[j], S[j], out=Y)
+                    np.multiply(diffusion, dW[j], out=diffusion)
+                    np.add(drift, diffusion, out=drift)
+                    np.add(states[j], drift, out=states[j + 1])
+                blk = S[1:b + 1, :n, :P]
+                _check_block(blk, k + 1, h, sys_name, paths)
+                observe(k + 1, blk)
+                S[0] = S[b]
+
+
+def _path_batches(n_paths: int) -> list:
+    """(first, end) of each batch of _PATH_BATCH paths; the last takes the rest."""
+    return [(lo, min(lo + _PATH_BATCH, n_paths)) for lo in range(0, n_paths, _PATH_BATCH)]
+
+
+def _portable(err: BaseException) -> BaseException:
+    """err if it survives pickling, else a RuntimeError that names it."""
+    try:
+        return pickle.loads(pickle.dumps(err))
+    except Exception:
+        return RuntimeError(f"{type(err).__name__}: {err}")
+
+
+def _batch_worker(run, batches, r: int, w: int):
+    """The body of a forked worker: close the pipe's read end r, run its
+    batches in order, send their outcomes and then their results down w,
+    and exit without returning."""
+    code = 1
+    try:
+        os.close(r)
+        outcomes, results = [], []
+        for b in batches:
+            try:
+                results.append(np.ascontiguousarray(run(b, False), dtype=float))
+                outcomes.append((results[-1].shape, None))
+            except Blowup as err:
+                outcomes.append((None, err))
+            except BaseException as err:  # the batches past it are not run
+                outcomes.append((None, _portable(err)))
+                break
+        with os.fdopen(w, "wb") as f:
+            pickle.dump(outcomes, f)
+            for res in results:
+                f.write(res)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+_LOST_WORKER = "an ensemble worker ended before sending its result"
+
+
+def _read_exact(f, arr: np.ndarray) -> None:
+    view = memoryview(arr).cast("B")
+    while view:
+        got = f.readinto(view)
+        if not got:
+            raise RuntimeError(_LOST_WORKER)
+        view = view[got:]
+
+
+def _run_batches(n_batches: int, run, fold) -> None:
+    """Run path batches 0 .. n_batches - 1, batches past the first in
+    forked workers, with an outcome that does not depend on their number.
+
+    run(b, True) runs batch b in this process and leaves its result in
+    the caller's arrays (batch 0 writes them, later batches add to them).
+    run(b, False), in a worker, returns the result as a 2-D float array,
+    which this process hands to fold(b, rows, slab) one slab of rows at a
+    time. This process runs the first contiguous run of batches and each
+    worker the next, so results meet the caller's arrays in batch order,
+    whatever the worker count: at most the usable CPUs and the batches.
+    A Blowup does not stop the other batches; the one with the earliest
+    time, then the lowest path, is raised, as from one pass over every
+    path. Any other error stops at its batch and reaches the caller with
+    its type. Every worker is reaped on every route.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, n_batches)) if hasattr(os, "fork") else 1
+    owned = [range(w * n_batches // workers, (w + 1) * n_batches // workers)
+             for w in range(workers)]
+    blowups, children = [], []
+    try:
+        for batches in owned[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _batch_worker(run, batches, r, w)
+            children.append((pid, os.fdopen(r, "rb"), batches))
+            os.close(w)
+        for b in owned[0]:
+            try:
+                run(b, True)
+            except Blowup as err:
+                blowups.append(err)
+        for _, f, batches in children:
+            try:
+                outcomes = pickle.load(f)
+            except EOFError:
+                raise RuntimeError(_LOST_WORKER) from None
+            for b, (shape, err) in zip(batches, outcomes):
+                if isinstance(err, Blowup):
+                    blowups.append(err)
+                elif err is not None:
+                    raise err
+                else:
+                    slab = np.empty((min(_SLAB_ROWS, shape[0]), shape[1]))
+                    for a in range(0, shape[0], len(slab)):
+                        part = slab[:shape[0] - a]
+                        _read_exact(f, part)
+                        fold(b, slice(a, a + len(part)), part)
+    finally:
+        for pid, f, _ in children:
+            f.close()
+            try:
+                os.kill(pid, 9)  # SIGKILL; a worker that has finished is a zombie until reaped
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    if blowups:
+        raise min(blowups, key=lambda err: (err.time, err.path_index))
 
 
 def _centred_mean(S) -> np.ndarray:
@@ -293,7 +439,7 @@ class MomentTrajectory:
     discount: float | None = None
 
 
-def _moment_trajectory(t, mean_x, mean_xx, u, discount, se_xx=None) -> MomentTrajectory:
+def _moment_trajectory(t, mean_x, mean_xx, u, discount) -> MomentTrajectory:
     """The plant moments on the grid t as a MomentTrajectory; when discount
     is set, x and u are scaled by exp(-discount * t), the second moments
     by its square."""
@@ -301,10 +447,7 @@ def _moment_trajectory(t, mean_x, mean_xx, u, discount, se_xx=None) -> MomentTra
         scale = np.exp(-discount * t)[:, None]
         mean_x, u = mean_x * scale, u * scale
         mean_xx = mean_xx * (scale * scale)
-        if se_xx is not None:
-            se_xx = se_xx * (scale * scale)
-    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
-                            discount=discount)
+    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, discount=discount)
 
 
 def run_ensemble(plant, input, x0, config: SimConfig,
@@ -313,8 +456,10 @@ def run_ensemble(plant, input, x0, config: SimConfig,
 
     Path p uses seed base_seed + p with an independent counter-based
     generator; all paths share the same deterministic input. Reductions
-    are centered on path 0 in fixed path order, so a diffusion-free
-    plant reproduces its single path bit-exactly.
+    are centered on path 0: each batch of paths sums d and dP, a state
+    and its products less path 0's, and dP squared, and the batches'
+    sums are added in batch order, so a diffusion-free plant reproduces
+    its single path bit-exactly.
     """
     n = plant.n
     t = config.grid()
@@ -323,29 +468,68 @@ def run_ensemble(plant, input, x0, config: SimConfig,
     p = config.n_paths
     r_idx, c_idx = vech_indices(n)
     nn2 = r_idx.size
-    mean_x = np.empty((N + 1, n))
-    mean_xx = np.empty((N + 1, nn2))
-    se_xx = np.empty((N + 1, nn2)) if p > 1 else None
+    # the sums over the paths of d, dP and dP^2 until the end, where they
+    # become the moments; ref holds path 0's states and products
+    sums = (np.empty((N + 1, n)), np.empty((N + 1, nn2)), np.empty((N + 1, nn2)))
+    ref = np.empty((N + 1, n + nn2))
+    batches = _path_batches(p)
 
-    prods = np.empty((_BLOCK_STEPS, nn2, p))
+    def run(b, local):
+        lo, hi = batches[b]
+        skip = int(b > 0)  # a batch past the first leads with path 0
+        paths = [0] * skip + list(range(lo, hi))
+        out = None if local else np.empty((N + 1, n + 2 * nn2))
+        targets = sums if local else np.split(out, [n, n + nn2], axis=1)
+        add = local and b > 0
+        prods = np.empty((_BLOCK_STEPS, nn2, len(paths)))
 
-    def record(k0, S):
-        blk = slice(k0, k0 + len(S))
-        mean_x[blk] = _centred_mean(S)
-        dP = prods[:len(S)]
-        for q, (r, c) in enumerate(zip(r_idx, c_idx)):
-            np.multiply(S[:, r], S[:, c], out=dP[:, q])
-        p_ref = dP[..., 0].copy()
-        dP -= p_ref[..., None]
-        dmean = dP.mean(axis=-1)
-        mean_xx[blk] = p_ref + dmean
-        if se_xx is not None:
-            var = np.maximum(np.einsum("kip,kip->ki", dP, dP) / p - dmean * dmean, 0.0)
-            se_xx[blk] = np.sqrt(var / p)
+        def record(k0, S):
+            blk = slice(k0, k0 + len(S))
+            dP = prods[:len(S)]
+            for q, (r, c) in enumerate(zip(r_idx, c_idx)):
+                np.multiply(S[:, r], S[:, c], out=dP[:, q])
+            p_ref = dP[..., 0].copy()
+            if b == 0:
+                ref[blk, :n], ref[blk, n:] = S[..., 0], p_ref
+            dP -= p_ref[..., None]
+            dP = dP[..., skip:]
+            parts = ((S[..., skip:] - S[..., :1]).sum(axis=-1), dP.sum(axis=-1),
+                     np.einsum("kip,kip->ki", dP, dP))
+            for target, part in zip(targets, parts):
+                if add:
+                    target[blk] += part
+                else:
+                    target[blk] = part
 
-    _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, config.base_seed, p, N,
-              config.h, record)
-    return _moment_trajectory(t, mean_x, mean_xx, u, discount, se_xx)
+        _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0,
+                  [config.base_seed + i for i in paths], N, config.h, record, paths=paths)
+        return None if local else out
+
+    def fold(b, rows, slab):
+        for target, part in zip(sums, np.split(slab, [n, n + nn2], axis=1)):
+            target[rows] += part
+
+    _run_batches(len(batches), run, fold)
+    mean_x, mean_xx, se_xx = sums
+    mean_x /= p
+    mean_x += ref[:, :n]
+    mean_xx /= p  # the mean of dP
+    se_xx /= p
+    se_xx -= mean_xx * mean_xx
+    np.maximum(se_xx, 0.0, out=se_xx)
+    se_xx /= p
+    np.sqrt(se_xx, out=se_xx)
+    mean_xx += ref[:, n:]
+    if discount is not None:
+        # the weighting of _moment_trajectory, done in place: copies would
+        # hold two sets of the moment arrays at once
+        scale = np.exp(-discount * t)[:, None]
+        mean_x *= scale
+        u = u * scale
+        mean_xx *= scale * scale
+        se_xx *= scale * scale
+    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u,
+                            se_xx=se_xx if p > 1 else None, discount=discount)
 
 
 def _xx_forcing(y, p, q, C, r_idx, c_idx):
@@ -493,24 +677,36 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
     w = np.hstack([np.hstack([x_d @ (LQ @ reference.H_d).T, u @ LR.T])
                    for u in u_ff])[:, :, None]
     acc = np.zeros((J, n_paths))
-    last = None
-
-    def integrate(k0, S):
-        # the rates of the block, joined to the last rate of the one before
-        nonlocal acc, last
-        e = np.matmul(W, S)
-        e -= w[k0:k0 + len(S)]
-        e *= e
-        rates = e.reshape(len(S), J, -1, n_paths).sum(axis=2)
-        if last is not None:
-            acc += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
-        last = rates[-1]
-
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     A_cl, C_cl = zip(*(plant.closed_loop(K) for K, _ in gains))
-    _em_paths(block_diag(*A_cl), block_diag(*C_cl),
-              (block_diag(*[plant.B] * J), block_diag(*[plant.D] * J), np.hstack(u_ff)),
-              np.tile(x0, J), seed, n_paths, N, h, integrate, "closed-loop state")
+    forcing = (block_diag(*[plant.B] * J), block_diag(*[plant.D] * J), np.hstack(u_ff))
+    batches = _path_batches(n_paths)
+
+    def run(b, local):
+        lo, hi = batches[b]
+        out = acc[:, lo:hi] if local else np.zeros((J, hi - lo))
+        last = None
+
+        def integrate(k0, S):
+            # the rates of the block, joined to the last rate of the one before
+            nonlocal last
+            e = np.matmul(W, S)
+            e -= w[k0:k0 + len(S)]
+            e *= e
+            rates = e.reshape(len(S), J, -1, hi - lo).sum(axis=2)
+            if last is not None:
+                out[...] += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
+            last = rates[-1]
+
+        _em_paths(block_diag(*A_cl), block_diag(*C_cl), forcing, np.tile(x0, J),
+                  [seed + i for i in range(lo, hi)], N, h, integrate, "closed-loop state",
+                  paths=range(lo, hi))
+        return None if local else out
+
+    def fold(b, rows, slab):
+        acc[rows, batches[b][0]:batches[b][1]] = slab
+
+    _run_batches(len(batches), run, fold)
     estimates = []
     for per_path in acc / horizon:
         d = per_path - per_path[0]
@@ -569,8 +765,8 @@ def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
         x_mean[k0:k0 + len(S)] = _centred_mean(S)
 
     _em_paths(*plant.closed_loop(K), (plant.B, plant.D, u_ff),
-              np.zeros(n) if x0 is None else x0, base_seed, n_paths, N, h, record,
-              "tracking state")
+              np.zeros(n) if x0 is None else x0,
+              [base_seed + i for i in range(n_paths)], N, h, record, "tracking state")
     u_mean = u_ff - x_mean @ K.T
     y_mean = x_mean @ plant.H.T
     return TrackingRun(t, y_mean, y_d, u_mean, x_mean, x_d, tuple(bounds[1:]))

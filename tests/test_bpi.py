@@ -12,7 +12,7 @@ import pytest
 
 from slqt.benchmarks import damped_oscillator
 from slqt.bpi import _bootstrap, feedforward_gains, solve_tracking
-from slqt.errors import InitConditionViolated, MaxIterExceeded
+from slqt.errors import InitConditionViolated, MaxIterExceeded, NonFiniteIterate
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem, is_stabilizing,
                         spectral_abscissa)
@@ -163,6 +163,34 @@ def test_bootstrap_passes_each_phase_its_forcing(bundle, solution):
         assert (level == hyper.gamma) == (j >= crossing)
     np.testing.assert_array_equal(calls[0][1], np.zeros_like(solution.K))
     np.testing.assert_array_equal(trace[-1].K, solution.K)
+
+
+@pytest.mark.parametrize("step, bad", [(2, "P"), (5, "K"), (5, "KRK")])
+def test_a_non_finite_iterate_is_refused_with_the_trace_so_far(bundle, step, bad):
+    # the stub evaluation solves as the model route does until step `step`
+    # (phase I crosses at 3), where it spoils the value, the gain, or the
+    # gain's size so that only K'RK overflows
+    plant, cost, hyper = bundle.plant, bundle.cost, bundle.hyper
+    calls = []
+
+    def evaluate(level, K, forcing):
+        calls.append(level)
+        sol = solve_gen_lyap(plant, K, forcing, alpha=level, gamma=hyper.gamma)
+        P, K_next = sol.P, gain_update(plant, sol.P, cost.R)
+        if len(calls) == step:
+            if bad == "P":
+                P = np.where(P == P.max(), np.nan, P)
+            else:
+                K_next = K_next * (np.inf if bad == "K" else 1e300)
+        return P, K_next, {}
+
+    with pytest.raises(NonFiniteIterate, match=f"policy iteration {step} ") as exc:
+        _bootstrap(hyper, hyper.theta_for(plant.n), plant.H.T @ cost.Q @ plant.H,
+                   cost.R, evaluate)
+    assert len(calls) == step
+    assert [st.index for st in exc.value.trace] == list(range(1, step))
+    assert all(np.isfinite(st.K).all() and np.isfinite(st.P).all()
+               for st in exc.value.trace)
 
 
 def test_closed_loop_abscissa_negative(bundle, solution):

@@ -388,6 +388,24 @@ def test_iteration_cap_exits_5(tmp_path):
     assert "data_driven" not in report.payload
 
 
+def test_an_overflowing_gain_exits_4_with_its_trace(tmp_path, capsys):
+    # example 1's plant with B[1][0] = 1e300: the first gain is finite but
+    # its cost K'RK, the next step's forcing, overflows
+    from slqt.benchmarks import EXAMPLES
+    raw = copy.deepcopy(EXAMPLES["one"][0])
+    raw["plant"]["B"][1][0] = 1e300
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_CODES["numerical"]
+    err = capsys.readouterr().err
+    assert err == ("error: policy iteration 1 left a non-finite value P, gain K or "
+                   "gain cost K'RK\n")
+    report = load_report(str(out / "report.json"))
+    assert report.failed
+    assert report.error["type"] == "NonFiniteIterate" and report.error["trace"] == []
+
+
 def test_error_block_carries_the_exception_figures():
     from slqt.cli import _error_block
 
@@ -440,6 +458,30 @@ def test_shadow_subcommand_runs_end_to_end(tmp_path, capsys):
     np.testing.assert_allclose(sh["K_hat"], report.payload["model_based"]["K_star"],
                                atol=1e-5)
     assert (out / "shadow_trace.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["A_a", "F_a"])
+@pytest.mark.parametrize("value", [1.0, None, True], ids=["scalar", "null", "true"])
+def test_shadow_maps_that_are_not_square_matrices_exit_2(tmp_path, capsys, key, value):
+    raw = copy.deepcopy(SHADOW_CONFIG)
+    raw["shadow"][key] = value
+    cfg = tmp_path / "shadow.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == EXIT_CODES["config"]
+    assert capsys.readouterr().err == \
+        f"error: shadow {key} must be a square matrix, got shape ()\n"
+    assert not (out / "report.json").exists()
+
+
+def test_shadow_refuses_rectangular_and_non_finite_maps():
+    for key, value, message in (("A_a", [[-1.0, 0.5]], "square matrix, got shape (1, 2)"),
+                                ("F_a", [[0.0, None], [-1.3, 0.0]], "non-finite entry")):
+        raw = copy.deepcopy(SHADOW_CONFIG)
+        raw["shadow"][key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"shadow {key} ")) as info:
+            parse_experiment_config(raw)
+        assert message in str(info.value)
 
 
 def test_shadow_subcommand_refuses_configs_outside_its_route(tmp_path, capsys,

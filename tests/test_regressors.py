@@ -217,6 +217,21 @@ def test_concat_refuses_tables_of_different_discounts():
             MomentTable.concat([a, other])
 
 
+def test_concat_refuses_tables_of_different_output_maps():
+    x0 = np.array([1.0, -1.0])
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=8)
+    a = tabulate(constant_source(x0), cfg)
+    b = accumulate_raw_moments(constant_source(x0), cfg, [[0.0, 1.0]], STILL)
+    np.testing.assert_array_equal(a.H, [[1.0, 0.0]])
+    with pytest.raises(ConfigError, match="disagree on the output map H"):
+        MomentTable.concat([a, b])
+    # an output map of another height
+    c = accumulate_raw_moments(constant_source(x0), cfg, np.eye(2), STILL)
+    with pytest.raises(ConfigError, match="disagree on the output map H"):
+        MomentTable.concat([a, c])
+    np.testing.assert_array_equal(MomentTable.concat([a, a]).H, a.H)
+
+
 def test_psi_rhs_is_linear_in_forcing():
     x0 = np.array([0.7, 0.4])
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=6)

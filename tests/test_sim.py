@@ -1,6 +1,8 @@
 """Simulation layer: paths, ensembles, exact moments, cost and tracking."""
 
 import math
+import os
+import signal
 import threading
 from dataclasses import replace
 
@@ -8,11 +10,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from slqt import sim
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
 from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, _SCAN_BLOCK, _SIGNS, ProbingSignal,
                       SimConfig, _affine_recursion, _em_paths, _reference_states,
-                      _rk4_step, _sample_input, _sign_bits,
+                      _rk4_step, _run_batches, _sample_input, _sign_bits,
                       estimate_average_cost, propagate_moments_exact,
                       run_ensemble, simulate_tracking)
 from slqt.symquad import unvech
@@ -187,7 +190,7 @@ def test_single_path_matches_ensemble_member():
         members[k0:k0 + len(S)] = S
 
     u = _sample_input(sig, cfg.grid(), 1)
-    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, 3, cfg.n_steps, cfg.h, keep)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, range(50, 53), cfg.n_steps, cfg.h, keep)
     np.testing.assert_array_equal(members[:, :, 1],
                                   single_path(sys, sig, x0, cfg, seed=51))
 
@@ -203,7 +206,7 @@ def test_every_ensemble_member_is_its_single_path():
         members[k0:k0 + len(S)] = S
 
     u = _sample_input(two_input_signal, cfg.grid(), 2)
-    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, 5, cfg.n_steps, cfg.h, keep)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, range(50, 55), cfg.n_steps, cfg.h, keep)
     for p in range(5):
         np.testing.assert_array_equal(
             members[:, :, p], single_path(sys, two_input_signal, x0, cfg, seed=50 + p))
@@ -225,7 +228,7 @@ def test_members_equal_their_single_paths_across_buffer_swaps():
         members[k0:k0 + len(S)] = S
 
     u = _sample_input(two_input_signal, cfg.grid(), 2)
-    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 70, 4, n_steps, cfg.h, keep)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, range(70, 74), n_steps, cfg.h, keep)
     for p in range(4):
         np.testing.assert_array_equal(
             members[:, :, p], single_path(sys, two_input_signal, x0, cfg, seed=70 + p))
@@ -597,7 +600,7 @@ def test_the_kernel_starts_no_thread():
         seen.append(threading.enumerate())
 
     plant = small_plant()
-    _em_paths(plant.A, plant.C, None, np.array([1.0, -1.0]), 5, 3,
+    _em_paths(plant.A, plant.C, None, np.array([1.0, -1.0]), range(5, 8),
               2 * _CHUNK_STEPS + 7, 1e-3, observe)
     assert seen and all(now == before for now in seen)
     assert threading.enumerate() == before
@@ -616,7 +619,7 @@ def test_an_observer_error_reaches_the_caller_unchanged():
             raise fault
 
     with pytest.raises(ObserveFault) as info:
-        _em_paths(plant.A, plant.C, None, x0, 0, 4, 3 * _CHUNK_STEPS, 1e-3, observe)
+        _em_paths(plant.A, plant.C, None, x0, range(4), 3 * _CHUNK_STEPS, 1e-3, observe)
     assert info.value is fault
 
 
@@ -632,8 +635,8 @@ def kernel_increments(first_seed, n_paths, n_steps, h):
     def keep(k0, S):
         states[k0:k0 + len(S)] = S[:, 0]
 
-    _em_paths(A, zero, (zero, one, np.ones((n_steps + 1, 1))), [0.0], first_seed,
-              n_paths, n_steps, h, keep)
+    _em_paths(A, zero, (zero, one, np.ones((n_steps + 1, 1))), [0.0],
+              range(first_seed, first_seed + n_paths), n_steps, h, keep)
     return states[1:]
 
 
@@ -796,3 +799,194 @@ def test_tracking_durations_must_be_positive_multiples_of_h(duration):
         simulate_tracking(plant, A_d, np.array([1.0, 0.0]), schedule,
                           np.zeros((1, 2)), None, h=1e-3, n_paths=2,
                           base_seed=0)
+
+
+
+# Path batches and their workers. The batch size and the usable CPUs
+# (os.sched_getaffinity) are monkeypatched: 5 paths in batches of 2 make
+# three batches, the last of one path, whatever the host's CPU count.
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that still waits on its workers after 60 s, instead of
+    hanging the run; the workers are reaped as on any other error."""
+    def expire(signum, frame):
+        raise TimeoutError("worker test still waiting after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def use_cpus(monkeypatch, count):
+    """Report count usable CPUs; returns a list that gains an item per fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def batched_runs(monkeypatch, cpus, batch=2):
+    """A 5-path ensemble and cost study in batches of batch paths, run on
+    cpus workers; returns their results and the number of forks."""
+    monkeypatch.setattr(sim, "_PATH_BATCH", batch)
+    forks = use_cpus(monkeypatch, cpus)
+    plant, x0 = three_state_plant(), np.array([0.8, -0.5, 0.3])
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=30, n_paths=5,
+                    base_seed=60)
+    ds = run_ensemble(plant, two_input_signal, x0, cfg, discount=0.3)
+    ref = ReferenceGenerator(np.array([[0.0, 2.0], [-2.0, 0.0]]),
+                             np.array([[1.0, 0.5]]), np.array([1.0, 0.0]))
+    cost = CostWeights(Q=np.array([[2.0]]), R=np.diag([0.5, 1.0]))
+    designs = [(np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.2]]),
+                np.array([[0.2, -0.1], [0.0, 0.3]])),
+               (np.array([[1.0, 0.0, 0.2], [0.1, 0.8, 0.0]]),
+                np.array([[-0.3, 0.1], [0.2, 0.0]]))]
+    costs = estimate_average_cost(plant, ref, designs, cost, 0.4, 5, 21, h=1e-3, x0=x0)
+    assert_no_child_left()
+    return ds, costs, len(forks)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_batches_give_the_same_bytes_on_any_worker_count(monkeypatch, deadline, cpus):
+    ds1, costs1, forks1 = batched_runs(monkeypatch, 1)
+    ds, costs, forks = batched_runs(monkeypatch, cpus)
+    assert (forks1, forks) == (0, 2 * (cpus - 1))  # both calls fork cpus - 1 workers
+    for name in ("mean_x", "mean_xx", "se_xx", "u"):
+        assert getattr(ds, name).tobytes() == getattr(ds1, name).tobytes()
+    for est, est1 in zip(costs, costs1):
+        assert est.per_path.tobytes() == est1.per_path.tobytes()
+        assert (est.mean, est.se) == (est1.mean, est1.se)
+    # against one pass over every path, the per-path costs are the same
+    # bytes, and the moments agree to roundoff (their sums are regrouped)
+    ds0, costs0, _ = batched_runs(monkeypatch, cpus, batch=5)
+    for est, est0 in zip(costs, costs0):
+        assert est.per_path.tobytes() == est0.per_path.tobytes()
+    for name in ("mean_x", "mean_xx", "se_xx"):
+        np.testing.assert_allclose(getattr(ds, name), getattr(ds0, name),
+                                   rtol=1e-13, atol=1e-15)
+
+
+def test_noise_free_batched_ensemble_collapses_to_one_path(monkeypatch, deadline):
+    monkeypatch.setattr(sim, "_PATH_BATCH", 2)
+    use_cpus(monkeypatch, 2)
+    sys = StochasticSystem(
+        A=np.array([[-0.4, 0.9], [-0.9, -0.2]]),
+        B=np.array([[0.0], [1.0]]),
+        C=np.zeros((2, 2)), D=np.zeros((2, 1)),
+        H=np.array([[1.0, 0.0]]),
+    )
+    sig = ProbingSignal(1.0, 3, (-5.0, 5.0), seed=1)
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=30,
+                    n_paths=5, base_seed=100)
+    x0 = np.array([0.5, -0.25])
+    ds = run_ensemble(sys, sig, x0, cfg)
+    path = single_path(sys, sig, x0, cfg, seed=100)
+    np.testing.assert_array_equal(ds.mean_x, path)
+    r, c = np.triu_indices(2)
+    np.testing.assert_array_equal(ds.mean_xx, path[:, r] * path[:, c])
+    assert not ds.se_xx.any()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_earliest_blowup_over_all_batches_names_its_global_path(monkeypatch, deadline,
+                                                                   cpus):
+    # the paths of test_em_blowup_names_the_first_path_over_the_bound_and_its_time,
+    # batched so that the first path over the bound, p, leads batch 1; every
+    # path of batch 0 crosses later, and with two workers batch 1 runs in
+    # the worker
+    a, c, h, seed, P, N = 20.0, 5.0, 1e-2, 0, 8, 600
+    dW = increments(seed, P, N, h)
+    x = np.ones((N + 1, P))
+    for k in range(N):
+        x[k + 1] = x[k] + h * a * x[k] + dW[k] * c * x[k]
+    over = np.abs(x) > 1e8
+    first = over.argmax(axis=0)
+    p = int(np.lexsort((np.arange(P), first))[0])  # the earliest, then the lowest
+    assert over.any(axis=0).all() and 0 < p < P - 1
+    assert (first[:p] > first[p]).all()
+    monkeypatch.setattr(sim, "_PATH_BATCH", p)
+    forks = use_cpus(monkeypatch, cpus)
+    sys = StochasticSystem(A=np.array([[a]]), B=np.array([[1.0]]),
+                           C=np.array([[c]]), D=np.array([[0.0]]),
+                           H=np.array([[1.0]]))
+    cfg = SimConfig(h=h, sample_period=h, window=h, l=N, n_paths=P, base_seed=seed)
+    with pytest.raises(Blowup) as info:
+        run_ensemble(sys, None, np.array([1.0]), cfg)
+    assert len(forks) == cpus - 1
+    assert info.value.path_index == p
+    assert info.value.time == pytest.approx(first[p] * h, rel=1e-12)
+    assert f"on path {p} at" in str(info.value)
+    assert_no_child_left()
+
+
+class WorkerFault(Exception):
+    def __init__(self, msg, handle):
+        super().__init__(msg)
+        self.handle = handle  # a lock does not pickle
+
+
+@pytest.mark.parametrize("fault, kind", [
+    (Blowup("batch 1 diverged", path_index=3, time=0.5), Blowup),
+    (ConfigError("batch 1 is misconfigured"), ConfigError),
+    (WorkerFault("batch 1 failed", threading.Lock()), RuntimeError),
+], ids=["blowup", "config", "unpicklable"])
+def test_a_worker_error_reaches_the_caller_with_its_type(monkeypatch, deadline, fault, kind):
+    use_cpus(monkeypatch, 2)
+    folded = []
+
+    def run(b, local):
+        if b == 1:
+            raise fault
+        return None if local else np.zeros((3, 2))
+
+    with pytest.raises(kind) as info:
+        _run_batches(2, run, lambda b, rows, slab: folded.append(b))
+    assert not folded
+    assert str(fault) in str(info.value)
+    if kind is Blowup:
+        assert (info.value.path_index, info.value.time) == (3, 0.5)
+    assert_no_child_left()
+
+
+def test_a_worker_result_is_folded_in_slabs_in_batch_order(monkeypatch, deadline):
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(sim, "_SLAB_ROWS", 4)
+    seen = []
+
+    def run(b, local):
+        if local:
+            seen.append((b, "local"))
+            return None
+        return np.arange(20.0 * b, 20.0 * b + 20).reshape(10, 2)
+
+    def fold(b, rows, slab):
+        seen.append((b, rows.start, rows.stop, slab.tolist()))
+
+    _run_batches(3, run, fold)
+    rows = [(0, 4), (4, 8), (8, 10)]
+    assert seen == [(0, "local")] + [
+        (b, lo, hi, (20.0 * b + np.arange(2 * lo, 2 * hi)).reshape(-1, 2).tolist())
+        for b in (1, 2) for lo, hi in rows]
+    assert_no_child_left()
+
+
+def test_workers_are_reaped_when_this_process_is_interrupted(monkeypatch, deadline):
+    use_cpus(monkeypatch, 2)
+
+    def run(b, local):
+        if local:
+            raise KeyboardInterrupt
+        return np.zeros((1, 1))
+
+    with pytest.raises(KeyboardInterrupt):
+        _run_batches(2, run, lambda b, rows, slab: None)
+    assert_no_child_left()
