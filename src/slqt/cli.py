@@ -189,6 +189,8 @@ def emit_report(report: RunReport, out_dir: str) -> list:
 def load_report(path: str) -> RunReport:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a report is a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != REPORT_SCHEMA:
         raise ConfigError(f"unsupported report schema {doc.get('schema')!r}")
     return RunReport(payload=doc.get("payload", {}),

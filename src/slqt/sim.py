@@ -20,18 +20,20 @@ Ensemble reductions are centered on path 0 and run in a fixed order so
 that repeated runs with the same configuration are bit-identical, and
 so that a zero-diffusion ensemble reduces exactly to its single path.
 
-Ensembles run as fixed batches of _PATH_BATCH paths, each its own
-kernel pass; the batches past the first run in forked worker processes,
-one per usable CPU (os.sched_getaffinity), with no setting for the
-count. run_ensemble's batches all centre on path 0: each batch past the
-first carries path 0 as an extra leading column, left out of its sums.
-Each batch's sums over its paths are added in batch order, and
-estimate_average_cost's per-path costs are joined in batch order, so
-the bytes do not depend on the number of workers.
+Ensembles are split into fixed batches of _PATH_BATCH paths, the unit
+of reduction. Each process runs one contiguous share of the batches as
+one kernel pass: this process the first, a forked worker each of the
+others, one process per usable CPU (os.sched_getaffinity), with no
+setting for the count. A share that starts past path 0 carries path 0
+as an extra leading column, left out of its sums, since run_ensemble
+centres every batch on path 0. Each batch is reduced from its column
+slice of the pass into shared memory, and the batches' sums are added
+in batch order, so the bytes do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -58,8 +60,7 @@ _SIGNS = np.array([1.0, -1.0])  # the increment of a 0 bit and a 1 bit, in units
 _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
 _SCAN_BLOCK = 128  # RK4 steps per block of the exact route's affine scan
-_PATH_BATCH = 1000  # paths per kernel pass of an ensemble; the last batch takes the rest
-_SLAB_ROWS = 4096  # rows of a worker's result read and folded in at a time
+_PATH_BATCH = 1000  # paths per reduction unit of an ensemble; the last batch takes the rest
 
 
 def _is_multiple(x: float, h: float) -> bool:
@@ -303,96 +304,71 @@ def _portable(err: BaseException) -> BaseException:
         return RuntimeError(f"{type(err).__name__}: {err}")
 
 
-def _batch_worker(run, batches, r: int, w: int):
+def _shared(*shape) -> np.ndarray:
+    """A zeroed float64 array over an anonymous mapping, shared with the
+    workers forked after it is made."""
+    return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
+
+
+def _batch_worker(run, share, r: int, w: int):
     """The body of a forked worker: close the pipe's read end r, run its
-    batches in order, send their outcomes and then their results down w,
-    and exit without returning."""
+    share of the batches, send the outcome down w (None, a Blowup or the
+    error that stopped it) and exit without returning."""
     code = 1
     try:
         os.close(r)
-        outcomes, results = [], []
-        for b in batches:
-            try:
-                results.append(np.ascontiguousarray(run(b, False), dtype=float))
-                outcomes.append((results[-1].shape, None))
-            except Blowup as err:
-                outcomes.append((None, err))
-            except BaseException as err:  # the batches past it are not run
-                outcomes.append((None, _portable(err)))
-                break
+        try:
+            run(share)
+            outcome = None
+        except BaseException as err:  # a Blowup pickles and stays one
+            outcome = _portable(err)
         with os.fdopen(w, "wb") as f:
-            pickle.dump(outcomes, f)
-            for res in results:
-                f.write(res)
+            pickle.dump(outcome, f)
         code = 0
     finally:
         os._exit(code)
 
 
-_LOST_WORKER = "an ensemble worker ended before sending its result"
+def _run_batches(n_batches: int, run) -> None:
+    """Run path batches 0 .. n_batches - 1 as contiguous shares, the
+    shares past the first in forked workers.
 
-
-def _read_exact(f, arr: np.ndarray) -> None:
-    view = memoryview(arr).cast("B")
-    while view:
-        got = f.readinto(view)
-        if not got:
-            raise RuntimeError(_LOST_WORKER)
-        view = view[got:]
-
-
-def _run_batches(n_batches: int, run, fold) -> None:
-    """Run path batches 0 .. n_batches - 1, batches past the first in
-    forked workers, with an outcome that does not depend on their number.
-
-    run(b, True) runs batch b in this process and leaves its result in
-    the caller's arrays (batch 0 writes them, later batches add to them).
-    run(b, False), in a worker, returns the result as a 2-D float array,
-    which this process hands to fold(b, rows, slab) one slab of rows at a
-    time. This process runs the first contiguous run of batches and each
-    worker the next, so results meet the caller's arrays in batch order,
-    whatever the worker count: at most the usable CPUs and the batches.
-    A Blowup does not stop the other batches; the one with the earliest
-    time, then the lowest path, is raised, as from one pass over every
-    path. Any other error stops at its batch and reaches the caller with
-    its type. Every worker is reaped on every route.
+    run(share) runs the batches of the range share as one kernel pass and
+    leaves their results in arrays the caller made with _shared. This
+    process runs the first share, each worker the next: at most the
+    usable CPUs, never more than the batches. A Blowup does not stop the
+    other shares; the one with the earliest time, then the lowest path,
+    is raised, as from one pass over every path. Any other error reaches
+    the caller with its type. Every worker is reaped on every route.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = max(1, min(cpus, n_batches)) if hasattr(os, "fork") else 1
-    owned = [range(w * n_batches // workers, (w + 1) * n_batches // workers)
-             for w in range(workers)]
+    shares = [range(w * n_batches // workers, (w + 1) * n_batches // workers)
+              for w in range(workers)]
     blowups, children = [], []
     try:
-        for batches in owned[1:]:
+        for share in shares[1:]:
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _batch_worker(run, batches, r, w)
-            children.append((pid, os.fdopen(r, "rb"), batches))
+                _batch_worker(run, share, r, w)
+            children.append((pid, os.fdopen(r, "rb")))
             os.close(w)
-        for b in owned[0]:
+        try:
+            run(shares[0])
+        except Blowup as err:
+            blowups.append(err)
+        for _, f in children:
             try:
-                run(b, True)
-            except Blowup as err:
-                blowups.append(err)
-        for _, f, batches in children:
-            try:
-                outcomes = pickle.load(f)
+                err = pickle.load(f)
             except EOFError:
-                raise RuntimeError(_LOST_WORKER) from None
-            for b, (shape, err) in zip(batches, outcomes):
-                if isinstance(err, Blowup):
-                    blowups.append(err)
-                elif err is not None:
-                    raise err
-                else:
-                    slab = np.empty((min(_SLAB_ROWS, shape[0]), shape[1]))
-                    for a in range(0, shape[0], len(slab)):
-                        part = slab[:shape[0] - a]
-                        _read_exact(f, part)
-                        fold(b, slice(a, a + len(part)), part)
+                raise RuntimeError("an ensemble worker ended before sending its outcome") from None
+            if isinstance(err, Blowup):
+                blowups.append(err)
+            elif err is not None:
+                raise err
     finally:
-        for pid, f, _ in children:
+        for pid, f in children:
             f.close()
             try:
                 os.kill(pid, 9)  # SIGKILL; a worker that has finished is a zombie until reaped
@@ -468,19 +444,18 @@ def run_ensemble(plant, input, x0, config: SimConfig,
     p = config.n_paths
     r_idx, c_idx = vech_indices(n)
     nn2 = r_idx.size
-    # the sums over the paths of d, dP and dP^2 until the end, where they
-    # become the moments; ref holds path 0's states and products
-    sums = (np.empty((N + 1, n)), np.empty((N + 1, nn2)), np.empty((N + 1, nn2)))
-    ref = np.empty((N + 1, n + nn2))
+    # each batch's sums over its paths of d, dP and dP^2, in memory the
+    # workers share, until they are added into batch 0's and become the
+    # moments; ref holds path 0's states and products
     batches = _path_batches(p)
+    sums = [[_shared(N + 1, k) for k in (n, nn2, nn2)] for _ in batches]
+    ref = np.empty((N + 1, n + nn2))
 
-    def run(b, local):
-        lo, hi = batches[b]
-        skip = int(b > 0)  # a batch past the first leads with path 0
+    def run(share):
+        lo, hi = batches[share[0]][0], batches[share[-1]][1]
+        skip = int(lo > 0)  # a share past the first batch leads with path 0
         paths = [0] * skip + list(range(lo, hi))
-        out = None if local else np.empty((N + 1, n + 2 * nn2))
-        targets = sums if local else np.split(out, [n, n + nn2], axis=1)
-        add = local and b > 0
+        cols = [slice(skip + a - lo, skip + b - lo) for a, b in batches[share.start:share.stop]]
         prods = np.empty((_BLOCK_STEPS, nn2, len(paths)))
 
         def record(k0, S):
@@ -489,28 +464,26 @@ def run_ensemble(plant, input, x0, config: SimConfig,
             for q, (r, c) in enumerate(zip(r_idx, c_idx)):
                 np.multiply(S[:, r], S[:, c], out=dP[:, q])
             p_ref = dP[..., 0].copy()
-            if b == 0:
+            if not skip:
                 ref[blk, :n], ref[blk, n:] = S[..., 0], p_ref
             dP -= p_ref[..., None]
-            dP = dP[..., skip:]
-            parts = ((S[..., skip:] - S[..., :1]).sum(axis=-1), dP.sum(axis=-1),
-                     np.einsum("kip,kip->ki", dP, dP))
-            for target, part in zip(targets, parts):
-                if add:
-                    target[blk] += part
-                else:
+            for b, col in zip(share, cols):
+                d = dP[..., col]
+                parts = ((S[..., col] - S[..., :1]).sum(axis=-1), d.sum(axis=-1),
+                         np.einsum("kip,kip->ki", d, d))
+                for target, part in zip(sums[b], parts):
                     target[blk] = part
 
         _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0,
                   [config.base_seed + i for i in paths], N, config.h, record, paths=paths)
-        return None if local else out
 
-    def fold(b, rows, slab):
-        for target, part in zip(sums, np.split(slab, [n, n + nn2], axis=1)):
-            target[rows] += part
-
-    _run_batches(len(batches), run, fold)
-    mean_x, mean_xx, se_xx = sums
+    _run_batches(len(batches), run)
+    mean_x, mean_xx, se_xx = sums[0]
+    for b in range(1, len(batches)):
+        # in batch order; each batch's mappings are closed once added
+        for k, total in enumerate(sums[0]):
+            total += sums[b][k]
+        sums[b] = None
     mean_x /= p
     mean_x += ref[:, :n]
     mean_xx /= p  # the mean of dP
@@ -676,15 +649,14 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
     W = block_diag(*(np.vstack([LQ @ plant.H, LR @ K]) for K, _ in gains))
     w = np.hstack([np.hstack([x_d @ (LQ @ reference.H_d).T, u @ LR.T])
                    for u in u_ff])[:, :, None]
-    acc = np.zeros((J, n_paths))
+    acc = _shared(J, n_paths)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     A_cl, C_cl = zip(*(plant.closed_loop(K) for K, _ in gains))
     forcing = (block_diag(*[plant.B] * J), block_diag(*[plant.D] * J), np.hstack(u_ff))
     batches = _path_batches(n_paths)
 
-    def run(b, local):
-        lo, hi = batches[b]
-        out = acc[:, lo:hi] if local else np.zeros((J, hi - lo))
+    def run(share):
+        lo, hi = batches[share[0]][0], batches[share[-1]][1]
         last = None
 
         def integrate(k0, S):
@@ -695,18 +667,14 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
             e *= e
             rates = e.reshape(len(S), J, -1, hi - lo).sum(axis=2)
             if last is not None:
-                out[...] += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
+                acc[:, lo:hi] += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
             last = rates[-1]
 
         _em_paths(block_diag(*A_cl), block_diag(*C_cl), forcing, np.tile(x0, J),
                   [seed + i for i in range(lo, hi)], N, h, integrate, "closed-loop state",
                   paths=range(lo, hi))
-        return None if local else out
 
-    def fold(b, rows, slab):
-        acc[rows, batches[b][0]:batches[b][1]] = slab
-
-    _run_batches(len(batches), run, fold)
+    _run_batches(len(batches), run)
     estimates = []
     for per_path in acc / horizon:
         d = per_path - per_path[0]

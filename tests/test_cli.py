@@ -819,9 +819,11 @@ def test_report_reemit_is_identical(tmp_path, capsys):
 
 def test_report_rejects_other_schemas(tmp_path):
     p = tmp_path / "r.json"
-    p.write_text(json.dumps({"schema": "slqt-report/999", "payload": {}}))
-    with pytest.raises(ConfigError):
-        load_report(str(p))
+    for doc in ({"schema": "slqt-report/999", "payload": {}}, [1, 2], "report"):
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            load_report(str(p))
+        assert main(["report", str(p)]) == 2
 
 
 def test_learn_fb_and_learn_ff_run_the_same_pipeline(tmp_path):

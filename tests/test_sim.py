@@ -941,52 +941,50 @@ class WorkerFault(Exception):
 ], ids=["blowup", "config", "unpicklable"])
 def test_a_worker_error_reaches_the_caller_with_its_type(monkeypatch, deadline, fault, kind):
     use_cpus(monkeypatch, 2)
-    folded = []
 
-    def run(b, local):
-        if b == 1:
+    def run(share):
+        if share[0] == 1:
             raise fault
-        return None if local else np.zeros((3, 2))
 
     with pytest.raises(kind) as info:
-        _run_batches(2, run, lambda b, rows, slab: folded.append(b))
-    assert not folded
+        _run_batches(2, run)
     assert str(fault) in str(info.value)
     if kind is Blowup:
         assert (info.value.path_index, info.value.time) == (3, 0.5)
     assert_no_child_left()
 
 
-def test_a_worker_result_is_folded_in_slabs_in_batch_order(monkeypatch, deadline):
+def test_a_worker_that_ends_without_its_outcome_is_an_error(monkeypatch, deadline):
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(sim, "_SLAB_ROWS", 4)
-    seen = []
 
-    def run(b, local):
-        if local:
-            seen.append((b, "local"))
-            return None
-        return np.arange(20.0 * b, 20.0 * b + 20).reshape(10, 2)
+    def run(share):
+        if share[0] == 1:
+            os._exit(3)
 
-    def fold(b, rows, slab):
-        seen.append((b, rows.start, rows.stop, slab.tolist()))
-
-    _run_batches(3, run, fold)
-    rows = [(0, 4), (4, 8), (8, 10)]
-    assert seen == [(0, "local")] + [
-        (b, lo, hi, (20.0 * b + np.arange(2 * lo, 2 * hi)).reshape(-1, 2).tolist())
-        for b in (1, 2) for lo, hi in rows]
+    with pytest.raises(RuntimeError, match="ended before sending"):
+        _run_batches(2, run)
     assert_no_child_left()
 
 
 def test_workers_are_reaped_when_this_process_is_interrupted(monkeypatch, deadline):
     use_cpus(monkeypatch, 2)
 
-    def run(b, local):
-        if local:
+    def run(share):
+        if share[0] == 0:
             raise KeyboardInterrupt
-        return np.zeros((1, 1))
 
     with pytest.raises(KeyboardInterrupt):
-        _run_batches(2, run, lambda b, rows, slab: None)
+        _run_batches(2, run)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_process_makes_one_kernel_pass(monkeypatch, deadline, cpus):
+    # the three batches of run_ensemble and of estimate_average_cost (their
+    # observers record and integrate) run as one pass each on one CPU; on
+    # two, this process runs batch 0 and the worker's pass is its own
+    observers, em_paths = [], sim._em_paths
+    monkeypatch.setattr(sim, "_em_paths",
+                        lambda *a, **k: observers.append(a[7].__name__) or em_paths(*a, **k))
+    _, _, forks = batched_runs(monkeypatch, cpus)
+    assert (observers, forks) == (["record", "integrate"], 2 * (cpus - 1))
