@@ -487,7 +487,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                    validate: bool = False) -> RunReport:
     """Run the configured mode end to end, writing report and traces."""
     report = RunReport()
-    out_dir = out_dir or config.output
     report.payload["config"] = _pyify(config.raw)
     report.payload["mode"] = config.mode
 

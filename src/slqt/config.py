@@ -41,7 +41,6 @@ class ExperimentConfig:
     shadow: ShadowConfig | None
     tracking: dict | None
     cost_comparison: dict | None
-    output: str | None
     raw: dict
 
     def reference_for_case(self, case: int) -> ReferenceGenerator:
@@ -53,8 +52,7 @@ _PROBING_KEYS = {"amplitude", "count", "freq_range", "seed"}
 # the keys each config block may hold; any other key is a ConfigError
 _CONFIG_KEYS = {
     "": {"mode", "plant", "reference", "cost", "hyper", "sim", "probing",
-         "segments", "data_source", "shadow", "tracking", "cost_comparison",
-         "output"},
+         "segments", "data_source", "shadow", "tracking", "cost_comparison"},
     "plant": {"A", "B", "C", "D", "H"},
     "reference": {"A_d", "H_d", "x_d0", "cases"},
     "cost": {"Q", "R"},
@@ -151,6 +149,9 @@ def _parse(raw: dict) -> ExperimentConfig:
     pb = _block(raw, "plant", required=True)
     plant = StochasticSystem(A=_arr(pb, "A"), B=_arr(pb, "B"), C=_arr(pb, "C"),
                              D=_arr(pb, "D"), H=_arr(pb, "H"))
+    if mode != "model_based" and plant.m != 1:
+        raise ConfigError(f"the {mode} route's probing input is scalar, "
+                          f"so the plant needs one input, got {plant.m}")
     rb = _block(raw, "reference", required=True)
     reference = ReferenceGenerator(_arr(rb, "A_d"), _arr(rb, "H_d"),
                                    _arr(rb, "x_d0"))
@@ -160,21 +161,23 @@ def _parse(raw: dict) -> ExperimentConfig:
     hb = _block(raw, "hyper") or {}
     theta = hb.get("theta")
     hyper = BpiHyperParams(
-        gamma=float(hb.get("gamma", 1.0)), alpha0=float(hb.get("alpha0", 0.1)),
-        eta=float(hb.get("eta", 0.95)),
+        gamma=float(hb.get("gamma", BpiHyperParams.gamma)),
+        alpha0=float(hb.get("alpha0", BpiHyperParams.alpha0)),
+        eta=float(hb.get("eta", BpiHyperParams.eta)),
         theta=None if theta is None else np.asarray(theta, dtype=float),
-        epsilon=float(hb.get("epsilon", 1e-5)),
-        max_iter=_integer(hb, "max_iter", 200))
+        epsilon=float(hb.get("epsilon", BpiHyperParams.epsilon)),
+        max_iter=_integer(hb, "max_iter", BpiHyperParams.max_iter))
     # construct-and-discard: raises ConfigError on any dimension mismatch
     TrackingProblem(system=plant, reference=reference, cost=cost, hyper=hyper)
 
     sb = _block(raw, "sim") or {}
-    sim = SimConfig(h=float(sb.get("h", 1e-4)),
-                    sample_period=float(sb.get("T_s", 1e-3)),
-                    window=float(sb.get("T", 0.1)),
-                    t1=float(sb.get("t1", 0.0)), l=_integer(sb, "l", 5001),
-                    n_paths=_integer(sb, "n_paths", 2000),
-                    base_seed=_seed(sb, "base_seed", 0))
+    sim = SimConfig(h=float(sb.get("h", SimConfig.h)),
+                    sample_period=float(sb.get("T_s", SimConfig.sample_period)),
+                    window=float(sb.get("T", SimConfig.window)),
+                    t1=float(sb.get("t1", SimConfig.t1)),
+                    l=_integer(sb, "l", SimConfig.l),
+                    n_paths=_integer(sb, "n_paths", SimConfig.n_paths),
+                    base_seed=_seed(sb, "base_seed", SimConfig.base_seed))
     prb = _block(raw, "probing")
     probing = _probing_from(prb) if prb else None
 
@@ -221,15 +224,12 @@ def _parse(raw: dict) -> ExperimentConfig:
         shadow = ShadowConfig(A_a=_arr(shb, "A_a"), u_a=_probing_from(spb),
                               x_a0=_arr(shb, "x_a0"), F_a=_arr(shb, "F_a"),
                               y_a0=_arr(shb, "y_a0"),
-                              h=float(shb.get("h", 5e-6)))
+                              h=float(shb.get("h", ShadowConfig.h)))
     if mode == "shadow":
         if shadow is None:
             raise ConfigError("mode 'shadow' needs a shadow block")
         if np.abs(plant.D).max(initial=0.0) != 0.0:
             raise ConfigError("the shadow route requires D = 0")
-        if plant.m != 1:
-            raise ConfigError(f"the shadow route's probing input is scalar, "
-                              f"so the plant needs one input, got {plant.m}")
         if probing is not None:
             raise ConfigError("the shadow route forbids plant probing input")
 
@@ -270,7 +270,7 @@ def _parse(raw: dict) -> ExperimentConfig:
         mode=mode, plant=plant, reference=reference, cost=cost, hyper=hyper,
         sim=sim, probing=probing, segments=segments, h_d_cases=h_d_cases,
         data_source=data_source, shadow=shadow, tracking=tracking,
-        cost_comparison=cost_comparison, output=raw.get("output"), raw=raw)
+        cost_comparison=cost_comparison, raw=raw)
 
 
 def read_config(path: str) -> dict:

@@ -27,7 +27,7 @@ class NotStabilizing(SlqtError):
 
 
 class SingularOperator(SlqtError):
-    """Lyapunov operator matrix condition number above the 1e12 cutoff.
+    """Lyapunov operator condition above 1e12, or a non-finite operator or residual.
 
     certificate, when the refused solve is a generalized Lyapunov one,
     is the stability certificate it had already computed.

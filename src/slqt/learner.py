@@ -27,12 +27,11 @@ import numpy as np
 
 from .bpi import _bootstrap
 from .errors import ConfigError, NonInvertible, ShadowUncontrollable
-from .model import BpiHyperParams, CostWeights
+from .model import _COND_LIMIT, BpiHyperParams, CostWeights, _check_eigenbasis
 from .regressors import (MomentTable, RankReport, assemble_psi,
                          assemble_xi, feedback_required_rank,
                          feedforward_required_rank, psi_rhs, require_rank)
-from .sim import ProbingSignal
-from .solvers import _COND_LIMIT
+from .sim import ProbingSignal, _on_grid
 from .symquad import h_form_rows, unvech, vec
 
 __all__ = ["LearnedSolution", "ShadowConfig", "FeedforwardFit",
@@ -122,15 +121,8 @@ class ShadowConfig:
             raise ConfigError("x_a0 does not match A_a")
         if self.y_a0.size != F_a.shape[0]:
             raise ConfigError("y_a0 does not match F_a")
-        re = np.abs(np.linalg.eigvals(F_a).real)
-        if re.max(initial=0.0) > 1e-8:
-            raise ConfigError(
-                f"F_a eigenvalues must be imaginary within 1e-8, worst {re.max():.3e}")
-        for name, M in (("A_a", A_a), ("F_a", F_a)):
-            cond = np.linalg.cond(np.linalg.eig(M)[1])
-            if not cond <= _COND_LIMIT:
-                raise ConfigError(f"{name} is defective or nearly so: its eigenvector "
-                                  f"matrix has condition {cond:.3e} > {_COND_LIMIT:.0e}")
+        _check_eigenbasis(A_a, "A_a")
+        _check_eigenbasis(F_a, "F_a", imaginary=True)
         w = self.u_a.omegas
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.linalg.cond(1j * w[:, None, None] * np.eye(len(A_a)) - A_a)
@@ -320,12 +312,12 @@ def shadow_regressors(shadow: ShadowConfig, b_matrix, r_matrix,
                           f"got {B.shape[1]}")
     R = float(np.asarray(r_matrix, dtype=float).reshape(()))
     t_global = np.asarray(t_global, dtype=float)
-    w_steps = round(window / h)
-    if abs(w_steps * h - window) > 1e-9:
+    if not _on_grid(window, h):
         raise ConfigError("window must be a multiple of the shadow grid step")
-    idx = np.round(t_global / h).astype(int)
-    if np.abs(idx * h - t_global).max() > 1e-9:
+    if not _on_grid(t_global, h):
         raise ConfigError("global sample times must lie on the shadow grid")
+    w_steps = round(window / h)
+    idx = np.round(t_global / h).astype(int)
     targets, pos = np.unique(np.concatenate([idx, idx + w_steps]), return_inverse=True)
     at, atw = pos[:idx.size], pos[idx.size:]
     z, S = _shadow_series(shadow, B, targets)

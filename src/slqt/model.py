@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .errors import ConfigError
+from .errors import ConfigError, SingularOperator
 from .symquad import unvech, vech, vech_indices, vech_rows
 
 __all__ = [
@@ -40,6 +40,24 @@ def _as_matrix(x, name: str) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ConfigError(f"{name} contains non-finite entries")
     return M
+
+
+_COND_LIMIT = 1e12  # largest trusted condition of an eigenbasis, operator or gain matrix
+_GUARD = 1e-9  # band below -margin that absorbs eigensolver noise in a certificate
+
+
+def _check_eigenbasis(M: np.ndarray, name: str, imaginary: bool = False) -> None:
+    """ConfigError unless M has an eigenvector matrix of condition at most
+    _COND_LIMIT, so that e^{Mt} is evaluated through its eigenbasis, and,
+    when imaginary is set, every eigenvalue has |Re| at most 1e-8."""
+    w, V = np.linalg.eig(M)
+    worst = np.abs(w.real).max(initial=0.0)
+    if imaginary and worst > 1e-8:
+        raise ConfigError(f"{name} eigenvalues must be imaginary within 1e-8, worst {worst:.3e}")
+    cond = np.linalg.cond(V) if V.size else 1.0  # a 0 x 0 M has nothing to check
+    if not cond <= _COND_LIMIT:
+        raise ConfigError(f"{name} is defective or nearly so: its eigenvector "
+                          f"matrix has condition {cond:.3e} > {_COND_LIMIT:.0e}")
 
 
 def _check_pd(M: np.ndarray, name: str) -> None:
@@ -104,13 +122,13 @@ class ReferenceGenerator:
     """Autonomous reference x_d' = A_d x_d, y_d = H_d x_d.
 
     A_d eigenvalues must sit on the imaginary axis (marginally stable
-    oscillator bank), which keeps the reference bounded without decay.
+    oscillator bank), which keeps the reference bounded without decay,
+    and A_d needs a well-conditioned eigenbasis, as the shadow's F_a does.
     """
 
     A_d: np.ndarray
     H_d: np.ndarray
     x_d0: np.ndarray
-    tol: float = 1e-8
 
     def __post_init__(self):
         A_d = _as_matrix(self.A_d, "A_d")
@@ -123,16 +141,7 @@ class ReferenceGenerator:
         x_d0 = np.asarray(self.x_d0, dtype=float).ravel()
         if x_d0.size != n_d:
             raise ConfigError(f"x_d0 must have length {n_d}, got {x_d0.size}")
-        w, V = np.linalg.eig(A_d)
-        re = np.abs(w.real)
-        if re.max(initial=0.0) > self.tol:
-            raise ConfigError(
-                f"A_d eigenvalue real parts must be within {self.tol} of zero, "
-                f"worst is {re.max():.3e}")
-        if n_d and np.linalg.matrix_rank(V) < n_d:
-            raise ConfigError(
-                "A_d must be diagonalizable; a defective eigenvalue makes "
-                "the reference grow polynomially")
+        _check_eigenbasis(A_d, "A_d", imaginary=True)
         object.__setattr__(self, "A_d", A_d)
         object.__setattr__(self, "H_d", H_d)
         object.__setattr__(self, "x_d0", x_d0)
@@ -147,7 +156,7 @@ class ReferenceGenerator:
 
     def with_output_map(self, H_d) -> "ReferenceGenerator":
         """Same generator, different output row(s); used by the gain tables."""
-        return ReferenceGenerator(self.A_d, H_d, self.x_d0, self.tol)
+        return ReferenceGenerator(self.A_d, H_d, self.x_d0)
 
 
 @dataclass(frozen=True)
@@ -329,6 +338,8 @@ def _lu_abscissa(lu, piv) -> float | None:
 
 def _abscissa(L: np.ndarray, factors=None) -> float:
     """Abscissa of L: Arnoldi on its LU from _ARNOLDI_MIN_DIM up, else dense."""
+    if not np.isfinite(L).all():  # an overflow, as from a plant entry of 1e300
+        raise SingularOperator("the generalized Lyapunov operator has non-finite entries")
     if L.shape[0] >= _ARNOLDI_MIN_DIM:
         beta = _lu_abscissa(*(factors if factors is not None else _factor(L)))
         if beta is not None:
@@ -337,9 +348,9 @@ def _abscissa(L: np.ndarray, factors=None) -> float:
 
 
 def _certificate(L: np.ndarray, alpha: float | None, margin: float = 0.0,
-                 guard: float = 1e-9, factors=None) -> StabilityCertificate:
+                 factors=None) -> StabilityCertificate:
     a = _abscissa(L, factors)
-    return StabilityCertificate(a < -(margin + guard), a, alpha, margin)
+    return StabilityCertificate(a < -(margin + _GUARD), a, alpha, margin)
 
 
 def lyap_matrix(sys: StochasticSystem, K, alpha: float | None = None,
@@ -360,16 +371,15 @@ def spectral_abscissa(sys: StochasticSystem, K, alpha: float | None = None,
 
 
 def is_stabilizing(sys: StochasticSystem, K, alpha: float | None = None,
-                   margin: float = 0.0, gamma: float = 1.0,
-                   guard: float = 1e-9) -> StabilityCertificate:
+                   margin: float = 0.0, gamma: float = 1.0) -> StabilityCertificate:
     """Certificate that K is mean-square stabilizing for S(alpha).
 
-    True iff the abscissa is below -(margin + guard); the guard band
-    absorbs eigenvalue-solver noise around zero.
+    True iff the abscissa is below -(margin + _GUARD); the guard band,
+    1e-9, absorbs eigenvalue-solver noise around zero.
     """
     if margin < 0.0:
         raise ConfigError("margin must be nonnegative")
-    return _certificate(lyap_matrix(sys, K, alpha, gamma), alpha, margin, guard)
+    return _certificate(lyap_matrix(sys, K, alpha, gamma), alpha, margin)
 
 
 def zero_gain_threshold(sys: StochasticSystem) -> float:

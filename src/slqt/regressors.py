@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankDeficient, WindowOutOfRange
-from .sim import _reference_states
+from .sim import _on_grid, _reference_states
 from .symquad import h_form_rows, unvech_rows, vech
 
 __all__ = [
@@ -28,6 +28,8 @@ __all__ = [
     "assemble_xi", "psi_rhs", "rank_report", "require_rank",
     "feedback_required_rank", "feedforward_required_rank",
 ]
+
+_RANK_TOL = 1e-8  # relative singular-value cutoff of rank_report
 
 
 @dataclass(frozen=True)
@@ -174,13 +176,13 @@ def accumulate_raw_moments(source, config, output_map, reference,
     t = source.t
     h = float(t[1] - t[0])
     N = t.size - 1
-    w = round(config.window / h)
-    if abs(w * h - config.window) > 1e-9:
+    if not _on_grid(config.window, h):
         raise ConfigError("window must be a multiple of the source grid step")
     sample_t = config.sample_times()
-    idx = np.round(sample_t / h).astype(int)
-    if np.abs(idx * h - sample_t).max() > 1e-9:
+    if not _on_grid(sample_t, h):
         raise ConfigError("sample times must lie on the source grid")
+    w = round(config.window / h)
+    idx = np.round(sample_t / h).astype(int)
     if idx.min() < 0 or idx.max() + w > N:
         raise WindowOutOfRange(
             f"samples span [{sample_t[0]}, {sample_t[-1]} + {config.window}] "
@@ -264,18 +266,16 @@ def assemble_xi(moments: MomentTable, K_star, Lambda_star, cost) -> np.ndarray:
     return np.hstack([blk_Pi, blk_F])
 
 
-def rank_report(matrix, required_rank: int, tol: float = 1e-8) -> RankReport:
-    """SVD numerical rank: count of singular values above tol * largest."""
+def rank_report(matrix, required_rank: int) -> RankReport:
+    """SVD numerical rank: count of singular values above _RANK_TOL * largest."""
     sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
     smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        rank = 0
-        margin = -tol
-    else:
-        rank = int(np.count_nonzero(sv > tol * smax))
-        margin = (sv[required_rank - 1] / smax - tol) if required_rank <= sv.size else -tol
+    rank = int(np.count_nonzero(sv > _RANK_TOL * smax))  # 0 when every value is 0
+    margin = -_RANK_TOL
+    if smax != 0.0 and required_rank <= sv.size:
+        margin += sv[required_rank - 1] / smax
     return RankReport(rank=rank, required_rank=required_rank,
-                      singular_values=sv, margin=float(margin), tol=tol)
+                      singular_values=sv, margin=float(margin), tol=_RANK_TOL)
 
 
 def require_rank(matrix, required_rank: int, data: str) -> RankReport:

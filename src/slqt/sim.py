@@ -63,15 +63,16 @@ _SCAN_BLOCK = 128  # RK4 steps per block of the exact route's affine scan
 _PATH_BATCH = 1000  # paths per reduction unit of an ensemble; the last batch takes the rest
 
 
-def _is_multiple(x: float, h: float) -> bool:
-    k = round(x / h)
-    return abs(k * h - x) <= 1e-9 * max(1.0, abs(x))
+def _on_grid(x, h: float) -> bool:
+    """Whether every x lies within 1e-9 * max(1, |x|) of a multiple of h."""
+    x = np.asarray(x, dtype=float)
+    return bool((np.abs(np.round(x / h) * h - x) <= 1e-9 * np.maximum(1.0, np.abs(x))).all())
 
 
 def _step_count(duration: float, h: float, name: str) -> int:
     """The number of h-steps in duration, which must be a positive multiple of h."""
     k = round(duration / h)
-    if k < 1 or not _is_multiple(duration, h):
+    if k < 1 or not _on_grid(duration, h):
         raise ConfigError(f"{name} {duration} is not a positive multiple of h = {h}")
     return k
 
@@ -101,7 +102,7 @@ class SimConfig:
             raise ConfigError("sample_period must be at least h")
         for name, x in (("sample_period", self.sample_period),
                         ("window", self.window), ("t1", self.t1)):
-            if x < 0.0 or not _is_multiple(x, self.h):
+            if x < 0.0 or not _on_grid(x, self.h):
                 raise ConfigError(f"{name}={x} must be a nonnegative multiple of h={self.h}")
         if self.window <= 0.0:
             raise ConfigError("window must be positive")
@@ -226,12 +227,11 @@ def _em_paths(A, C, forcing, x0, seeds, n_steps: int, h: float, observe,
               sys_name: str = "state", paths=None) -> None:
     """Euler-Maruyama paths of dx = (Ax+Bu)dt + (Cx+Du)dw from a common x0.
 
-    forcing is (B, D, u) with u the (n_steps+1, m) input on the grid, or
-    None for an unforced system. Column i draws its increments,
-    +-sqrt(h), from the bits of Philox(seeds[i]), one random_raw call per
-    _DRAW_CHUNKS chunks of _CHUNK_STEPS steps, unpacked a chunk at a time
-    (see _sign_bits). paths[i] is the number a Blowup gives column i's
-    path (by default i).
+    forcing is (B, D, u) with u the (n_steps+1, m) input on the grid.
+    Column i draws its increments, +-sqrt(h), from the bits of
+    Philox(seeds[i]), one random_raw call per _DRAW_CHUNKS chunks of
+    _CHUNK_STEPS steps, unpacked a chunk at a time (see _sign_bits).
+    paths[i] is the number a Blowup gives column i's path (by default i).
     The state is X of shape (n, len(seeds)), paths on the last axis; one
     step is X + (hAX + hBu) + dW (CX + Du), with both brackets from one
     stacked product [hA hBu; C Du] [X; 1]. States are buffered
@@ -250,10 +250,8 @@ def _em_paths(A, C, forcing, x0, seeds, n_steps: int, h: float, observe,
     G = np.zeros((_BLOCK_STEPS, 2 * n, n + 1))  # step j of a block uses G[j]
     G[:, :n, :n] = h * A
     G[:, n:, :n] = C
-    f = None  # column n of G at every step, filled in block by block
-    if forcing is not None:
-        B, D, u = forcing
-        f = np.hstack([h * (u[:-1] @ B.T), u[:-1] @ D.T])
+    B, D, u = forcing
+    f = np.hstack([h * (u[:-1] @ B.T), u[:-1] @ D.T])  # column n of G, block by block
     bitgens = [np.random.Philox(seed) for seed in seeds]
     steps = np.sqrt(h) * _SIGNS  # the increment of a 0 bit and of a 1 bit
     signs = np.empty((P, _BLOCK_STEPS), dtype=np.uint8)  # one block of bits, compact
@@ -278,8 +276,7 @@ def _em_paths(A, C, forcing, x0, seeds, n_steps: int, h: float, observe,
                 # of the block keeps the transposed read within a few pages
                 np.copyto(signs[:, :b], bits[k - start:k - start + b].T)
                 np.take(steps, signs[:, :b].T, out=dW[:b, :P], mode="wrap")
-                if f is not None:
-                    G[:b, :, n] = f[k:k + b]
+                G[:b, :, n] = f[k:k + b]
                 for j in range(b):
                     np.matmul(G[j], S[j], out=Y)
                     np.multiply(diffusion, dW[j], out=diffusion)
@@ -415,15 +412,20 @@ class MomentTrajectory:
     discount: float | None = None
 
 
-def _moment_trajectory(t, mean_x, mean_xx, u, discount) -> MomentTrajectory:
+def _moment_trajectory(t, mean_x, mean_xx, u, discount, se_xx=None) -> MomentTrajectory:
     """The plant moments on the grid t as a MomentTrajectory; when discount
     is set, x and u are scaled by exp(-discount * t), the second moments
-    by its square."""
+    and their standard errors by its square: all in place but u, which
+    may be the input function's own array."""
     if discount is not None:
         scale = np.exp(-discount * t)[:, None]
-        mean_x, u = mean_x * scale, u * scale
-        mean_xx = mean_xx * (scale * scale)
-    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, discount=discount)
+        mean_x *= scale
+        u, scale = u * scale, scale * scale
+        mean_xx *= scale
+        if se_xx is not None:
+            se_xx *= scale
+    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
+                            discount=discount)
 
 
 def run_ensemble(plant, input, x0, config: SimConfig,
@@ -493,16 +495,7 @@ def run_ensemble(plant, input, x0, config: SimConfig,
     se_xx /= p
     np.sqrt(se_xx, out=se_xx)
     mean_xx += ref[:, n:]
-    if discount is not None:
-        # the weighting of _moment_trajectory, done in place: copies would
-        # hold two sets of the moment arrays at once
-        scale = np.exp(-discount * t)[:, None]
-        mean_x *= scale
-        u = u * scale
-        mean_xx *= scale * scale
-        se_xx *= scale * scale
-    return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u,
-                            se_xx=se_xx if p > 1 else None, discount=discount)
+    return _moment_trajectory(t, mean_x, mean_xx, u, discount, se_xx if p > 1 else None)
 
 
 def _xx_forcing(y, p, q, C, r_idx, c_idx):

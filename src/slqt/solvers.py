@@ -11,16 +11,14 @@ import numpy as np
 from scipy.linalg.lapack import dgetri, dgetrs
 
 from .errors import NonInvertible, NonPositiveP, NotStabilizing, ResonantSpectra, SingularOperator
-from .model import (CostWeights, StabilityCertificate, StochasticSystem, _certificate,
-                    _factor, lyap_matrix)
+from .model import (_COND_LIMIT, CostWeights, StabilityCertificate, StochasticSystem,
+                    _certificate, _factor, lyap_matrix)
 from .symquad import unvech, vech
 
 __all__ = [
     "LyapunovSolution", "TrackingSolution", "solve_gen_lyap", "gain_update",
     "alpha_update", "sare_residual", "solve_sylvester", "ff_from_pi",
 ]
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def solve_gen_lyap(sys: StochasticSystem, K, Qmat, alpha: float | None = None,
                                certificate=cert)
     residual = float(np.linalg.norm(L @ p + q))
     scale = 1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(L, "fro"))
-    if residual > 1e-10 * scale:
+    if not residual <= 1e-10 * scale:  # a NaN residual too
         raise SingularOperator(
             f"Lyapunov residual {residual:.3e} exceeds tolerance at scale {scale:.3e}",
             certificate=cert)

@@ -113,6 +113,10 @@ def test_parse_config_validation_matrix():
          "plant": {"A": [[0.0]], "B": [[1.0, 1.0]], "C": [[0.1]],
                    "D": [[0.0, 0.0]], "H": [[1.0]]},
          "cost": {"Q": [[1.0]], "R": [[1.0, 0.0], [0.0, 1.0]]}},
+        # and so is the data-driven one: the same plant is refused at parse
+        {"plant": {"A": [[0.0]], "B": [[1.0, 1.0]], "C": [[0.1]],
+                   "D": [[0.0, 0.0]], "H": [[1.0]]},
+         "cost": {"Q": [[1.0]], "R": [[1.0, 0.0], [0.0, 1.0]]}},
         # integer keys take JSON integers only, and seeds are non-negative
         {"sim": {**SCALAR_CONFIG["sim"], "l": 201.5}},
         {"sim": {**SCALAR_CONFIG["sim"], "l": 201.0}},
@@ -199,6 +203,8 @@ def test_config_typos_and_bad_values_exit_2(tmp_path, capsys):
                            ("list", {"hyper": [1]}),
                            ("string", {"hyper": {"gamma": "one"}}),
                            ("no_segments", {"segments": []}),
+                           # the output directory is a flag, not a config key
+                           ("output", {"output": 5}),
                            ("row_b", {"plant": {
                                "A": [[0.0, 1.0], [-5.0, -0.5]], "B": [[0.0, 1.0]],
                                "C": [[0.1, 0.2], [0.2, 0.3]], "D": [[0.0], [0.1]],
@@ -404,6 +410,26 @@ def test_an_overflowing_gain_exits_4_with_its_trace(tmp_path, capsys):
     report = load_report(str(out / "report.json"))
     assert report.failed
     assert report.error["type"] == "NonFiniteIterate" and report.error["trace"] == []
+
+
+@pytest.mark.parametrize("which, key, i, j", [("one", "C", 0, 0), ("two", "H", 0, 1)],
+                         ids=["operator", "forcing"])
+def test_an_overflowing_lyapunov_solve_exits_4(tmp_path, capsys, which, key, i, j):
+    # C[0][0] = 1e300 overflows the generalized Lyapunov operator before its
+    # abscissa is taken; H[0][1] = 1e300 overflows the forcing H'QH, so the
+    # first solve's residual is NaN
+    from slqt.benchmarks import EXAMPLES
+    raw = copy.deepcopy(EXAMPLES[which][0])
+    raw["plant"][key][i][j] = 1e300
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["solve", "--config", str(path), "--out", str(out)])
+    assert rc == EXIT_CODES["numerical"]
+    assert capsys.readouterr().err.startswith("error: ")
+    report = load_report(str(out / "report.json"))
+    assert report.failed and report.error["type"] == "SingularOperator"
 
 
 def test_error_block_carries_the_exception_figures():

@@ -258,6 +258,22 @@ def test_defective_auxiliary_matrices_are_config_errors():
         dataclasses.replace(shadow, F_a=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_configs_tables_and_shadow_rows_share_one_grid_rule():
+    # t1 = 10 + 5e-9 lies within 1e-9 * |t1| of the grid of h = 1e-3 and of
+    # the shadow's h = 1e-5; 10 + 2e-8 does not
+    near, off = 10.0 + 5e-9, 10.0 + 2e-8
+    plant, cost, shadow = shadow_pair()
+    cfg = SimConfig(h=1e-3, sample_period=1e-3, window=0.01, t1=near, l=3, n_paths=1)
+    traj = propagate_moments_exact(plant, None, np.array([1.0, 0.0]), cfg)
+    tab = accumulate_raw_moments(traj, cfg, plant.H, STILL)
+    omega_K, _ = shadow_regressors(shadow, plant.B, cost.R, tab.t_global, cfg.window)
+    assert len(tab) == len(omega_K) == 3
+    with pytest.raises(ConfigError, match="t1=.* must be a nonnegative multiple of h"):
+        dataclasses.replace(cfg, t1=off)
+    with pytest.raises(ConfigError, match="global sample times must lie on the shadow grid"):
+        shadow_regressors(shadow, plant.B, cost.R, np.array([near, off]), cfg.window)
+
+
 def unforced_moments(plant, hyper, l=40):
     """Two unforced segments' exact tables, joined, discounted as in
     scalar_moments."""

@@ -323,11 +323,21 @@ def test_is_stabilizing_flags_unstable_gain():
 def test_reference_generator_validation():
     ReferenceGenerator(A_d=[[0.0, 1.0], [-1.0, 0.0]], H_d=[[1.0, 0.0]],
                        x_d0=[1.0, 0.0])
+    ReferenceGenerator(A_d=np.zeros((0, 0)), H_d=np.zeros((1, 0)), x_d0=[])
     with pytest.raises(ConfigError):
         ReferenceGenerator(A_d=[[0.1]], H_d=[[1.0]], x_d0=[1.0])
     with pytest.raises(ConfigError):
         # eigenvalue on the axis but defective (Jordan block)
         ReferenceGenerator(A_d=[[0.0, 1.0], [0.0, 0.0]], H_d=[[1.0, 0.0]],
+                           x_d0=[1.0, 0.0])
+
+
+def test_a_nearly_defective_reference_is_refused_as_the_shadow_f_a_is():
+    # eigenvalues +-1e-13 i sit on the axis, but the eigenvector matrix has
+    # condition about 1e13, past the bound of every closed-form exponential
+    with pytest.raises(ConfigError, match=r"A_d is defective or nearly so: its eigenvector "
+                                          r"matrix has condition 1\.\d+e\+13 > 1e\+12"):
+        ReferenceGenerator(A_d=[[0.0, 1.0], [-1e-26, 0.0]], H_d=[[1.0, 0.0]],
                            x_d0=[1.0, 0.0])
 
 

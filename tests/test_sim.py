@@ -592,6 +592,11 @@ def test_em_blowup_names_the_first_path_over_the_bound_and_its_time():
     assert info.value.time == pytest.approx(h * math.ceil(np.log(1e8) / np.log(1.2)))
 
 
+def unforced(plant, n_steps):
+    """The kernel's forcing (B, D, u) with a zero input on n_steps steps."""
+    return plant.B, plant.D, np.zeros((n_steps + 1, plant.m))
+
+
 def test_the_kernel_starts_no_thread():
     before = threading.enumerate()
     seen = []
@@ -599,9 +604,9 @@ def test_the_kernel_starts_no_thread():
     def observe(k0, S):
         seen.append(threading.enumerate())
 
-    plant = small_plant()
-    _em_paths(plant.A, plant.C, None, np.array([1.0, -1.0]), range(5, 8),
-              2 * _CHUNK_STEPS + 7, 1e-3, observe)
+    plant, n_steps = small_plant(), 2 * _CHUNK_STEPS + 7
+    _em_paths(plant.A, plant.C, unforced(plant, n_steps), np.array([1.0, -1.0]), range(5, 8),
+              n_steps, 1e-3, observe)
     assert seen and all(now == before for now in seen)
     assert threading.enumerate() == before
 
@@ -619,7 +624,8 @@ def test_an_observer_error_reaches_the_caller_unchanged():
             raise fault
 
     with pytest.raises(ObserveFault) as info:
-        _em_paths(plant.A, plant.C, None, x0, range(4), 3 * _CHUNK_STEPS, 1e-3, observe)
+        _em_paths(plant.A, plant.C, unforced(plant, 3 * _CHUNK_STEPS), x0, range(4),
+                  3 * _CHUNK_STEPS, 1e-3, observe)
     assert info.value is fault
 
 
