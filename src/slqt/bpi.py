@@ -69,9 +69,11 @@ def _bootstrap(hyper: BpiHyperParams, theta, HQH, R, evaluate):
     reaches gamma; phase II stops when the value step
     ||P_i - P_{i-1}||_F drops to epsilon. Each phase has max_iter steps.
     Returns (trace, crossing); MaxIterExceeded, DivergedAlpha (alpha
-    failing to increase three times running) and NonFiniteIterate (a
-    step whose P, K or K'RK is not finite) carry the trace so far.
+    failing to increase three times running) and NonFiniteIterate (H'QH,
+    or a step's P, K or K'RK, not finite) carry the trace so far.
     """
+    if not np.isfinite(HQH).all():
+        raise NonFiniteIterate("the phase-II cost forcing H'QH is not finite", trace=[])
     gamma = hyper.gamma
     K = np.zeros((R.shape[0], theta.shape[0]))
     alpha = hyper.alpha0

@@ -1,13 +1,14 @@
 """Experiment runner turning JSON configs into reports and trace files.
 
-Subcommands cover each pipeline stage (model-based solve,
-feedback/feedforward learning, shadow learning, tracking demos) plus
-the two bundled benchmark reproductions and the canonical re-emit of a
-report. Every run is a raw JSON config (the --config file, or one of
-the bundled examples in ``benchmarks.EXAMPLES``) into which the
-subcommand writes its mode and the --seed and --paths flags; it is then
-parsed once (``slqt.config``) and run through ``run_experiment``, one
-report per run. The report echoes that config, so rerunning a report's
+One subcommand per mode: ``solve`` (model-based, with the config's
+tracking and cost study), ``learn-ff`` (feedback plus feedforward
+learning from moments) and ``shadow`` (learning without plant
+excitation), plus the two bundled benchmark reproductions and the
+canonical re-emit of a report. Every run is a raw JSON config (the
+--config file, or one of the bundled examples in
+``benchmarks.EXAMPLES``) into which the subcommand writes its mode and
+the --seed and --paths flags; it is then parsed once (``slqt.config``)
+and run through ``run_experiment``, one report per run. The report echoes that config, so rerunning a report's
 config (with --validate-with-model if the run had it) reproduces its
 payload. Reports are canonical JSON with sorted keys and
 17-significant-digit numbers, so identical configs and seeds produce
@@ -32,12 +33,12 @@ from .benchmarks import EXAMPLES, gather_moments
 from .bpi import feedforward_gains, solve_tracking
 from .config import (ExperimentConfig, _block, _integer, _known, load_config,
                      parse_experiment_config, read_config)
-from .errors import (Blowup, ConfigError, DivergedAlpha, MaxIterExceeded, NonFiniteIterate,
-                     NotStabilizing, RankDeficient, SingularOperator, SlqtError)
+from .errors import ConfigError, MaxIterExceeded, RankDeficient, SlqtError
 from .learner import (LearnedSolution, learn_feedback, learn_feedforward,
                       learn_shadow, shadow_regressors)
-from .model import StochasticSystem, TrackingProblem, is_stabilizing, spectral_abscissa
-from .regressors import feedback_required_rank, rank_report
+from .model import (StabilityCertificate, StochasticSystem, TrackingProblem, is_stabilizing,
+                    spectral_abscissa)
+from .regressors import RankReport, feedback_required_rank, rank_report
 from .sim import estimate_average_cost, simulate_tracking
 from .solvers import sare_residual
 from .symquad import h_form_rows
@@ -58,7 +59,7 @@ def exit_code_for(exc: BaseException) -> int:
         return EXIT_CODES["rank"]
     if isinstance(exc, MaxIterExceeded):
         return EXIT_CODES["contract"]
-    if isinstance(exc, (ConfigError, json.JSONDecodeError)):
+    if isinstance(exc, ConfigError):
         return EXIT_CODES["config"]
     if isinstance(exc, SlqtError):
         return EXIT_CODES["numerical"]
@@ -187,8 +188,7 @@ def emit_report(report: RunReport, out_dir: str) -> list:
 
 
 def load_report(path: str) -> RunReport:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_config(path, "report")
     if not isinstance(doc, dict):
         raise ConfigError(f"a report is a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != REPORT_SCHEMA:
@@ -208,20 +208,17 @@ def _finalize(report: RunReport, out_dir: str | None) -> RunReport:
 
 
 def _error_block(exc: SlqtError) -> dict:
-    """The error's type and message plus the figures it carries."""
+    """The error's type and message plus each figure it carries, by its type."""
     detail = {}
-    if isinstance(exc, RankDeficient) and exc.report is not None:
-        detail["rank"] = _rank_payload(exc.report)
-    elif isinstance(exc, (MaxIterExceeded, DivergedAlpha, NonFiniteIterate)) \
-            and exc.trace is not None:
-        detail["trace"] = _iterate_rows(exc.trace)
-    elif isinstance(exc, Blowup):
-        detail = {k: v for k, v in (("time", exc.time), ("path_index", exc.path_index))
-                  if v is not None}
-    elif isinstance(exc, NotStabilizing) and exc.abscissa is not None:
-        detail["abscissa"] = float(exc.abscissa)
-    elif isinstance(exc, SingularOperator) and exc.certificate is not None:
-        detail["certificate"] = _cert_payload(exc.certificate)
+    for name, value in vars(exc).items():
+        if isinstance(value, RankReport):
+            detail["rank"] = _rank_payload(value)
+        elif isinstance(value, StabilityCertificate):
+            detail[name] = _cert_payload(value)
+        elif isinstance(value, list):  # an iterate trace
+            detail[name] = _iterate_rows(value)
+        elif value is not None:
+            detail[name] = _pyify(value)
     try:
         canonical_json(detail)
     except ConfigError:  # a non-finite figure must not keep the report unwritten
@@ -282,10 +279,6 @@ def _write_csv(path: str, header: list, values, index=None) -> None:
 
 
 def _write_trace_csv(path: str, trace_rows: list) -> None:
-    if not trace_rows:
-        _write_csv(path, ["iteration", "phase", "alpha"], np.empty((0, 1)),
-                   np.empty((0, 2)))
-        return
     K0 = np.asarray(trace_rows[0]["K"], dtype=float)
     n = np.asarray(trace_rows[0]["P"], dtype=float).shape[0]
     m = K0.shape[0]
@@ -348,21 +341,19 @@ def _iterate_rows(states) -> list:
 
 
 def _payload_model(config: ExperimentConfig):
-    """Model-based solve plus per-case feedforward gains."""
+    """(solution, per-case feedforward rows, block) of the model-based solve."""
     plant, cost = config.plant, config.cost
     sol = solve_tracking(TrackingProblem(system=plant, reference=config.reference,
                                          cost=cost, hyper=config.hyper))
     hist = sol.history
     trace = _iterate_rows(list(hist["phase1"]) + list(hist["phase2"]))
-    ff_by_case = {}
-    ff_payload = []
+    case_rows = []
     for k, row in enumerate(config.h_d_cases, start=1):
         Pi, F = feedforward_gains(plant, cost, config.reference_for_case(k),
                                   sol.P, sol.K)
-        ff_by_case[k] = F
-        ff_payload.append({"case": k, "H_d": _matrix(row), "F": _matrix(F),
-                           "Pi": _matrix(Pi)})
-    payload = {
+        case_rows.append({"case": k, "H_d": _matrix(row), "F": _matrix(F),
+                          "Pi": _matrix(Pi)})
+    block = {
         "K_star": _matrix(sol.K), "P_star": _matrix(sol.P),
         "Lambda_star": _matrix(sol.Lambda), "Pi_star": _matrix(sol.Pi),
         "F_star": _matrix(sol.F),
@@ -375,7 +366,7 @@ def _payload_model(config: ExperimentConfig):
         "certification": "validated",
         "trace": trace,
     }
-    return sol, ff_by_case, ff_payload, payload
+    return sol, case_rows, block
 
 
 def _payload_learned(learned: LearnedSolution) -> dict:
@@ -413,20 +404,20 @@ def _vs_model(learned: LearnedSolution, sol) -> dict:
             "K_rel_err_2norm": float(np.linalg.norm(dK) / np.linalg.norm(sol.K))}
 
 
-def _ff_case_fits(config: ExperimentConfig, moments, learned, omega_F):
+def _ff_case_fits(config: ExperimentConfig, moments, learned, omega_F) -> list:
+    """The learned per-case feedforward rows."""
     cases = config.h_d_cases
     fits = learn_feedforward(moments, learned.K_star, learned.Lambda_star,
                              config.cost, config.hyper, cases, omega_F=omega_F)
-    payload = [{"case": k, "H_d": _matrix(row), "F": _matrix(fit.F),
-                "Pi": _matrix(fit.Pi), "residual": float(fit.residual),
-                "rank": _rank_payload(fit.rank)}
-               for k, (row, fit) in enumerate(zip(cases, fits), start=1)]
-    return {k: fit.F for k, fit in enumerate(fits, start=1)}, payload
+    return [{"case": k, "H_d": _matrix(row), "F": _matrix(fit.F),
+             "Pi": _matrix(fit.Pi), "residual": float(fit.residual),
+             "rank": _rank_payload(fit.rank)}
+            for k, (row, fit) in enumerate(zip(cases, fits), start=1)]
 
 
-def _run_tracking(config: ExperimentConfig, K, ff_by_case, out_dir) -> dict:
+def _run_tracking(config: ExperimentConfig, K, case_rows, out_dir) -> dict:
     tr, ref = config.tracking, config.reference
-    sched = [(config.h_d_cases[c - 1], ff_by_case[c], d) for c, d in tr["schedule"]]
+    sched = [(config.h_d_cases[c - 1], case_rows[c - 1]["F"], d) for c, d in tr["schedule"]]
     run = simulate_tracking(config.plant, ref.A_d, ref.x_d0, sched, K,
                             np.zeros(config.plant.n), tr["h"], tr["n_paths"],
                             tr["base_seed"])
@@ -453,8 +444,8 @@ def _run_tracking(config: ExperimentConfig, K, ff_by_case, out_dir) -> dict:
 
 def _cost_comparison(config: ExperimentConfig, sol, F_opt) -> dict:
     """Average tracking cost of the noise-aware design (sol.K and the model
-    route's feedforward F_opt of the study's case) against a design that
-    pretended the noise channels were absent."""
+    route's feedforward F_opt of the study's case, as nested lists) against
+    a design that pretended the noise channels were absent."""
     plant, cost, options = config.plant, config.cost, config.cost_comparison
     ref_k = config.reference_for_case(options["case"])
     naive = StochasticSystem(plant.A, plant.B, np.zeros_like(plant.A),
@@ -501,11 +492,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         sol = None
         if with_model:
             with _timed(report, "model_based"):
-                sol, ff_model, ffmp, mb = _payload_model(config)
-            K, ff_by_case = sol.K, ff_model
-            report.payload["model_based"] = mb
-            if config.mode == "model_based":
-                report.payload["feedforward_cases"] = ffmp
+                sol, model_rows, report.payload["model_based"] = _payload_model(config)
+            K, rows = sol.K, model_rows
         if config.mode != "model_based":
             with _timed(report, "collect"):
                 moments = gather_moments(config, mode=config.data_source["kind"])
@@ -525,23 +513,21 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                 with _timed(report, "learn_feedback"):
                     learned = learn_feedback(moments, config.cost, config.hyper)
                     cert = _certification(config, learned, validate)
-            block = {**_payload_learned(learned), **cert}
+            block = {**_payload_learned(learned), **cert, **flags}
             if sol is not None:
                 block["vs_model"] = _vs_model(learned, sol)
-            block.update(flags)
             report.payload[config.mode] = block
             with _timed(report, "learn_feedforward"):
-                ff_by_case, ffp = _ff_case_fits(config, moments, learned, omega_F)
+                rows = _ff_case_fits(config, moments, learned, omega_F)
             K = learned.K_star
-            report.payload["feedforward_cases"] = ffp
+        report.payload["feedforward_cases"] = rows
         if config.tracking is not None:
             with _timed(report, "tracking"):
-                report.payload["tracking"] = _run_tracking(config, K, ff_by_case,
-                                                           out_dir)
+                report.payload["tracking"] = _run_tracking(config, K, rows, out_dir)
         if config.cost_comparison is not None:
             with _timed(report, "cost_comparison"):
                 report.payload["cost_comparison"] = _cost_comparison(
-                    config, sol, ff_model[config.cost_comparison["case"]])
+                    config, sol, model_rows[config.cost_comparison["case"] - 1]["F"])
 
     return _guarded(report, out_dir, work)
 
@@ -584,13 +570,11 @@ def _with_flags(raw, args, mode: str | None = None) -> dict:
     return raw
 
 
-def _cmd_run(mode: str, summary, needs_tracking: bool = False):
+def _cmd_run(mode: str, summary):
     """Handler running the --config experiment in ``mode``, then printing
     ``summary(payload)``."""
     def handler(args) -> int:
         cfg = parse_experiment_config(_with_flags(read_config(args.config), args, mode))
-        if needs_tracking and cfg.tracking is None:
-            raise ConfigError("config has no tracking block")
         report = run_experiment(cfg, out_dir=args.out, validate=args.validate)
         print(summary(report.payload))
         return 0
@@ -599,7 +583,10 @@ def _cmd_run(mode: str, summary, needs_tracking: bool = False):
 
 
 def _solve_summary(p) -> str:
-    return f"K* = {np.asarray(p['model_based']['K_star']).ravel().tolist()}"
+    line = f"K* = {np.asarray(p['model_based']['K_star']).ravel().tolist()}"
+    if "tracking" in p:
+        line += f"\ntracking settled RMS error: {p['tracking']['max_settled_rms']:.6g}"
+    return line
 
 
 def _learn_summary(p) -> str:
@@ -611,10 +598,6 @@ def _shadow_summary(p) -> str:
     sh = p["shadow"]
     return (f"shadow-learned gain: {sh['K_hat']} "
             f"(plant input zero: {sh['plant_input_zero']})")
-
-
-def _track_summary(p) -> str:
-    return f"tracking settled RMS error: {p['tracking']['max_settled_rms']:.6g}"
 
 
 def _cmd_example(which):
@@ -683,19 +666,13 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             q.set_defaults(validate=True)  # the other subcommands always do
         q.set_defaults(func=fn)
-        return q
 
-    learn = _cmd_run("data_driven", _learn_summary)
     add("solve", _cmd_run("model_based", _solve_summary),
-        "model-based solve of the tracking problem")
-    add("learn-fb", learn, "data-driven learning (same run as learn-ff)",
-        takes_validate=True)
-    add("learn-ff", learn, "feedback plus feedforward learning",
-        takes_validate=True)
+        "model-based solve, then the config's tracking and cost study")
+    add("learn-ff", _cmd_run("data_driven", _learn_summary),
+        "feedback plus feedforward learning", takes_validate=True)
     add("shadow", _cmd_run("shadow", _shadow_summary),
         "learning without plant excitation", takes_validate=True)
-    add("track", _cmd_run("model_based", _track_summary, needs_tracking=True),
-        "closed-loop tracking demo")
     add("example1", _cmd_example("one"),
         "reproduce the damped-oscillator benchmark", needs_config=False)
     add("example2", _cmd_example("two"),
@@ -712,10 +689,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except json.JSONDecodeError as e:
-        print(f"error: invalid JSON: {e}", file=sys.stderr)
-        return EXIT_CODES["config"]
+        # the refusals on a run's route test the values themselves, so
+        # numpy's overflow warnings would only precede the one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SlqtError as e:
         print(f"error: {e}", file=sys.stderr)
         return exit_code_for(e)

@@ -273,13 +273,17 @@ def _parse(raw: dict) -> ExperimentConfig:
         cost_comparison=cost_comparison, raw=raw)
 
 
-def read_config(path: str) -> dict:
-    """The raw config in the JSON file at ``path``, not yet checked."""
+def read_config(path: str, what: str = "config"):
+    """The raw JSON document at ``path`` (a config unless ``what`` names
+    another kind), not yet checked. An unreadable file and malformed JSON
+    are both a ConfigError naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except OSError as e:
-        raise ConfigError(f"cannot read config {path!r}: {e}") from e
+        raise ConfigError(f"cannot read {what} {path!r}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"invalid JSON in {what} {path!r}: {e}") from e
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -1,13 +1,18 @@
 """Error taxonomy shared by every module.
 
-Each class marks a distinct failure mode with a distinct CLI exit code
-(see cli.EXIT_CODES). All carry a human-readable message and, where
-useful, the offending numbers.
+Each class marks a failure mode; cli.exit_code_for maps the classes onto
+the four failure codes of cli.EXIT_CODES, so several share a code. The
+figures a class carries are its class attributes, None by default;
+``SlqtError(msg, **figures)`` sets those a raise knows.
 """
 
 
 class SlqtError(Exception):
     """Base class for all package errors."""
+
+    def __init__(self, msg, **figures):
+        super().__init__(msg)
+        vars(self).update(figures)
 
 
 class ConfigError(SlqtError):
@@ -21,9 +26,7 @@ class InitConditionViolated(ConfigError):
 class NotStabilizing(SlqtError):
     """A gain required to be mean-square stabilizing is not."""
 
-    def __init__(self, msg, abscissa=None):
-        super().__init__(msg)
-        self.abscissa = abscissa
+    abscissa = None
 
 
 class SingularOperator(SlqtError):
@@ -33,9 +36,7 @@ class SingularOperator(SlqtError):
     is the stability certificate it had already computed.
     """
 
-    def __init__(self, msg, certificate=None):
-        super().__init__(msg)
-        self.certificate = certificate
+    certificate = None
 
 
 class NonInvertible(SlqtError):
@@ -53,30 +54,24 @@ class NonPositiveP(SlqtError):
 class MaxIterExceeded(SlqtError):
     """Iteration cap hit; per the convergence theory this is a contract breach."""
 
-    def __init__(self, msg, trace=None):
-        super().__init__(msg)
-        self.trace = trace
+    trace = None
 
 
 class NonFiniteIterate(SlqtError):
-    """A policy-iteration step left a non-finite value P, gain K or gain
-    cost K'RK (the next step's forcing), as an overflow from an input map
-    of 1e300 does.
+    """A non-finite cost forcing H'QH, or a policy-iteration step that left a
+    non-finite value P, gain K or gain cost K'RK (the next step's forcing),
+    as an overflow from an input map of 1e300 does.
 
     trace is the iterate trace before the refused step.
     """
 
-    def __init__(self, msg, trace=None):
-        super().__init__(msg)
-        self.trace = trace
+    trace = None
 
 
 class RankDeficient(SlqtError):
     """A data matrix misses its required column rank."""
 
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
+    report = None
 
 
 class DivergedAlpha(SlqtError):
@@ -85,9 +80,7 @@ class DivergedAlpha(SlqtError):
     trace, when known, is the partial iterate trace up to the failure.
     """
 
-    def __init__(self, msg, trace=None):
-        super().__init__(msg)
-        self.trace = trace
+    trace = None
 
 
 class Blowup(SlqtError):
@@ -97,10 +90,7 @@ class Blowup(SlqtError):
     path_index the lowest-index Monte Carlo path over the bound then.
     """
 
-    def __init__(self, msg, path_index=None, time=None):
-        super().__init__(msg)
-        self.path_index = path_index
-        self.time = time
+    path_index = time = None
 
 
 class WindowOutOfRange(SlqtError):

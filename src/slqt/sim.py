@@ -64,9 +64,10 @@ _PATH_BATCH = 1000  # paths per reduction unit of an ensemble; the last batch ta
 
 
 def _on_grid(x, h: float) -> bool:
-    """Whether every x lies within 1e-9 * max(1, |x|) of a multiple of h."""
+    """Whether every x lies within min(1e-9 max(1, |x|), 1e-3 h) of a multiple of h."""
     x = np.asarray(x, dtype=float)
-    return bool((np.abs(np.round(x / h) * h - x) <= 1e-9 * np.maximum(1.0, np.abs(x))).all())
+    tol = np.minimum(1e-9 * np.maximum(1.0, np.abs(x)), 1e-3 * h)
+    return bool((np.abs(np.round(x / h) * h - x) <= tol).all())
 
 
 def _step_count(duration: float, h: float, name: str) -> int:

@@ -1,15 +1,20 @@
 """Command line interface: configs, reports, exit codes, determinism."""
 
+import contextlib
 import copy
 import glob
+import io
 import json
 import math
 import os
 import re
+import tempfile
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slqt.cli import (EXIT_CODES, _write_ff_csv, _write_trace_csv,
                       _write_tracking_csv, build_parser, canonical_json, exit_code_for,
@@ -210,7 +215,7 @@ def test_config_typos_and_bad_values_exit_2(tmp_path, capsys):
                                "C": [[0.1, 0.2], [0.2, 0.3]], "D": [[0.0], [0.1]],
                                "H": [[1.0, 0.0]]}})):
         cfg = write_config(tmp_path, overrides=override, name=name + ".json")
-        assert main(["learn-fb", "--config", cfg]) == EXIT_CODES["config"]
+        assert main(["learn-ff", "--config", cfg]) == EXIT_CODES["config"]
         assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -276,6 +281,10 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     rc = main(["solve", "--config", str(tmp_path / "nope.json")])
     assert rc == EXIT_CODES["config"]
     assert "nope.json" in capsys.readouterr().err
+    # a report is read by the same reader
+    assert main(["report", str(tmp_path / "nope.json")]) == EXIT_CODES["config"]
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read report {str(tmp_path / 'nope.json')!r}")
 
 
 def test_invalid_json_is_a_config_error(tmp_path, capsys):
@@ -283,18 +292,21 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["solve", "--config", str(bad)])
     assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in config {str(bad)!r}")
+    # a malformed report is refused the same way
+    assert main(["report", str(bad)]) == EXIT_CODES["config"]
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in report {str(bad)!r}")
 
 
 def test_validate_flag_only_where_a_handler_reads_it(tmp_path, capsys):
     cfg = write_config(tmp_path)
     parser = build_parser()
-    for command in ("learn-fb", "learn-ff", "shadow"):
+    for command in ("learn-ff", "shadow"):
         assert parser.parse_args([command, "--config", cfg]).validate is False
         args = parser.parse_args([command, "--config", cfg, "--validate-with-model"])
         assert args.validate is True
     # these always validate: the flag is a usage error
-    for argv in (["solve", "--config", cfg], ["track", "--config", cfg],
-                 ["example1"], ["example2"]):
+    for argv in (["solve", "--config", cfg], ["example1"], ["example2"]):
         with pytest.raises(SystemExit) as info:
             main(argv + ["--out", str(tmp_path / "never"), "--validate-with-model"])
         assert info.value.code == 2
@@ -325,9 +337,9 @@ def test_solve_writes_report_and_prints_gain(tmp_path, capsys):
 def test_learn_fb_payload_is_byte_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out_a, out_b, out_c = (tmp_path / x for x in ("a", "b", "c"))
-    assert main(["learn-fb", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["learn-fb", "--config", cfg, "--out", str(out_b)]) == 0
-    assert main(["learn-fb", "--config", cfg, "--out", str(out_c),
+    assert main(["learn-ff", "--config", cfg, "--out", str(out_a)]) == 0
+    assert main(["learn-ff", "--config", cfg, "--out", str(out_b)]) == 0
+    assert main(["learn-ff", "--config", cfg, "--out", str(out_c),
                  "--seed", "17"]) == 0
     pa = load_report(str(out_a / "report.json"))
     pb = load_report(str(out_b / "report.json"))
@@ -364,7 +376,7 @@ def test_rank_deficient_run_exits_3_and_leaves_marker(tmp_path, capsys):
                   "H": [[1.0]]},
     })
     out = tmp_path / "rank"
-    rc = main(["learn-fb", "--config", cfg, "--out", str(out)])
+    rc = main(["learn-ff", "--config", cfg, "--out", str(out)])
     assert rc == EXIT_CODES["rank"]
     report = load_report(str(out / "report.json"))
     assert report.failed
@@ -380,7 +392,7 @@ def test_rank_deficient_run_exits_3_and_leaves_marker(tmp_path, capsys):
 
 def test_iteration_cap_exits_5(tmp_path):
     cfg = write_config(tmp_path, overrides={"hyper": {"max_iter": 1}})
-    rc = main(["learn-fb", "--config", cfg, "--out", str(tmp_path / "cap")])
+    rc = main(["learn-ff", "--config", cfg, "--out", str(tmp_path / "cap")])
     assert rc == EXIT_CODES["contract"]
     report = load_report(str(tmp_path / "cap" / "report.json"))
     assert report.failed and report.error["type"] == "MaxIterExceeded"
@@ -412,24 +424,101 @@ def test_an_overflowing_gain_exits_4_with_its_trace(tmp_path, capsys):
     assert report.error["type"] == "NonFiniteIterate" and report.error["trace"] == []
 
 
-@pytest.mark.parametrize("which, key, i, j", [("one", "C", 0, 0), ("two", "H", 0, 1)],
-                         ids=["operator", "forcing"])
-def test_an_overflowing_lyapunov_solve_exits_4(tmp_path, capsys, which, key, i, j):
+@pytest.mark.parametrize("which, key, i, j, error", [
+    ("one", "C", 0, 0, "SingularOperator"), ("two", "H", 0, 1, "NonFiniteIterate")],
+    ids=["operator", "forcing"])
+def test_an_overflowing_lyapunov_solve_exits_4(tmp_path, capsys, which, key, i, j, error):
     # C[0][0] = 1e300 overflows the generalized Lyapunov operator before its
-    # abscissa is taken; H[0][1] = 1e300 overflows the forcing H'QH, so the
-    # first solve's residual is NaN
+    # abscissa is taken; H[0][1] = 1e300 overflows the phase-II forcing H'QH,
+    # which is refused before phase I. Either way stderr holds the one
+    # error line: numpy's overflow warnings do not precede it
     from slqt.benchmarks import EXAMPLES
     raw = copy.deepcopy(EXAMPLES[which][0])
     raw["plant"][key][i][j] = 1e300
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["solve", "--config", str(path), "--out", str(out)])
     assert rc == EXIT_CODES["numerical"]
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     report = load_report(str(out / "report.json"))
-    assert report.failed and report.error["type"] == "SingularOperator"
+    assert report.failed and report.error["type"] == error
+    if error == "NonFiniteIterate":
+        assert err == "error: the phase-II cost forcing H'QH is not finite\n"
+        assert report.error["trace"] == []
+
+
+def _nodes(obj, path=()):
+    """(path, value) of every block, list item and value below obj."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _fuzz_bases():
+    """Each bundled example run's config, without tracking or cost study."""
+    from slqt.benchmarks import EXAMPLES
+    bases = []
+    for base, runs in EXAMPLES.values():
+        for blocks in runs.values():
+            raw = copy.deepcopy({**base, **blocks})
+            raw.pop("tracking", None)
+            raw.pop("cost_comparison", None)
+            bases.append(raw)
+    return bases
+
+
+FUZZ_BASES = _fuzz_bases()
+# what a mutation puts in place of a value; a deletion is the other choice
+FUZZ_VALUES = [None, True, False, "x", 1.5, [1.0, 2.0], [[1.0, 0.5], [0.5, 2.0]],
+               math.inf, -math.inf, math.nan, 1e300, -1e300]
+
+
+def _finite(obj) -> bool:
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return all(map(_finite, obj)) if isinstance(obj, list) else True
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_example_configs_exit_with_a_documented_code(data):
+    # one key deleted, or one value replaced, anywhere in a bundled
+    # example's config: solve refuses it with a documented exit code and
+    # one error line, or succeeds with a finite payload; nothing escapes
+    # main, a warning included
+    raw = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    path, _ = data.draw(st.sampled_from(list(_nodes(raw))))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as f:
+            json.dump(raw, f)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            rc = main(["solve", "--config", cfg, "--out", out])
+        assert rc in (0, 2, 3, 4, 5)
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert _finite(load_report(os.path.join(out, "report.json")).payload)
+        else:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_error_block_carries_the_exception_figures():
@@ -552,7 +641,7 @@ def test_cost_comparison_without_model_is_refused_before_collecting(
     monkeypatch.setattr(slqt.cli, "gather_moments", never)
     path = write_config(tmp_path, {"cost_comparison": {"case": 1}})
     out = tmp_path / "out"
-    assert main(["learn-fb", "--config", path, "--out", str(out)]) == \
+    assert main(["learn-ff", "--config", path, "--out", str(out)]) == \
         EXIT_CODES["config"]
     message = ("cost_comparison needs the model-based solution; use mode "
                "model_based or pass validate")
@@ -591,7 +680,7 @@ def test_report_config_reruns_its_run(tmp_path, command, flags, config):
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "neg"
-    assert main(["learn-fb", "--config", cfg, "--seed", "-10", "--out", str(out)]) == \
+    assert main(["learn-ff", "--config", cfg, "--seed", "-10", "--out", str(out)]) == \
         EXIT_CODES["config"]
     assert "'base_seed' is a seed and must be non-negative, got -7" in \
         capsys.readouterr().err
@@ -610,7 +699,7 @@ def test_shadow_and_data_driven_blocks_share_their_keys():
     assert set(sh["rank"]) == set(dd["rank"]) == {"feedback"}
 
 
-LEARNING_RUNS = [("learn-fb", SCALAR_CONFIG, "data_driven"),
+LEARNING_RUNS = [("learn-ff", SCALAR_CONFIG, "data_driven"),
                  ("shadow", SHADOW_CONFIG, "shadow")]
 
 
@@ -670,14 +759,6 @@ def test_seed_flag_shifts_explicit_segment_seeds(tmp_path, capsys):
     assert unshifted["data_driven"]["K_hat"] != first["data_driven"]["K_hat"]
 
 
-def test_track_without_a_tracking_block_exits_2(tmp_path, capsys):
-    out = tmp_path / "trk"
-    assert main(["track", "--config", write_config(tmp_path), "--out", str(out)]) == \
-        EXIT_CODES["config"]
-    assert capsys.readouterr().err == "error: config has no tracking block\n"
-    assert not out.exists()
-
-
 def test_example_command_runs_each_listed_run(tmp_path, capsys, monkeypatch):
     # a small stand-in for the bundled example two: every run of the list
     # gets its own validated report under --out, and the learn run's
@@ -710,7 +791,7 @@ def refine_configs():
     the removed refine key; a model-based solve never collects data."""
     for refine in (1, 20):
         for kind in ("ensemble", "exact"):
-            yield "learn-fb", {**SCALAR_CONFIG, "data_source": {"kind": kind, "refine": refine}}
+            yield "learn-ff", {**SCALAR_CONFIG, "data_source": {"kind": kind, "refine": refine}}
             yield "solve", {**SCALAR_CONFIG, "mode": "model_based",
                             "data_source": {"kind": kind, "refine": refine}}
         yield "shadow", {**SHADOW_CONFIG, "data_source": {"kind": "exact", "refine": refine}}
@@ -744,13 +825,17 @@ def test_readme_lists_the_parser_subcommands():
     assert listed == set(choices)
 
 
-def test_track_produces_tracking_csv(tmp_path):
+def test_track_produces_tracking_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, overrides={
         "tracking": {"schedule": [[1, 1.0], [2, 1.0]], "h": 0.01,
                      "n_paths": 10, "base_seed": 9}})
     out = tmp_path / "trk"
-    assert main(["track", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     report = load_report(str(out / "report.json"))
+    # solve runs the config's tracking block and prints its settled RMS
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "tracking settled RMS error: "
+        f"{report.payload['tracking']['max_settled_rms']:.6g}")
     segs = report.payload["tracking"]["segments"]
     assert [s["case"] for s in segs] == [1, 2]
     assert all(np.isfinite(s["rms_error"]) for s in segs)
@@ -790,8 +875,6 @@ def test_csv_writers_match_per_cell_formatting(tmp_path):
              r["P"][0][1], r["P"][1][1]] for r in trace]
     header = ["iteration", "phase", "alpha", "k_11", "k_12", "p_11", "p_12", "p_22"]
     assert path.read_bytes() == per_cell_csv(header, rows)
-    _write_trace_csv(str(path), [])
-    assert path.read_bytes() == b"iteration,phase,alpha\n"
     # feedforward cases: an integer case column, then vec F
     cases = [{"case": k, "F": edge[k:k + 4].reshape(2, 2).tolist()} for k in range(1, 9)]
     path = tmp_path / "ff_cases.csv"
@@ -850,19 +933,6 @@ def test_report_rejects_other_schemas(tmp_path):
         with pytest.raises(ConfigError):
             load_report(str(p))
         assert main(["report", str(p)]) == 2
-
-
-def test_learn_fb_and_learn_ff_run_the_same_pipeline(tmp_path):
-    cfg = write_config(tmp_path)
-    out_fb, out_ff = tmp_path / "fb", tmp_path / "ff"
-    assert main(["learn-fb", "--config", cfg, "--out", str(out_fb)]) == 0
-    assert main(["learn-ff", "--config", cfg, "--out", str(out_ff)]) == 0
-    fb = load_report(str(out_fb / "report.json"))
-    ff = load_report(str(out_ff / "report.json"))
-    assert fb.payload_text() == ff.payload_text()
-    assert [c["case"] for c in fb.payload["feedforward_cases"]] == [1, 2]
-    assert (out_fb / "ff_cases.csv").read_text() == \
-        (out_ff / "ff_cases.csv").read_text()
 
 
 def _same_problem(cfg, bundle):

@@ -16,7 +16,8 @@ from slqt.bpi import feedforward_gains, solve_tracking
 from slqt.learner import (ShadowConfig, _shadow_series, learn_feedback,
                           learn_feedforward, learn_shadow, shadow_regressors)
 from slqt.regressors import MomentTable, accumulate_raw_moments
-from slqt.sim import ProbingSignal, SimConfig, propagate_moments_exact, run_ensemble
+from slqt.sim import (ProbingSignal, SimConfig, _on_grid, propagate_moments_exact,
+                      run_ensemble)
 from slqt.symquad import vech
 
 # x_d' = 0 from x_d0 = 1
@@ -272,6 +273,11 @@ def test_configs_tables_and_shadow_rows_share_one_grid_rule():
         dataclasses.replace(cfg, t1=off)
     with pytest.raises(ConfigError, match="global sample times must lie on the shadow grid"):
         shadow_regressors(shadow, plant.B, cost.R, np.array([near, off]), cfg.window)
+    # far from 0, 1e-9 * |x| exceeds h / 2, so only the cap at a fraction
+    # of h keeps these from rounding onto the grid
+    with pytest.raises(ConfigError, match="t1=.* must be a nonnegative multiple of h"):
+        SimConfig(h=1e-4, t1=50000.00003)
+    assert not _on_grid(2500.0000013, 5e-6)
 
 
 def unforced_moments(plant, hyper, l=40):
