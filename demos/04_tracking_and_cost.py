@@ -10,11 +10,10 @@ input-dependent noise in the design model.
 """
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
 
-from slqt import (StochasticSystem, TrackingProblem, damped_oscillator,
-                  estimate_average_cost, feedforward_gains,
-                  simulate_tracking, solve_tracking)
+from slqt import (TrackingProblem, damped_oscillator, estimate_average_cost,
+                  feedforward_gains, noise_blind_design, simulate_tracking,
+                  solve_tracking)
 
 bundle = damped_oscillator()
 plant, cost = bundle.plant, bundle.cost
@@ -44,12 +43,7 @@ for j, (case, _) in enumerate(schedule):
 # cost of pretending the noise is additive-only
 ref = bundle.reference_for_case(8)
 _, F_opt = feedforward_gains(plant, cost, ref, sol.P, sol.K)
-naive = StochasticSystem(plant.A, plant.B, np.zeros_like(plant.A),
-                         np.zeros_like(plant.D), plant.H)
-P_det = solve_continuous_are(plant.A, plant.B, plant.H.T @ cost.Q @ plant.H,
-                             cost.R)
-K_det = np.linalg.solve(cost.R, plant.B.T @ P_det)
-_, F_det = feedforward_gains(naive, cost, ref, P_det, K_det)
+K_det, F_det = noise_blind_design(plant, cost, ref, sol.K, bundle.hyper.max_iter)
 
 # one call runs both designs on the same noise paths, so the designs are
 # compared path by path

@@ -13,7 +13,7 @@ everything else lives in the submodules (``slqt.cli``, ``slqt.sim``,
 """
 
 from .benchmarks import coupled_oscillators, damped_oscillator, gather_moments
-from .bpi import feedforward_gains, solve_tracking
+from .bpi import feedforward_gains, noise_blind_design, solve_tracking
 from .errors import RankDeficient
 from .learner import (learn_feedback, learn_feedforward, learn_shadow,
                       shadow_regressors)

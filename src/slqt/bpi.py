@@ -22,11 +22,11 @@ import numpy as np
 
 from .errors import (DivergedAlpha, InitConditionViolated, MaxIterExceeded, NonFiniteIterate,
                      NotStabilizing)
-from .model import BpiHyperParams, StochasticSystem, TrackingProblem, zero_gain_threshold
+from .model import _GUARD, BpiHyperParams, StochasticSystem, TrackingProblem
 from .solvers import (TrackingSolution, alpha_update, ff_from_pi, gain_update,
                       solve_gen_lyap, solve_sylvester)
 
-__all__ = ["IterateState", "solve_tracking", "feedforward_gains"]
+__all__ = ["IterateState", "solve_tracking", "feedforward_gains", "noise_blind_design"]
 
 
 @dataclass(frozen=True)
@@ -123,24 +123,62 @@ def feedforward_gains(sys: StochasticSystem, cost, reference, P_star, K_star):
     return Pi, F
 
 
+def noise_blind_design(sys: StochasticSystem, cost, reference, K0, max_iter: int):
+    """(K, F) optimal for the plant with its noise channels C and D removed.
+
+    Kleinman's Newton iteration (IEEE TAC 13, 1968), which is phase II
+    run on the noise-free plant: P solves the Lyapunov equation of the
+    gain K under the forcing H'QH + K'RK and K <- R^-1 B'P, until the
+    value step ||P_i - P_{i-1}||_F is at most 1e-12 ||P_i||_F. K0 must make
+    A - B K0 Hurwitz; a mean-square stabilizing gain of the noisy plant
+    does. F is the feedforward for the reference under that design.
+    MaxIterExceeded after max_iter steps.
+    """
+    naive = StochasticSystem(sys.A, sys.B, np.zeros_like(sys.A), np.zeros_like(sys.D), sys.H)
+    HQH = sys.H.T @ cost.Q @ sys.H
+    K, P_prev = np.asarray(K0, dtype=float), None
+    for _ in range(max_iter):
+        P = solve_gen_lyap(naive, K, HQH + K.T @ cost.R @ K).P
+        K = np.linalg.solve(cost.R, sys.B.T @ P)
+        if P_prev is not None and (np.linalg.norm(P - P_prev, "fro")
+                                   <= 1e-12 * np.linalg.norm(P, "fro")):
+            return K, feedforward_gains(naive, cost, reference, P, K)[1]
+        P_prev = P
+    raise MaxIterExceeded(
+        f"the noise-blind Newton-Kleinman iteration did not converge within "
+        f"{max_iter} iterations")
+
+
 def solve_tracking(problem: TrackingProblem) -> TrackingSolution:
     """Full model-based solve: phase I, phase II, then the feedforward.
 
     Each step solves a generalized Lyapunov equation for the value of
-    the current gain. Raises InitConditionViolated when gamma is not
-    large enough for the zero gain to be admissible at alpha0.
+    the current gain. Phase I starts from the zero gain at alpha0, whose
+    operator is the open-loop one shifted by -(gamma - alpha0), so its
+    abscissa plus gamma - alpha0 is the zero-gain threshold. Raises
+    InitConditionViolated when gamma is not large enough for the zero
+    gain to be admissible at alpha0, which that first step certifies.
     """
     sys, hyper = problem.system, problem.hyper
     R, theta = problem.cost.R, problem.theta
     HQH = sys.H.T @ problem.cost.Q @ sys.H
-    sigma_bar = zero_gain_threshold(sys)
-    if hyper.gamma <= sigma_bar + hyper.alpha0:
-        raise InitConditionViolated(
-            f"need gamma > {sigma_bar + hyper.alpha0:.6g} "
-            f"(zero-gain threshold {sigma_bar:.6g} plus alpha0), got {hyper.gamma}")
+    shift = hyper.gamma - hyper.alpha0
+    sigma_bar = None
 
     def evaluate(level, K, forcing):
-        sol = solve_gen_lyap(sys, K, forcing, alpha=level, gamma=hyper.gamma)
+        nonlocal sigma_bar
+        try:
+            sol = solve_gen_lyap(sys, K, forcing, alpha=level, gamma=hyper.gamma)
+        except NotStabilizing as exc:
+            if sigma_bar is not None or exc.abscissa < -_GUARD:
+                raise
+            sigma_bar = exc.abscissa + shift
+            raise InitConditionViolated(
+                f"need gamma > {sigma_bar + hyper.alpha0:.6g} "
+                f"(zero-gain threshold {sigma_bar:.6g} plus alpha0), "
+                f"got {hyper.gamma}") from exc
+        if sigma_bar is None:
+            sigma_bar = sol.certificate.abscissa + shift
         return sol.P, gain_update(sys, sol.P, R), {
             "residual": sol.residual_norm, "condition": sol.condition,
             "abscissa": sol.certificate.abscissa}

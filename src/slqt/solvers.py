@@ -8,11 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgetri, dgetrs
 
 from .errors import NonInvertible, NonPositiveP, NotStabilizing, ResonantSpectra, SingularOperator
 from .model import (_COND_LIMIT, CostWeights, StabilityCertificate, StochasticSystem,
-                    _certificate, _factor, lyap_matrix)
+                    _certificate, _invert, lyap_matrix)
 from .symquad import unvech, vech
 
 __all__ = [
@@ -53,20 +52,21 @@ def solve_gen_lyap(sys: StochasticSystem, K, Qmat, alpha: float | None = None,
 
     Refuses to solve when K is not mean-square stabilizing there, since
     the solution would not be the value matrix of any admissible policy.
-    One LU factorization of the operator serves the certificate, the
-    solve and the condition refusal.
+    One inverse of the operator serves the certificate, the solve (one
+    product and one refinement step) and the condition refusal.
     """
     L = lyap_matrix(sys, K, alpha, gamma)
-    lu, piv = _factor(L)
-    cert = _certificate(L, alpha, factors=(lu, piv))
+    L_inv = _invert(L)
+    cert = _certificate(L, alpha, inverse=L_inv)
     if not cert:
         raise NotStabilizing(
             f"gain is not mean-square stabilizing (abscissa {cert.abscissa:.6g})",
             abscissa=cert.abscissa)
     Qmat = np.asarray(Qmat, dtype=float)
     q = vech(Qmat)
-    p, _ = dgetrs(lu, piv, -q)
-    cond = _cond_bound(L, lu, piv)
+    p = L_inv @ -q
+    p -= L_inv @ (L @ p + q)
+    cond = _cond_bound(L, L_inv)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularOperator(f"Lyapunov operator condition number {cond:.3e}",
                                certificate=cert)
@@ -84,17 +84,15 @@ def solve_gen_lyap(sys: StochasticSystem, K, Qmat, alpha: float | None = None,
     return LyapunovSolution(P, residual, cond, cert)
 
 
-def _cond_bound(L: np.ndarray, lu, piv) -> float:
-    """sqrt(kappa_1 kappa_inf) of L from its LU factors, an upper bound on kappa_2.
+def _cond_bound(L: np.ndarray, L_inv: np.ndarray) -> float:
+    """sqrt(kappa_1 kappa_inf) of L from its inverse, an upper bound on kappa_2.
 
-    ||M||_2 <= sqrt(||M||_1 ||M||_inf), applied to L and to its inverse,
-    which getri forms in place of the factors (they are spent after it).
+    ||M||_2 <= sqrt(||M||_1 ||M||_inf), applied to L and to its inverse.
     """
-    inv, info = dgetri(lu, piv, overwrite_lu=True)
-    if info != 0 or not np.isfinite(inv).all():
+    if not np.isfinite(L_inv).all():
         return np.inf
-    k1 = np.linalg.norm(L, 1) * np.linalg.norm(inv, 1)
-    kinf = np.linalg.norm(L, np.inf) * np.linalg.norm(inv, np.inf)
+    k1 = np.linalg.norm(L, 1) * np.linalg.norm(L_inv, 1)
+    kinf = np.linalg.norm(L, np.inf) * np.linalg.norm(L_inv, np.inf)
     return float(np.sqrt(k1) * np.sqrt(kinf))
 
 
@@ -143,7 +141,9 @@ def solve_sylvester(A_c, A_d, RHS) -> np.ndarray:
 
     Solvable iff no eigenvalue of -A_c' coincides with one of A_d; a
     near-coincidence below 1e-10 is reported as resonance instead of
-    returning a garbage solution.
+    returning a garbage solution. The residual test runs on Pi and RHS
+    divided by max|RHS|, so that an RHS near the overflow threshold is
+    checked too; a Pi that overflows is refused.
     """
     A_c = np.asarray(A_c, dtype=float)
     A_d = np.asarray(A_d, dtype=float)
@@ -160,9 +160,13 @@ def solve_sylvester(A_c, A_d, RHS) -> np.ndarray:
     M = np.kron(A_d.T, np.eye(n)) + np.kron(np.eye(n_d), A_c.T)
     vec_pi = np.linalg.solve(M, RHS.ravel(order="F"))
     Pi = vec_pi.reshape((n, n_d), order="F")
-    residual = float(np.linalg.norm(Pi @ A_d + A_c.T @ Pi - RHS, "fro"))
-    if residual > 1e-10 * (1.0 + float(np.linalg.norm(RHS, "fro"))):
-        raise SingularOperator(f"Sylvester residual {residual:.3e} too large")
+    s = float(np.abs(RHS).max(initial=0.0)) or 1.0
+    Pi_s, RHS_s = Pi / s, RHS / s
+    residual = float(np.linalg.norm(Pi_s @ A_d + A_c.T @ Pi_s - RHS_s, "fro"))
+    if not (np.isfinite(Pi).all()
+            and residual <= 1e-10 * (1.0 + float(np.linalg.norm(RHS_s, "fro")))):
+        raise SingularOperator(f"Sylvester residual {residual:.3e} (relative to "
+                               f"max|RHS| = {s:.3e}) too large, or Pi not finite")
     return Pi
 
 

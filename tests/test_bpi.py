@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from slqt.benchmarks import damped_oscillator
-from slqt.bpi import _bootstrap, feedforward_gains, solve_tracking
+from slqt.bpi import _bootstrap, feedforward_gains, noise_blind_design, solve_tracking
 from slqt.errors import InitConditionViolated, MaxIterExceeded, NonFiniteIterate
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem, is_stabilizing,
@@ -197,3 +197,39 @@ def test_closed_loop_abscissa_negative(bundle, solution):
     assert spectral_abscissa(bundle.plant, solution.K) < 0
     np.testing.assert_allclose(spectral_abscissa(bundle.plant, solution.K),
                                -7.062865, atol=1e-4)
+
+
+def noise_blind_case(seed):
+    """Example 1 (seed None), or a random plant with n = 2..5 states, one or
+    two inputs and its zero-gain threshold at -0.05, with a rotating
+    reference; each with its noise-aware gain, the start the CLI uses."""
+    if seed is None:
+        b = damped_oscillator()
+        return b.plant, b.cost, b.reference_for_case(8), b.hyper
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+    A = rng.normal(size=(n, n)) / np.sqrt(n)
+    B, C = rng.normal(size=(n, m)), 0.25 * rng.normal(size=(n, n)) / np.sqrt(n)
+    D, H = 0.2 * rng.normal(size=(n, m)), rng.normal(size=(2, n))
+    beta = spectral_abscissa(StochasticSystem(A, B, C, D, H), np.zeros((m, n)))
+    plant = StochasticSystem(A - 0.5 * (beta + 0.05) * np.eye(n), B, C, D, H)
+    reference = ReferenceGenerator(A_d=[[0.0, 2.0], [-2.0, 0.0]],
+                                   H_d=rng.normal(size=(2, 2)), x_d0=[1.0, 0.0])
+    cost = CostWeights(Q=np.eye(2), R=np.eye(m))
+    return plant, cost, reference, BpiHyperParams(epsilon=1e-9)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+def test_noise_blind_design_matches_scipy_care(seed):
+    from scipy.linalg import solve_continuous_are
+
+    plant, cost, reference, hyper = noise_blind_case(seed)
+    sol = solve_tracking(TrackingProblem(plant, reference, cost, hyper))
+    K, F = noise_blind_design(plant, cost, reference, sol.K, hyper.max_iter)
+    naive = StochasticSystem(plant.A, plant.B, np.zeros_like(plant.A),
+                             np.zeros_like(plant.D), plant.H)
+    P_care = solve_continuous_are(plant.A, plant.B, plant.H.T @ cost.Q @ plant.H, cost.R)
+    K_care = np.linalg.solve(cost.R, plant.B.T @ P_care)
+    _, F_care = feedforward_gains(naive, cost, reference, P_care, K_care)
+    assert np.linalg.norm(K - K_care) <= 1e-10 * np.linalg.norm(K_care)
+    assert np.linalg.norm(F - F_care) <= 1e-10 * np.linalg.norm(F_care)

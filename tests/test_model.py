@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 from slqt.errors import ConfigError, NotStabilizing, SingularOperator
 from slqt.model import (_ARNOLDI_MIN_DIM, BpiHyperParams, CostWeights,
                         ReferenceGenerator, StochasticSystem, TrackingProblem,
-                        _abscissa, _factor, _lu_abscissa, _lu_certificate,
-                        _lyap_operator, is_stabilizing, lyap_matrix,
+                        _abscissa, _arnoldi_abscissa, _inverse_certificate,
+                        _invert, _lyap_operator, is_stabilizing, lyap_matrix,
                         spectral_abscissa, zero_gain_threshold)
 from slqt.solvers import _cond_bound, solve_gen_lyap
 from slqt.symquad import unvech_rows, vech, vech_rows, unvech
@@ -114,8 +114,9 @@ def test_solve_certificate_is_the_is_stabilizing_certificate(case):
     assert got == want and got.stabilizing
 
 
-# the zero operator (A = B = C = 0): singular, so the LU solve of
-# L(X) = -I is not finite and the certificate must fail to the dense route
+# the zero operator (A = B = C = 0): singular, so its inverse and the
+# solve of L(X) = -I are not finite and the certificate must fail to the
+# dense route
 ZERO = (StochasticSystem(A=np.zeros((3, 3)), B=np.zeros((3, 1)),
                          C=np.zeros((3, 3)), D=np.zeros((3, 1)),
                          H=np.eye(3)[:1]),
@@ -123,24 +124,22 @@ ZERO = (StochasticSystem(A=np.zeros((3, 3)), B=np.zeros((3, 1)),
 
 
 def check_lu_route(L):
-    """The LU route on L against the dense eigensolve and np.linalg.cond."""
+    """The inverse route on L against the dense eigensolve and np.linalg.cond."""
     dense = float(np.linalg.eigvals(L).real.max())
-    x = _lu_certificate(*_factor(L))
+    x = _inverse_certificate(_invert(L))
     assert (x is not None) == (dense < 0.0)
-    cond = _cond_bound(L, *_factor(L))
+    cond = _cond_bound(L, _invert(L))
     assert cond >= (1.0 - 1e-12) * np.linalg.cond(L)  # equal when d = 1
-    if L.shape[0] < 3:  # ARPACK needs d >= 3
-        return
     if x is None:
-        assert _lu_abscissa(*_factor(L)) is None
+        assert _arnoldi_abscissa(_invert(L)) is None
         return
-    beta = _lu_abscissa(*_factor(L))
+    beta = _arnoldi_abscissa(_invert(L))
     assert beta is not None and beta < 0.0
     if cond <= 1e12:
         # beyond the solve's 1e12 refusal (DEFECTIVE, a Jordan block)
         # neither eigensolver resolves the abscissa to roundoff
         assert abs(beta - dense) <= 1e-12 * max(1.0, abs(dense))
-    assert _lu_abscissa(*_factor(L)) == beta  # bit-identical on rerun
+    assert _arnoldi_abscissa(_invert(L)) == beta  # bit-identical on rerun
 
 
 @properties
@@ -149,6 +148,29 @@ def check_lu_route(L):
 @example(ZERO)
 def test_lu_route_agrees_with_the_dense_abscissa(case):
     check_lu_route(lyap_matrix(*case))
+
+
+def getri_cond_bound(L):
+    """sqrt(kappa_1 kappa_inf) of L from LAPACK's getrf and getri."""
+    from scipy.linalg.lapack import dgetrf, dgetri
+
+    lu, piv, _ = dgetrf(L)
+    inv, info = dgetri(lu, piv)
+    if info != 0 or not np.isfinite(inv).all():
+        return np.inf
+    k1 = np.linalg.norm(L, 1) * np.linalg.norm(inv, 1)
+    kinf = np.linalg.norm(L, np.inf) * np.linalg.norm(inv, np.inf)
+    return float(np.sqrt(k1) * np.sqrt(kinf))
+
+
+@properties
+@given(plant_gain_level())
+@example(DEFECTIVE)
+@example(ZERO)
+def test_cond_bound_is_the_getri_figure(case):
+    L = lyap_matrix(*case)
+    want, got = getri_cond_bound(L), _cond_bound(L, _invert(L))
+    assert got == want if np.isinf(want) else abs(got - want) <= 1e-12 * want
 
 
 def seeded_plant(seed):

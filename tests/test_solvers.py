@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from slqt.errors import NotStabilizing, ResonantSpectra
+from slqt.errors import NotStabilizing, ResonantSpectra, SingularOperator
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem, is_stabilizing)
 from slqt.bpi import solve_tracking
@@ -152,6 +152,20 @@ def test_sylvester_against_scipy_and_resonance():
     with pytest.raises(ResonantSpectra):
         solve_sylvester(np.array([[-1.0]]), np.array([[1.0]]),
                         np.array([[1.0]]))
+
+
+def test_sylvester_check_is_scaled_to_the_rhs():
+    # an RHS near the overflow threshold is still checked: scaled by 1e300
+    # it solves to 1e300 times the unit solution, and a Pi that overflows
+    # is refused, not returned
+    A_c = np.array([[-2.0, 1.0], [0.0, -3.0]])
+    A_d = np.array([[0.0, 1.0], [-4.0, 0.0]])
+    RHS = np.random.default_rng(21).standard_normal((2, 2))
+    unit = solve_sylvester(A_c, A_d, RHS)
+    np.testing.assert_allclose(solve_sylvester(A_c, A_d, 1e300 * RHS), 1e300 * unit,
+                               rtol=1e-12, atol=0)
+    with pytest.raises(SingularOperator):
+        solve_sylvester(np.array([[-0.5]]), np.array([[0.0]]), np.array([[1e308]]))
 
 
 def test_ff_from_pi_formula():
