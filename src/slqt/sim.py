@@ -29,6 +29,12 @@ as an extra leading column, left out of its sums, since run_ensemble
 centres every batch on path 0. Each batch is reduced from its column
 slice of the pass into shared memory, and the batches' sums are added
 in batch order, so the bytes do not depend on the number of workers.
+
+se_xx is the batch-means standard error (Schmeiser, Oper. Res. 1982): a
+batch of b paths makes min(_SUB_BATCHES, b) contiguous sub-batches, sizes
+within one, the larger first; with T_g the sum of dP (a product less path
+0's) over sub-batch g of n_g paths, m its mean over all P paths and G the
+sub-batches in all, se^2 = max(sum_g T_g^2 / n_g - P m^2, 0) / (P (G - 1)).
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
 _SCAN_BLOCK = 128  # RK4 steps per block of the exact route's affine scan
 _PATH_BATCH = 1000  # paths per reduction unit of an ensemble; the last batch takes the rest
+_SUB_BATCHES = 10  # sub-batches of a batch, the batch means behind run_ensemble's se_xx
 
 
 def _on_grid(x, h: float) -> bool:
@@ -293,6 +300,16 @@ def _path_batches(n_paths: int) -> list:
     return [(lo, min(lo + _PATH_BATCH, n_paths)) for lo in range(0, n_paths, _PATH_BATCH)]
 
 
+def _sub_batches(X) -> list:
+    """X (steps, rows, b paths) as (steps, sub-batches, rows, size) views,
+    one per run of equal sub-batches (see the module docstring)."""
+    k, rows, b = X.shape
+    g = min(_SUB_BATCHES, b)
+    q, r = divmod(b, g)
+    return [X[..., f:f + c * m].reshape(k, rows, c, m).swapaxes(1, 2)
+            for f, c, m in ((0, r, q + 1), (r * (q + 1), g - r, q)) if c]
+
+
 def _portable(err: BaseException) -> BaseException:
     """err if it survives pickling, else a RuntimeError that names it."""
     try:
@@ -397,8 +414,8 @@ class MomentTrajectory:
     Both data routes return this: run_ensemble's Monte Carlo reductions
     and propagate_moments_exact's exact moments. mean_xx rows hold the
     upper triangle of E[x x'] row by row; se_xx, filled by run_ensemble
-    whenever it runs more than one path, the per-entry standard errors
-    of mean_xx. When ``discount`` is set the trajectories are the
+    for more than one path, their batch-means standard errors. When
+    ``discount`` is set the trajectories are the
     transformed ones, on both routes: x and u scaled by exp(-discount * t)
     and second moments by the square of that factor. The reference is
     not part of it: accumulate_raw_moments evaluates x_d on the grid.
@@ -434,10 +451,10 @@ def run_ensemble(plant, input, x0, config: SimConfig,
 
     Path p uses seed base_seed + p with an independent counter-based
     generator; all paths share the same deterministic input. Reductions
-    are centered on path 0: each batch of paths sums d and dP, a state
-    and its products less path 0's, and dP squared, and the batches'
-    sums are added in batch order, so a diffusion-free plant reproduces
-    its single path bit-exactly.
+    are centered on path 0, state s: one batched product d [d; 1]' of d = x - s
+    gives each sub-batch's sums of d and d d', so T_g = s (sum d)' + (sum d) s'
+    + sum d d', its sum of dP. Batches sum d, T_g and T_g^2 / n_g and are added
+    in batch order, so a diffusion-free plant gives its single path bit-exactly.
     """
     n = plant.n
     t = config.grid()
@@ -446,9 +463,9 @@ def run_ensemble(plant, input, x0, config: SimConfig,
     p = config.n_paths
     r_idx, c_idx = vech_indices(n)
     nn2 = r_idx.size
-    # each batch's sums over its paths of d, dP and dP^2, in memory the
-    # workers share, until they are added into batch 0's and become the
-    # moments; ref holds path 0's states and products
+    # each batch's sums of d, dP and T_g^2 / n_g, in memory the workers
+    # share, until they are added into batch 0's and become the moments;
+    # ref holds path 0's states and products
     batches = _path_batches(p)
     sums = [[_shared(N + 1, k) for k in (n, nn2, nn2)] for _ in batches]
     ref = np.empty((N + 1, n + nn2))
@@ -457,22 +474,25 @@ def run_ensemble(plant, input, x0, config: SimConfig,
         lo, hi = batches[share[0]][0], batches[share[-1]][1]
         skip = int(lo > 0)  # a share past the first batch leads with path 0
         paths = [0] * skip + list(range(lo, hi))
-        cols = [slice(skip + a - lo, skip + b - lo) for a, b in batches[share.start:share.stop]]
-        prods = np.empty((_BLOCK_STEPS, nn2, len(paths)))
+        D = np.ones((_BLOCK_STEPS, n + 1, len(paths)))  # rows :n hold d; row n stays 1
+        views = [_sub_batches(D[..., skip + a - lo:skip + b - lo])
+                 for a, b in batches[share.start:share.stop]]
+        sizes = [np.vstack([np.full((X.shape[1], 1), X.shape[-1]) for X in v]) for v in views]
 
         def record(k0, S):
-            blk = slice(k0, k0 + len(S))
-            dP = prods[:len(S)]
-            for q, (r, c) in enumerate(zip(r_idx, c_idx)):
-                np.multiply(S[:, r], S[:, c], out=dP[:, q])
-            p_ref = dP[..., 0].copy()
+            k = len(S)
+            blk = slice(k0, k0 + k)
+            s0 = S[..., 0]
             if not skip:
-                ref[blk, :n], ref[blk, n:] = S[..., 0], p_ref
-            dP -= p_ref[..., None]
-            for b, col in zip(share, cols):
-                d = dP[..., col]
-                parts = ((S[..., col] - S[..., :1]).sum(axis=-1), d.sum(axis=-1),
-                         np.einsum("kip,kip->ki", d, d))
+                ref[blk, :n], ref[blk, n:] = s0, s0[:, r_idx] * s0[:, c_idx]
+            np.subtract(S, S[..., :1], out=D[:k, :n])
+            for b, vs, n_g in zip(share, views, sizes):
+                # [sum dd' | sum d] of every sub-batch; T its sums of dP
+                M = np.concatenate([X[:k, :, :n] @ X[:k].swapaxes(-1, -2) for X in vs], axis=1)
+                sd = M[..., n]
+                T = (s0[:, None, r_idx] * sd[..., c_idx] + sd[..., r_idx] * s0[:, None, c_idx]
+                     + M[..., r_idx, c_idx])
+                parts = (sd.sum(axis=1), T.sum(axis=1), (T * T / n_g).sum(axis=1))
                 for target, part in zip(sums[b], parts):
                     target[blk] = part
 
@@ -489,11 +509,11 @@ def run_ensemble(plant, input, x0, config: SimConfig,
     mean_x /= p
     mean_x += ref[:, :n]
     mean_xx /= p  # the mean of dP
-    se_xx /= p
-    se_xx -= mean_xx * mean_xx
-    np.maximum(se_xx, 0.0, out=se_xx)
-    se_xx /= p
-    np.sqrt(se_xx, out=se_xx)
+    if p > 1:  # batch means over the G >= 2 sub-batches
+        se_xx -= p * mean_xx * mean_xx
+        np.maximum(se_xx, 0.0, out=se_xx)
+        se_xx /= p * (sum(min(_SUB_BATCHES, b - a) for a, b in batches) - 1)
+        np.sqrt(se_xx, out=se_xx)
     mean_xx += ref[:, n:]
     return _moment_trajectory(t, mean_x, mean_xx, u, discount, se_xx if p > 1 else None)
 

@@ -160,13 +160,13 @@ def solve_sylvester(A_c, A_d, RHS) -> np.ndarray:
     M = np.kron(A_d.T, np.eye(n)) + np.kron(np.eye(n_d), A_c.T)
     vec_pi = np.linalg.solve(M, RHS.ravel(order="F"))
     Pi = vec_pi.reshape((n, n_d), order="F")
+    if not np.isfinite(Pi).all():
+        raise SingularOperator("Sylvester solution Pi is not finite")
     s = float(np.abs(RHS).max(initial=0.0)) or 1.0
     Pi_s, RHS_s = Pi / s, RHS / s
     residual = float(np.linalg.norm(Pi_s @ A_d + A_c.T @ Pi_s - RHS_s, "fro"))
-    if not (np.isfinite(Pi).all()
-            and residual <= 1e-10 * (1.0 + float(np.linalg.norm(RHS_s, "fro")))):
-        raise SingularOperator(f"Sylvester residual {residual:.3e} (relative to "
-                               f"max|RHS| = {s:.3e}) too large, or Pi not finite")
+    if not residual <= 1e-10 * (1.0 + float(np.linalg.norm(RHS_s, "fro"))):
+        raise SingularOperator(f"Sylvester residual {residual:.3e} of Pi / {s:.3e} too large")
     return Pi
 
 

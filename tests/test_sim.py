@@ -251,6 +251,24 @@ def em_per_step(A, C, forcing, x0, first_seed, n_paths, n_steps, h, observe):
         observe(k + 1, X)
 
 
+def batch_means_se(prods, batches):
+    """The batch-means standard error of the mean over the paths (axis 1)
+    of prods, by the direct weighted formula. Each batch (first, end) of
+    paths splits into min(10, end - first) contiguous sub-batches whose
+    sizes differ by at most one, the larger first; over all G sub-batches,
+    se^2 = sum_g n_g (mean_g - mean)^2 / (P (G - 1))."""
+    groups = []
+    for a, b in batches:
+        g = min(10, b - a)
+        q, r = divmod(b - a, g)
+        edges = a + np.cumsum([0] + [q + 1] * r + [q] * (g - r))
+        groups += zip(edges[:-1], edges[1:])
+    P, G = prods.shape[1], len(groups)
+    mean = prods.mean(axis=1)
+    ss = sum((e - s) * (prods[:, s:e].mean(axis=1) - mean) ** 2 for s, e in groups)
+    return np.sqrt(ss / (P * (G - 1)))
+
+
 def test_block_kernel_equals_per_step_reference():
     plant = three_state_plant()
     h, P, seed = 1e-3, 24, 60
@@ -283,7 +301,7 @@ def test_block_kernel_equals_per_step_reference():
     prods = xs[:, :, r] * xs[:, :, c]
     close(ds.mean_x, xs.mean(axis=1))
     close(ds.mean_xx, prods.mean(axis=1))
-    close(ds.se_xx, prods.std(axis=1) / np.sqrt(P))
+    close(ds.se_xx, batch_means_se(prods, [(0, P)]))
     close(single_path(plant, two_input_signal, x0, cfg, seed), xs[:, 0])
 
     # tracking: the closed loop driven by -F x_d
@@ -315,6 +333,56 @@ def test_block_kernel_equals_per_step_reference():
     close(est.per_path, per_path)
     close(est.mean, per_path.mean())
     close(est.se, per_path.std() / np.sqrt(P - 1))
+
+
+def ensemble_and_products(P, n_steps, seed):
+    """run_ensemble of P paths of the three-state plant, and the upper
+    triangles of x x' of its paths, (steps, paths, entries)."""
+    plant, h = three_state_plant(), 1e-3
+    cfg = SimConfig(h=h, sample_period=h, window=h, l=n_steps, n_paths=P, base_seed=seed)
+    x0 = np.array([0.8, -0.5, 0.3])
+    xs = np.empty((n_steps + 1, 3, P))
+
+    def keep(k0, S):
+        xs[k0:k0 + len(S)] = S
+
+    u = _sample_input(two_input_signal, cfg.grid(), 2)
+    _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, range(seed, seed + P),
+              n_steps, h, keep)
+    r, c = np.triu_indices(3)
+    return run_ensemble(plant, two_input_signal, x0, cfg), (xs[:, r] * xs[:, c]).swapaxes(1, 2)
+
+
+def test_uneven_batches_give_the_weighted_batch_means_se(deadline):
+    # 1001 paths make a batch of 1000 (ten sub-batches of 100) and one of
+    # a single path, its own sub-batch: G = 11 of unequal sizes
+    P = sim._PATH_BATCH + 1
+    ds, prods = ensemble_and_products(P, 64, seed=300)
+    want = batch_means_se(prods, [(0, sim._PATH_BATCH), (sim._PATH_BATCH, P)])
+    assert want[1:].min() > 0
+    np.testing.assert_allclose(ds.se_xx, want, rtol=1e-12, atol=1e-12 * want.max())
+    np.testing.assert_allclose(ds.mean_xx, prods.mean(axis=1), rtol=1e-12, atol=0)
+
+
+def test_batch_means_se_is_near_the_per_path_se(deadline):
+    # two batches of 1000 paths make G = 20 sub-batches of 100: each
+    # entry's batch-means variance over the per-path one is about
+    # chi-square(19) / 19, so the median ratio over the grid stays near 1
+    P = 2 * sim._PATH_BATCH
+    ds, prods = ensemble_and_products(P, 400, seed=500)
+    per_path = prods.std(axis=1, ddof=1) / np.sqrt(P)
+    ratio = np.median(ds.se_xx[1:] / per_path[1:])
+    print("median batch-means / per-path se:", ratio)
+    assert 0.8 <= ratio <= 1.25
+
+
+def test_se_xx_is_none_for_one_path_and_finite_for_two():
+    sys, x0 = small_plant(), np.array([0.8, 0.2])
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.01, l=5, n_paths=1)
+    assert run_ensemble(sys, None, x0, cfg).se_xx is None
+    se = run_ensemble(sys, None, x0, replace(cfg, n_paths=2)).se_xx
+    assert se.shape == (cfg.n_steps + 1, 3)
+    assert np.isfinite(se).all() and se[-1].all()
 
 
 def test_input_of_wrong_shape_is_a_config_error():
