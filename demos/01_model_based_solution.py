@@ -20,7 +20,7 @@ sol = solve_tracking(problem)
 print("phase I (discount inflation from the zero gain)")
 for st in sol.history["phase1"]:
     print(f"  iter {st.index}: alpha -> {st.alpha:.6f}  K = {st.K.ravel()}")
-print(f"crossing at iteration {sol.history['crossing_iteration']}, "
+print(f"crossing at iteration {len(sol.history['phase1'])}, "
       f"zero-gain threshold {sol.history['zero_gain_threshold']:.4f}")
 
 print("\nphase II (policy iteration at gamma)")

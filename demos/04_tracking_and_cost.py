@@ -43,11 +43,11 @@ for j, (case, _) in enumerate(schedule):
 # cost of pretending the noise is additive-only
 ref = bundle.reference_for_case(8)
 _, F_opt = feedforward_gains(plant, cost, ref, sol.P, sol.K)
-K_det, F_det = noise_blind_design(plant, cost, ref, sol.K, bundle.hyper.max_iter)
+blind = noise_blind_design(TrackingProblem(plant, ref, cost, bundle.hyper))
 
 # one call runs both designs on the same noise paths, so the designs are
 # compared path by path
-c_opt, c_det = estimate_average_cost(plant, ref, [(sol.K, F_opt), (K_det, F_det)],
+c_opt, c_det = estimate_average_cost(plant, ref, [(sol.K, F_opt), (blind.K, blind.F)],
                                      cost, 50.0, 500, 314159, h=1e-3)
 d = c_det.per_path - c_opt.per_path
 sep = d.mean() / (d.std() / np.sqrt(d.size - 1))

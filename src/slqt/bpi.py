@@ -8,15 +8,17 @@ stabilizes the original plant and phase II iterates on it there with the
 true cost forcing K'RK + H'QH until it reaches the optimum.
 
 One loop, ``_bootstrap``, runs both phases for the model-based solve
-here and for the data-driven learners. It builds each step's forcing
+here, for the noise-blind design (the same solve on the plant without
+C and D) and for the data-driven learners. It builds each step's forcing
 and applies the one stop rule; the routes differ only in how they solve
 for the value under that forcing (a generalized Lyapunov solve, or
-least squares on moment data).
+least squares on moment data). Each step's IterateState is its only
+record: the crossing and the alphas are read off the trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +35,10 @@ __all__ = ["IterateState", "solve_tracking", "feedforward_gains", "noise_blind_d
 class IterateState:
     """One policy-iteration step: the value solved and the gain it yields.
 
-    residual, condition and abscissa come from the model-based solve of
-    the step (its LyapunovSolution); data-driven iterates leave them None.
+    residual is the residual of the step's value solve: the Lyapunov
+    residual on the model route, the least-squares residual on the data
+    routes. condition and abscissa come from the model-based solve (its
+    LyapunovSolution); data-driven iterates leave them None.
     """
 
     phase: int
@@ -123,30 +127,12 @@ def feedforward_gains(sys: StochasticSystem, cost, reference, P_star, K_star):
     return Pi, F
 
 
-def noise_blind_design(sys: StochasticSystem, cost, reference, K0, max_iter: int):
-    """(K, F) optimal for the plant with its noise channels C and D removed.
-
-    Kleinman's Newton iteration (IEEE TAC 13, 1968), which is phase II
-    run on the noise-free plant: P solves the Lyapunov equation of the
-    gain K under the forcing H'QH + K'RK and K <- R^-1 B'P, until the
-    value step ||P_i - P_{i-1}||_F is at most 1e-12 ||P_i||_F. K0 must make
-    A - B K0 Hurwitz; a mean-square stabilizing gain of the noisy plant
-    does. F is the feedforward for the reference under that design.
-    MaxIterExceeded after max_iter steps.
-    """
-    naive = StochasticSystem(sys.A, sys.B, np.zeros_like(sys.A), np.zeros_like(sys.D), sys.H)
-    HQH = sys.H.T @ cost.Q @ sys.H
-    K, P_prev = np.asarray(K0, dtype=float), None
-    for _ in range(max_iter):
-        P = solve_gen_lyap(naive, K, HQH + K.T @ cost.R @ K).P
-        K = np.linalg.solve(cost.R, sys.B.T @ P)
-        if P_prev is not None and (np.linalg.norm(P - P_prev, "fro")
-                                   <= 1e-12 * np.linalg.norm(P, "fro")):
-            return K, feedforward_gains(naive, cost, reference, P, K)[1]
-        P_prev = P
-    raise MaxIterExceeded(
-        f"the noise-blind Newton-Kleinman iteration did not converge within "
-        f"{max_iter} iterations")
+def noise_blind_design(problem: TrackingProblem) -> TrackingSolution:
+    """The optimal tracker of the problem's plant with its noise channels C
+    and D removed: B-PI on that noise-free plant, from the zero gain."""
+    sys = problem.system
+    naive = replace(sys, C=np.zeros_like(sys.C), D=np.zeros_like(sys.D))
+    return solve_tracking(replace(problem, system=naive))
 
 
 def solve_tracking(problem: TrackingProblem) -> TrackingSolution:
@@ -192,8 +178,6 @@ def solve_tracking(problem: TrackingProblem) -> TrackingSolution:
     history = {
         "phase1": trace[:crossing],
         "phase2": trace[crossing:],
-        "crossing_iteration": crossing,
-        "alpha_trace": [st.alpha for st in trace[:crossing]],
         "zero_gain_threshold": sigma_bar,
     }
     return TrackingSolution(P=P, K=K, Pi=Pi, F=F, Lambda=Lambda, history=history)

@@ -360,9 +360,9 @@ def _payload_model(config: ExperimentConfig):
         "sare_residual": float(sare_residual(plant, cost, sol.P)),
         "closed_loop_abscissa": float(spectral_abscissa(plant, sol.K)),
         "zero_gain_threshold": float(hist["zero_gain_threshold"]),
-        "crossing_iteration": int(hist["crossing_iteration"]),
+        "crossing_iteration": len(hist["phase1"]),
         "iterations": len(trace),
-        "alpha_trace": [float(a) for a in hist["alpha_trace"]],
+        "alpha_trace": [float(st.alpha) for st in hist["phase1"]],
         "certification": "validated",
         "trace": trace,
     }
@@ -376,7 +376,6 @@ def _payload_learned(learned: LearnedSolution) -> dict:
         "alpha_trace": [float(st.alpha) for st in learned.trace],
         "crossing_iteration": int(learned.crossing_iteration),
         "total_iterations": int(learned.total_iterations),
-        "residuals": [float(r) for r in learned.residuals],
         "rank": {"feedback": _rank_payload(learned.rank)},
         "trace": _iterate_rows(learned.trace),
     }
@@ -448,19 +447,19 @@ def _cost_comparison(config: ExperimentConfig, sol, F_opt) -> dict:
     a design that pretended the noise channels were absent."""
     plant, cost, options = config.plant, config.cost, config.cost_comparison
     ref_k = config.reference_for_case(options["case"])
-    K_det, F_det = noise_blind_design(plant, cost, ref_k, sol.K, config.hyper.max_iter)
+    blind = noise_blind_design(TrackingProblem(plant, ref_k, cost, config.hyper))
     # one pass drives both designs with the same noise paths (common random
     # numbers), so the separation is the mean per-path difference over its
     # own SE
     c_opt, c_det = estimate_average_cost(
-        plant, ref_k, [(sol.K, F_opt), (K_det, F_det)], cost, options["horizon"],
+        plant, ref_k, [(sol.K, F_opt), (blind.K, blind.F)], cost, options["horizon"],
         options["n_paths"], options["seed"], h=options["h"])
     d = c_det.per_path - c_opt.per_path
     sep = d.mean() / (d.std() / np.sqrt(d.size - 1))
     return {**options,
             "noise_aware": {"K": _matrix(sol.K), "F": _matrix(F_opt),
                             "mean": c_opt.mean, "se": c_opt.se},
-            "deterministic_design": {"K": _matrix(K_det), "F": _matrix(F_det),
+            "deterministic_design": {"K": _matrix(blind.K), "F": _matrix(blind.F),
                                      "mean": c_det.mean, "se": c_det.se},
             "separation_se": float(sep)}
 

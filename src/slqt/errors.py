@@ -40,7 +40,7 @@ class SingularOperator(SlqtError):
 
 
 class NonInvertible(SlqtError):
-    """A matrix that must be positive definite (R + D'PD) is not."""
+    """A gain matrix (R + D'PD, or its estimate R + Lambda) of condition above 1e12."""
 
 
 class ResonantSpectra(SlqtError):

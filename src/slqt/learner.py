@@ -5,7 +5,9 @@ solve (the one loop ``bpi._bootstrap``) entirely on sampled moment
 data: in place of a generalized Lyapunov solve, each policy evaluation
 solves a least-squares system whose unknowns are
 [vech(P); vec(M); vech(Lambda)] and recovers the gain
-K = (R+Lambda)^{-1}M. No plant matrix enters but the shadow route's B;
+K = (R+Lambda)^{-1}M through the model route's gain solve. Each step's
+least-squares residual goes into its trace row, as the Lyapunov residual
+does on the model route. No plant matrix enters but the shadow route's B;
 certifying the iterates against a known plant is the caller's.
 
 learn_shadow handles the no-probing case (u = 0, D = 0): two auxiliary
@@ -26,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpi import _bootstrap
-from .errors import ConfigError, NonInvertible, ShadowUncontrollable
+from .errors import ConfigError, ShadowUncontrollable
 from .model import _COND_LIMIT, BpiHyperParams, CostWeights, _check_eigenbasis
 from .regressors import (MomentTable, RankReport, assemble_psi,
                          assemble_xi, feedback_required_rank,
                          feedforward_required_rank, psi_rhs, require_rank)
 from .sim import ProbingSignal, _on_grid
+from .solvers import _solve_gain
 from .symquad import h_form_rows, unvech, vec
 
 __all__ = ["LearnedSolution", "ShadowConfig", "FeedforwardFit",
@@ -45,14 +48,13 @@ _SHADOW_BLOCK = 512  # grid rows per block of the closed-form shadow series
 class LearnedSolution:
     """Everything the data-driven iteration produced.
 
-    trace holds one IterateState per iteration, residuals the
-    least-squares residual of each, rank the excitation rank test of
-    the feedback rows and Lambda_star the last Lambda estimate; the
-    final (P, K), the crossing and the iteration count come from trace.
+    trace holds one IterateState per iteration, with the least-squares
+    residual of each, rank the excitation rank test of the feedback rows
+    and Lambda_star the last Lambda estimate; the final (P, K), the
+    crossing and the iteration count come from trace.
     """
 
     trace: list
-    residuals: list
     rank: RankReport
     Lambda_star: np.ndarray
 
@@ -146,13 +148,6 @@ def _lstsq(A: np.ndarray, b: np.ndarray):
     return theta, float(np.linalg.norm(A @ theta - b))
 
 
-def _gain_from(M: np.ndarray, Lambda: np.ndarray, R: np.ndarray) -> np.ndarray:
-    G = R + Lambda
-    if np.linalg.cond(G) > _COND_LIMIT:
-        raise NonInvertible("R + Lambda estimate is numerically singular")
-    return np.linalg.solve(G, M)
-
-
 def _check_discount(moments: MomentTable, hyper: BpiHyperParams) -> None:
     """ConfigError unless the table was discounted at (gamma - alpha0)/2."""
     if moments.discount is None or abs(moments.discount - hyper.alpha_tilde) > 1e-12:
@@ -171,7 +166,6 @@ def _learn(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
     _check_discount(moments, hyper)
     R, H = cost.R, moments.H
     theta_mat = hyper.theta_for(moments.n)
-    residuals = []
     Lambda = None
 
     def evaluate(level, K, forcing):
@@ -181,12 +175,10 @@ def _learn(moments: MomentTable, cost: CostWeights, hyper: BpiHyperParams,
         if not np.isfinite(resid):
             raise ConfigError("least-squares residual is not finite")
         P, M, Lambda = split(theta)
-        residuals.append(resid)
-        return P, _gain_from(M, Lambda, R), {}
+        return P, _solve_gain(R + Lambda, M, "R + Lambda estimate"), {"residual": resid}
 
     trace, _ = _bootstrap(hyper, theta_mat, H.T @ cost.Q @ H, R, evaluate)
-    return LearnedSolution(trace=trace, residuals=residuals, rank=report,
-                           Lambda_star=Lambda)
+    return LearnedSolution(trace=trace, rank=report, Lambda_star=Lambda)
 
 
 def learn_feedback(moments: MomentTable, cost: CostWeights,

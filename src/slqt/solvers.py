@@ -96,16 +96,19 @@ def _cond_bound(L: np.ndarray, L_inv: np.ndarray) -> float:
     return float(np.sqrt(k1) * np.sqrt(kinf))
 
 
+def _solve_gain(G: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+    """G^{-1} rhs, the one gain solve; NonInvertible unless cond(G) <= _COND_LIMIT."""
+    cond = np.linalg.cond(G) if np.isfinite(G).all() else np.inf
+    if not cond <= _COND_LIMIT:
+        raise NonInvertible(f"{name} has condition {cond:.3e} > {_COND_LIMIT:.0e}")
+    return np.linalg.solve(G, rhs)
+
+
 def gain_update(sys: StochasticSystem, P, R) -> np.ndarray:
     """K(P) = (R + D'PD)^{-1} (B'P + D'PC)."""
     P = np.asarray(P, dtype=float)
-    R = np.asarray(R, dtype=float)
-    G = R + sys.D.T @ P @ sys.D
-    rhs = sys.B.T @ P + sys.D.T @ P @ sys.C
-    try:
-        return np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NonInvertible(f"R + D'PD is singular: {exc}") from exc
+    G = np.asarray(R, dtype=float) + sys.D.T @ P @ sys.D
+    return _solve_gain(G, sys.B.T @ P + sys.D.T @ P @ sys.C, "R + D'PD")
 
 
 def alpha_update(alpha: float, P, K, eta: float, Q_hat, R) -> float:
@@ -172,9 +175,5 @@ def solve_sylvester(A_c, A_d, RHS) -> np.ndarray:
 
 def ff_from_pi(sys: StochasticSystem, P_star, Pi, R) -> np.ndarray:
     """F* = (R + D'P*D)^{-1} B' Pi."""
-    P_star = np.asarray(P_star, dtype=float)
-    G = np.asarray(R, dtype=float) + sys.D.T @ P_star @ sys.D
-    try:
-        return np.linalg.solve(G, sys.B.T @ np.asarray(Pi, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise NonInvertible(f"R + D'P*D is singular: {exc}") from exc
+    G = np.asarray(R, dtype=float) + sys.D.T @ np.asarray(P_star, dtype=float) @ sys.D
+    return _solve_gain(G, sys.B.T @ np.asarray(Pi, dtype=float), "R + D'P*D")

@@ -122,10 +122,10 @@ def test_criterion_01_model_based_damped_oscillator(ex1, ex1_model):
 def test_criterion_02_phase_structure(ex1_model, ex1_exact_learn,
                                       ex1_mc_learn):
     sol, _ = ex1_model
-    model_cross = sol.history["crossing_iteration"]
+    model_cross = len(sol.history["phase1"])
     exact = ex1_exact_learn
     _, mc, _ = ex1_mc_learn
-    alphas = sol.history["alpha_trace"]
+    alphas = [st.alpha for st in sol.history["phase1"]]
     increasing = all(b > a for a, b in zip(alphas, alphas[1:]))
     for learned in (exact, mc):
         head = [st.alpha for st in learned.trace[:learned.crossing_iteration]]
@@ -222,7 +222,7 @@ def test_criterion_06_monotonicity_suite():
                                           + theta).min()) for st in tr1)
         budget = math.ceil((hyper.gamma - hyper.alpha0) * c0
                            / (hyper.eta * c1))
-        bound_ok = bound_ok and sol.history["crossing_iteration"] <= budget
+        bound_ok = bound_ok and len(tr1) <= budget
     ok = worst_pair >= -1e-8 and worst_star >= -1e-8 and bound_ok
     gate(6, ok, f"min eig steps {worst_pair:.1e}, vs fixed point "
                 f"{worst_star:.1e}, phase-one budget held {bound_ok}")

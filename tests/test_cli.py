@@ -920,10 +920,11 @@ def test_report_reemit_is_identical(tmp_path, capsys):
     src = str(out / "report.json")
     assert main(["report", src]) == 0
     shown = capsys.readouterr().out
-    assert json.loads(shown)["payload"] == json.loads(open(src).read())["payload"]
+    with open(src, encoding="utf-8") as f:
+        payload = json.load(f)["payload"]
+    assert json.loads(shown)["payload"] == payload
     # canonical re-encode of a loaded report reproduces the payload bytes
-    rep = load_report(src)
-    assert canonical_json(json.loads(open(src).read())["payload"]) == rep.payload_text()
+    assert canonical_json(payload) == load_report(src).payload_text()
 
 
 def test_report_rejects_other_schemas(tmp_path):

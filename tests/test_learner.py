@@ -15,7 +15,7 @@ from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
 from slqt.bpi import feedforward_gains, solve_tracking
 from slqt.learner import (ShadowConfig, _shadow_series, learn_feedback,
                           learn_feedforward, learn_shadow, shadow_regressors)
-from slqt.regressors import MomentTable, accumulate_raw_moments
+from slqt.regressors import MomentTable, accumulate_raw_moments, assemble_psi, psi_rhs
 from slqt.sim import (ProbingSignal, SimConfig, _on_grid, propagate_moments_exact,
                       run_ensemble)
 from slqt.symquad import vech
@@ -106,7 +106,7 @@ def _diverge_model(hyper, cost):
 
 
 @pytest.mark.parametrize("run, diagnostics", [
-    (_diverge_learner, set()),
+    (_diverge_learner, {"residual"}),
     (_diverge_model, {"residual", "condition", "abscissa"}),
 ], ids=["learner", "model"])
 def test_diverged_alpha_carries_the_partial_trace(monkeypatch, run, diagnostics):
@@ -132,6 +132,25 @@ def test_diverged_alpha_carries_the_partial_trace(monkeypatch, run, diagnostics)
         np.testing.assert_array_equal(r["P"], st.P)
         for k in diagnostics:
             assert r[k] == getattr(st, k)
+
+
+def test_learned_trace_rows_carry_the_least_squares_residual():
+    from slqt.cli import _payload_learned
+
+    hyper = BpiHyperParams()
+    tab = scalar_moments(hyper)
+    cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
+    learned = learn_feedback(tab, cost, hyper)
+    block = _payload_learned(learned)
+    assert "residuals" not in block
+    rows = block["trace"]
+    assert [r["residual"] for r in rows] == [st.residual for st in learned.trace]
+    # iterate 1 evaluates the zero gain at alpha0 under the forcing theta
+    psi = assemble_psi(tab, 0.0, np.zeros((1, 1)))
+    rhs = psi_rhs(tab, hyper.theta_for(1))
+    theta = np.linalg.lstsq(psi, rhs, rcond=None)[0]
+    assert rows[0]["residual"] == pytest.approx(np.linalg.norm(psi @ theta - rhs),
+                                                rel=1e-12)
 
 
 def shadow_pair(r_val=2.0):

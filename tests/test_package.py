@@ -69,7 +69,8 @@ def test_cost_study_runs_with_scipy_blocked(tmp_path):
                  + ("sys.modules['scipy'] = None\n" if block else "")
                  + "from slqt.cli import canonical_json, main\n"
                  f"rc = main(['solve', '--config', {config!r}, '--out', {str(out)!r}])\n"
-                 f"doc = json.load(open({str(out / 'report.json')!r}))\n"
+                 f"with open({str(out / 'report.json')!r}) as f:\n"
+                 "    doc = json.load(f)\n"
                  "print(canonical_json(doc['payload']))\n"
                  "sys.exit(rc)\n")
         done = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from slqt.errors import NotStabilizing, ResonantSpectra, SingularOperator
+from slqt.errors import NonInvertible, NotStabilizing, ResonantSpectra, SingularOperator
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem, is_stabilizing)
 from slqt.bpi import solve_tracking
@@ -79,6 +79,19 @@ def test_gain_update_formula():
     lhs = (R + sys.D.T @ P @ sys.D) @ K
     rhs = sys.B.T @ P + sys.D.T @ P @ sys.C
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("solve", [
+    gain_update, lambda sys, P, R: ff_from_pi(sys, P, np.ones((2, 1)), R),
+], ids=["gain_update", "ff_from_pi"])
+def test_gain_solves_refuse_an_ill_conditioned_gain_matrix(solve):
+    # with D = 0 the gain matrix R + D'PD is R = diag(1, 1e-13), whose
+    # condition 1e13 is past the one limit of every gain solve; an LU
+    # solve alone would return a gain
+    sys = StochasticSystem(A=-np.eye(2), B=np.eye(2), C=0.1 * np.eye(2),
+                           D=np.zeros((2, 2)), H=np.eye(2))
+    with pytest.raises(NonInvertible, match="condition 1.000e"):
+        solve(sys, np.eye(2), np.diag([1.0, 1e-13]))
 
 
 def test_alpha_update_formula():
