@@ -88,13 +88,24 @@ def _block(parent: dict, key: str, prefix: str = "",
     return None if block is None else _known(block, prefix + key)
 
 
+def _number(v, key: str) -> float:
+    """v as a float if it is a JSON number: an int or a float, never a bool
+    or a string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, key: str) -> np.ndarray:
+    """v, a JSON number or nested lists of them, as a float array."""
+    a = np.asarray(v, dtype=object)  # a ragged list keeps its rows as entries
+    return np.array([_number(x, key) for x in a.flat], dtype=float).reshape(a.shape)
+
+
 def _arr(block: dict, key: str) -> np.ndarray:
-    try:
-        return np.asarray(block[key], dtype=float)
-    except KeyError as e:
-        raise ConfigError(f"missing config key {key!r}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config key {key!r} is not numeric") from e
+    if key not in block:
+        raise ConfigError(f"missing config key {key!r}")
+    return _numbers(block[key], key)
 
 
 def _integer(block: dict, key: str, default: int | None = None) -> int:
@@ -116,7 +127,7 @@ def _seed(block: dict, key: str, default: int | None = None) -> int:
 
 
 def _positive(block: dict, key: str, default: float) -> float:
-    v = float(block.get(key, default))
+    v = _number(block.get(key, default), key)
     if not 0.0 < v < np.inf:
         raise ConfigError(f"config key {key!r} must be positive and finite, got {v!r}")
     return v
@@ -125,7 +136,8 @@ def _positive(block: dict, key: str, default: float) -> float:
 def _probing_from(block: dict):
     count, seed = _integer(block, "count"), _seed(block, "seed")
     try:
-        return ProbingSignal(float(block["amplitude"]), count, block["freq_range"], seed)
+        return ProbingSignal(_number(block["amplitude"], "amplitude"), count,
+                             _numbers(block["freq_range"], "freq_range"), seed)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad probing block: {e}") from e
 
@@ -159,22 +171,19 @@ def _parse(raw: dict) -> ExperimentConfig:
     cost = CostWeights(Q=np.atleast_2d(_arr(cb, "Q")),
                        R=np.atleast_2d(_arr(cb, "R")))
     hb = _block(raw, "hyper") or {}
-    theta = hb.get("theta")
+    floats = {k: _number(hb.get(k, getattr(BpiHyperParams, k)), k)
+              for k in ("gamma", "alpha0", "eta", "epsilon")}
     hyper = BpiHyperParams(
-        gamma=float(hb.get("gamma", BpiHyperParams.gamma)),
-        alpha0=float(hb.get("alpha0", BpiHyperParams.alpha0)),
-        eta=float(hb.get("eta", BpiHyperParams.eta)),
-        theta=None if theta is None else np.asarray(theta, dtype=float),
-        epsilon=float(hb.get("epsilon", BpiHyperParams.epsilon)),
+        **floats, theta=None if hb.get("theta") is None else _arr(hb, "theta"),
         max_iter=_integer(hb, "max_iter", BpiHyperParams.max_iter))
     # construct-and-discard: raises ConfigError on any dimension mismatch
     TrackingProblem(system=plant, reference=reference, cost=cost, hyper=hyper)
 
     sb = _block(raw, "sim") or {}
-    sim = SimConfig(h=float(sb.get("h", SimConfig.h)),
-                    sample_period=float(sb.get("T_s", SimConfig.sample_period)),
-                    window=float(sb.get("T", SimConfig.window)),
-                    t1=float(sb.get("t1", SimConfig.t1)),
+    sim = SimConfig(h=_number(sb.get("h", SimConfig.h), "h"),
+                    sample_period=_number(sb.get("T_s", SimConfig.sample_period), "T_s"),
+                    window=_number(sb.get("T", SimConfig.window), "T"),
+                    t1=_number(sb.get("t1", SimConfig.t1), "t1"),
                     l=_integer(sb, "l", SimConfig.l),
                     n_paths=_integer(sb, "n_paths", SimConfig.n_paths),
                     base_seed=_seed(sb, "base_seed", SimConfig.base_seed))
@@ -193,7 +202,7 @@ def _parse(raw: dict) -> ExperimentConfig:
             if x0.size != plant.n:
                 raise ConfigError(
                     f"segment x0 has {x0.size} entries, plant has {plant.n} states")
-            segments.append((x0, float(s.get("t_offset", 0.0)),
+            segments.append((x0, _number(s.get("t_offset", 0.0), "t_offset"),
                              _seed(s, "base_seed", sim.base_seed)))
         segments = tuple(segments)
 
@@ -201,8 +210,7 @@ def _parse(raw: dict) -> ExperimentConfig:
     if case_rows is None:
         h_d_cases = (reference.H_d,)
     else:
-        h_d_cases = tuple(np.atleast_2d(np.asarray(r, dtype=float))
-                          for r in case_rows)
+        h_d_cases = tuple(np.atleast_2d(_numbers(r, "cases")) for r in case_rows)
         for r in h_d_cases:
             if r.shape[1] != reference.n_d:
                 raise ConfigError(
@@ -224,7 +232,7 @@ def _parse(raw: dict) -> ExperimentConfig:
         shadow = ShadowConfig(A_a=_arr(shb, "A_a"), u_a=_probing_from(spb),
                               x_a0=_arr(shb, "x_a0"), F_a=_arr(shb, "F_a"),
                               y_a0=_arr(shb, "y_a0"),
-                              h=float(shb.get("h", ShadowConfig.h)))
+                              h=_number(shb.get("h", ShadowConfig.h), "h"))
     if mode == "shadow":
         if shadow is None:
             raise ConfigError("mode 'shadow' needs a shadow block")
@@ -237,7 +245,7 @@ def _parse(raw: dict) -> ExperimentConfig:
     tracking = None
     if tb is not None:
         try:
-            schedule = [(c, float(d)) for c, d in tb["schedule"]]
+            schedule = [(c, _number(d, "schedule")) for c, d in tb["schedule"]]
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad tracking schedule: {e}") from e
         tracking = {"schedule": schedule, "h": _positive(tb, "h", 1e-3),

@@ -57,10 +57,9 @@ __all__ = [
 ]
 
 _BLOWUP_NORM = 1e8
-# steps of sign bits unpacked at a time; a multiple of 64, so that a path's
-# increments do not depend on where the chunks fall
-_CHUNK_STEPS = 1024
-_DRAW_CHUNKS = 8  # chunks of sign words drawn per random_raw call of a path
+# steps of sign bits drawn per random_raw call of a path; a multiple of 64,
+# so that a path's increments do not depend on where the draws fall
+_DRAW_STEPS = 8192
 _SIGNS = np.array([1.0, -1.0])  # the increment of a 0 bit and a 1 bit, in units of sqrt(h)
 _BLOCK_STEPS = 32  # EM steps per block of states handed to an observer
 _PROBE_ROWS = 4096  # time samples per block of the probing-signal sine matrix
@@ -214,30 +213,15 @@ def _sign_words(bitgens, n_steps: int) -> np.ndarray:
     return words
 
 
-def _unpack_signs(words) -> np.ndarray:
-    """Row k of the (64 * words.shape[1], paths) uint8 result holds bit k
-    of each path's words, little-endian within each 64-bit word: 0 for an
-    increment of +sqrt(h), 1 for -sqrt(h) (_SIGNS)."""
-    return np.unpackbits(words.view(np.uint8).T, axis=0, bitorder="little")
-
-
-def _sign_bits(bitgens, n_steps: int) -> np.ndarray:
-    """The sign bits of the next n_steps increments of every path,
-    step-major, in one piece: the bits the kernel draws _DRAW_CHUNKS
-    chunks at a time and unpacks one chunk at a time. Rows past n_steps
-    are the unused bits of the last word.
-    """
-    return _unpack_signs(_sign_words(bitgens, n_steps))
-
-
 def _em_paths(A, C, forcing, x0, seeds, n_steps: int, h: float, observe,
               sys_name: str = "state", paths=None) -> None:
     """Euler-Maruyama paths of dx = (Ax+Bu)dt + (Cx+Du)dw from a common x0.
 
     forcing is (B, D, u) with u the (n_steps+1, m) input on the grid.
     Column i draws its increments, +-sqrt(h), from the bits of
-    Philox(seeds[i]), one random_raw call per _DRAW_CHUNKS chunks of
-    _CHUNK_STEPS steps, unpacked a chunk at a time (see _sign_bits).
+    Philox(seeds[i]), one random_raw call per _DRAW_STEPS steps: bit k of
+    its words, little-endian within each 64-bit word, is the sign of step
+    k (0 for +sqrt(h), _SIGNS), unpacked one block at a time.
     paths[i] is the number a Blowup gives column i's path (by default i).
     The state is X of shape (n, len(seeds)), paths on the last axis; one
     step is X + (hAX + hBu) + dW (CX + Du), with both brackets from one
@@ -261,7 +245,6 @@ def _em_paths(A, C, forcing, x0, seeds, n_steps: int, h: float, observe,
     f = np.hstack([h * (u[:-1] @ B.T), u[:-1] @ D.T])  # column n of G, block by block
     bitgens = [np.random.Philox(seed) for seed in seeds]
     steps = np.sqrt(h) * _SIGNS  # the increment of a 0 bit and of a 1 bit
-    signs = np.empty((P, _BLOCK_STEPS), dtype=np.uint8)  # one block of bits, compact
     dW = np.zeros((_BLOCK_STEPS, width))
     S = np.empty((_BLOCK_STEPS + 1, n + 1, width))  # row n holds the 1 of [X; 1]
     S[:, n] = 1.0
@@ -270,29 +253,23 @@ def _em_paths(A, C, forcing, x0, seeds, n_steps: int, h: float, observe,
     drift, diffusion = Y[:n], Y[n:]
     states = [s[:n] for s in S]  # views made once; the step loop is hot
     observe(0, S[:1, :n, :P])
-    draw = _DRAW_CHUNKS * _CHUNK_STEPS
-    for first in range(0, n_steps, draw):
-        words = _sign_words(bitgens, min(draw, n_steps - first))
-        for start in range(first, min(first + draw, n_steps), _CHUNK_STEPS):
-            end = min(start + _CHUNK_STEPS, n_steps)
-            w0 = (start - first) // 64
-            bits = _unpack_signs(words[:, w0:w0 + _CHUNK_STEPS // 64])
-            for k in range(start, end, _BLOCK_STEPS):
-                b = min(_BLOCK_STEPS, end - k)
-                # bits holds each path's steps contiguously; a compact copy
-                # of the block keeps the transposed read within a few pages
-                np.copyto(signs[:, :b], bits[k - start:k - start + b].T)
-                np.take(steps, signs[:, :b].T, out=dW[:b, :P], mode="wrap")
-                G[:b, :, n] = f[k:k + b]
-                for j in range(b):
-                    np.matmul(G[j], S[j], out=Y)
-                    np.multiply(diffusion, dW[j], out=diffusion)
-                    np.add(drift, diffusion, out=drift)
-                    np.add(states[j], drift, out=states[j + 1])
-                blk = S[1:b + 1, :n, :P]
-                _check_block(blk, k + 1, h, sys_name, paths)
-                observe(k + 1, blk)
-                S[0] = S[b]
+    for first in range(0, n_steps, _DRAW_STEPS):
+        octets = _sign_words(bitgens, min(_DRAW_STEPS, n_steps - first)).view(np.uint8)
+        for k in range(first, min(first + _DRAW_STEPS, n_steps), _BLOCK_STEPS):
+            b = min(_BLOCK_STEPS, n_steps - k)
+            o = (k - first) // 8  # the block's bits are octets o, o + 1, ... of each path
+            signs = np.unpackbits(octets[:, o:o + _BLOCK_STEPS // 8], axis=1, bitorder="little")
+            np.take(steps, signs[:, :b].T, out=dW[:b, :P], mode="wrap")
+            G[:b, :, n] = f[k:k + b]
+            for j in range(b):
+                np.matmul(G[j], S[j], out=Y)
+                np.multiply(diffusion, dW[j], out=diffusion)
+                np.add(drift, diffusion, out=drift)
+                np.add(states[j], drift, out=states[j + 1])
+            blk = S[1:b + 1, :n, :P]
+            _check_block(blk, k + 1, h, sys_name, paths)
+            observe(k + 1, blk)
+            S[0] = S[b]
 
 
 def _path_batches(n_paths: int) -> list:
@@ -647,16 +624,16 @@ def _block_diag(*blocks: np.ndarray) -> np.ndarray:
 
 def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
                           horizon: float, n_paths: int, seed: int,
-                          h: float = 1e-3, x0=None) -> list:
+                          h: float = 1e-3) -> list:
     """Average of (1/T)*integral(|y - y_d|_Q^2 + |u|_R^2), one per design.
 
     designs is a sequence of pairs (K, F), each the law u = -K x - F x_d.
-    Euler-Maruyama integrates the plant state only, forced by the exact
-    reference -F x_d(t_k) as in simulate_tracking. The designs' closed
-    loops are stacked block-diagonally in one kernel pass, so one dW,
-    from Philox(seed + i) on path i, drives every design: common random
-    numbers by construction, and each design's block equals its run
-    alone. Per-path integrals use the trapezoid rule.
+    Euler-Maruyama integrates the plant state only, from the origin,
+    forced by the exact reference -F x_d(t_k) as in simulate_tracking.
+    The designs' closed loops are stacked block-diagonally in one kernel
+    pass, so one dW, from Philox(seed + i) on path i, drives every design:
+    common random numbers by construction, and each design's block equals
+    its run alone. Per-path integrals use the trapezoid rule.
     """
     n, m, J = plant.n, plant.m, len(designs)
     gains = [(np.asarray(K, dtype=float).reshape(m, n),
@@ -673,7 +650,6 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
     w = np.hstack([np.hstack([x_d @ (LQ @ reference.H_d).T, u @ LR.T])
                    for u in u_ff])[:, :, None]
     acc = _shared(J, n_paths)
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     A_cl, C_cl = zip(*(plant.closed_loop(K) for K, _ in gains))
     forcing = (_block_diag(*[plant.B] * J), _block_diag(*[plant.D] * J), np.hstack(u_ff))
     batches = _path_batches(n_paths)
@@ -693,7 +669,7 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
                 acc[:, lo:hi] += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
             last = rates[-1]
 
-        _em_paths(_block_diag(*A_cl), _block_diag(*C_cl), forcing, np.tile(x0, J),
+        _em_paths(_block_diag(*A_cl), _block_diag(*C_cl), forcing, np.zeros(n * J),
                   [seed + i for i in range(lo, hi)], N, h, integrate, "closed-loop state",
                   paths=range(lo, hi))
 

@@ -239,6 +239,27 @@ def test_non_finite_hyperparameters_and_amplitudes_exit_2(tmp_path, capsys, bloc
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("path, value", [
+    (("sim", "h"), "1e-4"), (("sim", "T_s"), True), (("hyper", "gamma"), "1.0"),
+    (("tracking", "h"), True), (("cost", "R"), [["0.01"]]),
+    (("plant", "A", 0, 0), "0"), (("reference", "x_d0", 0), "2.2"),
+], ids=["sim.h", "sim.T_s", "hyper.gamma", "tracking.h", "cost.R", "plant.A", "reference.x_d0"])
+def test_float_keys_and_matrix_entries_take_json_numbers_only(path, value):
+    # a string or a bool where a number belongs is refused, naming its key,
+    # as the integer keys refuse them; example 1's scenario-1 run parses
+    from slqt.benchmarks import EXAMPLES
+    base, runs = EXAMPLES["one"]
+    raw = copy.deepcopy({**base, **runs["scenario1"]})
+    parse_experiment_config(copy.deepcopy(raw))
+    block = raw
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    key = [k for k in path if isinstance(k, str)][-1]
+    with pytest.raises(ConfigError, match=re.escape(f"config key {key!r} must be a number")):
+        parse_experiment_config(raw)
+
+
 def example_runs(which):
     """(name, parsed config) of each run of a bundled example."""
     from slqt.benchmarks import EXAMPLES
@@ -584,14 +605,16 @@ def test_shadow_maps_that_are_not_square_matrices_exit_2(tmp_path, capsys, key, 
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["shadow", "--config", str(cfg), "--out", str(out)]) == EXIT_CODES["config"]
-    assert capsys.readouterr().err == \
-        f"error: shadow {key} must be a square matrix, got shape ()\n"
+    # a scalar is no square matrix; null and true are no JSON numbers
+    message = (f"shadow {key} must be a square matrix, got shape ()" if type(value) is float
+               else f"config key {key!r} must be a number, got {value!r}")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "report.json").exists()
 
 
 def test_shadow_refuses_rectangular_and_non_finite_maps():
     for key, value, message in (("A_a", [[-1.0, 0.5]], "square matrix, got shape (1, 2)"),
-                                ("F_a", [[0.0, None], [-1.3, 0.0]], "non-finite entry")):
+                                ("F_a", [[0.0, math.nan], [-1.3, 0.0]], "non-finite entry")):
         raw = copy.deepcopy(SHADOW_CONFIG)
         raw["shadow"][key] = value
         with pytest.raises(ConfigError, match=re.escape(f"shadow {key} ")) as info:

@@ -13,9 +13,9 @@ from scipy.linalg import expm
 from slqt import sim
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
-from slqt.sim import (_BLOCK_STEPS, _CHUNK_STEPS, _SCAN_BLOCK, _SIGNS, ProbingSignal,
+from slqt.sim import (_BLOCK_STEPS, _DRAW_STEPS, _SCAN_BLOCK, _SIGNS, ProbingSignal,
                       SimConfig, _affine_recursion, _em_paths, _reference_states,
-                      _rk4_step, _run_batches, _sample_input, _sign_bits,
+                      _rk4_step, _run_batches, _sample_input, _sign_words,
                       estimate_average_cost, propagate_moments_exact,
                       run_ensemble, simulate_tracking)
 from slqt.symquad import unvech
@@ -55,9 +55,11 @@ def single_path(sys, input, x0, cfg, seed):
 
 def increments(first_seed, n_paths, n_steps, h):
     """The (n_steps, n_paths) Euler-Maruyama increments of paths first_seed,
-    first_seed + 1, ...: the kernel's sign bits, drawn in one call."""
+    first_seed + 1, ...: the kernel's sign bits, drawn in one call; bit k
+    of a path's words, little-endian within each word, is step k's."""
     bitgens = [np.random.Philox(first_seed + i) for i in range(n_paths)]
-    return np.sqrt(h) * _SIGNS[_sign_bits(bitgens, n_steps)[:n_steps]]
+    octets = _sign_words(bitgens, n_steps).view(np.uint8)
+    return np.sqrt(h) * _SIGNS[np.unpackbits(octets, axis=1, bitorder="little").T[:n_steps]]
 
 
 def test_probing_signal_bound_and_determinism():
@@ -213,10 +215,10 @@ def test_every_ensemble_member_is_its_single_path():
 
 
 def test_members_equal_their_single_paths_across_buffer_swaps():
-    # the sign bits are unpacked _CHUNK_STEPS steps at a time; three chunk
-    # boundaries and a partial last chunk must leave every member its
-    # one-path run, and the stacked cost designs their runs alone
-    n_steps = 3 * _CHUNK_STEPS + 5
+    # the sign bits are drawn _DRAW_STEPS steps at a time; a draw boundary
+    # and a partial last draw must leave every member its one-path run,
+    # and the stacked cost designs their runs alone
+    n_steps = _DRAW_STEPS + 37
     sys = three_state_plant()
     cfg = SimConfig(h=1e-3, sample_period=1e-3, window=1e-3, l=n_steps,
                     n_paths=4, base_seed=70)
@@ -272,7 +274,7 @@ def batch_means_se(prods, batches):
 def test_block_kernel_equals_per_step_reference():
     plant = three_state_plant()
     h, P, seed = 1e-3, 24, 60
-    n_steps = 4 * _CHUNK_STEPS + 37  # four chunks and a partial one
+    n_steps = _DRAW_STEPS + 37  # one draw and a partial one
     assert n_steps % _BLOCK_STEPS and n_steps % 64
     cfg = SimConfig(h=h, sample_period=h, window=h, l=n_steps, n_paths=P,
                     base_seed=seed)
@@ -318,8 +320,10 @@ def test_block_kernel_equals_per_step_reference():
                             h=h, n_paths=P, base_seed=seed)
     close(run.x_mean, xs.mean(axis=1))
 
-    # average cost: the same forced loop, with the cost rate
-    # |Hx - H_d x_d|_Q^2 + |Kx + F x_d|_R^2 on the exact reference
+    # average cost: the same forced loop from the origin, with the cost
+    # rate |Hx - H_d x_d|_Q^2 + |Kx + F x_d|_R^2 on the exact reference
+    xs = paths(plant.A - plant.B @ K, plant.C - plant.D @ K,
+               (plant.B, plant.D, u_ff), np.zeros(3))
     cost = CostWeights(Q=np.array([[2.0]]), R=np.diag([0.5, 1.0]))
     x_d = _reference_states(A_d, x_d0, t)
     e = xs @ plant.H.T - (x_d @ H_d.T)[:, None]
@@ -328,8 +332,7 @@ def test_block_kernel_equals_per_step_reference():
              + np.einsum("kpi,ij,kpj->kp", v, cost.R, v))
     horizon = n_steps * h
     per_path = h * (rates.sum(axis=0) - 0.5 * (rates[0] + rates[-1])) / horizon
-    [est] = estimate_average_cost(plant, ref, [(K, F)], cost, horizon, P, seed,
-                                  h=h, x0=x0)
+    [est] = estimate_average_cost(plant, ref, [(K, F)], cost, horizon, P, seed, h=h)
     close(est.per_path, per_path)
     close(est.mean, per_path.mean())
     close(est.se, per_path.std() / np.sqrt(P - 1))
@@ -646,8 +649,8 @@ def test_em_blowup_names_the_first_path_over_the_bound_and_its_time():
     assert over[k, p]
     assert not over[:k].any() and not over[k, :p].any()
     assert p > 0 and k % _BLOCK_STEPS  # inside a block, not on path 0
-    # the same paths over more than two chunks cross at the same step
-    longer = replace(cfg, l=2 * _CHUNK_STEPS + 5)
+    # the same paths over more than one draw cross at the same step
+    longer = replace(cfg, l=_DRAW_STEPS + 37)
     with pytest.raises(Blowup) as again:
         run_ensemble(sys, None, np.array([1.0]), longer)
     assert (again.value.path_index, again.value.time) == (p, info.value.time)
@@ -672,7 +675,7 @@ def test_the_kernel_starts_no_thread():
     def observe(k0, S):
         seen.append(threading.enumerate())
 
-    plant, n_steps = small_plant(), 2 * _CHUNK_STEPS + 7
+    plant, n_steps = small_plant(), _DRAW_STEPS + 37
     _em_paths(plant.A, plant.C, unforced(plant, n_steps), np.array([1.0, -1.0]), range(5, 8),
               n_steps, 1e-3, observe)
     assert seen and all(now == before for now in seen)
@@ -688,12 +691,13 @@ def test_an_observer_error_reaches_the_caller_unchanged():
     fault = ObserveFault("observer failed")
 
     def observe(k0, S):
-        if k0 > _CHUNK_STEPS + 100:
+        if k0 > _DRAW_STEPS:
             raise fault
 
+    n_steps = _DRAW_STEPS + 37
     with pytest.raises(ObserveFault) as info:
-        _em_paths(plant.A, plant.C, unforced(plant, 3 * _CHUNK_STEPS), x0, range(4),
-                  3 * _CHUNK_STEPS, 1e-3, observe)
+        _em_paths(plant.A, plant.C, unforced(plant, n_steps), x0, range(4),
+                  n_steps, 1e-3, observe)
     assert info.value is fault
 
 
@@ -715,9 +719,9 @@ def kernel_increments(first_seed, n_paths, n_steps, h):
 
 
 def test_a_path_takes_the_first_increments_of_its_sign_bits():
-    # three chunks, the last of 5 steps; 2 * 1024 + 5 is not a multiple of
-    # 64, so the last word's spare bits go unused
-    h, P, seed, N = 1e-3, 3, 40, 2 * _CHUNK_STEPS + 5
+    # two draws, the last of 37 steps; 8192 + 37 is not a multiple of 64,
+    # so the last word's spare bits go unused
+    h, P, seed, N = 1e-3, 3, 40, _DRAW_STEPS + 37
     assert N % 64
     np.testing.assert_array_equal(kernel_increments(seed, P, N, h),
                                   increments(seed, P, N, h))
@@ -785,14 +789,12 @@ def assert_stacked_designs_equal_their_runs_alone(n_steps):
                 np.array([[-0.3, 0.1], [0.2, 0.0]]))]
     h, P, seed = 1e-3, 9, 21
     horizon = n_steps * h
-    x0 = np.array([0.8, -0.5, 0.3])
-    stacked = estimate_average_cost(plant, ref, designs, cost, horizon, P, seed,
-                                    h=h, x0=x0)
+    stacked = estimate_average_cost(plant, ref, designs, cost, horizon, P, seed, h=h)
     assert len(stacked) == 2
     assert not np.array_equal(stacked[0].per_path, stacked[1].per_path)
     for design, both in zip(designs, stacked):
         [alone] = estimate_average_cost(plant, ref, [design], cost, horizon, P,
-                                        seed, h=h, x0=x0)
+                                        seed, h=h)
         assert np.array_equal(both.per_path, alone.per_path)
         assert (both.mean, both.se) == (alone.mean, alone.se)
 
@@ -800,8 +802,8 @@ def assert_stacked_designs_equal_their_runs_alone(n_steps):
 def test_stacked_designs_equal_their_runs_alone():
     # two designs in one pass share each path's increments; each design's
     # block of the stacked closed loop must reproduce its run alone bit for
-    # bit, across chunk and block boundaries
-    assert_stacked_designs_equal_their_runs_alone(2 * _CHUNK_STEPS + 45)
+    # bit, across draw and block boundaries
+    assert_stacked_designs_equal_their_runs_alone(_DRAW_STEPS + 45)
 
 
 def test_simulate_tracking_switches_and_shapes():
@@ -924,7 +926,7 @@ def batched_runs(monkeypatch, cpus, batch=2):
                 np.array([[0.2, -0.1], [0.0, 0.3]])),
                (np.array([[1.0, 0.0, 0.2], [0.1, 0.8, 0.0]]),
                 np.array([[-0.3, 0.1], [0.2, 0.0]]))]
-    costs = estimate_average_cost(plant, ref, designs, cost, 0.4, 5, 21, h=1e-3, x0=x0)
+    costs = estimate_average_cost(plant, ref, designs, cost, 0.4, 5, 21, h=1e-3)
     assert_no_child_left()
     return ds, costs, len(forks)
 
