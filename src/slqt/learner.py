@@ -15,9 +15,9 @@ deterministic systems run on the side and their regressor rows, which
 vanish identically at the true iterates, are added to the plant rows to
 restore full column rank. shadow_regressors builds those rows in closed
 form, with no ODE solver: the auxiliary trajectories are sums of complex
-exponentials, and each window integral is the trapezoid rule of step
-shadow.h. The plant itself is never excited. Both routes get their
-feedforward from learn_feedforward, the shadow route adding its
+exponentials, and each window integral is a sum of Gauss-Legendre
+panels, on no grid. The plant itself is never excited. Both routes get
+their feedforward from learn_feedforward, the shadow route adding its
 auxiliary rows as omega_F.
 """
 
@@ -33,7 +33,7 @@ from .model import _COND_LIMIT, BpiHyperParams, CostWeights, _check_eigenbasis
 from .regressors import (MomentTable, RankReport, assemble_psi,
                          assemble_xi, feedback_required_rank,
                          feedforward_required_rank, psi_rhs, require_rank)
-from .sim import ProbingSignal, _on_grid
+from .sim import ProbingSignal
 from .solvers import _solve_gain
 from .symquad import h_form_rows, unvech, vec
 
@@ -41,7 +41,9 @@ __all__ = ["LearnedSolution", "ShadowConfig", "FeedforwardFit",
            "learn_feedback", "learn_feedforward", "shadow_regressors",
            "learn_shadow"]
 
-_SHADOW_BLOCK = 512  # grid rows per block of the closed-form shadow series
+_GL_NODES = 4  # Gauss-Legendre nodes per panel of a shadow window integral
+_GL_PANEL = 0.5  # the widest panel, in radians of the top rate of z z'
+_EXP_ROWS = 512  # times per block of the closed-form shadow exponentials
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class ShadowConfig:
     so the auxiliary reference stays bounded. Both trajectories are in
     closed form (no ODE solver), so u_a must be a ProbingSignal, no
     i omega_j an eigenvalue of A_a, and A_a and F_a diagonalizable. h is
-    the step of the trapezoid rule over each window.
+    unread, as no grid is integrated; it stays while perfbench reads it.
     """
 
     A_a: np.ndarray
@@ -103,12 +105,10 @@ class ShadowConfig:
     h: float = 5e-6
 
     def __post_init__(self):
-        A_a = np.asarray(self.A_a, dtype=float)
-        F_a = np.asarray(self.F_a, dtype=float)
-        object.__setattr__(self, "A_a", A_a)
-        object.__setattr__(self, "F_a", F_a)
-        object.__setattr__(self, "x_a0", np.asarray(self.x_a0, dtype=float).ravel())
-        object.__setattr__(self, "y_a0", np.asarray(self.y_a0, dtype=float).ravel())
+        for key in ("A_a", "F_a", "x_a0", "y_a0"):
+            M = np.asarray(getattr(self, key), dtype=float)
+            object.__setattr__(self, key, M.ravel() if key.endswith("0") else M)
+        A_a, F_a = self.A_a, self.F_a
         if not isinstance(self.u_a, ProbingSignal):
             raise ConfigError("u_a must be a ProbingSignal, got "
                               f"{type(self.u_a).__name__}")
@@ -220,6 +220,8 @@ def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
     raw = np.hstack([moments.I_xdchi, moments.I_xdu])
     Xi = assemble_xi(moments, K_star, Lambda_star, cost)
     if omega_F is not None:
+        if len(omega_F) != len(moments):
+            raise ConfigError(f"omega_F has {len(omega_F)} rows, the moment table {len(moments)}")
         raw = raw + np.hstack([np.zeros((len(moments), n * n_d)),
                                omega_F[:, n * n_d:]])
         Xi = Xi + omega_F
@@ -238,8 +240,8 @@ def learn_feedforward(moments: MomentTable, K_star, Lambda_star,
 # ---------------------------------------------------------------------------
 # Shadow systems
 
-def _shadow_series(shadow: ShadowConfig, B: np.ndarray, targets: np.ndarray):
-    """z = [x_a; u; y_a] at the target grid indices, and its running Gram sums.
+def _shadow_series(shadow: ShadowConfig, B: np.ndarray, times: np.ndarray):
+    """z = [x_a; u; y_a] at the sorted times, and its running Gram integrals.
 
     Nothing is integrated numerically: with the shadow input
     u(t) = a sum_j sin(omega_j t) = Im sum_j a e^{i omega_j t},
@@ -247,11 +249,10 @@ def _shadow_series(shadow: ShadowConfig, B: np.ndarray, targets: np.ndarray):
         c_j = a (i omega_j I - A_a)^{-1} B,
     and y_a(t) = e^{F_a t} y_a0, the exponentials taken through the
     eigendecompositions that ShadowConfig checked. So z(t) is
-    Re sum_s g_s e^{s t}. The grid t = k h, from the first target to the
-    last, goes in blocks of _SHADOW_BLOCK rows: one table of e^{s r h}
-    serves every block, each block rotates g_s by e^{s t_b}, and is then
-    one real matrix product. Returns z at each sorted target and S_m,
-    the sum of z_k z_k' over targets[0] <= k <= targets[m].
+    Re sum_s g_s e^{s t}, and z z' holds rates up to rho = 2 max|s|: each
+    gap between times is cut into equal panels of rho * width <= _GL_PANEL
+    rad, of _GL_NODES Gauss-Legendre nodes each. Returns z at each time
+    and S_m, the integral of z z' from times[0] to times[m].
     """
     n, n_d, sig = shadow.n, shadow.n_d, shadow.u_a
     d, J = n + 1 + n_d, sig.omegas.size
@@ -266,25 +267,22 @@ def _shadow_series(shadow: ShadowConfig, B: np.ndarray, targets: np.ndarray):
     g[:J, n] = -1j * sig.amplitude
     g[J:J + n, :n] = (V * np.linalg.solve(V, shadow.x_a0 - c.imag.sum(axis=0))).T
     g[J + n:, n + 1:] = (W * np.linalg.solve(W, shadow.y_a0)).T
-    h, L = shadow.h, _SHADOW_BLOCK
-    E = np.exp(np.outer(np.arange(L) * h, rates))
-    table = np.hstack([E.real, -E.imag])
-    seg = np.zeros((targets.size, d, d))  # Gram sum over (targets[m-1], targets[m]]
-    z = np.empty((targets.size, d))
-    m = 0
-    for kb in range(targets[0], targets[-1] + 1, L):
-        rows = min(L, targets[-1] + 1 - kb)
-        rot = np.exp(rates * (kb * h))[:, None] * g
-        Z = table[:rows] @ np.vstack([rot.real, rot.imag])
-        p = 0
-        while p < rows:
-            q = min(rows, targets[m] - kb + 1)
-            seg[m] += Z[p:q].T @ Z[p:q]
-            if q == targets[m] - kb + 1:
-                z[m] = Z[q - 1]
-                m += 1
-            p = q
-    return z, np.cumsum(seg, axis=0)
+    g = np.vstack([g.real, -g.imag])  # z = [Re e^{st}, Im e^{st}] @ g
+    gaps = np.diff(times)
+    panels = np.ceil(2.0 * np.abs(rates).max() * gaps / _GL_PANEL).clip(1).astype(int)
+    gap = np.repeat(np.arange(gaps.size), panels)
+    first = np.cumsum(panels) - panels  # the first panel of each gap
+    width = (gaps / panels)[gap]
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    t = np.concatenate([times, (times[gap, None] + width[:, None] * (
+        (np.arange(gap.size) - first[gap])[:, None] + 0.5 * (x + 1.0))).ravel()])
+    z = np.empty((t.size, d))
+    for k in range(0, t.size, _EXP_ROWS):
+        E = np.exp(np.outer(t[k:k + _EXP_ROWS], rates))
+        z[k:k + _EXP_ROWS] = np.hstack([E.real, E.imag]) @ g
+    Z = z[times.size:].reshape(-1, _GL_NODES, d)
+    gram = np.cumsum(np.einsum("pk,pki,pkj->pij", 0.5 * width[:, None] * w, Z, Z), axis=0)
+    return z[:times.size], np.concatenate([np.zeros((1, d, d)), gram[first + panels - 1]])
 
 
 def shadow_regressors(shadow: ShadowConfig, b_matrix, r_matrix,
@@ -294,28 +292,27 @@ def shadow_regressors(shadow: ShadowConfig, b_matrix, r_matrix,
     Omega_K pairs with [vech(P); vec(K)] and Omega_F with
     [vec(Pi); vec(F)]; both vanish at the true iterates, which is what
     makes adding them to the plant rows legitimate. The auxiliary
-    trajectories are in closed form (_shadow_series) and each window
-    integral is the trapezoid rule of step shadow.h.
+    trajectories are in closed form (_shadow_series), and each window
+    [t, t + window] is integrated by Gauss-Legendre panels between the
+    sorted sample times and window ends, on no grid. ConfigError unless
+    every t_global is finite and window is positive and finite.
     """
-    n, n_d, h = shadow.n, shadow.n_d, shadow.h
+    n, n_d = shadow.n, shadow.n_d
     B = np.asarray(b_matrix, dtype=float).reshape(n, -1)
     if B.shape[1] != 1:
-        raise ConfigError(f"the shadow input is scalar: B must have one column, "
-                          f"got {B.shape[1]}")
+        raise ConfigError(f"the shadow input is scalar: B must have one column, got {B.shape[1]}")
     R = float(np.asarray(r_matrix, dtype=float).reshape(()))
     t_global = np.asarray(t_global, dtype=float)
-    if not _on_grid(window, h):
-        raise ConfigError("window must be a multiple of the shadow grid step")
-    if not _on_grid(t_global, h):
-        raise ConfigError("global sample times must lie on the shadow grid")
-    w_steps = round(window / h)
-    idx = np.round(t_global / h).astype(int)
-    targets, pos = np.unique(np.concatenate([idx, idx + w_steps]), return_inverse=True)
-    at, atw = pos[:idx.size], pos[idx.size:]
-    z, S = _shadow_series(shadow, B, targets)
+    if not np.isfinite(t_global).all():
+        raise ConfigError("global sample times must be finite")
+    if not 0.0 < window < np.inf:
+        raise ConfigError(f"window must be positive and finite, got {window!r}")
+    times, pos = np.unique(np.concatenate([t_global, t_global + window]), return_inverse=True)
+    at, atw = pos[:t_global.size], pos[t_global.size:]
+    z, S = _shadow_series(shadow, B, times)
     zz = z[:, :, None] * z[:, None, :]
     dzz = zz[atw] - zz[at]
-    G = h * (S[atw] - S[at] - 0.5 * dzz)  # trapezoid over each window
+    G = S[atw] - S[at]
     A_a, x, y = shadow.A_a, slice(0, n), slice(n + 1, None)
     I_xx = G[:, x, x]
     omega_K = np.hstack([h_form_rows(dzz[:, x, x] - A_a @ I_xx - I_xx @ A_a.T),
@@ -351,6 +348,8 @@ def learn_shadow(moments: MomentTable, shadow: ShadowConfig, b_matrix,
         raise ConfigError("plant data carries nonzero input; the shadow route "
                           "requires an unforced plant")
     omega_K, _ = omegas
+    if len(omega_K) != len(moments):
+        raise ConfigError(f"omega_K has {len(omega_K)} rows, the moment table {len(moments)}")
     nn2 = n * (n + 1) // 2
     # excitation rank on [windowed plant second moments | shadow input coupling]
     raw_aug = np.hstack([h_form_rows(moments.S), omega_K[:, nn2:]])

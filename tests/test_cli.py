@@ -596,6 +596,24 @@ def test_shadow_subcommand_runs_end_to_end(tmp_path, capsys):
     assert (out / "shadow_trace.csv").exists()
 
 
+def test_example2_learn_config_runs_off_the_shadow_grid(tmp_path):
+    # shadow.h is parsed but read by nothing: with an h of which neither
+    # the 1e-3 sample times nor the 0.1 s window are multiples, example
+    # 2's learn run still ends with the model's gain
+    from slqt.benchmarks import EXAMPLES
+    base, runs = EXAMPLES["two"]
+    raw = copy.deepcopy({**base, **runs["learn"]})
+    raw["shadow"]["h"] = 3e-5
+    cfg = tmp_path / "ex2.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "ex2"
+    assert main(["shadow", "--config", str(cfg), "--out", str(out),
+                 "--validate-with-model"]) == 0
+    report = load_report(str(out / "report.json"))
+    assert not report.failed
+    assert report.payload["shadow"]["vs_model"]["K_rel_err_2norm"] <= 1e-11
+
+
 @pytest.mark.parametrize("key", ["A_a", "F_a"])
 @pytest.mark.parametrize("value", [1.0, None, True], ids=["scalar", "null", "true"])
 def test_shadow_maps_that_are_not_square_matrices_exit_2(tmp_path, capsys, key, value):

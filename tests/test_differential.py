@@ -67,17 +67,37 @@ def random_config(seed: int, n: int, q: int, route: str) -> dict:
 
 PLANTS = [(seed, n, q) for seed, (n, q) in enumerate([(2, 1), (2, 2), (3, 1), (3, 2)])]
 
+# random auxiliary maps of spectral abscissa 0.5 or less (the first one's
+# is 0.46, unshifted), each under example 2's shadow probing: amplitude 5
+# over +-100 rad/s, whose z z' reaches 200 rad/s
+EXAMPLE2_SHADOW = [(509, 3, 1, np.random.default_rng(909).normal(size=(3, 3)))] + [
+    (seed, n, q, _stable_shift(np.random.default_rng(seed + 400).normal(size=(n, n)), a))
+    for seed, n, q, a in [(600, 2, 1, 0.5), (601, 2, 2, 0.0), (602, 3, 2, 0.5),
+                          (605, 3, 2, 0.3)]]
+
+
+def assert_learns_the_model_gains(raw: dict, route: str) -> None:
+    config = parse_experiment_config(raw)
+    payload = run_experiment(config).payload
+    sol = solve_tracking(TrackingProblem(config.plant, config.reference, config.cost,
+                                         config.hyper))
+    np.testing.assert_allclose(payload[route]["K_hat"], sol.K, rtol=0, atol=1e-6)
+    assert [row["case"] for row in payload["feedforward_cases"]] == [1, 2, 3]
+    for row in payload["feedforward_cases"]:
+        _, F = feedforward_gains(config.plant, config.cost,
+                                 config.reference_for_case(row["case"]), sol.P, sol.K)
+        np.testing.assert_allclose(row["F"], F, rtol=0, atol=1e-6)
+
 
 @pytest.mark.parametrize("route", ["data_driven", "shadow"])
 def test_exact_routes_learn_the_model_gains_on_random_plants(route):
     for seed, n, q in PLANTS:
-        config = parse_experiment_config(random_config(100 + seed, n, q, route))
-        payload = run_experiment(config).payload
-        sol = solve_tracking(TrackingProblem(config.plant, config.reference, config.cost,
-                                             config.hyper))
-        np.testing.assert_allclose(payload[route]["K_hat"], sol.K, rtol=0, atol=1e-6)
-        assert [row["case"] for row in payload["feedforward_cases"]] == [1, 2, 3]
-        for row in payload["feedforward_cases"]:
-            _, F = feedforward_gains(config.plant, config.cost,
-                                     config.reference_for_case(row["case"]), sol.P, sol.K)
-            np.testing.assert_allclose(row["F"], F, rtol=0, atol=1e-6)
+        assert_learns_the_model_gains(random_config(100 + seed, n, q, route), route)
+
+
+def test_shadow_route_learns_the_model_gains_under_example2_probing():
+    probing = EXAMPLES["two"][0]["shadow"]["probing"]
+    for seed, n, q, A_a in EXAMPLE2_SHADOW:
+        raw = random_config(seed, n, q, "shadow")
+        raw["shadow"] = {**raw["shadow"], "A_a": A_a.tolist(), "probing": copy.deepcopy(probing)}
+        assert_learns_the_model_gains(raw, "shadow")

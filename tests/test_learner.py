@@ -215,20 +215,30 @@ def test_shadow_rows_annihilate_consistent_pairs_for_random_systems(M, B, x0y0, 
 
 
 def dop853_series(shadow, B, t):
-    """[x_a; u; y_a] at times t from DOP853 at rtol 1e-12, the oracle."""
+    """z = [x_a; u; y_a] at the sorted times t and the integrals of z z'
+    from t[0], from DOP853 at rtol 1e-12 on [x_a; y_a; int z z'], the
+    oracle."""
     from scipy.integrate import solve_ivp
 
-    n = shadow.n
+    n, n_d = shadow.n, shadow.n_d
 
-    def rhs(s, z):
-        return np.concatenate([shadow.A_a @ z[:n] + B[:, 0] * shadow.u_a(s),
-                               shadow.F_a @ z[n:]])
+    def z_of(s, y):
+        return np.concatenate([y[:n], np.atleast_1d(shadow.u_a(s)), y[n:n + n_d]])
 
-    sol = solve_ivp(rhs, (0.0, t[-1]), np.concatenate([shadow.x_a0, shadow.y_a0]),
-                    method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+    def rhs(s, y):
+        z = z_of(s, y)
+        return np.concatenate([shadow.A_a @ y[:n] + B[:, 0] * z[n],
+                               shadow.F_a @ y[n:n + n_d], np.outer(z, z).ravel()])
+
+    d = n + 1 + n_d
+    y0 = np.concatenate([shadow.x_a0, shadow.y_a0, np.zeros(d * d)])
+    sol = solve_ivp(rhs, (0.0, t[-1]), y0, method="DOP853", rtol=1e-12, atol=1e-14,
+                    t_eval=t)
     assert sol.success
-    Z = sol.sol(t).T
-    return np.hstack([Z[:, :n], shadow.u_a(t)[:, None], Z[:, n:]])
+    Y = sol.y.T
+    Z = np.array([z_of(s, y) for s, y in zip(t, Y)])
+    gram = Y[:, n + n_d:].reshape(-1, d, d)
+    return Z, gram - gram[0]
 
 
 @pytest.mark.parametrize("example", ["shadow_pair", "example2"])
@@ -238,14 +248,29 @@ def test_closed_form_shadow_series_matches_dop853(example):
     else:
         bundle = coupled_oscillators()
         plant, shadow = bundle.plant, bundle.shadow
-    # targets across block edges, adjacent ones, and a start off zero
-    targets = np.array([3, 10, 1030, 1031, 20_000, 40_000])
-    z, S = _shadow_series(shadow, plant.B, targets)
-    Z = dop853_series(shadow, plant.B, np.arange(targets[0], targets[-1] + 1) * shadow.h)
-    at = targets - targets[0]
-    assert np.abs(z - Z[at]).max() <= 1e-9 * np.abs(Z).max()
-    S_ref = np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0)[at]
-    assert np.abs(S - S_ref).max() <= 1e-9 * np.abs(S_ref).max()
+    # a start off zero, times on no grid, a gap of 5e-6, and a last gap of
+    # 0.15 s that the panel rule splits (24 panels for shadow_pair's top
+    # rate of 80 rad/s in z z', over 60 for example 2's 200 rad/s)
+    times = np.array([1.5e-5, 5.1e-5, 5.15e-3, 5.155e-3, 0.1, 0.2003, 0.3503])
+    z, S = _shadow_series(shadow, plant.B, times)
+    Z, S_ref = dop853_series(shadow, plant.B, times)
+    assert np.abs(z - Z).max() <= 1e-9 * np.abs(Z).max()
+    assert not S[0].any()
+    for m in range(1, times.size):
+        assert np.abs(S[m] - S_ref[m]).max() <= 1e-9 * np.abs(S_ref[m]).max()
+
+
+@pytest.mark.parametrize("t_global, window", [
+    ([0.0, np.nan], 0.1), ([0.0, np.inf], 0.1), ([0.0, 0.1], 0.0),
+    ([0.0, 0.1], -0.1), ([0.0, 0.1], np.nan), ([0.0, 0.1], np.inf)],
+    ids=["nan_time", "inf_time", "zero_window", "negative_window", "nan_window",
+         "inf_window"])
+def test_shadow_rows_refuse_non_finite_times_and_empty_windows(t_global, window):
+    plant, cost, shadow = shadow_pair()
+    match = "window must be positive and finite" if np.isfinite(t_global).all() \
+        else "global sample times must be finite"
+    with pytest.raises(ConfigError, match=match):
+        shadow_regressors(shadow, plant.B, cost.R, np.array(t_global), window)
 
 
 def test_shadow_config_takes_a_probing_signal_only():
@@ -279,8 +304,8 @@ def test_defective_auxiliary_matrices_are_config_errors():
 
 
 def test_configs_tables_and_shadow_rows_share_one_grid_rule():
-    # t1 = 10 + 5e-9 lies within 1e-9 * |t1| of the grid of h = 1e-3 and of
-    # the shadow's h = 1e-5; 10 + 2e-8 does not
+    # t1 = 10 + 5e-9 lies within 1e-9 * |t1| of the grid of h = 1e-3;
+    # 10 + 2e-8 does not. The shadow rows take any finite times.
     near, off = 10.0 + 5e-9, 10.0 + 2e-8
     plant, cost, shadow = shadow_pair()
     cfg = SimConfig(h=1e-3, sample_period=1e-3, window=0.01, t1=near, l=3, n_paths=1)
@@ -290,8 +315,6 @@ def test_configs_tables_and_shadow_rows_share_one_grid_rule():
     assert len(tab) == len(omega_K) == 3
     with pytest.raises(ConfigError, match="t1=.* must be a nonnegative multiple of h"):
         dataclasses.replace(cfg, t1=off)
-    with pytest.raises(ConfigError, match="global sample times must lie on the shadow grid"):
-        shadow_regressors(shadow, plant.B, cost.R, np.array([near, off]), cfg.window)
     # far from 0, 1e-9 * |x| exceeds h / 2, so only the cap at a fraction
     # of h keeps these from rounding onto the grid
     with pytest.raises(ConfigError, match="t1=.* must be a nonnegative multiple of h"):
@@ -356,6 +379,24 @@ def test_shadow_rejects_uncontrollable_auxiliary():
     with pytest.raises(ShadowUncontrollable):
         learn_shadow(tab, bad, plant.B, cost, hyper,
                      omegas=(np.zeros((10, 5)), np.zeros((10, 6))))
+
+
+def test_shadow_rows_must_pair_with_the_table_rows():
+    # rows for one sample time fewer than the table holds are a config
+    # error naming both counts, in either learner, not a numpy shape error
+    plant, cost, shadow = shadow_pair()
+    hyper = BpiHyperParams()
+    tab, ref, cfg = unforced_moments(plant, hyper, l=10)
+    n = len(tab)
+    short = shadow_regressors(shadow, plant.B, cost.R, tab.t_global[:-1], cfg.window)
+    with pytest.raises(ConfigError, match=f"omega_K has {n - 1} rows, the moment table {n}$"):
+        learn_shadow(tab, shadow, plant.B, cost, hyper, omegas=short)
+    learned = learn_shadow(tab, shadow, plant.B, cost, hyper,
+                           omegas=shadow_regressors(shadow, plant.B, cost.R, tab.t_global,
+                                                    cfg.window))
+    with pytest.raises(ConfigError, match=f"omega_F has {n - 1} rows, the moment table {n}$"):
+        learn_feedforward(tab, learned.K_star, learned.Lambda_star, cost, hyper,
+                          [ref.H_d], omega_F=short[1])
 
 
 def test_feedforward_output_map_scaling():
