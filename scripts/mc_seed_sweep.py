@@ -111,6 +111,11 @@ def _seeds(spec: str) -> list:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _summary_of(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["summary"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="1-100", help="inclusive range, e.g. 1-100")
@@ -120,7 +125,7 @@ def main(argv=None) -> int:
                     help="compare two sweep files instead of sweeping")
     args = ap.parse_args(argv)
     if args.gate:
-        base, cand = (json.load(open(p))["summary"] for p in args.gate)
+        base, cand = (_summary_of(p) for p in args.gate)
         clauses = gate(base, cand)
         print(json.dumps({"gate": clauses, "passed": all(clauses.values())}))
         return 0 if all(clauses.values()) else 1

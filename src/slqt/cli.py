@@ -12,7 +12,10 @@ and run through ``run_experiment``, one report per run. The report echoes that c
 config (with --validate-with-model if the run had it) reproduces its
 payload. Reports are canonical JSON with sorted keys and
 17-significant-digit numbers, so identical configs and seeds produce
-byte-identical payloads; wall-clock fields live outside the payload.
+byte-identical payloads, with or without --out (``tracking.file`` names
+the CSV that --out gets); wall-clock fields live outside the payload.
+Every run prints one summary (``_summary``): a line per result block
+its payload holds; the examples print each run's name before it.
 """
 
 from __future__ import annotations
@@ -420,11 +423,9 @@ def _run_tracking(config: ExperimentConfig, K, case_rows, out_dir) -> dict:
     run = simulate_tracking(config.plant, ref.A_d, ref.x_d0, sched, K,
                             np.zeros(config.plant.n), tr["h"], tr["n_paths"],
                             tr["base_seed"])
-    wrote = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        wrote = "tracking.csv"
-        _write_tracking_csv(os.path.join(out_dir, wrote), run)
+        _write_tracking_csv(os.path.join(out_dir, "tracking.csv"), run)
     bounds = [0.0, *run.switch_times, float(run.t[-1])]
     segs = []
     for j, (case, _) in enumerate(tr["schedule"]):
@@ -436,7 +437,7 @@ def _run_tracking(config: ExperimentConfig, K, case_rows, out_dir) -> dict:
         segs.append({"case": case, "start": float(a), "end": float(b),
                      "rms_error": float(np.sqrt(np.mean(err ** 2))),
                      "settled_rms_error": float(np.sqrt(np.mean(tail_err ** 2)))})
-    return {"file": wrote, "h": tr["h"], "n_paths": tr["n_paths"],
+    return {"file": "tracking.csv", "h": tr["h"], "n_paths": tr["n_paths"],
             "base_seed": tr["base_seed"], "segments": segs,
             "max_settled_rms": max(s["settled_rms_error"] for s in segs)}
 
@@ -564,58 +565,47 @@ def _with_flags(raw, args, mode: str | None = None) -> dict:
     return raw
 
 
-def _cmd_run(mode: str, summary):
+def _summary(p) -> str:
+    """One line for each result block the payload holds."""
+    lines = []
+    if "model_based" in p:
+        lines.append(f"model K* = {p['model_based']['K_star']}")
+    learned = p.get("data_driven") or p.get("shadow")
+    if learned:
+        zero = ("" if "plant_input_zero" not in learned
+                else f", plant input zero: {learned['plant_input_zero']}")
+        lines.append(f"learned K^ = {learned['K_hat']} (crossing at iteration "
+                     f"{learned['crossing_iteration']}{zero})")
+    lines.append(f"feedforward gains for {len(p['feedforward_cases'])} case(s)")
+    if "tracking" in p:
+        lines.append(f"tracking settled RMS error: {p['tracking']['max_settled_rms']:.6g}")
+    if "cost_comparison" in p:
+        cc = p["cost_comparison"]
+        lines.append(f"average cost {cc['noise_aware']['mean']:.6g} (noise aware) "
+                     f"vs {cc['deterministic_design']['mean']:.6g} (noise blind)")
+    return "\n".join(lines)
+
+
+def _cmd_run(mode: str):
     """Handler running the --config experiment in ``mode``, then printing
-    ``summary(payload)``."""
+    its summary."""
     def handler(args) -> int:
         cfg = parse_experiment_config(_with_flags(read_config(args.config), args, mode))
-        report = run_experiment(cfg, out_dir=args.out, validate=args.validate)
-        print(summary(report.payload))
+        print(_summary(run_experiment(cfg, out_dir=args.out, validate=args.validate).payload))
         return 0
 
     return handler
 
 
-def _solve_summary(p) -> str:
-    line = f"K* = {np.asarray(p['model_based']['K_star']).ravel().tolist()}"
-    if "tracking" in p:
-        line += f"\ntracking settled RMS error: {p['tracking']['max_settled_rms']:.6g}"
-    return line
-
-
-def _learn_summary(p) -> str:
-    return (f"learned feedback gain: {p['data_driven']['K_hat']}\n"
-            f"fit feedforward gains for {len(p['feedforward_cases'])} case(s)")
-
-
-def _shadow_summary(p) -> str:
-    sh = p["shadow"]
-    return (f"shadow-learned gain: {sh['K_hat']} "
-            f"(plant input zero: {sh['plant_input_zero']})")
-
-
 def _cmd_example(which):
+    """Handler running each run of the example, printing its name and summary."""
     def handler(args) -> int:
         base, runs = EXAMPLES[which]
-        payloads = {}
         for name, blocks in runs.items():
             cfg = parse_experiment_config(_with_flags({**base, **blocks}, args))
             out = os.path.join(args.out, name) if args.out else None
-            payloads[name] = run_experiment(cfg, out_dir=out, validate=True).payload
-        learn = payloads["learn"]
-        if which == "one":
-            dd = learn["data_driven"]
-            print(f"model K* = {learn['model_based']['K_star']}")
-            print(f"learned K^ = {dd['K_hat']} "
-                  f"(crossing at iteration {dd['crossing_iteration']})")
-            cc = learn["cost_comparison"]
-            print(f"average cost {cc['noise_aware']['mean']:.6g} (noise aware) "
-                  f"vs {cc['deterministic_design']['mean']:.6g} (noise blind)")
-        else:
-            sh = learn["shadow"]
-            print(f"shadow K^ = {sh['K_hat']} "
-                  f"(crossing at iteration {sh['crossing_iteration']}, "
-                  f"plant input zero: {sh['plant_input_zero']})")
+            print(f"{name}:")
+            print(_summary(run_experiment(cfg, out_dir=out, validate=True).payload))
         return 0
 
     return handler
@@ -661,11 +651,11 @@ def build_parser() -> argparse.ArgumentParser:
             q.set_defaults(validate=True)  # the other subcommands always do
         q.set_defaults(func=fn)
 
-    add("solve", _cmd_run("model_based", _solve_summary),
+    add("solve", _cmd_run("model_based"),
         "model-based solve, then the config's tracking and cost study")
-    add("learn-ff", _cmd_run("data_driven", _learn_summary),
+    add("learn-ff", _cmd_run("data_driven"),
         "feedback plus feedforward learning", takes_validate=True)
-    add("shadow", _cmd_run("shadow", _shadow_summary),
+    add("shadow", _cmd_run("shadow"),
         "learning without plant excitation", takes_validate=True)
     add("example1", _cmd_example("one"),
         "reproduce the damped-oscillator benchmark", needs_config=False)

@@ -3,7 +3,10 @@
 Each class marks a failure mode; cli.exit_code_for maps the classes onto
 the four failure codes of cli.EXIT_CODES, so several share a code. The
 figures a class carries are its class attributes, None by default;
-``SlqtError(msg, **figures)`` sets those a raise knows.
+``SlqtError(msg, **figures)`` sets those a raise knows. A policy
+iteration that stops making progress (a phase-I alpha that stops
+growing included) has no class of its own: it ends at its iteration
+budget as MaxIterExceeded, carrying the trace.
 """
 
 
@@ -72,15 +75,6 @@ class RankDeficient(SlqtError):
     """A data matrix misses its required column rank."""
 
     report = None
-
-
-class DivergedAlpha(SlqtError):
-    """Phase-I alpha failed to increase for 3 consecutive iterations.
-
-    trace, when known, is the partial iterate trace up to the failure.
-    """
-
-    trace = None
 
 
 class Blowup(SlqtError):

@@ -517,20 +517,25 @@ def _rk4_step(Lt, h, y, fs):
     return ys, y + (h / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
 
 
-def _affine_recursion(z0, Lt, h, fs):
+def _stage_offsets(Lt, h, fs):
+    """The (N, d) offsets w_k of the RK4 steps from their stage forcings fs."""
+    return _rk4_step(Lt, h, np.zeros_like(fs[0]), fs)[1]
+
+
+def _affine_recursion(z0, Lt, h, w):
     """RK4 trajectory z_{k+1} = Phi z_k + w_k of z' = L z + f from z0.
 
-    Phi (the RK4 polynomial in hL) and every w_k are built at once; fs
-    holds the (N, d) stage forcings of the N steps. The recursion runs as
-    a two-level blocked scan over blocks of b = _SCAN_BLOCK steps: every
-    block is run from zero, all at once, to its end offset; the block
-    starts are carried by z <- Phi^b z + offset; and every block is run
-    again from its true start, writing the trajectory. Phi^b is built by
-    b repeated products, which keep the roundoff of the step-by-step
-    recursion where repeated squaring loses a digit.
+    Phi is the RK4 polynomial in hL and w holds the (N, d) offsets of
+    the N steps (``_stage_offsets``; zeros for an unforced flow). The
+    recursion runs as a two-level blocked scan over blocks of
+    b = _SCAN_BLOCK steps: every block is run from zero, all at once, to
+    its end offset; the block starts are carried by z <- Phi^b z +
+    offset; and every block is run again from its true start, writing
+    the trajectory. Phi^b is built by b repeated products, which keep
+    the roundoff of the step-by-step recursion where repeated squaring
+    loses a digit.
     """
     phi_t = _rk4_step(Lt, h, np.eye(z0.size), (0.0,) * 4)[1]
-    w = _rk4_step(Lt, h, np.zeros_like(fs[0]), fs)[1]
     n, b = w.shape[0], _SCAN_BLOCK
     blocks = -(-n // b)
     # Z holds w_k in row k + 1 (and zeros past the last step) until the
@@ -577,23 +582,31 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     A, B, C, D = plant.A, plant.B, plant.C, plant.D
     # Both ODEs are linear once u is known, so one RK4 step is a fixed
     # map z -> Phi z + w_k; w_k for every step comes from the stage
-    # forcings at once, and each recursion runs as a blocked scan.
+    # forcings at once (all zero for an unforced plant, input None, which
+    # samples no input), and each recursion runs as a blocked scan.
     # The G flow is X -> A X + X A' + C X C', the operator at (A', C').
     LG = _lyap_operator(A.T, C.T)
-    h, t = config.h, config.grid()
-    u_half = _sample_input(input, np.arange(2 * config.n_steps + 1) * (h / 2.0), plant.m)
-    us = (u_half[:-1:2], u_half[1::2], u_half[1::2], u_half[2::2])
-    bs = [u @ B.T for u in us]
+    h, t, N = config.h, config.grid(), config.n_steps
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_x = _affine_recursion(x0, A.T, h, bs)
-        fs = [_xx_forcing(y, p, u @ D.T, C, r_idx, c_idx)
-              for y, p, u in zip(_rk4_step(A.T, h, mean_x[:-1], bs)[0], bs, us)]
-        mean_xx = _affine_recursion(np.outer(x0, x0)[r_idx, c_idx], LG.T, h, fs)
+        if input is None:  # an unforced plant: zero offsets in both scans
+            u = np.zeros((N + 1, plant.m))
+            mean_x = _affine_recursion(x0, A.T, h, np.zeros((N, plant.n)))
+            w = np.zeros((N, r_idx.size))
+        else:
+            u_half = _sample_input(input, np.arange(2 * N + 1) * (h / 2.0), plant.m)
+            u = u_half[::2]
+            us = (u_half[:-1:2], u_half[1::2], u_half[1::2], u_half[2::2])
+            bs = [v @ B.T for v in us]
+            mean_x = _affine_recursion(x0, A.T, h, _stage_offsets(A.T, h, bs))
+            fs = [_xx_forcing(y, p, v @ D.T, C, r_idx, c_idx)
+                  for y, p, v in zip(_rk4_step(A.T, h, mean_x[:-1], bs)[0], bs, us)]
+            w = _stage_offsets(LG.T, h, fs)
+        mean_xx = _affine_recursion(np.outer(x0, x0)[r_idx, c_idx], LG.T, h, w)
         norms = np.sqrt((mean_x * mean_x).sum(axis=1) + (mean_xx * mean_xx).sum(axis=1))
     bad = ~(norms <= _BLOWUP_NORM)
     if bad.any():
         raise Blowup(f"moment norm exceeded {_BLOWUP_NORM:.0e}", time=float(t[np.argmax(bad)]))
-    return _moment_trajectory(t, mean_x, mean_xx, u_half[::2], discount)
+    return _moment_trajectory(t, mean_x, mean_xx, u, discount)
 
 
 @dataclass(frozen=True)

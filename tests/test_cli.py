@@ -350,6 +350,10 @@ def test_solve_writes_report_and_prints_gain(tmp_path, capsys):
     assert mb["sare_residual"] < 1e-10
     assert mb["closed_loop_abscissa"] < 0.0
     assert mb["certification"] == "validated"
+    # one line per result block: the model gain and the feedforward table
+    assert text == (f"model K* = {mb['K_star']}\n"
+                    f"feedforward gains for {len(report.payload['feedforward_cases'])} "
+                    f"case(s)\n")
     assert (out / "model_based_trace.csv").exists()
     header = (out / "model_based_trace.csv").read_text().splitlines()[0]
     assert header.split(",")[:3] == ["iteration", "phase", "alpha"]
@@ -584,11 +588,15 @@ def test_shadow_subcommand_runs_end_to_end(tmp_path, capsys):
     out = tmp_path / "shadow"
     assert main(["shadow", "--config", str(cfg), "--out", str(out),
                  "--validate-with-model"]) == 0
-    line = capsys.readouterr().out.strip()
+    text = capsys.readouterr().out
     report = load_report(str(out / "report.json"))
     assert not report.failed
     sh = report.payload["shadow"]
-    assert line == f"shadow-learned gain: {sh['K_hat']} (plant input zero: True)"
+    assert text.splitlines() == [
+        f"model K* = {report.payload['model_based']['K_star']}",
+        f"learned K^ = {sh['K_hat']} (crossing at iteration "
+        f"{sh['crossing_iteration']}, plant input zero: True)",
+        f"feedforward gains for {len(report.payload['feedforward_cases'])} case(s)"]
     assert sh["plant_input_zero"] is True
     assert np.asarray(sh["K_hat"]).shape == (1, 2)
     np.testing.assert_allclose(sh["K_hat"], report.payload["model_based"]["K_star"],
@@ -802,8 +810,8 @@ def test_seed_flag_shifts_explicit_segment_seeds(tmp_path, capsys):
 
 def test_example_command_runs_each_listed_run(tmp_path, capsys, monkeypatch):
     # a small stand-in for the bundled example two: every run of the list
-    # gets its own validated report under --out, and the learn run's
-    # summary is printed
+    # gets its own validated report under --out, and each run's name and
+    # summary are printed
     import slqt.cli
 
     base = {k: v for k, v in SHADOW_CONFIG.items() if k != "mode"}
@@ -815,8 +823,12 @@ def test_example_command_runs_each_listed_run(tmp_path, capsys, monkeypatch):
     model = load_report(str(out / "model" / "report.json")).payload
     sh = learn["shadow"]
     assert capsys.readouterr().out == (
-        f"shadow K^ = {sh['K_hat']} (crossing at iteration "
-        f"{sh['crossing_iteration']}, plant input zero: True)\n")
+        f"learn:\nmodel K* = {learn['model_based']['K_star']}\n"
+        f"learned K^ = {sh['K_hat']} (crossing at iteration "
+        f"{sh['crossing_iteration']}, plant input zero: True)\n"
+        f"feedforward gains for {len(learn['feedforward_cases'])} case(s)\n"
+        f"model:\nmodel K* = {model['model_based']['K_star']}\n"
+        f"feedforward gains for {len(model['feedforward_cases'])} case(s)\n")
     assert learn["config"] == {**base, **runs["learn"]}
     assert model["config"] == {**base, **runs["model"]}
     assert sh["certification"] == "validated"
@@ -874,7 +886,7 @@ def test_track_produces_tracking_csv(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     report = load_report(str(out / "report.json"))
     # solve runs the config's tracking block and prints its settled RMS
-    assert capsys.readouterr().out.splitlines()[1] == (
+    assert capsys.readouterr().out.splitlines()[2] == (
         "tracking settled RMS error: "
         f"{report.payload['tracking']['max_settled_rms']:.6g}")
     segs = report.payload["tracking"]["segments"]
@@ -883,6 +895,20 @@ def test_track_produces_tracking_csv(tmp_path, capsys):
     lines = (out / "tracking.csv").read_text().splitlines()
     assert lines[0].split(",")[0] == "t"
     assert len(lines) == 2 + round(2.0 / 0.01)
+
+
+def test_tracking_payload_does_not_depend_on_out(tmp_path):
+    # tracking.file names the CSV that --out gets; the payload is the
+    # same whether or not a directory is given
+    raw = {**SCALAR_CONFIG, "mode": "model_based",
+           "tracking": {"schedule": [[1, 0.5], [2, 0.5]], "h": 0.01,
+                        "n_paths": 10, "base_seed": 9}}
+    without = run_experiment(parse_experiment_config(copy.deepcopy(raw)))
+    out = tmp_path / "trk"
+    with_out = run_experiment(parse_experiment_config(copy.deepcopy(raw)), out_dir=str(out))
+    assert without.payload["tracking"]["file"] == "tracking.csv"
+    assert without.payload_text() == with_out.payload_text()
+    assert (out / "tracking.csv").exists()
 
 
 # zeros of both signs, the least subnormal, values near the largest

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slqt.benchmarks import coupled_oscillators
-from slqt.errors import (ConfigError, DivergedAlpha, MaxIterExceeded, NonPositiveP,
+from slqt.errors import (ConfigError, MaxIterExceeded, NonPositiveP,
                          RankDeficient, ShadowUncontrollable)
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
                         StochasticSystem, TrackingProblem)
@@ -109,21 +109,22 @@ def _diverge_model(hyper, cost):
     (_diverge_learner, {"residual"}),
     (_diverge_model, {"residual", "condition", "abscissa"}),
 ], ids=["learner", "model"])
-def test_diverged_alpha_carries_the_partial_trace(monkeypatch, run, diagnostics):
-    # an alpha update that never advances stalls phase I three times over
+def test_stalled_alpha_carries_the_partial_trace(monkeypatch, run, diagnostics):
+    # an alpha update that never advances keeps phase I below gamma until
+    # its budget of three steps runs out
     import slqt.bpi
     from slqt.cli import _error_block
 
     monkeypatch.setattr(slqt.bpi, "alpha_update", lambda alpha, *args: alpha)
-    hyper = BpiHyperParams()
+    hyper = BpiHyperParams(max_iter=3)
     cost = CostWeights(Q=np.array([[1.0]]), R=np.array([[1.0]]))
-    with pytest.raises(DivergedAlpha) as exc:
+    with pytest.raises(MaxIterExceeded) as exc:
         run(hyper, cost)
     trace = exc.value.trace
     assert [(st.index, st.phase, st.alpha) for st in trace] == \
         [(1, 1, hyper.alpha0), (2, 1, hyper.alpha0), (3, 1, hyper.alpha0)]
     block = _error_block(exc.value)
-    assert block["type"] == "DivergedAlpha"
+    assert block["type"] == "MaxIterExceeded"
     assert [(r["iteration"], r["phase"], r["alpha"]) for r in block["trace"]] == \
         [(1, 1, 0.1), (2, 1, 0.1), (3, 1, 0.1)]
     for r, st in zip(block["trace"], trace):

@@ -14,7 +14,7 @@ from slqt import sim
 from slqt.errors import Blowup, ConfigError
 from slqt.model import ReferenceGenerator, StochasticSystem, CostWeights
 from slqt.sim import (_BLOCK_STEPS, _DRAW_STEPS, _SCAN_BLOCK, _SIGNS, ProbingSignal,
-                      SimConfig, _affine_recursion, _em_paths, _reference_states,
+                      SimConfig, _affine_recursion, _em_paths, _stage_offsets, _reference_states,
                       _rk4_step, _run_batches, _sample_input, _sign_words,
                       estimate_average_cost, propagate_moments_exact,
                       run_ensemble, simulate_tracking)
@@ -107,6 +107,21 @@ def test_discounted_input_weighting():
     np.testing.assert_allclose(disc.mean_x, w[:, None] * plain.mean_x, rtol=1e-14)
     np.testing.assert_allclose(disc.mean_xx, (w ** 2)[:, None] * plain.mean_xx,
                                rtol=1e-14)
+
+
+@pytest.mark.parametrize("discount", [None, 0.45])
+def test_unforced_exact_moments_equal_a_zero_amplitude_probe(discount):
+    # input None skips the input sampling and the stage forcings; the
+    # moments are those of the forced route driven by a zero input
+    sys = small_plant(c_scale=1.0)
+    cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=40)
+    x0 = np.array([0.5, -1.0])
+    unforced = propagate_moments_exact(sys, None, x0, cfg, discount=discount)
+    zero = propagate_moments_exact(sys, ProbingSignal(0.0, 5, (-10.0, 10.0), seed=0),
+                                   x0, cfg, discount=discount)
+    for name in ("t", "mean_x", "mean_xx", "u"):
+        np.testing.assert_array_equal(getattr(unforced, name), getattr(zero, name))
+    assert np.abs(unforced.mean_xx).max() > 0.1
 
 
 def test_ensemble_mean_is_unbiased_for_euler():
@@ -498,7 +513,7 @@ def test_blocked_scan_equals_per_step_recursion(kind, n_steps):
     rng = np.random.default_rng(n_steps)
     fs = [rng.standard_normal((n_steps, 3)) for _ in range(4)]
     z0 = np.array([0.7, -0.4, 1.1])
-    got = _affine_recursion(z0, L.T, h, fs)
+    got = _affine_recursion(z0, L.T, h, _stage_offsets(L.T, h, fs))
     want = affine_per_step(z0, L.T, h, fs)
     assert got.shape == (n_steps + 1, 3)
     np.testing.assert_array_equal(got[0], z0)
