@@ -25,8 +25,9 @@ model = solve_tracking(TrackingProblem(
     cost=bundle.cost, hyper=bundle.hyper))
 print(f"model-based optimum K* = {model.K.ravel()}")
 
-# exact moments: the noise-free oracle route
-moments = gather_moments(bundle, mode="exact")
+# exact moments: the noise-free oracle route (the bundle's data_source
+# is the ensemble, so the exact route is picked on a copy)
+moments = gather_moments(replace(bundle, data_source="exact"))
 learned = learn_feedback(moments, bundle.cost, bundle.hyper)
 gamma = bundle.hyper.gamma
 certified = all(is_stabilizing(bundle.plant, st.K, alpha=min(st.alpha, gamma),
@@ -42,8 +43,7 @@ print(f"worst value-matrix gap to the model iterates: {worst:.2e}")
 # seeded Monte Carlo with a reduced ensemble (the benchmark default
 # of 2000 paths takes a little under a minute)
 t0 = time.perf_counter()
-mc = gather_moments(replace(bundle, sim=replace(bundle.sim, n_paths=300)),
-                    mode="ensemble")
+mc = gather_moments(replace(bundle, sim=replace(bundle.sim, n_paths=300)))
 learned_mc = learn_feedback(mc, bundle.cost, bundle.hyper)
 rel = np.linalg.norm(learned_mc.K_star - model.K) / np.linalg.norm(model.K)
 print(f"\nensemble route (300 paths, {time.perf_counter() - t0:.1f} s): "

@@ -9,6 +9,8 @@ contribute rows that vanish at the true solution, restoring excitation
 rank without ever touching the plant input.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from slqt import (RankDeficient, TrackingProblem, coupled_oscillators,
@@ -16,7 +18,7 @@ from slqt import (RankDeficient, TrackingProblem, coupled_oscillators,
                   shadow_regressors, solve_tracking, spectral_abscissa)
 
 bundle = coupled_oscillators()
-moments = gather_moments(bundle, mode="exact")
+moments = gather_moments(replace(bundle, data_source="exact"))
 
 peak = max(float(np.abs(moments.W).max()), float(np.abs(moments.V).max()))
 print(f"largest input-coupled moment in the data: {peak}")

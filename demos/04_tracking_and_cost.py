@@ -27,8 +27,8 @@ for case, dur in schedule:
                              sol.P, sol.K)
     sched.append((bundle.h_d_cases[case - 1], F, float(dur)))
 
-run = simulate_tracking(plant, bundle.reference.A_d, bundle.reference.x_d0,
-                        sched, sol.K, np.zeros(plant.n), 1e-3, 200, 97)
+# 200 paths from the origin
+run = simulate_tracking(plant, bundle.reference, sched, sol.K, 1e-3, 200, 97)
 bounds = [0.0, *run.switch_times, float(run.t[-1])]
 print("segment-wise mean tracking error (200 paths)")
 for j, (case, _) in enumerate(schedule):

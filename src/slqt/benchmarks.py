@@ -136,27 +136,25 @@ def coupled_oscillators() -> ExampleBundle:
     return _bundle("two")
 
 
-def gather_moments(config: ExperimentConfig, mode: str = "ensemble") -> MomentTable:
+def gather_moments(config: ExperimentConfig) -> MomentTable:
     """Collect the config's data segments and reduce them to one table.
 
-    mode='ensemble' runs seeded Monte Carlo; mode='exact' propagates
-    the closed moment ODEs instead (the noise-free oracle route). Both
-    routes discount by (gamma - alpha0)/2 the same way. The reference
-    is on the experiment-wide clock: accumulate_raw_moments restarts it
-    at each segment's time offset.
+    The config's data_source picks the route: 'ensemble' runs seeded
+    Monte Carlo, 'exact' propagates the closed moment ODEs instead (the
+    noise-free oracle route). Both discount by (gamma - alpha0)/2 the
+    same way. The reference is on the experiment-wide clock:
+    accumulate_raw_moments restarts it at each segment's time offset.
     """
     discount = config.hyper.alpha_tilde
     tables = []
     for x0, t_offset, seg_seed in config.segments:
-        if mode == "ensemble":
+        if config.data_source == "ensemble":
             # each segment runs the sim layout under its own base seed
             sim = replace(config.sim, base_seed=int(seg_seed))
             traj = run_ensemble(config.plant, config.probing, x0, sim, discount=discount)
-        elif mode == "exact":
+        else:
             traj = propagate_moments_exact(config.plant, config.probing, x0, config.sim,
                                            discount=discount)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
         tables.append(accumulate_raw_moments(traj, config.sim, config.plant.H,
                                              config.reference, t_offset))
     return MomentTable.concat(tables) if len(tables) > 1 else tables[0]

@@ -169,12 +169,13 @@ class RunReport:
 
 
 def emit_report(report: RunReport, out_dir: str) -> list:
-    """Write report.json and the CSV traces derivable from the payload."""
+    """Write report.json and the CSV traces derivable from the payload; the
+    report is encoded first, so a refused value leaves no report.json."""
+    text = canonical_json(report.document()) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8") as f:
-        f.write(canonical_json(report.document()))
-        f.write("\n")
+        f.write(text)
     written = [path]
     for key in ("model_based", "data_driven", "shadow"):
         block = report.payload.get(key)
@@ -328,8 +329,7 @@ def _rank_payload(rep) -> dict:
 def _cert_payload(cert) -> dict:
     return {"stabilizing": bool(cert.stabilizing),
             "abscissa": float(cert.abscissa),
-            "alpha": None if cert.alpha is None else float(cert.alpha),
-            "margin": float(cert.margin)}
+            "alpha": None if cert.alpha is None else float(cert.alpha)}
 
 
 _DIAGNOSTICS = ("residual", "condition", "abscissa")
@@ -418,11 +418,10 @@ def _ff_case_fits(config: ExperimentConfig, moments, learned, omega_F) -> list:
 
 
 def _run_tracking(config: ExperimentConfig, K, case_rows, out_dir) -> dict:
-    tr, ref = config.tracking, config.reference
+    tr = config.tracking
     sched = [(config.h_d_cases[c - 1], case_rows[c - 1]["F"], d) for c, d in tr["schedule"]]
-    run = simulate_tracking(config.plant, ref.A_d, ref.x_d0, sched, K,
-                            np.zeros(config.plant.n), tr["h"], tr["n_paths"],
-                            tr["base_seed"])
+    run = simulate_tracking(config.plant, config.reference, sched, K, tr["h"],
+                            tr["n_paths"], tr["base_seed"])
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_tracking_csv(os.path.join(out_dir, "tracking.csv"), run)
@@ -491,7 +490,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
             K, rows = sol.K, model_rows
         if config.mode != "model_based":
             with _timed(report, "collect"):
-                moments = gather_moments(config, mode=config.data_source["kind"])
+                moments = gather_moments(config)
             omega_F, flags = None, {}
             if config.mode == "shadow":
                 with _timed(report, "shadow_rows"):

@@ -37,7 +37,7 @@ class ExperimentConfig:
     probing: object | None
     segments: tuple
     h_d_cases: tuple
-    data_source: dict
+    data_source: str  # the moment route, 'ensemble' or 'exact'
     shadow: ShadowConfig | None
     tracking: dict | None
     cost_comparison: dict | None
@@ -218,10 +218,9 @@ def _parse(raw: dict) -> ExperimentConfig:
                     f"reference has {reference.n_d} states")
 
     dsb = _block(raw, "data_source") or {}
-    kind = dsb.get("kind", "ensemble")
-    if kind not in ("ensemble", "exact"):
-        raise ConfigError(f"unknown data_source kind {kind!r}")
-    data_source = {"kind": kind}
+    data_source = dsb.get("kind", "ensemble")
+    if data_source not in ("ensemble", "exact"):
+        raise ConfigError(f"unknown data_source kind {data_source!r}")
 
     shb = _block(raw, "shadow")
     shadow = None
@@ -271,6 +270,9 @@ def _parse(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"cost_comparison case {cost_comparison['case']} out of range")
         if cost_comparison["n_paths"] < 2:  # one path has no standard error
             raise ConfigError("cost_comparison n_paths must be at least 2")
+        if not (plant.C.any() or plant.D.any()):  # the two designs would be one
+            raise ConfigError("cost_comparison needs a noisy plant: with C = 0 and D = 0 "
+                              "the noise-aware and noise-blind designs coincide")
         _step_count(cost_comparison["horizon"], cost_comparison["h"],
                     "cost_comparison horizon")
 

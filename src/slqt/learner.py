@@ -150,7 +150,7 @@ def _lstsq(A: np.ndarray, b: np.ndarray):
 
 def _check_discount(moments: MomentTable, hyper: BpiHyperParams) -> None:
     """ConfigError unless the table was discounted at (gamma - alpha0)/2."""
-    if moments.discount is None or abs(moments.discount - hyper.alpha_tilde) > 1e-12:
+    if abs(moments.discount - hyper.alpha_tilde) > 1e-12:
         raise ConfigError(f"moment table discount {moments.discount} does not match "
                           f"(gamma - alpha0)/2 = {hyper.alpha_tilde}")
 

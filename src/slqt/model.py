@@ -41,7 +41,7 @@ def _as_matrix(x, name: str) -> np.ndarray:
 
 
 _COND_LIMIT = 1e12  # largest trusted condition of an eigenbasis, operator or gain matrix
-_GUARD = 1e-9  # band below -margin that absorbs eigensolver noise in a certificate
+_GUARD = 1e-9  # band below zero that absorbs eigensolver noise in a certificate
 
 
 def _check_eigenbasis(M: np.ndarray, name: str, imaginary: bool = False) -> None:
@@ -250,7 +250,6 @@ class StabilityCertificate:
     stabilizing: bool
     abscissa: float
     alpha: float | None
-    margin: float
 
     def __bool__(self) -> bool:
         return self.stabilizing
@@ -386,10 +385,10 @@ def _abscissa(L: np.ndarray, inverse: np.ndarray | None = None) -> float:
     return float(np.linalg.eigvals(L).real.max())
 
 
-def _certificate(L: np.ndarray, alpha: float | None, margin: float = 0.0,
+def _certificate(L: np.ndarray, alpha: float | None,
                  inverse: np.ndarray | None = None) -> StabilityCertificate:
     a = _abscissa(L, inverse)
-    return StabilityCertificate(a < -(margin + _GUARD), a, alpha, margin)
+    return StabilityCertificate(a < -_GUARD, a, alpha)
 
 
 def lyap_matrix(sys: StochasticSystem, K, alpha: float | None = None,
@@ -410,15 +409,13 @@ def spectral_abscissa(sys: StochasticSystem, K, alpha: float | None = None,
 
 
 def is_stabilizing(sys: StochasticSystem, K, alpha: float | None = None,
-                   margin: float = 0.0, gamma: float = 1.0) -> StabilityCertificate:
+                   gamma: float = 1.0) -> StabilityCertificate:
     """Certificate that K is mean-square stabilizing for S(alpha).
 
-    True iff the abscissa is below -(margin + _GUARD); the guard band,
-    1e-9, absorbs eigenvalue-solver noise around zero.
+    True iff the abscissa is below -_GUARD; the guard band, 1e-9,
+    absorbs eigenvalue-solver noise around zero.
     """
-    if margin < 0.0:
-        raise ConfigError("margin must be nonnegative")
-    return _certificate(lyap_matrix(sys, K, alpha, gamma), alpha, margin)
+    return _certificate(lyap_matrix(sys, K, alpha, gamma), alpha)
 
 
 def zero_gain_threshold(sys: StochasticSystem) -> float:

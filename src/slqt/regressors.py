@@ -43,7 +43,7 @@ class MomentTable:
     columns. H is the plant output map, from which the learners form
     the cost forcing H'QH and every output map's right-hand side
     I_xdchi vec(H'Q H_d). discount is the rate of the trajectory the
-    table came from (None if undiscounted); the learners refuse a table
+    table came from (0.0 if undiscounted); the learners refuse a table
     whose discount is not their (gamma - alpha0)/2. t_global locates
     each sample on the experiment-wide clock (segments of a multi-run
     dataset differ in offset), which is what shadow augmentation aligns on.
@@ -61,7 +61,7 @@ class MomentTable:
     I_xdchi: np.ndarray
     I_xdu: np.ndarray
     H: np.ndarray
-    discount: float | None
+    discount: float
 
     def __len__(self) -> int:
         return self.t.size

@@ -6,19 +6,20 @@ exact moment propagation (the oracle the data pipeline is tested
 against), and Monte Carlo average-cost estimation.
 
 Every simulated path, single or in an ensemble, comes from one
-Euler-Maruyama kernel: path i draws its increments from Philox(seed_i)
-alone, so any member of an ensemble can be reproduced by itself (a
-one-path run_ensemble from its seed). The increments follow the
-two-point law of the simplified weak Euler scheme (Kloeden & Platen,
-Numerical Solution of SDEs, 1992, section 14.1): dW = +sqrt(h) or
--sqrt(h), each with probability 1/2, one random bit per step. The plant
-is linear, so its mean and second-moment recursions use only E xi = 0,
-E xi^2 = 1 and independent steps; they are those of Gaussian
-Euler-Maruyama exactly, and so is every expected value the moment
-oracles give. Only the sampling spread differs (E xi^4 = 1, not 3).
-Ensemble reductions are centered on path 0 and run in a fixed order so
-that repeated runs with the same configuration are bit-identical, and
-so that a zero-diffusion ensemble reduces exactly to its single path.
+Euler-Maruyama kernel: path p of a run with base seed s draws its
+increments from Philox(s + p) alone, so any member of an ensemble can
+be reproduced by itself (a one-path run_ensemble from base seed s + p).
+The increments follow the two-point law of the simplified weak Euler
+scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992, section
+14.1): dW = +sqrt(h) or -sqrt(h), each with probability 1/2, one random
+bit per step. The plant is linear, so its mean and second-moment
+recursions use only E xi = 0, E xi^2 = 1 and independent steps; they
+are those of Gaussian Euler-Maruyama exactly, and so is every expected
+value the moment oracles give. Only the sampling spread differs
+(E xi^4 = 1, not 3). Ensemble reductions are centered on path 0 and run
+in a fixed order so that repeated runs with the same configuration are
+bit-identical, and so that a zero-diffusion ensemble reduces exactly to
+its single path.
 
 Ensembles are split into fixed batches of _PATH_BATCH paths, the unit
 of reduction. Each process runs one contiguous share of the batches as
@@ -213,27 +214,25 @@ def _sign_words(bitgens, n_steps: int) -> np.ndarray:
     return words
 
 
-def _em_paths(A, C, forcing, x0, seeds, n_steps: int, h: float, observe,
-              sys_name: str = "state", paths=None) -> None:
+def _em_paths(A, C, forcing, x0, base_seed: int, paths, n_steps: int, h: float,
+              observe, sys_name: str = "state") -> None:
     """Euler-Maruyama paths of dx = (Ax+Bu)dt + (Cx+Du)dw from a common x0.
 
     forcing is (B, D, u) with u the (n_steps+1, m) input on the grid.
-    Column i draws its increments, +-sqrt(h), from the bits of
-    Philox(seeds[i]), one random_raw call per _DRAW_STEPS steps: bit k of
-    its words, little-endian within each 64-bit word, is the sign of step
-    k (0 for +sqrt(h), _SIGNS), unpacked one block at a time.
-    paths[i] is the number a Blowup gives column i's path (by default i).
-    The state is X of shape (n, len(seeds)), paths on the last axis; one
-    step is X + (hAX + hBu) + dW (CX + Du), with both brackets from one
-    stacked product [hA hBu; C Du] [X; 1]. States are buffered
-    _BLOCK_STEPS at a time:
-    observe(k0, S) receives the states at steps k0, k0 + 1, ... as S of
-    shape (len(S), n, n_paths), first S = x0 alone with k0 = 0. S is a
-    view of a reused buffer, so copy what you keep. Each block is
+    Column i runs path p = paths[i], the number a Blowup gives it. It
+    draws its increments, +-sqrt(h), from the bits of Philox(base_seed +
+    p), one random_raw call per _DRAW_STEPS steps: bit k of its words,
+    little-endian within each 64-bit word, is the sign of step k (0 for
+    +sqrt(h), _SIGNS), unpacked one block at a time. The state is X of
+    shape (n, len(paths)), paths on the last axis; one step is
+    X + (hAX + hBu) + dW (CX + Du), with both brackets from one stacked
+    product [hA hBu; C Du] [X; 1]. States are buffered _BLOCK_STEPS at a
+    time: observe(k0, S) receives the states at steps k0, k0 + 1, ... as
+    S of shape (len(S), n, n_paths), first S = x0 alone with k0 = 0. S
+    is a view of a reused buffer, so copy what you keep. Each block is
     checked for divergence before it is observed.
     """
-    n, P = A.shape[0], len(seeds)
-    paths = range(P) if paths is None else paths
+    n, P = A.shape[0], len(paths)
     # a single path gets a noise-free second column, so that its product
     # runs through the same BLAS kernel as an ensemble's and stays
     # bit-identical to its ensemble member
@@ -243,7 +242,7 @@ def _em_paths(A, C, forcing, x0, seeds, n_steps: int, h: float, observe,
     G[:, n:, :n] = C
     B, D, u = forcing
     f = np.hstack([h * (u[:-1] @ B.T), u[:-1] @ D.T])  # column n of G, block by block
-    bitgens = [np.random.Philox(seed) for seed in seeds]
+    bitgens = [np.random.Philox(base_seed + p) for p in paths]
     steps = np.sqrt(h) * _SIGNS  # the increment of a 0 bit and of a 1 bit
     dW = np.zeros((_BLOCK_STEPS, width))
     S = np.empty((_BLOCK_STEPS + 1, n + 1, width))  # row n holds the 1 of [X; 1]
@@ -391,10 +390,9 @@ class MomentTrajectory:
     Both data routes return this: run_ensemble's Monte Carlo reductions
     and propagate_moments_exact's exact moments. mean_xx rows hold the
     upper triangle of E[x x'] row by row; se_xx, filled by run_ensemble
-    for more than one path, their batch-means standard errors. When
-    ``discount`` is set the trajectories are the
-    transformed ones, on both routes: x and u scaled by exp(-discount * t)
-    and second moments by the square of that factor. The reference is
+    for more than one path, their batch-means standard errors. On both
+    routes x and u are scaled by exp(-discount * t) and second moments by
+    its square (by 1 at discount 0.0, undiscounted). The reference is
     not part of it: accumulate_raw_moments evaluates x_d on the grid.
     """
 
@@ -403,27 +401,25 @@ class MomentTrajectory:
     mean_xx: np.ndarray
     u: np.ndarray
     se_xx: np.ndarray | None = None
-    discount: float | None = None
+    discount: float = 0.0
 
 
 def _moment_trajectory(t, mean_x, mean_xx, u, discount, se_xx=None) -> MomentTrajectory:
-    """The plant moments on the grid t as a MomentTrajectory; when discount
-    is set, x and u are scaled by exp(-discount * t), the second moments
-    and their standard errors by its square: all in place but u, which
-    may be the input function's own array."""
-    if discount is not None:
-        scale = np.exp(-discount * t)[:, None]
-        mean_x *= scale
-        u, scale = u * scale, scale * scale
-        mean_xx *= scale
-        if se_xx is not None:
-            se_xx *= scale
+    """The plant moments on the grid t as a MomentTrajectory, x and u scaled
+    by exp(-discount * t) and the second moments and their standard errors
+    by its square: all in place but u, which may be the input's own array."""
+    scale = np.exp(-discount * t)[:, None]
+    mean_x *= scale
+    u, scale = u * scale, scale * scale
+    mean_xx *= scale
+    if se_xx is not None:
+        se_xx *= scale
     return MomentTrajectory(t=t, mean_x=mean_x, mean_xx=mean_xx, u=u, se_xx=se_xx,
                             discount=discount)
 
 
 def run_ensemble(plant, input, x0, config: SimConfig,
-                 discount: float | None = None) -> MomentTrajectory:
+                 discount: float = 0.0) -> MomentTrajectory:
     """Simulate config.n_paths Euler-Maruyama paths and stream reductions.
 
     Path p uses seed base_seed + p with an independent counter-based
@@ -473,8 +469,8 @@ def run_ensemble(plant, input, x0, config: SimConfig,
                 for target, part in zip(sums[b], parts):
                     target[blk] = part
 
-        _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0,
-                  [config.base_seed + i for i in paths], N, config.h, record, paths=paths)
+        _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, config.base_seed, paths,
+                  N, config.h, record)
 
     _run_batches(len(batches), run)
     mean_x, mean_xx, se_xx = sums[0]
@@ -561,7 +557,7 @@ def _affine_recursion(z0, Lt, h, w):
 
 
 def propagate_moments_exact(plant, input, x0, config: SimConfig,
-                            discount: float | None = None,
+                            discount: float = 0.0,
                             method: str = "rk4") -> MomentTrajectory:
     """Integrate the closed mean/second-moment ODEs of the plant SDE.
 
@@ -609,7 +605,7 @@ def propagate_moments_exact(plant, input, x0, config: SimConfig,
     return _moment_trajectory(t, mean_x, mean_xx, u, discount)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # per_path is an array: estimates compare by identity
 class CostEstimate:
     """Monte Carlo estimate of the long-run average tracking cost.
 
@@ -620,9 +616,7 @@ class CostEstimate:
 
     mean: float
     se: float
-    n_paths: int
-    horizon: float
-    per_path: np.ndarray | None = field(default=None, repr=False, compare=False)
+    per_path: np.ndarray
 
 
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -682,9 +676,8 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
                 acc[:, lo:hi] += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
             last = rates[-1]
 
-        _em_paths(_block_diag(*A_cl), _block_diag(*C_cl), forcing, np.zeros(n * J),
-                  [seed + i for i in range(lo, hi)], N, h, integrate, "closed-loop state",
-                  paths=range(lo, hi))
+        _em_paths(_block_diag(*A_cl), _block_diag(*C_cl), forcing, np.zeros(n * J), seed,
+                  range(lo, hi), N, h, integrate, "closed-loop state")
 
     _run_batches(len(batches), run)
     estimates = []
@@ -692,8 +685,7 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
         d = per_path - per_path[0]
         var = max(float((d * d).mean() - d.mean() ** 2), 0.0)
         se = float(np.sqrt(var / (n_paths - 1))) if n_paths > 1 else float("nan")
-        estimates.append(CostEstimate(float(per_path[0] + d.mean()), se, n_paths,
-                                      horizon, per_path))
+        estimates.append(CostEstimate(float(per_path[0] + d.mean()), se, per_path))
     return estimates
 
 
@@ -710,23 +702,23 @@ class TrackingRun:
     switch_times: tuple
 
 
-def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
+def simulate_tracking(plant, reference: ReferenceGenerator, schedule, K, h: float,
                       n_paths: int, base_seed: int) -> TrackingRun:
-    """Closed-loop tracking with piecewise reference output maps.
+    """Closed-loop tracking from the origin with piecewise reference output maps.
 
     schedule is a list of (H_d, F, duration) segments, each duration a
     positive multiple of h; the reference state x_d evolves continuously
-    under the shared A_d while the output map and the feedforward gain
-    switch at segment boundaries.
+    from reference.x_d0 under reference.A_d while the output map and the
+    feedforward gain switch at segment boundaries. Path p draws from
+    Philox(base_seed + p).
     """
-    A_d = np.asarray(A_d, dtype=float)
-    n, m, n_d = plant.n, plant.m, A_d.shape[0]
+    n, m, n_d = plant.n, plant.m, reference.n_d
     K = np.asarray(K, dtype=float).reshape(m, n)
     steps = [_step_count(seg[2], h, "tracking duration") for seg in schedule]
     N = sum(steps)
     t = np.arange(N + 1) * h
     # reference state, shared across paths, continuous at switches
-    x_d = _reference_states(A_d, x_d0, t)
+    x_d = _reference_states(reference.A_d, reference.x_d0, t)
     y_d = np.empty((N + 1, np.asarray(schedule[0][0]).reshape(-1, n_d).shape[0]))
     u_ff = np.empty((N + 1, m))
     k0 = 0
@@ -744,9 +736,8 @@ def simulate_tracking(plant, A_d, x_d0, schedule, K, x0, h: float,
     def record(k0, S):
         x_mean[k0:k0 + len(S)] = _centred_mean(S)
 
-    _em_paths(*plant.closed_loop(K), (plant.B, plant.D, u_ff),
-              np.zeros(n) if x0 is None else x0,
-              [base_seed + i for i in range(n_paths)], N, h, record, "tracking state")
+    _em_paths(*plant.closed_loop(K), (plant.B, plant.D, u_ff), np.zeros(n), base_seed,
+              range(n_paths), N, h, record, "tracking state")
     u_mean = u_ff - x_mean @ K.T
     y_mean = x_mean @ plant.H.T
     return TrackingRun(t, y_mean, y_d, u_mean, x_mean, x_d, tuple(bounds[1:]))

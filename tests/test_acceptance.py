@@ -10,6 +10,7 @@ on the coupled oscillators.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,14 +64,14 @@ def ex1_model(ex1):
 
 @pytest.fixture(scope="module")
 def ex1_exact_learn(ex1):
-    moments = gather_moments(ex1, mode="exact")
+    moments = gather_moments(replace(ex1, data_source="exact"))
     return learn_feedback(moments, ex1.cost, ex1.hyper)
 
 
 @pytest.fixture(scope="module")
 def ex1_mc_learn(ex1):
     t0 = time.perf_counter()
-    moments = gather_moments(ex1, mode="ensemble")
+    moments = gather_moments(ex1)
     sol = learn_feedback(moments, ex1.cost, ex1.hyper)
     return moments, sol, time.perf_counter() - t0
 
@@ -97,7 +98,7 @@ def ex2_model(ex2):
 
 @pytest.fixture(scope="module")
 def ex2_shadow(ex2):
-    moments = gather_moments(ex2, mode="exact")
+    moments = gather_moments(replace(ex2, data_source="exact"))
     omegas = shadow_regressors(ex2.shadow, ex2.plant.B, ex2.cost.R,
                                moments.t_global, moments.window)
     sol = learn_shadow(moments, ex2.shadow, ex2.plant.B, ex2.cost,
@@ -332,8 +333,7 @@ def test_criterion_09_cost_ordering_and_tracking(ex1, ex1_model):
                                        ex1.h_d_cases[case - 1]),
                                    sol.P, sol.K)
         sched.append((ex1.h_d_cases[case - 1], F_k, float(dur)))
-    run = simulate_tracking(ex1.plant, ex1.reference.A_d, ex1.reference.x_d0,
-                            sched, sol.K, np.zeros(ex1.plant.n), 1e-3, 200, 97)
+    run = simulate_tracking(ex1.plant, ex1.reference, sched, sol.K, 1e-3, 200, 97)
     bounds = [0.0, *run.switch_times, float(run.t[-1])]
     settled = []
     for j in range(len(sched)):

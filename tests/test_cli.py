@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slqt.cli import (EXIT_CODES, _write_ff_csv, _write_trace_csv,
-                      _write_tracking_csv, build_parser, canonical_json, exit_code_for,
-                      load_config, load_report, main, parse_experiment_config,
-                      run_experiment)
+from slqt.cli import (EXIT_CODES, RunReport, _write_ff_csv, _write_trace_csv,
+                      _write_tracking_csv, build_parser, canonical_json, emit_report,
+                      exit_code_for, load_config, load_report, main,
+                      parse_experiment_config, run_experiment)
 from slqt.errors import (Blowup, ConfigError, MaxIterExceeded, NonPositiveP,
                          NotStabilizing, RankDeficient, SingularOperator,
                          SlqtError)
@@ -110,6 +110,9 @@ def test_parse_config_validation_matrix():
         {"cost_comparison": {"case": 1, "h": 0.0}},
         {"cost_comparison": {"case": 1, "n_paths": 1}},
         {"cost_comparison": {"case": 1, "seed": "one"}},
+        # with C = D = 0 the noise-blind design is the noise-aware one
+        {"mode": "model_based", "cost_comparison": {"case": 1},
+         "plant": {**SCALAR_CONFIG["plant"], "C": [[0.0]]}},
         # the shadow block is checked in every mode
         {"shadow": {**SHADOW_BLOCK, "h": 0.0}},
         {"shadow": {**SHADOW_BLOCK, "h": -1e-5}},
@@ -317,6 +320,13 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     # a malformed report is refused the same way
     assert main(["report", str(bad)]) == EXIT_CODES["config"]
     assert capsys.readouterr().err.startswith(f"error: invalid JSON in report {str(bad)!r}")
+
+
+def test_a_refused_report_leaves_no_file(tmp_path):
+    # the report is encoded before report.json is opened
+    with pytest.raises(ConfigError, match="finite"):
+        emit_report(RunReport(payload={"v": float("nan")}), str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 def test_validate_flag_only_where_a_handler_reads_it(tmp_path, capsys):
@@ -552,9 +562,9 @@ def test_error_block_carries_the_exception_figures():
     assert _error_block(Blowup("b", path_index=3, time=0.25)) == \
         {"type": "Blowup", "message": "b", "time": 0.25, "path_index": 3}
     assert _error_block(NotStabilizing("n", abscissa=0.5))["abscissa"] == 0.5
-    cert = StabilityCertificate(True, -0.004, None, 0.0)
+    cert = StabilityCertificate(True, -0.004, None)
     assert _error_block(SingularOperator("s", certificate=cert))["certificate"] == \
-        {"stabilizing": True, "abscissa": -0.004, "alpha": None, "margin": 0.0}
+        {"stabilizing": True, "abscissa": -0.004, "alpha": None}
     # a figure the report cannot hold leaves the type and the message
     assert _error_block(NotStabilizing("n", abscissa=math.nan)) == \
         {"type": "NotStabilizing", "message": "n"}
@@ -1029,7 +1039,7 @@ def test_example_run_lists_follow_the_bundles():
     one, ex1 = dict(example_runs("one")), damped_oscillator()
     assert list(one) == ["learn", "scenario1", "scenario2"]
     assert one["learn"].mode == "data_driven"
-    assert one["learn"].data_source["kind"] == "ensemble"
+    assert one["learn"].data_source == "ensemble"
     assert one["learn"].cost_comparison == {"case": 8, "horizon": 50.0,
                                             "n_paths": 2000, "h": 1e-3,
                                             "seed": 314159}
@@ -1046,7 +1056,7 @@ def test_example_run_lists_follow_the_bundles():
     two, ex2 = dict(example_runs("two")), coupled_oscillators()
     assert list(two) == ["learn", "model"]
     assert two["learn"].mode == "shadow"
-    assert two["learn"].data_source["kind"] == "exact"
+    assert two["learn"].data_source == "exact"
     assert two["learn"].tracking == tracking(ex2, "scenario2")
     assert two["learn"].cost_comparison is None
     np.testing.assert_array_equal(two["learn"].shadow.A_a, ex2.shadow.A_a)

@@ -36,7 +36,7 @@ def scalar_moments(hyper, l=60, probing=True):
     sys = scalar_plant()
     sig = ProbingSignal(1.0, 8, (-30.0, 30.0), seed=4) if probing else None
     cfg = SimConfig(h=1e-4, sample_period=1e-3, window=0.05, l=l, n_paths=1)
-    discount = None if hyper is None else hyper.alpha_tilde
+    discount = 0.0 if hyper is None else hyper.alpha_tilde
     traj = propagate_moments_exact(sys, sig, np.array([1.0]), cfg, discount=discount)
     return accumulate_raw_moments(traj, cfg, sys.H, STILL)
 
@@ -331,7 +331,7 @@ def unforced_moments(plant, hyper, l=40):
                              np.array([[1.0, 0.0]]), np.array([1.0, -0.5]))
     # two unforced segments from different states, on one global clock
     offset = cfg.duration + cfg.h
-    discount = None if hyper is None else hyper.alpha_tilde
+    discount = 0.0 if hyper is None else hyper.alpha_tilde
     tables = []
     for x0, dt in ((np.array([1.0, 0.6]), 0.0), (np.array([-0.7, 1.0]), offset)):
         traj = propagate_moments_exact(plant, None, x0, cfg, discount=discount)
@@ -448,7 +448,7 @@ def test_discount_mismatch_is_rejected(learner):
     tab = tables(hyper)
     assert tab.discount == hyper.alpha_tilde
     learn(tab, hyper)
-    assert tables(None).discount is None
+    assert tables(None).discount == 0.0
     for table, hy in ((tables(None), hyper), (tab, later),
                       (dataclasses.replace(tab, discount=0.3), hyper)):
         with pytest.raises(ConfigError, match="does not match"):

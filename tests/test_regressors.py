@@ -21,7 +21,7 @@ from slqt.symquad import vech
 STILL = ReferenceGenerator(A_d=[[0.0]], H_d=[[1.0]], x_d0=[1.0])
 
 
-def constant_source(x0, m=1, n_steps=200, h=1e-3, discount=None):
+def constant_source(x0, m=1, n_steps=200, h=1e-3, discount=0.0):
     """A synthetic grid source frozen at state x0 with zero input."""
     t = np.arange(n_steps + 1) * h
     n = x0.size
@@ -117,7 +117,7 @@ def test_windows_integrate_quadratic_moments_exactly(h, t1_steps, period_steps,
     t = np.arange(max(cfg.n_steps + extra, 2) + 1) * h
     a, b, c, d, e = coef
     x = linear_rows(a, b, t)
-    src = SimpleNamespace(t=t, mean_x=x, u=linear_rows(c, d, t), discount=None,
+    src = SimpleNamespace(t=t, mean_x=x, u=linear_rows(c, d, t), discount=0.0,
                           mean_xx=np.array([vech(np.outer(r, r)) for r in x]))
     ref = ReferenceGenerator(A_d=np.zeros((2, 2)), H_d=[[1.0, 0.0]], x_d0=e)
     tab = accumulate_raw_moments(src, cfg, np.eye(1, 2), ref)

@@ -102,7 +102,7 @@ def test_discounted_input_weighting():
     plain = propagate_moments_exact(sys, sig, x0, cfg)
     disc = propagate_moments_exact(sys, sig, x0, cfg, discount=0.45)
     w = np.exp(-0.45 * plain.t)
-    assert plain.discount is None and disc.discount == 0.45
+    assert plain.discount == 0.0 and disc.discount == 0.45
     np.testing.assert_allclose(disc.u[:, 0], w * sig(plain.t), rtol=1e-14)
     np.testing.assert_allclose(disc.mean_x, w[:, None] * plain.mean_x, rtol=1e-14)
     np.testing.assert_allclose(disc.mean_xx, (w ** 2)[:, None] * plain.mean_xx,
@@ -116,9 +116,10 @@ def test_unforced_exact_moments_equal_a_zero_amplitude_probe(discount):
     sys = small_plant(c_scale=1.0)
     cfg = SimConfig(h=1e-3, sample_period=1e-2, window=0.05, l=40)
     x0 = np.array([0.5, -1.0])
-    unforced = propagate_moments_exact(sys, None, x0, cfg, discount=discount)
+    rate = {} if discount is None else {"discount": discount}  # None: the default
+    unforced = propagate_moments_exact(sys, None, x0, cfg, **rate)
     zero = propagate_moments_exact(sys, ProbingSignal(0.0, 5, (-10.0, 10.0), seed=0),
-                                   x0, cfg, discount=discount)
+                                   x0, cfg, **rate)
     for name in ("t", "mean_x", "mean_xx", "u"):
         np.testing.assert_array_equal(getattr(unforced, name), getattr(zero, name))
     assert np.abs(unforced.mean_xx).max() > 0.1
@@ -207,7 +208,7 @@ def test_single_path_matches_ensemble_member():
         members[k0:k0 + len(S)] = S
 
     u = _sample_input(sig, cfg.grid(), 1)
-    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, range(50, 53), cfg.n_steps, cfg.h, keep)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, range(3), cfg.n_steps, cfg.h, keep)
     np.testing.assert_array_equal(members[:, :, 1],
                                   single_path(sys, sig, x0, cfg, seed=51))
 
@@ -223,7 +224,7 @@ def test_every_ensemble_member_is_its_single_path():
         members[k0:k0 + len(S)] = S
 
     u = _sample_input(two_input_signal, cfg.grid(), 2)
-    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, range(50, 55), cfg.n_steps, cfg.h, keep)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, range(5), cfg.n_steps, cfg.h, keep)
     for p in range(5):
         np.testing.assert_array_equal(
             members[:, :, p], single_path(sys, two_input_signal, x0, cfg, seed=50 + p))
@@ -245,7 +246,7 @@ def test_members_equal_their_single_paths_across_buffer_swaps():
         members[k0:k0 + len(S)] = S
 
     u = _sample_input(two_input_signal, cfg.grid(), 2)
-    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, range(70, 74), n_steps, cfg.h, keep)
+    _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 70, range(4), n_steps, cfg.h, keep)
     for p in range(4):
         np.testing.assert_array_equal(
             members[:, :, p], single_path(sys, two_input_signal, x0, cfg, seed=70 + p))
@@ -330,15 +331,13 @@ def test_block_kernel_equals_per_step_reference():
     ref = ReferenceGenerator(A_d, H_d, x_d0)
     u_ff = -_reference_states(A_d, x_d0, t) @ F.T
     xs = paths(plant.A - plant.B @ K, plant.C - plant.D @ K,
-               (plant.B, plant.D, u_ff), x0)
-    run = simulate_tracking(plant, A_d, x_d0, [(H_d, F, n_steps * h)], K, x0,
+               (plant.B, plant.D, u_ff), np.zeros(3))
+    run = simulate_tracking(plant, ref, [(H_d, F, n_steps * h)], K,
                             h=h, n_paths=P, base_seed=seed)
     close(run.x_mean, xs.mean(axis=1))
 
     # average cost: the same forced loop from the origin, with the cost
     # rate |Hx - H_d x_d|_Q^2 + |Kx + F x_d|_R^2 on the exact reference
-    xs = paths(plant.A - plant.B @ K, plant.C - plant.D @ K,
-               (plant.B, plant.D, u_ff), np.zeros(3))
     cost = CostWeights(Q=np.array([[2.0]]), R=np.diag([0.5, 1.0]))
     x_d = _reference_states(A_d, x_d0, t)
     e = xs @ plant.H.T - (x_d @ H_d.T)[:, None]
@@ -365,8 +364,7 @@ def ensemble_and_products(P, n_steps, seed):
         xs[k0:k0 + len(S)] = S
 
     u = _sample_input(two_input_signal, cfg.grid(), 2)
-    _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, range(seed, seed + P),
-              n_steps, h, keep)
+    _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, seed, range(P), n_steps, h, keep)
     r, c = np.triu_indices(3)
     return run_ensemble(plant, two_input_signal, x0, cfg), (xs[:, r] * xs[:, c]).swapaxes(1, 2)
 
@@ -691,7 +689,7 @@ def test_the_kernel_starts_no_thread():
         seen.append(threading.enumerate())
 
     plant, n_steps = small_plant(), _DRAW_STEPS + 37
-    _em_paths(plant.A, plant.C, unforced(plant, n_steps), np.array([1.0, -1.0]), range(5, 8),
+    _em_paths(plant.A, plant.C, unforced(plant, n_steps), np.array([1.0, -1.0]), 5, range(3),
               n_steps, 1e-3, observe)
     assert seen and all(now == before for now in seen)
     assert threading.enumerate() == before
@@ -711,7 +709,7 @@ def test_an_observer_error_reaches_the_caller_unchanged():
 
     n_steps = _DRAW_STEPS + 37
     with pytest.raises(ObserveFault) as info:
-        _em_paths(plant.A, plant.C, unforced(plant, n_steps), x0, range(4),
+        _em_paths(plant.A, plant.C, unforced(plant, n_steps), x0, 0, range(4),
                   n_steps, 1e-3, observe)
     assert info.value is fault
 
@@ -728,8 +726,8 @@ def kernel_increments(first_seed, n_paths, n_steps, h):
     def keep(k0, S):
         states[k0:k0 + len(S)] = S[:, 0]
 
-    _em_paths(A, zero, (zero, one, np.ones((n_steps + 1, 1))), [0.0],
-              range(first_seed, first_seed + n_paths), n_steps, h, keep)
+    _em_paths(A, zero, (zero, one, np.ones((n_steps + 1, 1))), [0.0], first_seed,
+              range(n_paths), n_steps, h, keep)
     return states[1:]
 
 
@@ -790,7 +788,7 @@ def test_average_cost_reproducible_and_positive():
     [b] = estimate_average_cost(sys, ref, [(K, F)], cost, horizon=4.0,
                                 n_paths=64, seed=5, h=1e-3)
     assert a.mean == b.mean and a.se == b.se
-    assert a.mean > 0.0 and a.se > 0.0 and a.n_paths == 64
+    assert a.mean > 0.0 and a.se > 0.0 and a.per_path.shape == (64,)
 
 
 def assert_stacked_designs_equal_their_runs_alone(n_steps):
@@ -830,8 +828,9 @@ def test_simulate_tracking_switches_and_shapes():
     F1 = np.array([[0.2, 0.0]])
     F2 = np.array([[0.0, 0.2]])
     K = np.array([[1.0, 1.5]])
-    run = simulate_tracking(sys, A_d, x_d0, [(H1, F1, 1.0), (H2, F2, 1.5)],
-                            K, np.zeros(2), h=1e-3, n_paths=12, base_seed=3)
+    run = simulate_tracking(sys, ReferenceGenerator(A_d, H1, x_d0),
+                            [(H1, F1, 1.0), (H2, F2, 1.5)], K, h=1e-3, n_paths=12,
+                            base_seed=3)
     assert run.t[-1] == pytest.approx(2.5)
     assert list(run.switch_times) == pytest.approx([1.0])
     assert run.y_mean.shape == run.y_d.shape == (len(run.t), 1)
@@ -854,19 +853,45 @@ def test_tracking_mean_is_the_closed_loop_ensemble_mean():
     H_d = np.array([[1.0, 0.0]])
     F = np.array([[0.2, -0.1]])
     K = np.array([[1.0, 1.5]])
-    x0 = np.array([0.3, -0.2])
     h, n_steps = 1e-3, 300
-    run = simulate_tracking(sys, A_d, x_d0, [(H_d, F, n_steps * h)], K, x0,
-                            h=h, n_paths=6, base_seed=40)
+    run = simulate_tracking(sys, ReferenceGenerator(A_d, H_d, x_d0), [(H_d, F, n_steps * h)],
+                            K, h=h, n_paths=6, base_seed=40)
     closed = StochasticSystem(sys.A - sys.B @ K, sys.B, sys.C - sys.D @ K,
                               sys.D, sys.H)
     cfg = SimConfig(h=h, sample_period=h, window=h, l=n_steps, n_paths=6,
                     base_seed=40)
     assert cfg.n_steps == n_steps
     ds = run_ensemble(closed, lambda t: -_reference_states(A_d, x_d0, t) @ F.T,
-                      x0, cfg)
+                      np.zeros(2), cfg)
     np.testing.assert_array_equal(run.x_mean, ds.mean_x)
     np.testing.assert_array_equal(run.x_d, _reference_states(A_d, x_d0, run.t))
+
+
+def test_tracking_blowup_is_the_closed_loop_ensemble_blowup():
+    # from the origin, the feedforward -F x_d moves the state off zero and
+    # state noise with sqrt(h) C = 2 I multiplies it by 3 or -1 each step:
+    # the tracking run diverges where run_ensemble on the same closed loop
+    # and seeds does, on the same path at the same time
+    h, n_steps, seed = 1e-3, 300, 42
+    sys = StochasticSystem(A=np.array([[-0.3, 1.0], [-1.0, -0.5]]), B=np.array([[0.0], [1.0]]),
+                           C=2.0 / np.sqrt(h) * np.eye(2), D=np.array([[0.0], [0.1]]),
+                           H=np.array([[1.0, 0.0]]))
+    A_d = np.array([[0.0, 1.0], [-4.0, 0.0]])
+    x_d0 = np.array([1.0, 0.0])
+    H_d = np.array([[1.0, 0.0]])
+    F = np.array([[0.2, -0.1]])
+    K = np.array([[1.0, 1.5]])
+    with pytest.raises(Blowup, match="tracking state") as info:
+        simulate_tracking(sys, ReferenceGenerator(A_d, H_d, x_d0), [(H_d, F, n_steps * h)],
+                          K, h=h, n_paths=6, base_seed=seed)
+    closed = StochasticSystem(sys.A - sys.B @ K, sys.B, sys.C - sys.D @ K, sys.D, sys.H)
+    cfg = SimConfig(h=h, sample_period=h, window=h, l=n_steps, n_paths=6, base_seed=seed)
+    with pytest.raises(Blowup) as want:
+        run_ensemble(closed, lambda t: -_reference_states(A_d, x_d0, t) @ F.T,
+                     np.zeros(2), cfg)
+    assert (info.value.path_index, info.value.time) == (want.value.path_index,
+                                                        want.value.time)
+    assert info.value.path_index > 0 and info.value.time < n_steps * h
 
 
 def test_reference_trajectory_matches_exponential():
@@ -887,9 +912,9 @@ def test_tracking_durations_must_be_positive_multiples_of_h(duration):
     schedule = [(np.array([[1.0, 0.0]]), np.zeros((1, 2)), 0.01),
                 (np.array([[2.0, 0.0]]), np.zeros((1, 2)), duration)]
     with pytest.raises(ConfigError, match="not a positive multiple of h"):
-        simulate_tracking(plant, A_d, np.array([1.0, 0.0]), schedule,
-                          np.zeros((1, 2)), None, h=1e-3, n_paths=2,
-                          base_seed=0)
+        simulate_tracking(plant, ReferenceGenerator(A_d, np.array([[1.0, 0.0]]),
+                                                    np.array([1.0, 0.0])),
+                          schedule, np.zeros((1, 2)), h=1e-3, n_paths=2, base_seed=0)
 
 
 
@@ -1076,6 +1101,6 @@ def test_each_process_makes_one_kernel_pass(monkeypatch, deadline, cpus):
     # two, this process runs batch 0 and the worker's pass is its own
     observers, em_paths = [], sim._em_paths
     monkeypatch.setattr(sim, "_em_paths",
-                        lambda *a, **k: observers.append(a[7].__name__) or em_paths(*a, **k))
+                        lambda *a, **k: observers.append(a[8].__name__) or em_paths(*a, **k))
     _, _, forks = batched_runs(monkeypatch, cpus)
     assert (observers, forks) == (["record", "integrate"], 2 * (cpus - 1))
