@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import os
@@ -261,8 +262,9 @@ def _write_csv(path: str, header: list, values, index=None) -> None:
     values is a (rows, k) array of floats and index the (rows, j) integer
     columns written before them (none by default). Every value is checked
     before the file is opened, so a refusal leaves no file behind. Each
-    row is one str.format: integers as such, floats with 17 significant
-    digits (they roundtrip binary64) and -0.0 as 0, as in the report.
+    chunk of _CSV_ROWS rows is one % over its flattened cells: integers
+    as such, floats with 17 significant digits (they roundtrip binary64)
+    and -0.0 as 0, as in the report.
     """
     values = np.asarray(values, dtype=float)
     index = (np.empty((values.shape[0], 0), dtype=np.int64) if index is None
@@ -274,12 +276,12 @@ def _write_csv(path: str, header: list, values, index=None) -> None:
                           f"in column {header[index.shape[1] + c]!r} of row {r + 1} "
                           f"of {os.path.basename(path)}")
     values = values + 0.0
-    fmt = ",".join(["{:d}"] * index.shape[1] + ["{:.17g}"] * values.shape[1]) + "\n"
+    fmt = ",".join(["%d"] * index.shape[1] + ["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for s in range(0, values.shape[0], _CSV_ROWS):
-            rows = zip(index[s:s + _CSV_ROWS].tolist(), values[s:s + _CSV_ROWS].tolist())
-            f.write("".join([fmt.format(*i, *v) for i, v in rows]))
+            i, v = index[s:s + _CSV_ROWS].tolist(), values[s:s + _CSV_ROWS].tolist()
+            f.write(fmt * len(v) % tuple(itertools.chain.from_iterable(map(list.__add__, i, v))))
 
 
 def _write_trace_csv(path: str, trace_rows: list) -> None:

@@ -191,9 +191,14 @@ def _check_block(S, k0, h, sys_name, paths):
     """Raise Blowup at the first state of S (steps k0, k0 + 1, ...) where
     a path's norm is over _BLOWUP_NORM or not finite, naming the
     lowest-index such path (paths[p] for column p) and the time in
-    seconds."""
+    seconds. S is a contiguous block of [X; 1], its columns past len(paths)
+    (a one-path run's noise-free companion) ignored; its one-pass sum of
+    squares bounds every norm, and only a block it does not clear is scanned."""
+    if np.vdot(S, S) <= 0.5 * _BLOWUP_NORM ** 2:  # false on NaN too; vdot does not warn
+        return
+    S = S[:, :-1, :len(paths)]
     lim = _BLOWUP_NORM / np.sqrt(S.shape[1])
-    if S.max() <= lim and S.min() >= -lim:  # false on NaN too
+    if S.max() <= lim and S.min() >= -lim:
         return
     norms = np.sqrt(np.einsum("kip,kip->kp", S, S))
     bad = ~(norms <= _BLOWUP_NORM)
@@ -227,10 +232,11 @@ def _em_paths(A, C, forcing, x0, base_seed: int, paths, n_steps: int, h: float,
     shape (n, len(paths)), paths on the last axis; one step is
     X + (hAX + hBu) + dW (CX + Du), with both brackets from one stacked
     product [hA hBu; C Du] [X; 1]. States are buffered _BLOCK_STEPS at a
-    time: observe(k0, S) receives the states at steps k0, k0 + 1, ... as
-    S of shape (len(S), n, n_paths), first S = x0 alone with k0 = 0. S
-    is a view of a reused buffer, so copy what you keep. Each block is
-    checked for divergence before it is observed.
+    time: observe(k0, S) receives [X; 1] at steps k0, k0 + 1, ... as S of
+    shape (len(S), n + 1, len(paths)), row n all ones, first S = x0 alone
+    with k0 = 0. S is a view of a reused buffer, so copy what you keep.
+    Each block is checked for divergence, by one dot first, before it is
+    observed.
     """
     n, P = A.shape[0], len(paths)
     # a single path gets a noise-free second column, so that its product
@@ -250,8 +256,9 @@ def _em_paths(A, C, forcing, x0, base_seed: int, paths, n_steps: int, h: float,
     S[0, :n] = np.asarray(x0, dtype=float).reshape(n, 1)
     Y = np.empty((2 * n, width))
     drift, diffusion = Y[:n], Y[n:]
-    states = [s[:n] for s in S]  # views made once; the step loop is hot
-    observe(0, S[:1, :n, :P])
+    # the per-step row views, made once; the step loop is hot
+    rows = list(zip(G, S, dW, [s[:n] for s in S], [s[:n] for s in S[1:]]))
+    observe(0, S[:1, :, :P])
     for first in range(0, n_steps, _DRAW_STEPS):
         octets = _sign_words(bitgens, min(_DRAW_STEPS, n_steps - first)).view(np.uint8)
         for k in range(first, min(first + _DRAW_STEPS, n_steps), _BLOCK_STEPS):
@@ -260,14 +267,13 @@ def _em_paths(A, C, forcing, x0, base_seed: int, paths, n_steps: int, h: float,
             signs = np.unpackbits(octets[:, o:o + _BLOCK_STEPS // 8], axis=1, bitorder="little")
             np.take(steps, signs[:, :b].T, out=dW[:b, :P], mode="wrap")
             G[:b, :, n] = f[k:k + b]
-            for j in range(b):
-                np.matmul(G[j], S[j], out=Y)
-                np.multiply(diffusion, dW[j], out=diffusion)
-                np.add(drift, diffusion, out=drift)
-                np.add(states[j], drift, out=states[j + 1])
-            blk = S[1:b + 1, :n, :P]
-            _check_block(blk, k + 1, h, sys_name, paths)
-            observe(k + 1, blk)
+            for g, s, dw, x, x_next in rows[:b]:
+                np.matmul(g, s, Y)
+                np.multiply(diffusion, dw, diffusion)
+                np.add(drift, diffusion, drift)
+                np.add(x, drift, x_next)
+            _check_block(S[1:b + 1], k + 1, h, sys_name, paths)
+            observe(k + 1, S[1:b + 1, :, :P])
             S[0] = S[b]
 
 
@@ -453,7 +459,7 @@ def run_ensemble(plant, input, x0, config: SimConfig,
         sizes = [np.vstack([np.full((X.shape[1], 1), X.shape[-1]) for X in v]) for v in views]
 
         def record(k0, S):
-            k = len(S)
+            k, S = len(S), S[:, :n]
             blk = slice(k0, k0 + k)
             s0 = S[..., 0]
             if not skip:
@@ -640,7 +646,9 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
     The designs' closed loops are stacked block-diagonally in one kernel
     pass, so one dW, from Philox(seed + i) on path i, drives every design:
     common random numbers by construction, and each design's block equals
-    its run alone. Per-path integrals use the trapezoid rule.
+    its run alone. Per-path integrals use the trapezoid rule h (sum of all
+    rates - (r_0 + r_N) / 2): each block's residuals [W | -w_k] [x; 1] are
+    squared into one running per-row sum, made into costs after the pass.
     """
     n, m, J = plant.n, plant.m, len(designs)
     gains = [(np.asarray(K, dtype=float).reshape(m, n),
@@ -650,12 +658,11 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
     N = _step_count(horizon, h, "horizon")
     x_d = _reference_states(reference.A_d, reference.x_d0, np.arange(N + 1) * h)
     u_ff = [-x_d @ F.T for _, F in gains]
-    # each design's rate |Hx - y_d|_Q^2 + |Kx + F x_d|_R^2 is |W x - w_k|^2,
+    # each design's rate |Hx - y_d|_Q^2 + |Kx + F x_d|_R^2 is |[W | -w_k] [x; 1]|^2,
     # W = [L_Q' H; L_R' K] and w_k = [L_Q' y_d; L_R' u_k] with Q = L_Q L_Q'
     LQ, LR = np.linalg.cholesky(cost.Q).T, np.linalg.cholesky(cost.R).T
     W = _block_diag(*(np.vstack([LQ @ plant.H, LR @ K]) for K, _ in gains))
-    w = np.hstack([np.hstack([x_d @ (LQ @ reference.H_d).T, u @ LR.T])
-                   for u in u_ff])[:, :, None]
+    w = -np.hstack([np.hstack([x_d @ (LQ @ reference.H_d).T, u @ LR.T]) for u in u_ff])
     acc = _shared(J, n_paths)
     A_cl, C_cl = zip(*(plant.closed_loop(K) for K, _ in gains))
     forcing = (_block_diag(*[plant.B] * J), _block_diag(*[plant.D] * J), np.hstack(u_ff))
@@ -663,21 +670,25 @@ def estimate_average_cost(plant, reference: ReferenceGenerator, designs, cost,
 
     def run(share):
         lo, hi = batches[share[0]][0], batches[share[-1]][1]
-        last = None
+        We = np.empty((_BLOCK_STEPS, W.shape[0], W.shape[1] + 1))  # [W | -w_k], step by step
+        We[..., :-1] = W
+        E = np.empty((_BLOCK_STEPS, W.shape[0], hi - lo))
+        # each row's sum of squared residuals over all steps, and over the two ends
+        total, ends = np.zeros((2, W.shape[0], hi - lo))
 
         def integrate(k0, S):
-            # the rates of the block, joined to the last rate of the one before
-            nonlocal last
-            e = np.matmul(W, S)
-            e -= w[k0:k0 + len(S)]
-            e *= e
-            rates = e.reshape(len(S), J, -1, hi - lo).sum(axis=2)
-            if last is not None:
-                acc[:, lo:hi] += h * (0.5 * (last + rates[-1]) + rates[:-1].sum(axis=0))
-            last = rates[-1]
+            k = len(S)
+            We[:k, :, -1] = w[k0:k0 + k]
+            e = np.matmul(We[:k], S, out=E[:k])
+            total[...] += np.einsum("krp,krp->rp", e, e)
+            if k0 == 0 or k0 + k > N:
+                ends[...] += e[-1] * e[-1]
 
         _em_paths(_block_diag(*A_cl), _block_diag(*C_cl), forcing, np.zeros(n * J), seed,
                   range(lo, hi), N, h, integrate, "closed-loop state")
+        # the trapezoid h (sum of all rates - (r_0 + r_N) / 2), per design
+        total -= 0.5 * ends
+        acc[:, lo:hi] = h * total.reshape(J, -1, hi - lo).sum(axis=1)
 
     _run_batches(len(batches), run)
     estimates = []
@@ -734,7 +745,7 @@ def simulate_tracking(plant, reference: ReferenceGenerator, schedule, K, h: floa
     x_mean = np.empty((N + 1, n))
 
     def record(k0, S):
-        x_mean[k0:k0 + len(S)] = _centred_mean(S)
+        x_mean[k0:k0 + len(S)] = _centred_mean(S[:, :n])
 
     _em_paths(*plant.closed_loop(K), (plant.B, plant.D, u_ff), np.zeros(n), base_seed,
               range(n_paths), N, h, record, "tracking state")

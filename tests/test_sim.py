@@ -205,7 +205,7 @@ def test_single_path_matches_ensemble_member():
     members = np.empty((cfg.n_steps + 1, 2, 3))
 
     def keep(k0, S):
-        members[k0:k0 + len(S)] = S
+        members[k0:k0 + len(S)] = S[:, :-1]  # the states; the last row holds the ones
 
     u = _sample_input(sig, cfg.grid(), 1)
     _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, range(3), cfg.n_steps, cfg.h, keep)
@@ -221,7 +221,7 @@ def test_every_ensemble_member_is_its_single_path():
     members = np.empty((cfg.n_steps + 1, 3, 5))
 
     def keep(k0, S):
-        members[k0:k0 + len(S)] = S
+        members[k0:k0 + len(S)] = S[:, :-1]  # the states; the last row holds the ones
 
     u = _sample_input(two_input_signal, cfg.grid(), 2)
     _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 50, range(5), cfg.n_steps, cfg.h, keep)
@@ -243,7 +243,7 @@ def test_members_equal_their_single_paths_across_buffer_swaps():
     members = np.empty((n_steps + 1, 3, 4))
 
     def keep(k0, S):
-        members[k0:k0 + len(S)] = S
+        members[k0:k0 + len(S)] = S[:, :-1]  # the states; the last row holds the ones
 
     u = _sample_input(two_input_signal, cfg.grid(), 2)
     _em_paths(sys.A, sys.C, (sys.B, sys.D, u), x0, 70, range(4), n_steps, cfg.h, keep)
@@ -287,6 +287,31 @@ def batch_means_se(prods, batches):
     return np.sqrt(ss / (P * (G - 1)))
 
 
+def close(got, want):
+    assert np.abs(want).max() > 1e-3
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+def per_step_average_cost(plant, ref, K, F, cost, P, seed, n_steps, h):
+    """Each path's average cost from em_per_step's states of the loop
+    closed by u = -K x - F x_d, from the origin on the exact reference: a
+    direct trapezoid of the rate |Hx - H_d x_d|_Q^2 + |Kx + F x_d|_R^2."""
+    x_d = _reference_states(ref.A_d, ref.x_d0, np.arange(n_steps + 1) * h)
+    xs = np.empty((n_steps + 1, P, plant.n))
+
+    def keep(k, Z):
+        xs[k] = Z
+
+    em_per_step(plant.A - plant.B @ K, plant.C - plant.D @ K,
+                (plant.B, plant.D, -x_d @ F.T), np.zeros(plant.n), seed, P, n_steps, h, keep)
+    e = xs @ plant.H.T - (x_d @ ref.H_d.T)[:, None]
+    v = xs @ K.T + (x_d @ F.T)[:, None]
+    rates = (np.einsum("kpi,ij,kpj->kp", e, cost.Q, e)
+             + np.einsum("kpi,ij,kpj->kp", v, cost.R, v))
+    return h * (0.5 * (rates[:-1] + rates[1:])).sum(axis=0) / (n_steps * h)
+
+
 def test_block_kernel_equals_per_step_reference():
     plant = three_state_plant()
     h, P, seed = 1e-3, 24, 60
@@ -306,11 +331,6 @@ def test_block_kernel_equals_per_step_reference():
 
         em_per_step(A, C, forcing, z0, seed, P, n_steps, h, keep)
         return zs
-
-    def close(got, want):
-        assert np.abs(want).max() > 1e-3
-        np.testing.assert_allclose(got, want, rtol=1e-12,
-                                   atol=1e-12 * np.abs(want).max())
 
     # ensemble moments and the single path
     xs = paths(plant.A, plant.C, (plant.B, plant.D, two_input_signal(t)), x0)
@@ -339,14 +359,8 @@ def test_block_kernel_equals_per_step_reference():
     # average cost: the same forced loop from the origin, with the cost
     # rate |Hx - H_d x_d|_Q^2 + |Kx + F x_d|_R^2 on the exact reference
     cost = CostWeights(Q=np.array([[2.0]]), R=np.diag([0.5, 1.0]))
-    x_d = _reference_states(A_d, x_d0, t)
-    e = xs @ plant.H.T - (x_d @ H_d.T)[:, None]
-    v = xs @ K.T + (x_d @ F.T)[:, None]
-    rates = (np.einsum("kpi,ij,kpj->kp", e, cost.Q, e)
-             + np.einsum("kpi,ij,kpj->kp", v, cost.R, v))
-    horizon = n_steps * h
-    per_path = h * (rates.sum(axis=0) - 0.5 * (rates[0] + rates[-1])) / horizon
-    [est] = estimate_average_cost(plant, ref, [(K, F)], cost, horizon, P, seed, h=h)
+    per_path = per_step_average_cost(plant, ref, K, F, cost, P, seed, n_steps, h)
+    [est] = estimate_average_cost(plant, ref, [(K, F)], cost, n_steps * h, P, seed, h=h)
     close(est.per_path, per_path)
     close(est.mean, per_path.mean())
     close(est.se, per_path.std() / np.sqrt(P - 1))
@@ -361,7 +375,7 @@ def ensemble_and_products(P, n_steps, seed):
     xs = np.empty((n_steps + 1, 3, P))
 
     def keep(k0, S):
-        xs[k0:k0 + len(S)] = S
+        xs[k0:k0 + len(S)] = S[:, :-1]  # the states; the last row holds the ones
 
     u = _sample_input(two_input_signal, cfg.grid(), 2)
     _em_paths(plant.A, plant.C, (plant.B, plant.D, u), x0, seed, range(P), n_steps, h, keep)
@@ -674,6 +688,60 @@ def test_em_blowup_names_the_first_path_over_the_bound_and_its_time():
         run_ensemble(quiet, None, np.array([1.0]), cfg)
     assert info.value.path_index == 0
     assert info.value.time == pytest.approx(h * math.ceil(np.log(1e8) / np.log(1.2)))
+
+
+def test_a_block_over_the_one_pass_bound_and_under_the_norm_bound_runs_on():
+    # 1000 paths with norms near 5e6: a 32-step block's sum of squares,
+    # about 8e17, is over the one-pass bound 5e15, yet no norm is near
+    # 1e8, so the run goes on. It is the run from a 2^22 times smaller x0
+    # scaled by 2^22 (2^44 for the second moments and their errors), byte
+    # for byte: the scan the one-pass bound falls back on changes no value
+    plant, P = small_plant(), 1000
+    cfg = SimConfig(h=1e-3, sample_period=1e-3, window=1e-3, l=2 * _BLOCK_STEPS + 5,
+                    n_paths=P, base_seed=3)
+    x0, scale = np.array([0.8, -0.9]), 2.0 ** 22
+    small, big = (run_ensemble(plant, None, x0 * s, cfg) for s in (1.0, scale))
+    assert (big.mean_xx[1:_BLOCK_STEPS + 1, [0, 2]].sum() * P > 0.5e16
+            and np.sqrt(big.mean_xx[:, [0, 2]].sum(axis=1)).max() < 1e7)
+    for name, s in (("mean_x", scale), ("mean_xx", scale ** 2), ("se_xx", scale ** 2)):
+        assert getattr(big, name).tobytes() == (s * getattr(small, name)).tobytes()
+
+
+def block_of(states):
+    """The kernel block [X; 1] of states (steps, n, columns)."""
+    k, n, width = states.shape
+    S = np.ones((k, n + 1, width))
+    S[:, :n] = states
+    return S
+
+
+def test_a_nan_mid_block_names_its_path_and_step():
+    paths = range(10, 16)
+    states = np.full((_BLOCK_STEPS, 2, 6), 0.5)
+    states[13, 1, 4] = np.nan
+    states[20, 0, 2] = np.inf  # later, on a lower path
+    with pytest.raises(Blowup) as info:
+        sim._check_block(block_of(states), 65, 1e-3, "state", paths)
+    assert info.value.path_index == 14
+    assert info.value.time == pytest.approx((65 + 13) * 1e-3, rel=1e-12)
+
+
+def test_a_norm_just_over_the_bound_is_named():
+    # 3-4-5 states at 1e8: path 1 just under the bound first, then path 3
+    # and path 5 just over it at one step, and path 0 over it later
+    paths = range(6)
+    states = np.zeros((_BLOCK_STEPS, 2, 6))
+    states[5, :, 1] = [0.6e8, 0.8e8 * (1 - 1e-12)]
+    states[20, :, 3] = states[20, :, 5] = [0.6e8, 0.8e8 * (1 + 1e-12)]
+    states[30, :, 0] = [1e9, 0.0]
+    with pytest.raises(Blowup) as info:
+        sim._check_block(block_of(states), 1, 1e-2, "state", paths)
+    assert info.value.path_index == 3
+    assert info.value.time == pytest.approx(21 * 1e-2, rel=1e-12)
+    # under the bound everywhere but on a one-path run's companion column
+    states = np.full((_BLOCK_STEPS, 2, 2), 0.5)
+    states[7, 0, 1] = np.inf
+    sim._check_block(block_of(states), 1, 1e-2, "state", [0])
 
 
 def unforced(plant, n_steps):
@@ -989,6 +1057,32 @@ def test_batches_give_the_same_bytes_on_any_worker_count(monkeypatch, deadline, 
     for name in ("mean_x", "mean_xx", "se_xx"):
         np.testing.assert_allclose(getattr(ds, name), getattr(ds0, name),
                                    rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_steps", [1, 31, 32, 33, 65])
+def test_the_fused_trapezoid_at_the_block_edges(monkeypatch, deadline, n_steps):
+    # horizons of one step, a block less, one and more than one block, and
+    # two blocks and one: the per-path costs are the direct trapezoid of
+    # each path's states, and the same bytes on one worker and on two
+    monkeypatch.setattr(sim, "_PATH_BATCH", 2)
+    plant, h, P, seed = three_state_plant(), 1e-3, 5, 21
+    ref = ReferenceGenerator(np.array([[0.0, 2.0], [-2.0, 0.0]]),
+                             np.array([[1.0, 0.5]]), np.array([1.0, 0.0]))
+    cost = CostWeights(Q=np.array([[2.0]]), R=np.diag([0.5, 1.0]))
+    designs = [(np.array([[0.4, 0.1, 0.0], [0.0, 0.3, 0.2]]),
+                np.array([[0.2, -0.1], [0.0, 0.3]])),
+               (np.array([[1.0, 0.0, 0.2], [0.1, 0.8, 0.0]]),
+                np.array([[-0.3, 0.1], [0.2, 0.0]]))]
+    runs = []
+    for cpus in (1, 2):
+        forks = use_cpus(monkeypatch, cpus)
+        runs.append(estimate_average_cost(plant, ref, designs, cost, n_steps * h, P, seed, h=h))
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+    for (K, F), one, two in zip(designs, *runs):
+        close(one.per_path, per_step_average_cost(plant, ref, K, F, cost, P, seed, n_steps, h))
+        assert one.per_path.tobytes() == two.per_path.tobytes()
+        assert (one.mean, one.se) == (two.mean, two.se)
 
 
 def test_noise_free_batched_ensemble_collapses_to_one_path(monkeypatch, deadline):

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from slqt.errors import NonInvertible, NotStabilizing, ResonantSpectra, SingularOperator
 from slqt.model import (BpiHyperParams, CostWeights, ReferenceGenerator,
-                        StochasticSystem, TrackingProblem, is_stabilizing)
+                        StochasticSystem, TrackingProblem)
 from slqt.bpi import solve_tracking
 from slqt.sim import SimConfig, run_ensemble
 from slqt.solvers import (alpha_update, ff_from_pi, gain_update,
